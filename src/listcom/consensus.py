@@ -2,59 +2,85 @@
 
 A configured number of fast detector runs, each with a seed derived from the
 master seed, vote on every node pair through the Jaccard similarity of the
-community-label sets the run assigned to the two nodes.  Scores accumulate
-per run into sparse maps and are reduced in ascending run order, so the
-floating-point result is identical no matter how many workers executed the
-runs.  The normalised matrix is thresholded into a consensus graph on which
+community-label sets the run assigned to the two nodes.  The matrix is a
+pair of arrays: sorted ``int64`` pair keys ``i * l + j`` (i < j, positions in
+the sorted node order) and their ``float64`` scores.  Each run contributes
+its co-assigned pair keys and their scores inter / (|X| + |Y| - inter), which
+are added to the matrix in ascending run order, so the floating-point result
+is identical no matter how many workers executed the runs.  The normalised
+matrix is thresholded into a consensus graph (a mask over the keys) on which
 a thorough detection pass produces the final cover.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .atomic import atomic_write
 from .detect import CommunitySet, DetectorConfig, detect, filter_singletons
 from .errors import ParseError, ValidationError
-from .listgraph import ListGraph
+from .listgraph import ListGraph, node_index
 from .seeds import STREAM_CONSENSUS, derive_seed
 
 Detector = Callable[[ListGraph, DetectorConfig], CommunitySet]
 
 
-@dataclass
+@dataclass(eq=False)
 class ConsensusMatrix:
-    """Sparse symmetric node-pair scores in (0, 1]; absent pair means 0.
+    """Sparse symmetric node-pair scores; an absent pair means 0.
 
-    ``entries`` maps ``i * len(order) + j`` (i < j, canonical node indices)
-    to the accumulated or normalised score.
+    ``order`` is the sorted node ids.  ``keys`` holds ``i * len(order) + j``
+    (i < j, positions in ``order``) in ascending order, and ``values`` the
+    accumulated or normalised score of each key.
     """
 
     order: tuple[str, ...]
-    entries: dict[int, float]
+    keys: np.ndarray
+    values: np.ndarray
     r: int
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._index = {node: i for i, node in enumerate(self.order)}
+    @classmethod
+    def empty(cls, order, r: int) -> "ConsensusMatrix":
+        order = tuple(order)
+        if any(a >= b for a, b in zip(order, order[1:])):
+            raise ValidationError("matrix order must be sorted and unique")
+        return cls(order, np.empty(0, dtype=np.int64),
+                   np.empty(0, dtype=np.float64), r)
 
-    def key(self, a: str, b: str) -> int:
-        i, j = self._index[a], self._index[b]
-        if i == j:
-            raise ValidationError(f"no diagonal entries: {a!r}")
-        if i > j:
-            i, j = j, i
-        return i * len(self.order) + j
+    def positions(self, nodes) -> np.ndarray:
+        """Positions of ``nodes`` in the order, found by bisection."""
+        order = self.order
+        out = np.empty(len(nodes), dtype=np.int64)
+        for k, node in enumerate(nodes):
+            i = bisect_left(order, node)
+            if i == len(order) or order[i] != node:
+                raise ValidationError(f"node {node!r} outside the matrix order")
+            out[k] = i
+        return out
 
     def get(self, a: str, b: str) -> float:
-        return self.entries.get(self.key(a, b), 0.0)
+        i, j = sorted(self.positions((a, b)).tolist())
+        if i == j:
+            raise ValidationError(f"no diagonal entries: {a!r}")
+        return float(self.lookup(np.array([i * len(self.order) + j]))[0])
 
     def items(self) -> Iterator[tuple[str, str, float]]:
-        l = len(self.order)
-        for k, v in self.entries.items():
-            yield self.order[k // l], self.order[k % l], v
+        """``(a, b, score)`` with a < b, in ascending pair order."""
+        order = self.order
+        i, j = np.divmod(self.keys, len(order))
+        for a, b, v in zip(i.tolist(), j.tolist(), self.values.tolist()):
+            yield order[a], order[b], v
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Scores of arbitrary pair keys, 0.0 where a key is absent."""
+        if not len(self.keys):
+            return np.zeros(len(keys))
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, self.values[pos], 0.0)
 
 
 @dataclass(frozen=True)
@@ -106,69 +132,53 @@ def label_jaccard(labels_x, labels_y) -> float:
     return len(x & y) / union
 
 
-def _pair_scores(
-    base: CommunitySet, index: dict[str, int], l: int
-) -> tuple[list[int], list[float]]:
-    """One run's sparse map: unique co-assigned pair keys and Jaccard scores.
+def _pair_scores(base: CommunitySet, order: tuple[str, ...]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One run's pair keys (ascending) and Jaccard scores of the two nodes'
+    community-label sets.
 
-    Singleton communities are ignored.  Raises if a node is missing from the
-    matrix order.
+    With ``inter`` the number of communities holding both nodes and ``|X|``
+    the number holding one, the score is inter / (|X| + |Y| - inter); only
+    co-assigned pairs have ``inter > 0``.  Singleton communities are
+    ignored.  Raises if a node is missing from the matrix order.
     """
-    labels: dict[int, list[int]] = {}
-    for cid, community in enumerate(base):
-        if len(community) < 2:
-            continue
-        for node in community:
-            i = index.get(node)
-            if i is None:
-                raise ValidationError(f"node {node!r} outside the matrix order")
-            labels.setdefault(i, []).append(cid)
-    if not labels:
-        return [], []
-
-    group_of: dict[int, int] = {}
-    group_sets: list[frozenset[int]] = []
-    group_key: dict[frozenset[int], int] = {}
-    for i, lab in labels.items():
-        fs = frozenset(lab)
-        gid = group_key.get(fs)
-        if gid is None:
-            gid = len(group_sets)
-            group_key[fs] = gid
-            group_sets.append(fs)
-        group_of[i] = gid
-
+    index = node_index(order)
+    l = len(order)
     key_arrays = []
-    for cid, community in enumerate(base):
+    member_arrays = []
+    for community in base:
         if len(community) < 2:
             continue
-        idx = np.sort(np.fromiter((index[node] for node in community),
-                                  dtype=np.int64, count=len(community)))
+        try:
+            idx = np.sort(np.fromiter((index[node] for node in community),
+                                      dtype=np.int64, count=len(community)))
+        except KeyError as exc:
+            raise ValidationError(
+                f"node {exc.args[0]!r} outside the matrix order") from exc
         iu, ju = np.triu_indices(len(idx), 1)
         key_arrays.append(idx[iu] * l + idx[ju])
-    keys = np.unique(np.concatenate(key_arrays))
-
-    gids = np.full(l, -1, dtype=np.int64)
-    for i, gid in group_of.items():
-        gids[i] = gid
-    g = len(group_sets)
-    table = np.zeros((g, g))
-    for a in range(g):
-        for b in range(a, g):
-            s = label_jaccard(group_sets[a], group_sets[b])
-            table[a, b] = s
-            table[b, a] = s
-    scores = table[gids[keys // l], gids[keys % l]]
-    nz = scores > 0.0
-    return keys[nz].tolist(), scores[nz].tolist()
+        member_arrays.append(idx)
+    if not key_arrays:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    keys, inter = np.unique(np.concatenate(key_arrays), return_counts=True)
+    labels = np.bincount(np.concatenate(member_arrays), minlength=l)
+    i, j = np.divmod(keys, l)
+    return keys, inter / (labels[i] + labels[j] - inter)
 
 
 def accumulate(matrix: ConsensusMatrix, base: CommunitySet) -> ConsensusMatrix:
-    """Add one base set's pairwise Jaccard scores into the matrix (in place)."""
-    keys, scores = _pair_scores(base, matrix._index, len(matrix.order))
-    entries = matrix.entries
-    for k, s in zip(keys, scores):
-        entries[k] = entries.get(k, 0.0) + s
+    """Add one base set's pairwise Jaccard scores into the matrix (in place).
+
+    Each score is added to the key's running value, so folding runs in run
+    order gives the same doubles as summing them one run at a time."""
+    keys, scores = _pair_scores(base, matrix.order)
+    pos = np.searchsorted(matrix.keys, keys)
+    found = pos < len(matrix.keys)
+    found[found] = matrix.keys[pos[found]] == keys[found]
+    matrix.values[pos[found]] += scores[found]
+    new = ~found
+    matrix.keys = np.insert(matrix.keys, pos[new], keys[new])
+    matrix.values = np.insert(matrix.values, pos[new], scores[new])
     return matrix
 
 
@@ -184,8 +194,7 @@ def run_ensemble(
     on up to ``workers`` threads but are reduced in run order, so the result
     is independent of scheduling.
     """
-    order = tuple(sorted(graph.nodes))
-    matrix = ConsensusMatrix(order=order, entries={}, r=config.runs)
+    matrix = ConsensusMatrix.empty(graph.nodes, config.runs)
 
     def one_run(i: int) -> CommunitySet:
         cfg = config.fast_config.with_seed(derive_seed(config.master_seed, i))
@@ -199,9 +208,7 @@ def run_ensemble(
         for i in range(config.runs):
             accumulate(matrix, one_run(i))
 
-    inv_r = 1.0 / config.runs
-    for k in matrix.entries:
-        matrix.entries[k] *= inv_r
+    matrix.values *= 1.0 / config.runs
     return matrix
 
 
@@ -209,12 +216,9 @@ def consensus_graph(matrix: ConsensusMatrix, tau: float) -> ListGraph:
     """Graph over the matrix order keeping entries with score >= tau."""
     if not (0.0 <= tau <= 1.0):
         raise ValidationError("tau must be in [0, 1]")
-    edges = {
-        ((a, b) if a <= b else (b, a)): v
-        for a, b, v in matrix.items()
-        if v >= tau
-    }
-    return ListGraph(nodes=matrix.order, edges=edges)
+    keep = matrix.values >= tau
+    i, j = np.divmod(matrix.keys[keep], len(matrix.order))
+    return ListGraph.from_pairs(matrix.order, i, j, matrix.values[keep])
 
 
 def consensus_communities(matrix: ConsensusMatrix, config: EnsembleConfig,
@@ -271,11 +275,9 @@ def cover_agreement(a: CommunitySet, b: CommunitySet) -> float:
 def save_matrix(matrix: ConsensusMatrix, path) -> None:
     """TSV rows ``a<TAB>b<TAB>score`` (6 decimals, lexicographic pairs) under
     a ``#r=<runs>`` header."""
-    rows = sorted((a, b, v) if a <= b else (b, a, v) for a, b, v in matrix.items())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"#r={matrix.r}\n")
-        for a, b, v in rows:
-            fh.write(f"{a}\t{b}\t{v:.6f}\n")
+        fh.writelines(f"{a}\t{b}\t{v:.6f}\n" for a, b, v in matrix.items())
 
 
 def load_matrix(path, order: tuple[str, ...] | None = None) -> ConsensusMatrix:
@@ -284,7 +286,9 @@ def load_matrix(path, order: tuple[str, ...] | None = None) -> ConsensusMatrix:
     otherwise the order is reconstructed from the entry endpoints alone.
     Scores that rounded to 0.000000 on disk are dropped to keep the sparse
     absent-means-zero invariant."""
-    raw: list[tuple[str, str, float]] = []
+    first: list[str] = []
+    second: list[str] = []
+    scores: list[float] = []
     r = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -306,19 +310,28 @@ def load_matrix(path, order: tuple[str, ...] | None = None) -> ConsensusMatrix:
                 raise ParseError(f"{path}:{lineno}: bad score {fields[2]!r}") from exc
             if v < 0.0 or v > 1.0 + 1e-9:
                 raise ValidationError(f"{path}:{lineno}: score out of range")
-            raw.append((fields[0], fields[1], v))
+            first.append(fields[0])
+            second.append(fields[1])
+            scores.append(v)
     if r is None:
         raise ParseError(f"{path}: empty file, missing header")
     if order is None:
-        seen: set[str] = set()
-        for a, b, _ in raw:
-            seen.add(a)
-            seen.add(b)
-        order = tuple(sorted(seen))
-    matrix = ConsensusMatrix(order=order, entries={}, r=r)
-    for a, b, v in raw:
-        if a not in matrix._index or b not in matrix._index:
-            raise ValidationError(f"{path}: node outside the given order")
-        if v > 0.0:
-            matrix.entries[matrix.key(a, b)] = v
+        order = set(first) | set(second)
+    matrix = ConsensusMatrix.empty(sorted(order), r)
+    index = node_index(matrix.order)
+    try:
+        i = np.fromiter((index[a] for a in first), dtype=np.int64, count=len(first))
+        j = np.fromiter((index[b] for b in second), dtype=np.int64, count=len(second))
+    except KeyError as exc:
+        raise ValidationError(
+            f"{path}: node {exc.args[0]!r} outside the given order") from exc
+    if np.any(i == j):
+        raise ValidationError(f"{path}: diagonal entry")
+    values = np.array(scores, dtype=np.float64)
+    nonzero = values > 0.0
+    keys = (np.minimum(i, j) * len(matrix.order) + np.maximum(i, j))[nonzero]
+    perm = np.argsort(keys, kind="stable")
+    matrix.keys, matrix.values = keys[perm], values[nonzero][perm]
+    if np.any(matrix.keys[1:] == matrix.keys[:-1]):
+        raise ValidationError(f"{path}: a node pair is listed twice")
     return matrix

@@ -12,6 +12,12 @@ label, so every non-isolated node lands in at least one community before
 singleton filtering.  Ties always go to the lowest label id, which keeps a
 run a pure function of (graph, config).
 
+The propagation reads the graph's CSR arrays directly.  Label ids are node
+positions, memories are one ``int64`` row per node, and a visited node's
+collected labels are tallied with one ``np.bincount`` weighted by the edge
+weights, so the winner is the first maximum of that vote vector.  Neighbours
+come in ascending order, which fixes the order of the random draws.
+
 Anything callable as ``(graph, config) -> CommunitySet`` can stand in for
 :func:`detect` in the ensemble driver, so a heavier external detector can be
 slotted in without touching the aggregation machinery.
@@ -24,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ValidationError
 from .listgraph import ListGraph
 
@@ -88,63 +95,51 @@ def detect(graph: ListGraph, config: DetectorConfig) -> CommunitySet:
     """Run label propagation; returns non-singleton communities only.
 
     Deterministic given (graph, config): node order, label ids, and the RNG
-    stream are all derived from the canonical sort of node ids plus the seed.
-    Isolated nodes are never assigned.
+    stream are all derived from the sorted node ids plus the seed.  Isolated
+    nodes are never assigned.
     """
-    nodes = sorted(graph.nodes)
-    if not nodes:
-        raise ValidationError("graph has no nodes")
-    index = {node: i for i, node in enumerate(nodes)}
+    nodes = graph.nodes
     n = len(nodes)
-
-    # CSR adjacency in canonical edge order
-    deg = np.zeros(n, dtype=np.int64)
-    edge_items = sorted((index[a], index[b], w) for (a, b), w in graph.edges.items())
-    for i, j, _ in edge_items:
-        deg[i] += 1
-        deg[j] += 1
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=offsets[1:])
-    nbr = np.zeros(offsets[-1], dtype=np.int64)
-    wgt = np.zeros(offsets[-1], dtype=np.float64)
-    fill = offsets[:-1].copy()
-    for i, j, w in edge_items:
-        nbr[fill[i]] = j
-        wgt[fill[i]] = w
-        fill[i] += 1
-        nbr[fill[j]] = i
-        wgt[fill[j]] = w
-        fill[j] += 1
-
-    active = np.flatnonzero(deg > 0)
+    if not n:
+        raise ValidationError("graph has no nodes")
+    bounds = graph.indptr.tolist()
+    nbr, wgt = graph.indices, graph.weights
+    active = np.flatnonzero(np.diff(graph.indptr) > 0)
     iterations = config.resolved_iterations
-    mem = np.full((n, iterations + 1), -1, dtype=np.int64)
+    memory_size = iterations + 1
+    mem = np.full((n, memory_size), -1, dtype=np.int64)
     mem[:, 0] = np.arange(n)
     mem_len = np.ones(n, dtype=np.int64)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    for _ in range(iterations):
-        order = rng.permutation(len(active))
-        for pos in order:
-            u = int(active[pos])
-            lo, hi = offsets[u], offsets[u + 1]
+    for it in range(1, memory_size):
+        for u in active[rng.permutation(len(active))].tolist():
+            lo, hi = bounds[u], bounds[u + 1]
             nbrs = nbr[lo:hi]
-            slots = rng.integers(0, mem_len[nbrs])
-            labels = mem[nbrs, slots]
-            uniq, inv = np.unique(labels, return_inverse=True)
-            votes = np.bincount(inv, weights=wgt[lo:hi])
-            winner = uniq[int(np.argmax(votes))]  # first max = lowest label id
-            mem[u, mem_len[u]] = winner
-            mem_len[u] += 1
+            labels = mem[nbrs, rng.integers(0, mem_len[nbrs])]
+            # Votes per label id: the first maximum is the lowest winning id.
+            # Absent ids score 0.0, so when every vote is 0.0 the winner is
+            # the lowest collected id instead.
+            votes = np.bincount(labels, weights=wgt[lo:hi])
+            winner = votes.argmax()
+            mem[u, it] = winner if votes[winner] > 0.0 else labels.min()
+            mem_len[u] = it + 1
+    if not len(active):
+        return CommunitySet(())
 
+    # Label counts per active node: (row, label) pairs in ascending order.
+    pairs, counts = np.unique(
+        np.arange(len(active)).repeat(memory_size) * n + mem[active].ravel(),
+        return_counts=True)
+    rows, labels = np.divmod(pairs, n)
+    keep = counts / memory_size >= config.overlap_threshold
+    # Each node's most frequent label, the lowest id on ties, always stays.
+    best = np.lexsort((labels, -counts, rows))
+    keep[best[np.r_[True, np.diff(rows[best]) != 0]]] = True
+    active_nodes = [nodes[u] for u in active.tolist()]
     members: dict[int, set[str]] = {}
-    memory_size = iterations + 1
-    for u in active.tolist():
-        uniq, counts = np.unique(mem[u, :memory_size], return_counts=True)
-        keep = set(uniq[counts / memory_size >= config.overlap_threshold].tolist())
-        keep.add(int(uniq[int(np.argmax(counts))]))
-        for label in keep:
-            members.setdefault(label, set()).add(nodes[u])
+    for row, label in zip(rows[keep].tolist(), labels[keep].tolist()):
+        members.setdefault(label, set()).add(active_nodes[row])
 
     return CommunitySet.from_sets(
         c for c in members.values() if len(c) >= 2
@@ -159,7 +154,7 @@ def filter_singletons(cs: CommunitySet) -> CommunitySet:
 def save_communities(cs: CommunitySet, path) -> None:
     """JSON array of arrays of node ids, in the canonical community order."""
     payload = [sorted(c) for c in cs]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False)
         fh.write("\n")
 

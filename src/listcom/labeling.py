@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
+from .atomic import atomic_write
 from .corpus import MembershipCorpus
 from .errors import ValidationError
 
@@ -140,7 +141,7 @@ def write_labels(labels_by_id: dict[int, list[tuple[str, float]]], path) -> None
         }
         for cid, pairs in sorted(labels_by_id.items())
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=1)
         fh.write("\n")
 

@@ -11,15 +11,22 @@ probability itself underflows a double.
 Candidate pairs are enumerated through shared users, never over all l^2
 list pairs.  Lists whose every edge falls below the ``rho`` cutoff remain in
 the graph as isolated nodes.
+
+The graph is held as integer arrays: node ``i`` is the i-th list id in
+sorted order, and the edges form a compressed sparse row structure
+(``indptr``, ``indices``, ``weights``) with each row's neighbours in
+ascending order and every edge stored in both rows.  It is built once, by
+:func:`build_list_graph`, :func:`load_graph` or the consensus graph, and
+list ids reappear only when the graph is written out.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .corpus import MembershipCorpus
 from .errors import ParseError, ValidationError
 
@@ -35,28 +42,68 @@ class GraphBuildConfig:
             raise ValidationError("rho must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ListGraph:
-    """Weighted undirected graph; edge keys are lexicographically ordered pairs.
+    """Weighted undirected graph in compressed sparse row form.
 
-    Treated as immutable once built.
+    ``nodes`` is sorted, so node ``i`` is the i-th id in lexicographic order.
+    Row ``i`` holds its neighbours ``indices[indptr[i]:indptr[i + 1]]`` in
+    ascending order with the matching ``weights``; every edge is stored in
+    both rows.  The arrays are read-only once built.
     """
 
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], float]
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, nodes, i, j, w) -> "ListGraph":
+        """Build from sorted ``nodes`` and parallel arrays of node indices
+        ``i < j`` (each pair at most once) with weights ``w``."""
+        nodes = tuple(nodes)
+        if any(a >= b for a, b in zip(nodes, nodes[1:])):
+            raise ValidationError("graph nodes must be sorted and unique")
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        if np.any(i >= j):
+            raise ValidationError("edge pairs must satisfy i < j")
+        if not np.all(np.isfinite(w) & (w >= 0.0)):
+            raise ValidationError("edge weights must be finite and >= 0")
+        rows = np.concatenate([i, j])
+        cols = np.concatenate([j, i])
+        perm = np.lexsort((cols, rows))
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
+        arrays = (indptr, cols[perm], np.concatenate([w, w])[perm])
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(nodes, *arrays)
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
-    def weight(self, a: str, b: str) -> float:
-        return self.edges.get((a, b) if a <= b else (b, a), 0.0)
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge once as (i, j, w) arrays with i < j, in (i, j) order."""
+        rows = np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper], self.weights[upper]
+
+    def edge_list(self) -> list[tuple[str, str, float]]:
+        """Each edge once as ``(a, b, weight)`` with a < b, in sorted order."""
+        i, j, w = self.edge_pairs()
+        nodes = self.nodes
+        return [(nodes[a], nodes[b], x)
+                for a, b, x in zip(i.tolist(), j.tolist(), w.tolist())]
 
     def degrees(self) -> dict[str, int]:
-        deg = {node: 0 for node in self.nodes}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return dict(zip(self.nodes, np.diff(self.indptr).tolist()))
+
+
+def node_index(nodes) -> dict[str, int]:
+    """Position of each id in ``nodes``; the string-to-integer boundary."""
+    return {node: i for i, node in enumerate(nodes)}
 
 
 def _check_overlap_args(size_x: int, size_y: int, intersection: int, n: int) -> None:
@@ -199,17 +246,15 @@ def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> List
     nodes = tuple(sorted(corpus.memberships))
     if not nodes:
         raise ValidationError("corpus has no lists")
-    index = {lid: i for i, lid in enumerate(nodes)}
+    index = node_index(nodes)
     sizes = np.fromiter((len(corpus.memberships[lid]) for lid in nodes),
                         dtype=np.int64, count=len(nodes))
     n = corpus.n
     l = len(nodes)
     keys, counts = _intersection_counts(corpus, index, l)
-    edges: dict[tuple[str, str], float] = {}
-    if len(keys) == 0:
-        return ListGraph(nodes=nodes, edges=edges)
     lg = np.zeros(n + 2)  # index 0 is never touched (log_comb args are >= 1)
     lg[1:] = [math.lgamma(i) for i in range(1, n + 2)]
+    kept = []
     for start in range(0, len(keys), 1_000_000):
         kk = keys[start:start + 1_000_000]
         cc = counts[start:start + 1_000_000]
@@ -217,21 +262,19 @@ def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> List
         j_idx = kk % l
         lpv = -_log_tail_batch(sizes[i_idx], sizes[j_idx], cc, n, lg) / _LN10
         keep = lpv >= config.rho
-        for i, j, w in zip(i_idx[keep].tolist(), j_idx[keep].tolist(),
-                           lpv[keep].tolist()):
-            edges[(nodes[i], nodes[j])] = w
-    return ListGraph(nodes=nodes, edges=edges)
+        kept.append((i_idx[keep], j_idx[keep], lpv[keep]))
+    if not kept:
+        return ListGraph.from_pairs(nodes, [], [], [])
+    return ListGraph.from_pairs(nodes, *(np.concatenate(c) for c in zip(*kept)))
 
 
 def save_graph(graph: ListGraph, edges_path, nodes_path) -> None:
     """Write edges (lexicographic pair order, weights to 6 decimals) and the
     sidecar node list that preserves isolated nodes."""
-    with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
-        for (a, b) in sorted(graph.edges):
-            fh.write(f"{a}\t{b}\t{graph.edges[(a, b)]:.6f}\n")
-    with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
-        for node in graph.nodes:
-            fh.write(node + "\n")
+    with atomic_write(edges_path) as fh:
+        fh.writelines(f"{a}\t{b}\t{w:.6f}\n" for a, b, w in graph.edge_list())
+    with atomic_write(nodes_path) as fh:
+        fh.writelines(node + "\n" for node in graph.nodes)
 
 
 def load_graph(edges_path, nodes_path) -> ListGraph:
@@ -246,7 +289,11 @@ def load_graph(edges_path, nodes_path) -> ListGraph:
                 raise ValidationError(f"{nodes_path}: duplicate node {node!r}")
             seen.add(node)
             nodes.append(node)
-    edges: dict[tuple[str, str], float] = {}
+    nodes.sort()
+    index = node_index(nodes)
+    i_list: list[int] = []
+    j_list: list[int] = []
+    w_list: list[float] = []
     with open(edges_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split("\t")
@@ -257,17 +304,22 @@ def load_graph(edges_path, nodes_path) -> ListGraph:
                 w = float(w_str)
             except ValueError as exc:
                 raise ParseError(f"{edges_path}:{lineno}: bad weight {w_str!r}") from exc
-            if a not in seen or b not in seen:
+            ia = index.get(a)
+            ib = index.get(b)
+            if ia is None or ib is None:
                 raise ValidationError(f"{edges_path}:{lineno}: endpoint not in node list")
-            if a == b:
+            if ia == ib:
                 raise ValidationError(f"{edges_path}:{lineno}: self-loop on {a!r}")
-            key = (a, b) if a <= b else (b, a)
-            if key in edges:
-                raise ValidationError(f"{edges_path}:{lineno}: duplicate edge {key}")
-            edges[key] = w
-    return ListGraph(nodes=tuple(nodes), edges=edges)
-
-
-def iter_adjacency(graph: ListGraph) -> Iterator[tuple[str, str, float]]:
-    for (a, b), w in graph.edges.items():
-        yield a, b, w
+            i_list.append(min(ia, ib))
+            j_list.append(max(ia, ib))
+            w_list.append(w)
+    i = np.array(i_list, dtype=np.int64)
+    j = np.array(j_list, dtype=np.int64)
+    keys = i * len(nodes) + j
+    order = np.argsort(keys, kind="stable")
+    dup = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    if len(dup):
+        line = int(order[dup + 1].min())
+        raise ValidationError(f"{edges_path}:{line + 1}: duplicate edge "
+                              f"{(nodes[i[line]], nodes[j[line]])}")
+    return ListGraph.from_pairs(nodes, i, j, np.array(w_list, dtype=np.float64))

@@ -13,6 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
+from .atomic import atomic_write
 from .corpus import GroundTruth, MembershipCorpus
 from .errors import ValidationError
 
@@ -134,7 +135,7 @@ def write_users(
                 for uid, weight in uc.ranked_members()
             ],
         })
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=1)
         fh.write("\n")
 
@@ -153,7 +154,7 @@ def load_users(path) -> list[UserCommunity]:
 
 def write_eval(rows: list[EvalRow], truth: GroundTruth, path) -> None:
     """TSV with the validation-table columns plus the matched community id."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("category\tsize\tprecision\trecall\tf1\tmatched_community\n")
         for row in rows:
             size = len(truth.categories.get(row.category, frozenset()))

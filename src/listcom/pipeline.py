@@ -14,6 +14,7 @@ defaults, a flat ``key = value`` config file, then explicit flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 from . import consensus as cons
@@ -160,8 +161,9 @@ def _require(out_dir, name) -> Path:
 
 
 def stage_build_graph(memberships_path, lists_path, out_dir,
-                      config: PipelineConfig) -> None:
-    corpus = corp.load_corpus(memberships_path, lists_path)
+                      config: PipelineConfig, corpus=None) -> None:
+    if corpus is None:
+        corpus = corp.load_corpus(memberships_path, lists_path)
     graph = lg.build_list_graph(corpus, lg.GraphBuildConfig(rho=config.rho))
     lg.save_graph(graph, _artifact(out_dir, "graph"), _artifact(out_dir, "nodes"))
 
@@ -210,8 +212,9 @@ def stage_stability(out_dir, config: PipelineConfig) -> None:
 
 
 def stage_label(memberships_path, lists_path, out_dir,
-                config: PipelineConfig) -> None:
-    corpus = corp.load_corpus(memberships_path, lists_path)
+                config: PipelineConfig, corpus=None) -> None:
+    if corpus is None:
+        corpus = corp.load_corpus(memberships_path, lists_path)
     cover = load_communities(_require(out_dir, "communities"))
     lcfg = config.labeling_config()
     vectors = lab.build_vectors(corpus, lcfg)
@@ -224,18 +227,24 @@ def stage_label(memberships_path, lists_path, out_dir,
 
 
 def _read_stability(out_dir) -> dict[int, float]:
+    """Corrected stability by community id, at the full precision of the
+    last column."""
     path = _artifact(out_dir, "stability")
     scores: dict[int, float] = {}
     if path.exists():
         for line in path.read_text("utf-8").splitlines():
             fields_ = line.split("\t")
-            scores[int(fields_[5])] = float(fields_[1])
+            if len(fields_) < 7:
+                raise ValidationError(f"{path}: no full-precision stability "
+                                      "column; rerun the stability stage")
+            scores[int(fields_[5])] = float(fields_[6])
     return scores
 
 
 def stage_members(memberships_path, lists_path, out_dir,
-                  config: PipelineConfig) -> None:
-    corpus = corp.load_corpus(memberships_path, lists_path)
+                  config: PipelineConfig, corpus=None) -> None:
+    if corpus is None:
+        corpus = corp.load_corpus(memberships_path, lists_path)
     cover = load_communities(_require(out_dir, "communities"))
     user_communities = [
         memb.derive_members(community, corpus, config.mu, community_id=cid)
@@ -276,13 +285,18 @@ def run_pipeline(
     failure, which is reported with the failing stage's name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # Parsed on first use, inside the stage that fails if the files are bad.
+    corpus = cache(lambda: corp.load_corpus(memberships_path, lists_path))
     stages: list[tuple[str, object]] = [
-        ("build-graph", lambda: stage_build_graph(memberships_path, lists_path, out, config)),
+        ("build-graph", lambda: stage_build_graph(memberships_path, lists_path, out,
+                                                  config, corpus=corpus())),
         ("ensemble", lambda: stage_ensemble(out, config)),
         ("consensus", lambda: stage_consensus(out, config)),
         ("stability", lambda: stage_stability(out, config)),
-        ("label", lambda: stage_label(memberships_path, lists_path, out, config)),
-        ("members", lambda: stage_members(memberships_path, lists_path, out, config)),
+        ("label", lambda: stage_label(memberships_path, lists_path, out, config,
+                                      corpus=corpus())),
+        ("members", lambda: stage_members(memberships_path, lists_path, out, config,
+                                          corpus=corpus())),
     ]
     if groundtruth_path is not None:
         stages.append(("evaluate",

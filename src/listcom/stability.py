@@ -16,10 +16,10 @@ estimate independent of ranking order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
+from .atomic import atomic_write
 from .consensus import ConsensusMatrix
 from .detect import CommunitySet
 from .errors import ValidationError
@@ -36,16 +36,36 @@ class StabilityScore:
     randomized_runs: int
 
 
-def _mean_pair_score(indices: list[int], matrix: ConsensusMatrix) -> float:
+_PAIR_BLOCK = 1 << 18
+
+
+def _pair_blocks(size: int):
+    """The pairs of positions ``0..size-1`` in ``itertools.combinations``
+    order, as (first, second) arrays in row blocks of about ``_PAIR_BLOCK``
+    pairs."""
+    step = max(1, _PAIR_BLOCK // size)
+    for start in range(0, size - 1, step):
+        counts = np.arange(size - 1 - start, max(size - 1 - start - step, 0), -1)
+        first = np.repeat(np.arange(start, start + len(counts)), counts)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+        yield first, first + 1 + offset
+
+
+def _mean_pair_scores(subsets: np.ndarray, matrix: ConsensusMatrix) -> np.ndarray:
+    """Mean score over the pairs of each row of ``subsets`` (distinct node
+    positions per row).
+
+    Each row's scores are added one after the other in pair order
+    (``np.cumsum`` is a sequential running sum), absent pairs counting 0.
+    """
     l = len(matrix.order)
-    entries = matrix.entries
-    total = 0.0
-    for i, j in combinations(indices, 2):
-        if i > j:
-            i, j = j, i
-        total += entries.get(i * l + j, 0.0)
-    count = len(indices) * (len(indices) - 1) // 2
-    return total / count
+    size = subsets.shape[1]
+    totals = np.zeros((len(subsets), 1))
+    for first, second in _pair_blocks(size):
+        a, b = subsets[:, first], subsets[:, second]
+        scores = matrix.lookup(np.minimum(a, b) * l + np.maximum(a, b))
+        totals = np.cumsum(np.hstack([totals, scores]), axis=1)[:, -1:]
+    return totals[:, 0] / (size * (size - 1) // 2)
 
 
 def raw_stability(community, matrix: ConsensusMatrix) -> float:
@@ -53,11 +73,7 @@ def raw_stability(community, matrix: ConsensusMatrix) -> float:
     members = sorted(community)
     if len(members) < 2:
         raise ValidationError("stability is undefined for communities of size < 2")
-    try:
-        indices = [matrix._index[node] for node in members]
-    except KeyError as exc:
-        raise ValidationError(f"node {exc.args[0]!r} outside the matrix order") from exc
-    return _mean_pair_score(indices, matrix)
+    return float(_mean_pair_scores(matrix.positions(members)[None, :], matrix)[0])
 
 
 def expected_stability(size: int, matrix: ConsensusMatrix, draws: int, seed: int) -> float:
@@ -76,18 +92,23 @@ def expected_stability(size: int, matrix: ConsensusMatrix, draws: int, seed: int
     total = 0.0
     if l <= 4096:
         dense = np.zeros((l, l))
-        for k, v in matrix.entries.items():
-            i, j = divmod(k, l)
-            dense[i, j] = v
-            dense[j, i] = v
+        i, j = np.divmod(matrix.keys, l)
+        dense[i, j] = matrix.values
+        dense[j, i] = matrix.values
         pair_count = size * (size - 1) / 2.0
         for _ in range(draws):
             subset = rng.choice(l, size=size, replace=False)
             total += dense[np.ix_(subset, subset)].sum() / 2.0 / pair_count
     else:
-        for _ in range(draws):
-            subset = rng.choice(l, size=size, replace=False)
-            total += _mean_pair_score(subset.tolist(), matrix)
+        # Whole draws in blocks of about _PAIR_BLOCK pairs; the per-draw
+        # means are then summed in draw order.
+        step = max(1, _PAIR_BLOCK // (size * (size - 1) // 2))
+        means = [np.zeros(1)]
+        for start in range(0, draws, step):
+            subsets = np.array([rng.choice(l, size=size, replace=False)
+                                for _ in range(min(step, draws - start))])
+            means.append(_mean_pair_scores(subsets, matrix))
+        total = float(np.cumsum(np.concatenate(means))[-1])
     return total / draws
 
 
@@ -140,14 +161,17 @@ def write_ranking(
     cs: CommunitySet,
     path,
 ) -> None:
-    """TSV: rank, corrected (2 decimals), raw, expected, list count, community id.
+    """TSV: rank, corrected (2 decimals), raw, expected, list count,
+    community id, corrected at full precision (``repr``).
 
-    Community ids are positions in the canonical cover order.
+    Community ids are positions in the canonical cover order.  The last
+    column is what later stages read; the rounded one is for people.
     """
     id_of = {community: i for i, community in enumerate(cs)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for rank, (community, score) in enumerate(ranked, start=1):
             fh.write(
                 f"{rank}\t{score.corrected:.2f}\t{score.raw:.6f}\t"
-                f"{score.expected:.6f}\t{len(community)}\t{id_of[community]}\n"
+                f"{score.expected:.6f}\t{len(community)}\t{id_of[community]}\t"
+                f"{float(score.corrected)!r}\n"
             )

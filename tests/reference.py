@@ -1,0 +1,222 @@
+"""Reference implementations: exact oracles for the package's array code.
+
+Plain dict-based loops that compute what the arrays compute: label
+propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
+index-pair tuples and tallies votes with ``np.unique``, the per-run Jaccard
+table over distinct label sets folded into a ``{key: score}`` dict, and the
+stability sums over that dict.  Tests compare the package against them with
+``==``, plus helpers that build graphs and matrices from small dicts.
+"""
+from itertools import combinations
+
+import numpy as np
+
+from listcom.consensus import ConsensusMatrix, label_jaccard
+from listcom.detect import CommunitySet
+from listcom.listgraph import ListGraph
+
+
+def edge_map(graph) -> dict[tuple[str, str], float]:
+    """``{(a, b): weight}`` with a < b for every edge of a ListGraph."""
+    return {(a, b): w for a, b, w in graph.edge_list()}
+
+
+def graph_from_edges(nodes, edges) -> ListGraph:
+    """ListGraph over ``nodes`` (any order) from a ``{(a, b): weight}``
+    dict whose pairs may come in either endpoint order."""
+    nodes = sorted(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    pairs = sorted((min(index[a], index[b]), max(index[a], index[b]), w)
+                   for (a, b), w in edges.items())
+    return ListGraph.from_pairs(nodes, [p[0] for p in pairs],
+                                [p[1] for p in pairs], [p[2] for p in pairs])
+
+
+def matrix_from_pairs(order, scores, r) -> ConsensusMatrix:
+    """ConsensusMatrix over ``order`` (any order) from a ``{(a, b): score}``
+    dict whose pairs may come in either endpoint order."""
+    matrix = ConsensusMatrix.empty(sorted(order), r)
+    index = {node: i for i, node in enumerate(matrix.order)}
+    l = len(matrix.order)
+    entries = {min(index[a], index[b]) * l + max(index[a], index[b]): v
+               for (a, b), v in scores.items()}
+    matrix.keys = np.array(sorted(entries), dtype=np.int64)
+    matrix.values = np.array([entries[k] for k in sorted(entries)], dtype=np.float64)
+    return matrix
+
+
+def entry_map(matrix) -> dict[tuple[str, str], float]:
+    """``{(a, b): score}`` with a < b for every stored matrix entry."""
+    return {(a, b): v for a, b, v in matrix.items()}
+
+
+def same_matrix(x, y) -> bool:
+    """Same order, run count, keys and bit-identical values."""
+    return (x.order == y.order and x.r == y.r
+            and np.array_equal(x.keys, y.keys)
+            and x.values.tobytes() == y.values.tobytes())
+
+
+def csr_fill(nodes, edges):
+    """CSR (offsets, neighbours, weights) filled from the sorted index-pair
+    tuples of a ``{(a, b): weight}`` dict."""
+    nodes = sorted(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    deg = np.zeros(n, dtype=np.int64)
+    edge_items = sorted((min(index[a], index[b]), max(index[a], index[b]), w)
+                        for (a, b), w in edges.items())
+    for i, j, _ in edge_items:
+        deg[i] += 1
+        deg[j] += 1
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=offsets[1:])
+    nbr = np.zeros(offsets[-1], dtype=np.int64)
+    wgt = np.zeros(offsets[-1], dtype=np.float64)
+    fill = offsets[:-1].copy()
+    for i, j, w in edge_items:
+        nbr[fill[i]] = j
+        wgt[fill[i]] = w
+        fill[i] += 1
+        nbr[fill[j]] = i
+        wgt[fill[j]] = w
+        fill[j] += 1
+    return offsets, nbr, wgt
+
+
+def detect(nodes, edges, config) -> CommunitySet:
+    """Label propagation over a dict graph, one ``np.unique`` per update."""
+    nodes = sorted(nodes)
+    n = len(nodes)
+    offsets, nbr, wgt = csr_fill(nodes, edges)
+    deg = np.diff(offsets)
+
+    active = np.flatnonzero(deg > 0)
+    iterations = config.resolved_iterations
+    mem = np.full((n, iterations + 1), -1, dtype=np.int64)
+    mem[:, 0] = np.arange(n)
+    mem_len = np.ones(n, dtype=np.int64)
+
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    for _ in range(iterations):
+        order = rng.permutation(len(active))
+        for pos in order:
+            u = int(active[pos])
+            lo, hi = offsets[u], offsets[u + 1]
+            nbrs = nbr[lo:hi]
+            slots = rng.integers(0, mem_len[nbrs])
+            labels = mem[nbrs, slots]
+            uniq, inv = np.unique(labels, return_inverse=True)
+            votes = np.bincount(inv, weights=wgt[lo:hi])
+            winner = uniq[int(np.argmax(votes))]  # first max = lowest label id
+            mem[u, mem_len[u]] = winner
+            mem_len[u] += 1
+
+    members: dict[int, set[str]] = {}
+    memory_size = iterations + 1
+    for u in active.tolist():
+        uniq, counts = np.unique(mem[u, :memory_size], return_counts=True)
+        keep = set(uniq[counts / memory_size >= config.overlap_threshold].tolist())
+        keep.add(int(uniq[int(np.argmax(counts))]))
+        for label in keep:
+            members.setdefault(label, set()).add(nodes[u])
+
+    return CommunitySet.from_sets(c for c in members.values() if len(c) >= 2)
+
+
+def pair_scores(base, index, l):
+    """One run's co-assigned pair keys and Jaccard scores, through a g x g
+    table over the distinct label sets."""
+    labels: dict[int, list[int]] = {}
+    for cid, community in enumerate(base):
+        if len(community) < 2:
+            continue
+        for node in community:
+            labels.setdefault(index[node], []).append(cid)
+    if not labels:
+        return [], []
+
+    group_of: dict[int, int] = {}
+    group_sets: list[frozenset[int]] = []
+    group_key: dict[frozenset[int], int] = {}
+    for i, lab in labels.items():
+        fs = frozenset(lab)
+        gid = group_key.get(fs)
+        if gid is None:
+            gid = len(group_sets)
+            group_key[fs] = gid
+            group_sets.append(fs)
+        group_of[i] = gid
+
+    key_arrays = []
+    for community in base:
+        if len(community) < 2:
+            continue
+        idx = np.sort(np.fromiter((index[node] for node in community),
+                                  dtype=np.int64, count=len(community)))
+        iu, ju = np.triu_indices(len(idx), 1)
+        key_arrays.append(idx[iu] * l + idx[ju])
+    keys = np.unique(np.concatenate(key_arrays))
+
+    gids = np.full(l, -1, dtype=np.int64)
+    for i, gid in group_of.items():
+        gids[i] = gid
+    g = len(group_sets)
+    table = np.zeros((g, g))
+    for a in range(g):
+        for b in range(a, g):
+            s = label_jaccard(group_sets[a], group_sets[b])
+            table[a, b] = s
+            table[b, a] = s
+    scores = table[gids[keys // l], gids[keys % l]]
+    nz = scores > 0.0
+    return keys[nz].tolist(), scores[nz].tolist()
+
+
+def ensemble_fold(order, covers) -> dict[int, float]:
+    """Normalised consensus entries: every run folded into one dict in run
+    order, then each entry scaled by 1/r."""
+    order = sorted(order)
+    index = {node: i for i, node in enumerate(order)}
+    entries: dict[int, float] = {}
+    for base in covers:
+        keys, scores = pair_scores(base, index, len(order))
+        for k, s in zip(keys, scores):
+            entries[k] = entries.get(k, 0.0) + s
+    inv_r = 1.0 / len(covers)
+    for k in entries:
+        entries[k] *= inv_r
+    return entries
+
+
+def mean_pair_score(indices, entries, l) -> float:
+    """Mean over ``combinations(indices, 2)`` of a ``{key: score}`` dict,
+    summed one pair at a time."""
+    total = 0.0
+    for i, j in combinations(indices, 2):
+        if i > j:
+            i, j = j, i
+        total += entries.get(i * l + j, 0.0)
+    count = len(indices) * (len(indices) - 1) // 2
+    return total / count
+
+
+def expected_stability(size, entries, l, draws, seed) -> float:
+    """Monte-Carlo mean over random subsets, densified up to 4,096 nodes."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    total = 0.0
+    if l <= 4096:
+        dense = np.zeros((l, l))
+        for k, v in entries.items():
+            i, j = divmod(k, l)
+            dense[i, j] = v
+            dense[j, i] = v
+        pair_count = size * (size - 1) / 2.0
+        for _ in range(draws):
+            subset = rng.choice(l, size=size, replace=False)
+            total += dense[np.ix_(subset, subset)].sum() / 2.0 / pair_count
+    else:
+        for _ in range(draws):
+            subset = rng.choice(l, size=size, replace=False)
+            total += mean_pair_score(subset.tolist(), entries, l)
+    return total / draws

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from listcom.consensus import (ConsensusMatrix, EnsembleConfig,
-                               consensus_communities, consensus_graph,
-                               cover_agreement, label_jaccard, run_ensemble)
+from listcom.consensus import (EnsembleConfig, consensus_communities,
+                               consensus_graph, cover_agreement,
+                               label_jaccard, run_ensemble)
 from listcom.corpus import ListRecord, MembershipCorpus, load_ground_truth
 from listcom.detect import CommunitySet, DetectorConfig, detect, filter_singletons
 from listcom.listgraph import GraphBuildConfig, build_list_graph, overlap_pvalue
@@ -23,6 +23,7 @@ from listcom.seeds import derive_seed
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stability)
 from listcom.synth import PlantedSpec, synth, synth_files
+from reference import edge_map, matrix_from_pairs
 
 BENCH_SPEC = PlantedSpec(groups=8, users_per_group=25, lists_per_group=40,
                          size_min=5, size_max=15, noise=0.1, overlap=0.1)
@@ -173,14 +174,14 @@ def test_criterion_5_consensus_stabilizes_noisy_detections(tmp_path):
 def planted_consensus_matrix(blocks=16, block_size=20, r=20):
     """Matrix whose co-assignment is exactly the planted block structure."""
     order = tuple(f"b{i:03d}" for i in range(blocks * block_size))
-    matrix = ConsensusMatrix(order=order, entries={}, r=r)
+    scores = {}
     communities = []
     for b in range(blocks):
         members = order[b * block_size:(b + 1) * block_size]
         communities.append(frozenset(members))
         for a, c in itertools.combinations(members, 2):
-            matrix.entries[matrix.key(a, c)] = 1.0
-    return matrix, communities
+            scores[(a, c)] = 1.0
+    return matrix_from_pairs(order, scores, r), communities
 
 
 def test_criterion_6_stability_discrimination():
@@ -213,10 +214,11 @@ def test_criterion_7_expected_stability_monte_carlo():
     """50k-draw estimate within 0.01 of exhaustive subset enumeration."""
     rng = np.random.Generator(np.random.PCG64(5150))
     order = tuple(f"n{i}" for i in range(10))
-    matrix = ConsensusMatrix(order=order, entries={}, r=10)
+    scores = {}
     for a, b in itertools.combinations(order, 2):
         if rng.random() < 0.6:
-            matrix.entries[matrix.key(a, b)] = float(rng.random())
+            scores[(a, b)] = float(rng.random())
+    matrix = matrix_from_pairs(order, scores, 10)
     size = 4
     exact = np.mean([
         raw_stability(set(subset), matrix)
@@ -263,7 +265,7 @@ def test_criterion_9_scale_smoke():
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     report("9 scale smoke", f"{len(graph.nodes)} nodes, "
-           f"{graph.edge_count()} edges, {len(matrix.entries)} consensus "
+           f"{graph.edge_count()} edges, {len(matrix.keys)} consensus "
            f"entries in {elapsed:.0f}s")
 
 
@@ -287,18 +289,19 @@ def test_criterion_10_threshold_monotonicity():
         rho_hi = rho_lo + float(rng.random() * 4)
         lo = build_list_graph(corpus, GraphBuildConfig(rho=rho_lo))
         hi = build_list_graph(corpus, GraphBuildConfig(rho=rho_hi))
-        assert set(hi.edges) <= set(lo.edges)
+        assert set(edge_map(hi)) <= set(edge_map(lo))
 
     for _ in range(200):
         order = tuple(f"n{i}" for i in range(10))
-        matrix = ConsensusMatrix(order=order, entries={}, r=5)
+        scores = {}
         for a, b in itertools.combinations(order, 2):
             if rng.random() < 0.5:
-                matrix.entries[matrix.key(a, b)] = float(rng.random())
+                scores[(a, b)] = float(rng.random())
+        matrix = matrix_from_pairs(order, scores, 5)
         t1 = float(rng.random())
         t2 = min(1.0, t1 + float(rng.random()))
-        assert set(consensus_graph(matrix, t2).edges) <= set(
-            consensus_graph(matrix, t1).edges)
+        assert set(edge_map(consensus_graph(matrix, t2))) <= set(
+            edge_map(consensus_graph(matrix, t1)))
 
     for _ in range(200):
         corpus = _random_corpus(rng, lists=6, users=20)

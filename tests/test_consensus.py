@@ -9,13 +9,15 @@ from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                                run_ensemble, save_matrix)
 from listcom.detect import CommunitySet, DetectorConfig, detect
 from listcom.errors import ValidationError
-from listcom.listgraph import GraphBuildConfig, ListGraph, build_list_graph
+from listcom.listgraph import GraphBuildConfig, build_list_graph
 from listcom.synth import PlantedSpec, synth
 from listcom.seeds import derive_seed
+from reference import (edge_map, entry_map, graph_from_edges,
+                       matrix_from_pairs, same_matrix)
 
 
 def empty_matrix(order, r=1):
-    return ConsensusMatrix(order=tuple(sorted(order)), entries={}, r=r)
+    return ConsensusMatrix.empty(sorted(order), r)
 
 
 def test_label_jaccard_figure_cases():
@@ -44,7 +46,7 @@ def test_accumulate_single_community():
     accumulate(m, CommunitySet.from_sets([{"a", "b"}]))
     assert m.get("a", "b") == 1.0
     assert m.get("a", "c") == 0.0
-    assert len(m.entries) == 1
+    assert len(m.keys) == 1
 
 
 def test_accumulate_overlapping_communities():
@@ -58,7 +60,7 @@ def test_accumulate_overlapping_communities():
 def test_accumulate_ignores_singletons():
     m = empty_matrix(["a", "b"])
     accumulate(m, CommunitySet((frozenset({"a"}), frozenset({"b"}))))
-    assert m.entries == {}
+    assert entry_map(m) == {}
 
 
 def test_accumulate_rejects_unknown_node():
@@ -81,7 +83,8 @@ def test_run_ensemble_r1_equals_single_run():
     base = detect(graph, cfg.fast_config.with_seed(derive_seed(4, 0)))
     manual = empty_matrix(graph.nodes, r=1)
     accumulate(manual, base)
-    assert matrix.entries == manual.entries
+    assert np.array_equal(matrix.keys, manual.keys)
+    assert matrix.values.tobytes() == manual.values.tobytes()
 
 
 def test_run_ensemble_mean_of_two_runs():
@@ -94,7 +97,7 @@ def test_run_ensemble_mean_of_two_runs():
         return covers[(fake_detector.calls - 1) % 2]
 
     fake_detector.calls = 0
-    graph = ListGraph(nodes=("a", "b", "c"), edges={("a", "b"): 1.0})
+    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0})
     cfg = EnsembleConfig.from_master(0, runs=2, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=fake_detector)
     assert matrix.get("a", "b") == pytest.approx(0.5)
@@ -107,8 +110,7 @@ def test_run_ensemble_deterministic_and_worker_independent():
     m1 = run_ensemble(graph, cfg, workers=1)
     m2 = run_ensemble(graph, cfg, workers=4)
     m3 = run_ensemble(graph, cfg, workers=1)
-    assert m1.entries == m2.entries == m3.entries
-    assert m1.order == m2.order
+    assert same_matrix(m1, m2) and same_matrix(m1, m3)
 
 
 def test_entries_in_unit_range_and_sparse():
@@ -116,8 +118,8 @@ def test_entries_in_unit_range_and_sparse():
     cfg = EnsembleConfig.from_master(2, runs=10, tau=0.2)
     matrix = run_ensemble(graph, cfg)
     l = len(matrix.order)
-    assert 0 < len(matrix.entries) < l * (l - 1) // 2
-    assert all(0.0 < v <= 1.0 + 1e-12 for v in matrix.entries.values())
+    assert 0 < len(matrix.keys) < l * (l - 1) // 2
+    assert all(0.0 < v <= 1.0 + 1e-12 for v in matrix.values)
 
 
 def test_consensus_of_identical_base_sets_is_that_matrix():
@@ -126,14 +128,14 @@ def test_consensus_of_identical_base_sets_is_that_matrix():
     def constant_detector(graph, config):
         return fixed
 
-    graph = ListGraph(nodes=("a", "b", "c", "d"), edges={})
+    graph = graph_from_edges(("a", "b", "c", "d"), {})
     cfg = EnsembleConfig.from_master(0, runs=7, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=constant_detector)
     single = empty_matrix(graph.nodes, r=1)
     accumulate(single, fixed)
-    assert set(matrix.entries) == set(single.entries)
-    for k, v in single.entries.items():
-        assert matrix.entries[k] == pytest.approx(v)
+    assert entry_map(matrix).keys() == entry_map(single).keys()
+    for k, v in entry_map(single).items():
+        assert entry_map(matrix)[k] == pytest.approx(v)
     # pairs with identical nonempty label sets across runs hit exactly 1
     assert matrix.get("a", "b") == pytest.approx(1.0)
 
@@ -146,11 +148,11 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
             return CommunitySet.from_sets([{"a", "b"}, {"c", "d"}])
         return CommunitySet.from_sets([{"a", "b", "c"}, {"d", "e"}])
 
-    graph = ListGraph(nodes=("a", "b", "c", "d", "e"), edges={})
+    graph = graph_from_edges(("a", "b", "c", "d", "e"), {})
     cfg = EnsembleConfig.from_master(1, runs=6, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=partition_detector)
     # every per-run contribution is 0 or 1, so entries are multiples of 1/r
-    for v in matrix.entries.values():
+    for v in matrix.values:
         assert (v * 6) == pytest.approx(round(v * 6))
 
 
@@ -183,25 +185,22 @@ def test_iterate_consensus_reaches_fixed_point():
     cfg = EnsembleConfig.from_master(6, runs=8, tau=0.2)
     matrix, cover = iterate_consensus(graph, cfg, max_rounds=6)
     assert len(cover) >= 1
-    assert all(0.0 < v <= 1.0 + 1e-12 for v in matrix.entries.values())
+    assert all(0.0 < v <= 1.0 + 1e-12 for v in matrix.values)
     again_matrix, again_cover = iterate_consensus(graph, cfg, max_rounds=6)
     assert again_cover == cover
-    assert again_matrix.entries == matrix.entries
+    assert same_matrix(again_matrix, matrix)
 
 
 def test_consensus_graph_threshold_zero_keeps_all_entries():
-    m = empty_matrix(["a", "b", "c"])
-    m.entries[m.key("a", "b")] = 0.05
-    m.entries[m.key("b", "c")] = 0.9
+    m = matrix_from_pairs("abc", {("a", "b"): 0.05, ("b", "c"): 0.9}, 1)
     g = consensus_graph(m, 0.0)
-    assert set(g.edges) == {("a", "b"), ("b", "c")}
+    assert set(edge_map(g)) == {("a", "b"), ("b", "c")}
 
 
 def test_consensus_graph_tau_one_empty_when_below():
-    m = empty_matrix(["a", "b"])
-    m.entries[m.key("a", "b")] = 0.95
+    m = matrix_from_pairs("ab", {("a", "b"): 0.95}, 1)
     g = consensus_graph(m, 1.0)
-    assert g.edges == {}
+    assert g.edge_count() == 0
     cfg = EnsembleConfig.from_master(0, runs=1, tau=1.0)
     assert len(consensus_communities(m, cfg)) == 0
 
@@ -209,11 +208,12 @@ def test_consensus_graph_tau_one_empty_when_below():
 def test_consensus_graph_edge_count_monotone_in_tau():
     rng = np.random.Generator(np.random.PCG64(8))
     order = tuple(f"n{i}" for i in range(12))
-    m = empty_matrix(order)
+    scores = {}
     for i in range(12):
         for j in range(i + 1, 12):
             if rng.random() < 0.5:
-                m.entries[m.key(order[i], order[j])] = float(rng.random())
+                scores[(order[i], order[j])] = float(rng.random())
+    m = matrix_from_pairs(order, scores, 1)
     taus = sorted(float(t) for t in rng.random(6))
     counts = [consensus_graph(m, t).edge_count() for t in taus]
     assert counts == sorted(counts, reverse=True)
@@ -232,16 +232,14 @@ def test_consensus_count_not_above_mean_base_count():
 
 
 def test_matrix_round_trip_with_header(tmp_path):
-    m = empty_matrix(["a", "b", "c"], r=12)
-    m.entries[m.key("a", "b")] = 0.25
-    m.entries[m.key("b", "c")] = 1.0
+    m = matrix_from_pairs("abc", {("a", "b"): 0.25, ("b", "c"): 1.0}, 12)
     path = tmp_path / "m.tsv"
     save_matrix(m, path)
     text = path.read_text("utf-8")
     assert text.startswith("#r=12\n")
     reloaded = load_matrix(path, order=m.order)
     assert reloaded.r == 12
-    assert reloaded.entries == m.entries
+    assert same_matrix(reloaded, m)
     # order reconstruction from entries drops isolated nodes only
     partial = load_matrix(path)
     assert partial.order == ("a", "b", "c")
@@ -255,3 +253,15 @@ def test_cover_agreement_bounds():
     empty = CommunitySet.from_sets([])
     assert cover_agreement(empty, empty) == 1.0
     assert cover_agreement(a, empty) == 0.0
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("a\tb\t0.5\nb\ta\t0.25\n", "listed twice"),
+    ("a\ta\t0.5\n", "diagonal"),
+    ("a\tz\t0.5\n", "outside the given order"),
+])
+def test_load_matrix_rejects_bad_pairs(tmp_path, rows, message):
+    path = tmp_path / "m.tsv"
+    path.write_text("#r=2\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_matrix(path, order=("a", "b"))

@@ -6,9 +6,9 @@ from listcom.detect import (CommunitySet, DetectorConfig, detect,
                             filter_singletons, load_communities,
                             save_communities)
 from listcom.errors import ValidationError
-from listcom.listgraph import ListGraph
 from listcom.synth import PlantedSpec, synth
 from listcom.listgraph import GraphBuildConfig, build_list_graph
+from reference import edge_map, graph_from_edges
 
 
 def clique_pair_graph(bridge=0.01):
@@ -20,7 +20,7 @@ def clique_pair_graph(bridge=0.01):
             for j in range(i + 1, 5):
                 edges[(ids[i], ids[j])] = 1.0
     edges[("a0", "b0")] = bridge
-    return ListGraph(nodes=nodes, edges=edges)
+    return graph_from_edges(nodes, edges)
 
 
 def noisy_planted_graph():
@@ -50,14 +50,14 @@ def test_two_cliques_recovered_for_any_seed():
 
 
 def test_isolated_single_node_yields_nothing():
-    graph = ListGraph(nodes=("solo",), edges={})
+    graph = graph_from_edges(("solo",), {})
     cs = detect(graph, DetectorConfig(mode="fast", seed=1))
     assert len(cs) == 0
 
 
 def test_isolated_nodes_unassigned():
     graph = clique_pair_graph()
-    graph = ListGraph(nodes=graph.nodes + ("loner",), edges=graph.edges)
+    graph = graph_from_edges(graph.nodes + ("loner",), edge_map(graph))
     cs = detect(graph, DetectorConfig(mode="thorough", seed=3))
     assert "loner" not in cs.nodes()
 
@@ -80,9 +80,9 @@ def test_seed_sensitivity_on_noisy_graph():
 def test_permutation_equivariance_under_monotone_relabel():
     graph = noisy_planted_graph()
     relabel = {node: f"z{node}" for node in graph.nodes}  # order-preserving
-    mapped = ListGraph(
-        nodes=tuple(relabel[n] for n in graph.nodes),
-        edges={(relabel[a], relabel[b]): w for (a, b), w in graph.edges.items()},
+    mapped = graph_from_edges(
+        tuple(relabel[n] for n in graph.nodes),
+        {(relabel[a], relabel[b]): w for (a, b), w in edge_map(graph).items()},
     )
     cfg = DetectorConfig(mode="fast", seed=77)
     base = detect(graph, cfg)

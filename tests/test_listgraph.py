@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.errors import ValidationError
-from listcom.listgraph import (GraphBuildConfig, build_list_graph, load_graph,
-                               overlap_lpv, overlap_pvalue, save_graph)
+from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
+                               load_graph, overlap_lpv, overlap_pvalue,
+                               save_graph)
+from reference import edge_map
 
 
 def exact_pvalue(size_x, size_y, k, n):
@@ -119,7 +121,7 @@ def corpus_from(memberships):
 def test_disjoint_lists_never_linked():
     corpus = corpus_from({"a": {"u1", "u2"}, "b": {"u3", "u4"}})
     graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
-    assert graph.edges == {}
+    assert graph.edge_count() == 0
     assert set(graph.nodes) == {"a", "b"}
 
 
@@ -130,8 +132,7 @@ def test_identical_lists_edge_present_at_rho_6():
     corpus = corpus_from(memberships)
     assert corpus.n == 95
     graph = build_list_graph(corpus, GraphBuildConfig(rho=6.0))
-    assert ("a", "b") in graph.edges
-    assert graph.edges[("a", "b")] > 6.0
+    assert edge_map(graph)[("a", "b")] > 6.0
 
 
 def test_isolated_nodes_retained():
@@ -151,8 +152,8 @@ def test_edge_weights_match_scalar_op():
     }
     corpus = corpus_from(memberships)
     graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
-    assert graph.edges
-    for (a, b), w in graph.edges.items():
+    assert graph.edge_count()
+    for a, b, w in graph.edge_list():
         k = len(corpus.memberships[a] & corpus.memberships[b])
         expected = overlap_lpv(len(corpus.memberships[a]),
                                len(corpus.memberships[b]), k, corpus.n)
@@ -174,7 +175,7 @@ def test_sparsification_monotone(seed):
     rho_hi = rho_lo + float(rng.random() * 3)
     lo = build_list_graph(corpus, GraphBuildConfig(rho=rho_lo))
     hi = build_list_graph(corpus, GraphBuildConfig(rho=rho_hi))
-    assert set(hi.edges) <= set(lo.edges)
+    assert set(edge_map(hi)) <= set(edge_map(lo))
     lo_deg, hi_deg = lo.degrees(), hi.degrees()
     assert all(hi_deg[node] <= lo_deg[node] for node in lo.nodes)
 
@@ -186,6 +187,34 @@ def test_graph_round_trip_preserves_isolated_nodes(tmp_path):
     save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
     assert reloaded.nodes == graph.nodes
-    assert set(reloaded.edges) == set(graph.edges)
-    for key, w in graph.edges.items():
-        assert reloaded.edges[key] == pytest.approx(w, abs=5e-7)
+    assert set(edge_map(reloaded)) == set(edge_map(graph))
+    for key, w in edge_map(graph).items():
+        assert edge_map(reloaded)[key] == pytest.approx(w, abs=5e-7)
+
+
+def test_graph_arrays_sorted_per_row_and_symmetric():
+    corpus = corpus_from({"c": {"u1", "u2", "u3"}, "a": {"u1", "u2", "u3"},
+                          "b": {"u2", "u3", "u4"}, "d": {"solo"}})
+    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    assert graph.nodes == ("a", "b", "c", "d")
+    assert graph.indptr.tolist() == [0, 2, 4, 6, 6]
+    assert graph.indices.tolist() == [1, 2, 0, 2, 0, 1]
+    assert graph.weights[0] == graph.weights[2]  # a-b seen from a and from b
+    assert not graph.indices.flags.writeable
+    with pytest.raises(ValidationError, match="sorted"):
+        ListGraph.from_pairs(("b", "a"), [0], [1], [1.0])
+    with pytest.raises(ValidationError, match=">= 0"):
+        ListGraph.from_pairs(("a", "b"), [0], [1], [-1.0])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("a\tb\t1.0\nb\ta\t2.0\n", r"g\.tsv:2: duplicate edge \('a', 'b'\)"),
+    ("a\ta\t1.0\n", "self-loop"),
+    ("a\tz\t1.0\n", "endpoint not in node list"),
+    ("a\tb\t-1.0\n", ">= 0"),
+])
+def test_load_graph_rejects_bad_edges(tmp_path, edges, message):
+    (tmp_path / "g.tsv").write_text(edges, encoding="utf-8")
+    (tmp_path / "g.nodes").write_text("a\nb\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")

@@ -250,3 +250,148 @@ def test_partial_artifacts_retained_on_failure(corpus_files, tmp_path):
                      cfg, groundtruth_path=tmp_path / "nope.tsv")
     assert (out / ARTIFACTS["users"]).exists()
     assert not (out / ARTIFACTS["eval"]).exists()
+
+
+def test_run_pipeline_parses_corpus_once(corpus_files, tmp_path, monkeypatch):
+    from listcom import corpus as corp
+
+    calls = []
+    load = corp.load_corpus
+    monkeypatch.setattr(corp, "load_corpus",
+                        lambda *args: calls.append(args) or load(*args))
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"],
+                 tmp_path / "run", fast_config(),
+                 groundtruth_path=corpus_files["groundtruth"])
+    assert len(calls) == 1
+
+
+def test_users_json_carries_full_precision_stability(corpus_files, tmp_path):
+    from listcom import pipeline as pipe
+    from listcom.detect import load_communities
+    from listcom.seeds import STREAM_STABILITY, derive_seed
+    from listcom.stability import rank_communities
+
+    out = tmp_path / "run"
+    cfg = fast_config(rho=2.0)  # communities with corrected scores below 1
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out, cfg)
+    cover = load_communities(out / ARTIFACTS["communities"])
+    ranked = rank_communities(cover, pipe._load_matrix(out), cfg.draws,
+                              derive_seed(cfg.master_seed, STREAM_STABILITY))
+    corrected = {cover.communities.index(c): s.corrected for c, s in ranked}
+    rows = [line.split("\t") for line in
+            (out / ARTIFACTS["stability"]).read_text("utf-8").splitlines()]
+    assert {int(f[5]): float(f[6]) for f in rows} == corrected
+    assert all(f[1] == f"{corrected[int(f[5])]:.2f}" for f in rows)
+    reports = json.loads((out / ARTIFACTS["users"]).read_text("utf-8"))
+    assert any(round(v, 6) != round(v, 2) for v in corrected.values())
+    for report in reports:
+        assert report["stability"] == round(corrected[report["community_id"]], 6)
+    order = sorted(corrected, key=lambda cid: (-corrected[cid], cid))
+    assert [r["community_id"] for r in reports][:len(order)] == order
+
+
+def test_stale_stability_without_full_precision_column(corpus_files, tmp_path):
+    from listcom import pipeline as pipe
+
+    out = tmp_path / "run"
+    cfg = fast_config()
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out, cfg)
+    path = out / ARTIFACTS["stability"]
+    path.write_text("".join(line.rsplit("\t", 1)[0] + "\n" for line in
+                            path.read_text("utf-8").splitlines()), "utf-8")
+    with pytest.raises(ValidationError, match="full-precision"):
+        pipe.stage_members(corpus_files["memberships"], corpus_files["lists"],
+                           out, cfg)
+
+
+class _FailingFile:
+    """Writes half of its first chunk to the real file, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2 + 1])
+        raise OSError("simulated failure mid-write")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
+
+
+def test_atomic_write_keeps_previous_file(tmp_path):
+    from listcom.atomic import atomic_write
+
+    path = tmp_path / "artifact.tsv"
+    path.write_text("previous\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("stop")
+    assert path.read_text("utf-8") == "previous\n"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text("utf-8") == "new\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_artifact_writes_leave_previous_bundle(corpus_files, tmp_path,
+                                                     monkeypatch):
+    import builtins
+
+    from listcom import atomic
+    from listcom import pipeline as pipe
+
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config(), groundtruth_path=corpus_files["groundtruth"])
+    before = bundle_bytes(out)
+    assert len(before) == len(ARTIFACTS)
+    monkeypatch.setattr(atomic, "open", raising=False,
+                        value=lambda *a, **k: _FailingFile(builtins.open(*a, **k)))
+    cfg = fast_config(master_seed=4, mu=0.3, top_k=2)
+    m, lists, truth = (corpus_files[k] for k in ("memberships", "lists", "groundtruth"))
+    stages = [
+        lambda: pipe.stage_build_graph(m, lists, out, cfg),
+        lambda: pipe.stage_ensemble(out, cfg),
+        lambda: pipe.stage_consensus(out, cfg),
+        lambda: pipe.stage_stability(out, cfg),
+        lambda: pipe.stage_label(m, lists, out, cfg),
+        lambda: pipe.stage_members(m, lists, out, cfg),
+        lambda: pipe.stage_evaluate(truth, out, cfg),
+    ]
+    for stage in stages:
+        with pytest.raises(OSError, match="mid-write"):
+            stage()
+        assert bundle_bytes(out) == before
+        assert not list(out.glob("*.tmp"))
+
+
+def test_cli_pipeline_leaves_scipy_unimported(tmp_path):
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from listcom.cli import main\n"
+        f"data, out = {str(tmp_path / 'data')!r}, {str(tmp_path / 'out')!r}\n"
+        "assert main(['synth', '--out', data, '--groups', '3',"
+        " '--users-per-group', '10', '--lists-per-group', '6', '--size-min', '4',"
+        " '--size-max', '8', '--seed', '1']) == 0\n"
+        "assert main(['pipeline', '--memberships', data + '/memberships.tsv',"
+        " '--lists', data + '/lists.jsonl', '--out', out, '--runs', '3',"
+        " '--draws', '20']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path,
+                   env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+                   stdout=subprocess.DEVNULL)
+    pyproject = (src.parent / "pyproject.toml").read_text("utf-8")
+    assert 'dependencies = ["numpy>=1.24"]' in pyproject.splitlines()

@@ -1,0 +1,164 @@
+"""The array code against the dict-based reference loops, compared with ==."""
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
+                               consensus_graph, run_ensemble)
+from listcom.corpus import ListRecord, MembershipCorpus
+from listcom.detect import CommunitySet, DetectorConfig, detect
+from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
+                               load_graph, save_graph)
+from listcom.seeds import derive_seed
+from listcom.stability import expected_stability, raw_stability
+from listcom.synth import PlantedSpec, synth
+import reference
+from reference import graph_from_edges, matrix_from_pairs
+
+
+def planted_graph():
+    spec = PlantedSpec(groups=4, users_per_group=20, lists_per_group=20,
+                       size_min=5, size_max=12, noise=0.25, overlap=0.2)
+    corpus, _ = synth(spec, 9)
+    return build_list_graph(corpus, GraphBuildConfig(rho=3.0))
+
+
+def tied_graph(weight=1.0):
+    """Two dense blocks of equal-weight edges plus equal-weight bridges, so
+    most votes end in ties."""
+    rng = np.random.Generator(np.random.PCG64(4))
+    nodes = [f"v{i:02d}" for i in range(30)]
+    edges = {}
+    for a, b in combinations(range(30), 2):
+        same = (a < 15) == (b < 15)
+        if rng.random() < (0.5 if same else 0.05):
+            edges[(nodes[a], nodes[b])] = weight
+    return graph_from_edges(nodes + ["v99"], edges)
+
+
+def assert_same_detection(graph, config):
+    edges = reference.edge_map(graph)
+    assert detect(graph, config) == reference.detect(graph.nodes, edges, config)
+
+
+@pytest.mark.parametrize("mode", ["fast", "thorough"])
+def test_detect_matches_reference_on_planted_graph(mode):
+    graph = planted_graph()
+    for seed in range(12 if mode == "fast" else 3):
+        assert_same_detection(graph, DetectorConfig(mode=mode, seed=seed))
+
+
+def test_detect_matches_reference_on_weighted_ties():
+    graph = tied_graph()
+    for seed in range(40):
+        assert_same_detection(graph, DetectorConfig(mode="fast", seed=seed))
+    half = ListGraph.from_pairs(graph.nodes, *graph.edge_pairs()[:2],
+                                np.where(graph.edge_pairs()[0] % 2, 0.5, 1.0))
+    for seed in range(40):
+        assert_same_detection(half, DetectorConfig(mode="fast", seed=seed,
+                                                   overlap_threshold=0.2))
+
+
+def test_detect_matches_reference_on_all_zero_weights(tmp_path):
+    # Every vote is 0.0: the winner is the lowest collected label id.
+    graph = tied_graph(weight=0.0)
+    for seed in range(40):
+        assert_same_detection(graph, DetectorConfig(mode="fast", seed=seed))
+    # rho = 0 keeps the zero weight of two 15-user lists out of 20 users
+    # that share only the 10 users any two such lists must share.
+    rng = np.random.Generator(np.random.PCG64(6))
+    users = [f"u{i}" for i in range(20)]
+    memberships = {f"l{j:02d}": rng.choice(users, size=15, replace=False).tolist()
+                   for j in range(30)}
+    corpus = MembershipCorpus.build(
+        [ListRecord(lid, "", "") for lid in memberships], memberships)
+    save_graph(build_list_graph(corpus, GraphBuildConfig(rho=0.0)),
+               tmp_path / "g.tsv", tmp_path / "g.nodes")
+    loaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+    assert (loaded.weights == 0.0).any()
+    for seed in range(10):
+        assert_same_detection(loaded, DetectorConfig(mode="fast", seed=seed))
+    # tau = 0 keeps every consensus entry as an edge.
+    matrix = run_ensemble(loaded, EnsembleConfig.from_master(1, runs=4))
+    consensus = consensus_graph(matrix, 0.0)
+    assert consensus.edge_count() == len(matrix.keys)
+    for seed in range(5):
+        assert_same_detection(consensus, DetectorConfig(mode="thorough", seed=seed))
+
+
+def random_cover(rng, nodes):
+    return CommunitySet.from_sets(
+        frozenset(rng.choice(nodes, size=int(rng.integers(1, min(12, len(nodes)) + 1)),
+                             replace=False).tolist())
+        for _ in range(int(rng.integers(0, 9)))
+    )
+
+
+def test_accumulate_matches_dict_fold():
+    rng = np.random.Generator(np.random.PCG64(12))
+    for trial in range(60):
+        nodes = [f"n{i:02d}" for i in range(int(rng.integers(2, 40)))]
+        covers = [random_cover(rng, nodes) for _ in range(int(rng.integers(1, 9)))]
+        matrix = ConsensusMatrix.empty(nodes, len(covers))
+        for cover in covers:
+            accumulate(matrix, cover)
+        matrix.values *= 1.0 / len(covers)
+        want = reference.ensemble_fold(nodes, covers)
+        assert matrix.keys.tolist() == sorted(want), trial
+        assert matrix.values.tolist() == [want[k] for k in sorted(want)], trial
+
+
+def test_run_ensemble_matches_dict_fold():
+    graph = planted_graph()
+    config = EnsembleConfig.from_master(7, runs=6)
+    covers = [detect(graph, config.fast_config.with_seed(derive_seed(7, i)))
+              for i in range(6)]
+    want = reference.ensemble_fold(graph.nodes, covers)
+    matrix = run_ensemble(graph, config)
+    assert matrix.keys.tolist() == sorted(want)
+    assert matrix.values.tolist() == [want[k] for k in sorted(want)]
+
+
+def test_consensus_graph_matches_sorted_tuple_fill():
+    rng = np.random.Generator(np.random.PCG64(3))
+    for trial in range(40):
+        nodes = [f"n{i:02d}" for i in range(int(rng.integers(2, 30)))]
+        scores = {(a, b): float(rng.random())
+                  for a, b in combinations(nodes, 2) if rng.random() < 0.3}
+        matrix = matrix_from_pairs(nodes, scores, 1)
+        tau = float(rng.choice([0.0, rng.random()]))
+        graph = consensus_graph(matrix, tau)
+        kept = {pair: v for pair, v in scores.items() if v >= tau}
+        offsets, nbr, wgt = reference.csr_fill(nodes, kept)
+        assert graph.indptr.tolist() == offsets.tolist(), trial
+        assert graph.indices.tolist() == nbr.tolist(), trial
+        assert graph.weights.tolist() == wgt.tolist(), trial
+
+
+def test_list_graph_matches_sorted_tuple_fill():
+    graph = planted_graph()
+    offsets, nbr, wgt = reference.csr_fill(graph.nodes, reference.edge_map(graph))
+    assert graph.indptr.tolist() == offsets.tolist()
+    assert graph.indices.tolist() == nbr.tolist()
+    assert graph.weights.tolist() == wgt.tolist()
+
+
+def test_stability_matches_dict_loops():
+    rng = np.random.Generator(np.random.PCG64(21))
+    # 4,100 nodes: above the size where the expected term densifies.
+    for l in (40, 4100):
+        nodes = [f"n{i:04d}" for i in range(l)]
+        pairs = rng.choice(l, size=(3 * l, 2))
+        scores = {(nodes[min(a, b)], nodes[max(a, b)]): float(rng.random())
+                  for a, b in pairs.tolist() if a != b}
+        scores.update({(nodes[a], nodes[b]): float(rng.random())
+                       for a, b in combinations(range(30), 2)})
+        matrix = matrix_from_pairs(nodes, scores, 1)
+        entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
+        for size in (2, 5, 12, 30):
+            community = nodes[:size]
+            want = reference.mean_pair_score(list(range(size)), entries, l)
+            assert raw_stability(community, matrix) == want
+            assert expected_stability(size, matrix, draws=400, seed=size) == \
+                reference.expected_stability(size, entries, l, draws=400, seed=size)

@@ -3,18 +3,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from listcom.consensus import ConsensusMatrix
 from listcom.detect import CommunitySet
 from listcom.errors import ValidationError
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stability, write_ranking)
+from reference import matrix_from_pairs
 
 
 def matrix_from(order, pairs, r=10):
-    m = ConsensusMatrix(order=tuple(sorted(order)), entries={}, r=r)
-    for (a, b), v in pairs.items():
-        m.entries[m.key(a, b)] = v
-    return m
+    return matrix_from_pairs(sorted(order), pairs, r)
 
 
 def test_raw_constant_one():
