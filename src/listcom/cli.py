@@ -27,7 +27,6 @@ _CONFIG_FLAGS = (
     ("--master-seed", int, "seed all randomness derives from"),
     ("--workers", int, "ensemble worker threads"),
     ("--top-k", int, "labels per community"),
-    ("--draws", int, "random draws per expected-stability estimate"),
     ("--fast-iterations", int, "propagation iterations for base runs"),
     ("--thorough-iterations", int, "propagation iterations for the final pass"),
     ("--overlap-threshold", float, "label retention threshold in (0,1)"),
@@ -64,7 +63,7 @@ def _resolved_config(args: argparse.Namespace) -> pipe.PipelineConfig:
         name: getattr(args, name, None)
         for name in (
             "rho", "runs", "tau", "mu", "master_seed", "workers", "top_k",
-            "draws", "fast_iterations", "thorough_iterations",
+            "fast_iterations", "thorough_iterations",
             "overlap_threshold", "stopwords", "iterate",
         )
     }

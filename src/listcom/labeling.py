@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 
 from .atomic import atomic_write
 from .corpus import MembershipCorpus
@@ -98,15 +99,30 @@ def background_vector(vectors: dict[str, ListVector]) -> ListVector:
     return {term: w / l for term, w in total.items()}
 
 
+class Background:
+    """The corpus-wide mean vector, with its terms sorted once by ascending
+    (weight, term).
+
+    A term outside a community's centroid scores ``0.0 / c - weight``, so
+    that order is the order in which such terms rank.
+    """
+
+    def __init__(self, weights: ListVector):
+        self.weights = weights
+        self.ascending = sorted(weights, key=lambda term: (weights[term], term))
+
+
 def label_community(
     community,
     vectors: dict[str, ListVector],
     config: LabelingConfig,
-    background: ListVector | None = None,
+    background: Background | None = None,
 ) -> list[tuple[str, float]]:
     """Top terms by (community centroid - corpus mean), ties lexicographic.
 
     Returns at most ``config.top_k`` (term, score) pairs, score descending.
+    Only the centroid's terms and the ``top_k`` best-ranked terms outside it
+    are scored.
     """
     members = sorted(set(community))
     if not members:
@@ -116,7 +132,7 @@ def label_community(
     except KeyError as exc:
         raise ValidationError(f"list {exc.args[0]!r} has no vector") from exc
     if background is None:
-        background = background_vector(vectors)
+        background = Background(background_vector(vectors))
 
     centroid: ListVector = {}
     for vec in member_vecs:
@@ -124,11 +140,14 @@ def label_community(
             centroid[term] = centroid.get(term, 0.0) + w
     c = len(members)
 
-    scores: dict[str, float] = {}
-    for term in set(centroid) | set(background):
-        scores[term] = centroid.get(term, 0.0) / c - background.get(term, 0.0)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[: config.top_k]
+    weights = background.weights
+    candidates = [(term, w / c - weights.get(term, 0.0))
+                  for term, w in centroid.items()]
+    outside = islice((t for t in background.ascending if t not in centroid),
+                     config.top_k)
+    candidates.extend((term, 0.0 / c - weights[term]) for term in outside)
+    candidates.sort(key=lambda kv: (-kv[1], kv[0]))
+    return candidates[: config.top_k]
 
 
 def write_labels(labels_by_id: dict[int, list[tuple[str, float]]], path) -> None:

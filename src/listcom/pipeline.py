@@ -25,7 +25,6 @@ from . import members as memb
 from . import stability as stab
 from .detect import load_communities, save_communities
 from .errors import ParseError, StageError, ValidationError
-from .seeds import STREAM_STABILITY, derive_seed
 
 ARTIFACTS = {
     "graph": "graph.tsv",
@@ -48,7 +47,6 @@ class PipelineConfig:
     master_seed: int = 0
     workers: int = 1
     top_k: int = 3
-    draws: int = 1000
     fast_iterations: int = 5
     thorough_iterations: int = 50
     overlap_threshold: float = 0.3
@@ -68,8 +66,6 @@ class PipelineConfig:
             raise ValidationError("workers must be >= 1")
         if self.top_k < 1:
             raise ValidationError("top_k must be >= 1")
-        if self.draws < 1:
-            raise ValidationError("draws must be >= 1")
         if self.fast_iterations < 1 or self.thorough_iterations < 1:
             raise ValidationError("iteration counts must be >= 1")
         if not (0.0 < self.overlap_threshold < 1.0):
@@ -202,12 +198,11 @@ def _load_matrix(out_dir) -> cons.ConsensusMatrix:
 def stage_stability(out_dir, config: PipelineConfig) -> None:
     if not _artifact(out_dir, "nodes").exists():
         raise ValidationError(
-            "stability needs graph.nodes to define the sampling universe")
+            "stability needs graph.nodes for the node count l of the "
+            "expected term")
     matrix = _load_matrix(out_dir)
     cover = load_communities(_require(out_dir, "communities"))
-    ranked = stab.rank_communities(
-        cover, matrix, config.draws,
-        derive_seed(config.master_seed, STREAM_STABILITY))
+    ranked = stab.rank_communities(cover, matrix)
     stab.write_ranking(ranked, cover, _artifact(out_dir, "stability"))
 
 
@@ -218,7 +213,7 @@ def stage_label(memberships_path, lists_path, out_dir,
     cover = load_communities(_require(out_dir, "communities"))
     lcfg = config.labeling_config()
     vectors = lab.build_vectors(corpus, lcfg)
-    background = lab.background_vector(vectors)
+    background = lab.Background(lab.background_vector(vectors))
     labels = {
         cid: lab.label_community(community, vectors, lcfg, background=background)
         for cid, community in enumerate(cover)

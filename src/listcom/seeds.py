@@ -9,7 +9,6 @@ ensemble run indices.
 _MASK64 = (1 << 64) - 1
 
 STREAM_CONSENSUS = 1 << 32
-STREAM_STABILITY = (1 << 32) + 1
 STREAM_ITERATE = 1 << 33
 
 

@@ -1,20 +1,24 @@
 """Chance-corrected stability scores over the consensus matrix.
 
 A community's raw stability is the mean consensus score over its unordered
-member pairs.  The expected stability for its size is estimated by averaging
-the same quantity over random node subsets drawn from the matrix order, and
-the corrected score rescales raw against that baseline:
+member pairs.  Its expected stability is the mean of that same quantity over
+the null model: a node subset of the community's size drawn uniformly from
+the l nodes of the matrix order (isolated nodes included).  Every pair lies
+in such a subset with the same probability, so by linearity of expectation
+the expected stability is exactly the mean score over all C(l, 2) pairs,
+
+    expected = sum of entries / C(l, 2)
+
+whatever the size.  The corrected score rescales raw against that baseline:
 
     corrected = (raw - expected) / (1 - expected)
 
 so 1 means perfectly stable co-assignment and values near 0 mean the
-community is indistinguishable from a random node set of its size.  Expected
-stability depends only on the size, so estimates are memoized per size when
-ranking; the per-size sampling seed is derived from (seed, size) to keep the
-estimate independent of ranking order.
+community is indistinguishable from a random node set of its size.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +27,6 @@ from .atomic import atomic_write
 from .consensus import ConsensusMatrix
 from .detect import CommunitySet
 from .errors import ValidationError
-from .seeds import derive_seed
 
 _SATURATION_EPS = 1e-9
 
@@ -33,7 +36,6 @@ class StabilityScore:
     raw: float
     expected: float
     corrected: float
-    randomized_runs: int
 
 
 _PAIR_BLOCK = 1 << 18
@@ -51,106 +53,64 @@ def _pair_blocks(size: int):
         yield first, first + 1 + offset
 
 
-def _mean_pair_scores(subsets: np.ndarray, matrix: ConsensusMatrix) -> np.ndarray:
-    """Mean score over the pairs of each row of ``subsets`` (distinct node
-    positions per row).
-
-    Each row's scores are added one after the other in pair order
-    (``np.cumsum`` is a sequential running sum), absent pairs counting 0.
-    """
-    l = len(matrix.order)
-    size = subsets.shape[1]
-    totals = np.zeros((len(subsets), 1))
-    for first, second in _pair_blocks(size):
-        a, b = subsets[:, first], subsets[:, second]
-        scores = matrix.lookup(np.minimum(a, b) * l + np.maximum(a, b))
-        totals = np.cumsum(np.hstack([totals, scores]), axis=1)[:, -1:]
-    return totals[:, 0] / (size * (size - 1) // 2)
-
-
 def raw_stability(community, matrix: ConsensusMatrix) -> float:
-    """Mean consensus score over all unordered pairs; absent entries count 0."""
+    """Mean consensus score over all unordered pairs; absent entries count 0.
+
+    The scores are added one after the other in pair order (``np.cumsum`` is
+    a sequential running sum).
+    """
     members = sorted(community)
     if len(members) < 2:
         raise ValidationError("stability is undefined for communities of size < 2")
-    return float(_mean_pair_scores(matrix.positions(members)[None, :], matrix)[0])
+    positions = matrix.positions(members)
+    l = len(matrix.order)
+    total = np.zeros(1)
+    for first, second in _pair_blocks(len(members)):
+        a, b = positions[first], positions[second]
+        scores = matrix.lookup(np.minimum(a, b) * l + np.maximum(a, b))
+        total = np.cumsum(np.concatenate([total, scores]))[-1:]
+    return float(total[0]) / (len(members) * (len(members) - 1) // 2)
 
 
-def expected_stability(size: int, matrix: ConsensusMatrix, draws: int, seed: int) -> float:
-    """Monte-Carlo mean raw stability of random ``size``-node subsets.
-
-    Deterministic given (matrix, draws, seed).  For matrices up to a few
-    thousand nodes the scores are densified once so each draw reduces to an
-    array slice; the draw sequence is identical on both paths.
-    """
+def expected_stability(size: int, matrix: ConsensusMatrix) -> float:
+    """Exact mean raw stability of a uniformly drawn ``size``-node subset of
+    the matrix order: the sum of all entries over C(l, 2), for every size."""
     l = len(matrix.order)
     if not (2 <= size <= l):
         raise ValidationError(f"size must be in [2, {l}]")
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    total = 0.0
-    if l <= 4096:
-        dense = np.zeros((l, l))
-        i, j = np.divmod(matrix.keys, l)
-        dense[i, j] = matrix.values
-        dense[j, i] = matrix.values
-        pair_count = size * (size - 1) / 2.0
-        for _ in range(draws):
-            subset = rng.choice(l, size=size, replace=False)
-            total += dense[np.ix_(subset, subset)].sum() / 2.0 / pair_count
-    else:
-        # Whole draws in blocks of about _PAIR_BLOCK pairs; the per-draw
-        # means are then summed in draw order.
-        step = max(1, _PAIR_BLOCK // (size * (size - 1) // 2))
-        means = [np.zeros(1)]
-        for start in range(0, draws, step):
-            subsets = np.array([rng.choice(l, size=size, replace=False)
-                                for _ in range(min(step, draws - start))])
-            means.append(_mean_pair_scores(subsets, matrix))
-        total = float(np.cumsum(np.concatenate(means))[-1])
-    return total / draws
+    return math.fsum(matrix.values.tolist()) / math.comb(l, 2)
 
 
-def corrected_stability(community, matrix: ConsensusMatrix, draws: int,
-                        seed: int) -> StabilityScore:
-    """Chance-corrected stability; the sampling seed for the expected term is
-    derived from (seed, community size) to match :func:`rank_communities`."""
-    raw = raw_stability(community, matrix)
-    size = len(set(community))
-    expected = expected_stability(size, matrix, draws, derive_seed(seed, size))
+def _score(raw: float, expected: float) -> StabilityScore:
+    """Rescale raw against expected; a saturated baseline gives 0 or 1."""
     if expected >= 1.0 - _SATURATION_EPS:
         corrected = 0.0 if raw <= expected else 1.0
     else:
         corrected = (raw - expected) / (1.0 - expected)
-    return StabilityScore(raw=raw, expected=expected, corrected=corrected,
-                          randomized_runs=draws)
+    return StabilityScore(raw=raw, expected=expected, corrected=corrected)
+
+
+def corrected_stability(community, matrix: ConsensusMatrix) -> StabilityScore:
+    """Chance-corrected stability of one community."""
+    raw = raw_stability(community, matrix)
+    return _score(raw, expected_stability(len(set(community)), matrix))
 
 
 def rank_communities(
-    cs: CommunitySet, matrix: ConsensusMatrix, draws: int, seed: int
+    cs: CommunitySet, matrix: ConsensusMatrix
 ) -> list[tuple[frozenset[str], StabilityScore]]:
     """Communities with scores, sorted by corrected stability descending.
 
     Ties break by size descending, then lexicographically by members.
-    Size-1 communities carry no pair signal and are skipped.
+    Size-1 communities carry no pair signal and are skipped.  The expected
+    term is the same for every size, so it is computed once.
     """
-    expected_by_size: dict[int, float] = {}
-    scored: list[tuple[frozenset[str], StabilityScore]] = []
-    for community in cs:
-        size = len(community)
-        if size < 2:
-            continue
-        if size not in expected_by_size:
-            expected_by_size[size] = expected_stability(
-                size, matrix, draws, derive_seed(seed, size))
-        raw = raw_stability(community, matrix)
-        expected = expected_by_size[size]
-        if expected >= 1.0 - _SATURATION_EPS:
-            corrected = 0.0 if raw <= expected else 1.0
-        else:
-            corrected = (raw - expected) / (1.0 - expected)
-        scored.append((community, StabilityScore(raw, expected, corrected, draws)))
+    raws = [(community, raw_stability(community, matrix))
+            for community in cs if len(community) >= 2]
+    if not raws:
+        return []
+    expected = expected_stability(2, matrix)
+    scored = [(community, _score(raw, expected)) for community, raw in raws]
     scored.sort(key=lambda item: (-item[1].corrected, -len(item[0]),
                                   tuple(sorted(item[0]))))
     return scored

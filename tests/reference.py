@@ -3,9 +3,12 @@
 Plain dict-based loops that compute what the arrays compute: label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
 index-pair tuples and tallies votes with ``np.unique``, the per-run Jaccard
-table over distinct label sets folded into a ``{key: score}`` dict, and the
-stability sums over that dict.  Tests compare the package against them with
-``==``, plus helpers that build graphs and matrices from small dicts.
+table over distinct label sets folded into a ``{key: score}`` dict, the
+stability sums over that dict with the expected term enumerated over every
+subset, and term labels from a full sort of every scored term.  Tests
+compare the package against them with ``==``, except the expected term,
+which sums in another order and must agree within 1e-12.  Helpers build
+graphs and matrices from small dicts.
 """
 from itertools import combinations
 
@@ -13,6 +16,7 @@ import numpy as np
 
 from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.detect import CommunitySet
+from listcom.labeling import background_vector
 from listcom.listgraph import ListGraph
 
 
@@ -201,22 +205,26 @@ def mean_pair_score(indices, entries, l) -> float:
     return total / count
 
 
-def expected_stability(size, entries, l, draws, seed) -> float:
-    """Monte-Carlo mean over random subsets, densified up to 4,096 nodes."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    total = 0.0
-    if l <= 4096:
-        dense = np.zeros((l, l))
-        for k, v in entries.items():
-            i, j = divmod(k, l)
-            dense[i, j] = v
-            dense[j, i] = v
-        pair_count = size * (size - 1) / 2.0
-        for _ in range(draws):
-            subset = rng.choice(l, size=size, replace=False)
-            total += dense[np.ix_(subset, subset)].sum() / 2.0 / pair_count
-    else:
-        for _ in range(draws):
-            subset = rng.choice(l, size=size, replace=False)
-            total += mean_pair_score(subset.tolist(), entries, l)
-    return total / draws
+def expected_stability(size, entries, l) -> float:
+    """Mean of :func:`mean_pair_score` over every ``size``-subset of the
+    ``l`` positions, by exhaustive enumeration."""
+    means = [mean_pair_score(subset, entries, l)
+             for subset in combinations(range(l), size)]
+    return sum(means) / len(means)
+
+
+def label_community(community, vectors, config, background=None):
+    """Every term of the centroid and the ``{term: weight}`` background
+    scored, then fully sorted by (-score, term)."""
+    members = sorted(set(community))
+    if background is None:
+        background = background_vector(vectors)
+    centroid = {}
+    for lid in members:
+        for term, w in vectors[lid].items():
+            centroid[term] = centroid.get(term, 0.0) + w
+    c = len(members)
+    scores = {term: centroid.get(term, 0.0) / c - background.get(term, 0.0)
+              for term in set(centroid) | set(background)}
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[: config.top_k]

@@ -186,8 +186,6 @@ def planted_consensus_matrix(blocks=16, block_size=20, r=20):
 
 def test_criterion_6_stability_discrimination():
     """Planted-clean communities score >= 0.9; random same-size sets ~0."""
-    draws = 5_000
-    seed = 1234
     matrix, planted = planted_consensus_matrix()
     l = len(matrix.order)
     rng = np.random.Generator(np.random.PCG64(77))
@@ -197,13 +195,13 @@ def test_criterion_6_stability_discrimination():
     ]
     cover = CommunitySet.from_sets(planted + random_sets)
     assert len(cover) == len(planted) + len(random_sets)
-    scored = dict(rank_communities(cover, matrix, draws, seed))
+    scored = dict(rank_communities(cover, matrix))
     planted_scores = [scored[c].corrected for c in map(frozenset, planted)]
     random_scores = [scored[c].corrected for c in random_sets]
     assert all(s >= 0.9 for s in planted_scores)
     assert all(abs(s) <= 0.1 for s in random_scores)
     # the single-community operation agrees with the batch ranking
-    direct = corrected_stability(planted[0], matrix, draws, seed)
+    direct = corrected_stability(planted[0], matrix)
     assert direct == scored[frozenset(planted[0])]
     report("6 stability discrimination",
            f"planted corrected min {min(planted_scores):.3f}, "
@@ -211,7 +209,8 @@ def test_criterion_6_stability_discrimination():
 
 
 def test_criterion_7_expected_stability_monte_carlo():
-    """50k-draw estimate within 0.01 of exhaustive subset enumeration."""
+    """The closed-form expected stability within 1e-12 of exhaustive subset
+    enumeration (it was a 50k-draw Monte Carlo estimate within 0.01)."""
     rng = np.random.Generator(np.random.PCG64(5150))
     order = tuple(f"n{i}" for i in range(10))
     scores = {}
@@ -224,10 +223,10 @@ def test_criterion_7_expected_stability_monte_carlo():
         raw_stability(set(subset), matrix)
         for subset in itertools.combinations(order, size)
     ])
-    estimate = expected_stability(size, matrix, draws=50_000, seed=31)
-    assert abs(estimate - exact) <= 0.01
-    report("7 expected-stability Monte Carlo",
-           f"|{estimate:.5f} - {exact:.5f}| = {abs(estimate - exact):.5f}")
+    estimate = expected_stability(size, matrix)
+    assert abs(estimate - exact) <= 1e-12
+    report("7 expected-stability closed form",
+           f"|{estimate:.5f} - {exact:.5f}| = {abs(estimate - exact):.1e}")
 
 
 def test_criterion_8_worker_count_determinism(tmp_path):
@@ -238,8 +237,7 @@ def test_criterion_8_worker_count_determinism(tmp_path):
     bundles = {}
     for workers in (1, 8):
         out = tmp_path / f"w{workers}"
-        config = PipelineConfig(runs=8, master_seed=5, workers=workers,
-                                draws=200)
+        config = PipelineConfig(runs=8, master_seed=5, workers=workers)
         run_pipeline(paths["memberships"], paths["lists"], out, config,
                      groundtruth_path=paths["groundtruth"])
         bundles[workers] = {

@@ -21,7 +21,7 @@ def corpus_files(tmp_path_factory):
 
 
 def fast_config(**overrides):
-    base = dict(runs=6, master_seed=3, draws=100, workers=1)
+    base = dict(runs=6, master_seed=3, workers=1)
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -38,7 +38,6 @@ def test_config_defaults_match_reported_parameters():
     cfg = PipelineConfig()
     assert (cfg.rho, cfg.runs, cfg.tau, cfg.mu) == (6.0, 100, 0.2, 0.1)
     assert cfg.top_k == 3
-    assert cfg.draws == 1000
 
 
 def test_config_validation():
@@ -142,8 +141,7 @@ def test_cli_full_stage_sequence(tmp_path):
     out = tmp_path / "run"
     corpus_flags = ["--memberships", str(data / "memberships.tsv"),
                     "--lists", str(data / "lists.jsonl")]
-    common = ["--out", str(out), "--runs", "5", "--master-seed", "2",
-              "--draws", "60"]
+    common = ["--out", str(out), "--runs", "5", "--master-seed", "2"]
     assert main(["build-graph", *corpus_flags, *common]) == 0
     assert main(["ensemble", *common]) == 0
     assert main(["consensus", *common]) == 0
@@ -166,7 +164,7 @@ def test_cli_pipeline_matches_stagewise(tmp_path):
                     "--lists", str(data / "lists.jsonl")]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = [*corpus_flags, "--runs", "5", "--master-seed", "2",
-            "--draws", "60", "--groundtruth", str(data / "groundtruth.tsv")]
+            "--groundtruth", str(data / "groundtruth.tsv")]
     assert main(["pipeline", "--out", str(out1), *args]) == 0
     assert main(["pipeline", "--out", str(out2), *args]) == 0
     assert bundle_bytes(out1) == bundle_bytes(out2)
@@ -198,13 +196,28 @@ def test_cli_exit_codes(tmp_path):
     assert main(["consensus", "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_cli_draws_flag_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--out", str(tmp_path), "--draws", "50"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --draws" in capsys.readouterr().err
+
+
+def test_cli_draws_config_key_is_unknown(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("runs = 4\ndraws = 50\n", encoding="utf-8")
+    assert main(["stability", "--out", str(tmp_path),
+                 "--config", str(cfgfile)]) == 2
+    assert "unknown config key 'draws'" in capsys.readouterr().err
+
+
 def test_cli_config_file_respected(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--groups", "2",
           "--users-per-group", "12", "--lists-per-group", "8",
           "--size-min", "4", "--size-max", "9", "--seed", "4"])
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("runs = 4\nmaster_seed = 9\ndraws = 50\n",
+    cfgfile.write_text("runs = 4\nmaster_seed = 9\ntop_k = 2\n",
                        encoding="utf-8")
     out1, out2 = tmp_path / "via-file", tmp_path / "via-flags"
     corpus_flags = ["--memberships", str(data / "memberships.tsv"),
@@ -212,7 +225,7 @@ def test_cli_config_file_respected(tmp_path):
     assert main(["pipeline", *corpus_flags, "--out", str(out1),
                  "--config", str(cfgfile)]) == 0
     assert main(["pipeline", *corpus_flags, "--out", str(out2),
-                 "--runs", "4", "--master-seed", "9", "--draws", "50"]) == 0
+                 "--runs", "4", "--master-seed", "9", "--top-k", "2"]) == 0
     assert bundle_bytes(out1) == bundle_bytes(out2)
 
 
@@ -268,15 +281,13 @@ def test_run_pipeline_parses_corpus_once(corpus_files, tmp_path, monkeypatch):
 def test_users_json_carries_full_precision_stability(corpus_files, tmp_path):
     from listcom import pipeline as pipe
     from listcom.detect import load_communities
-    from listcom.seeds import STREAM_STABILITY, derive_seed
     from listcom.stability import rank_communities
 
     out = tmp_path / "run"
     cfg = fast_config(rho=2.0)  # communities with corrected scores below 1
     run_pipeline(corpus_files["memberships"], corpus_files["lists"], out, cfg)
     cover = load_communities(out / ARTIFACTS["communities"])
-    ranked = rank_communities(cover, pipe._load_matrix(out), cfg.draws,
-                              derive_seed(cfg.master_seed, STREAM_STABILITY))
+    ranked = rank_communities(cover, pipe._load_matrix(out))
     corrected = {cover.communities.index(c): s.corrected for c, s in ranked}
     rows = [line.split("\t") for line in
             (out / ARTIFACTS["stability"]).read_text("utf-8").splitlines()]
@@ -386,8 +397,7 @@ def test_cli_pipeline_leaves_scipy_unimported(tmp_path):
         " '--users-per-group', '10', '--lists-per-group', '6', '--size-min', '4',"
         " '--size-max', '8', '--seed', '1']) == 0\n"
         "assert main(['pipeline', '--memberships', data + '/memberships.tsv',"
-        " '--lists', data + '/lists.jsonl', '--out', out, '--runs', '3',"
-        " '--draws', '20']) == 0\n"
+        " '--lists', data + '/lists.jsonl', '--out', out, '--runs', '3']) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path,

@@ -8,6 +8,8 @@ from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                                consensus_graph, run_ensemble)
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import CommunitySet, DetectorConfig, detect
+from listcom.labeling import (Background, LabelingConfig, background_vector,
+                              label_community)
 from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
                                load_graph, save_graph)
 from listcom.seeds import derive_seed
@@ -146,7 +148,6 @@ def test_list_graph_matches_sorted_tuple_fill():
 
 def test_stability_matches_dict_loops():
     rng = np.random.Generator(np.random.PCG64(21))
-    # 4,100 nodes: above the size where the expected term densifies.
     for l in (40, 4100):
         nodes = [f"n{i:04d}" for i in range(l)]
         pairs = rng.choice(l, size=(3 * l, 2))
@@ -160,5 +161,47 @@ def test_stability_matches_dict_loops():
             community = nodes[:size]
             want = reference.mean_pair_score(list(range(size)), entries, l)
             assert raw_stability(community, matrix) == want
-            assert expected_stability(size, matrix, draws=400, seed=size) == \
-                reference.expected_stability(size, entries, l, draws=400, seed=size)
+
+
+def test_expected_matches_subset_enumeration():
+    rng = np.random.Generator(np.random.PCG64(22))
+    for trial in range(30):
+        l = int(rng.integers(2, 11))
+        nodes = [f"n{i}" for i in range(l)]
+        fill = (0.0, 1.0, float(rng.random()))[trial % 3]
+        scores = {pair: (1.0 if fill == 1.0 else float(rng.random()))
+                  for pair in combinations(nodes, 2) if rng.random() < fill}
+        matrix = matrix_from_pairs(nodes, scores, 1)
+        entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
+        for size in range(2, l + 1):
+            want = reference.expected_stability(size, entries, l)
+            assert abs(expected_stability(size, matrix) - want) <= 1e-12, (trial, size)
+    # The empty and the saturated matrix give exactly 0 and 1.
+    for fill in (0.0, 1.0):
+        nodes = [f"n{i}" for i in range(7)]
+        matrix = matrix_from_pairs(
+            nodes, {pair: fill for pair in combinations(nodes, 2) if fill}, 1)
+        assert all(expected_stability(size, matrix) == fill for size in range(2, 8))
+
+
+def test_label_community_matches_full_sort():
+    rng = np.random.Generator(np.random.PCG64(23))
+    for trial in range(200):
+        vocab = [f"t{i:02d}" for i in range(int(rng.integers(1, 25)))]
+        vectors = {}
+        for j in range(int(rng.integers(1, 12))):
+            # Few distinct weights, so background weights often tie.
+            terms = rng.choice(vocab, size=int(rng.integers(0, min(6, len(vocab)) + 1)),
+                               replace=False)
+            vectors[f"l{j:02d}"] = {str(t): float(rng.choice([0.5, 1.0, 1.5]))
+                                    for t in terms}
+        lids = sorted(vectors)
+        community = set(rng.choice(lids, size=int(rng.integers(1, len(lids) + 1)),
+                                   replace=False).tolist())
+        # top_k from 1 to above the vocabulary size.
+        config = LabelingConfig(top_k=int(rng.integers(1, len(vocab) + 4)))
+        want = reference.label_community(community, vectors, config)
+        assert label_community(community, vectors, config) == want, trial
+        weights = background_vector(vectors)
+        assert label_community(community, vectors, config,
+                               background=Background(weights)) == want, trial

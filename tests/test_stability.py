@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -37,7 +38,7 @@ def test_raw_rejects_undersized_community():
 
 def test_expected_zero_matrix():
     m = matrix_from("abcdef", {})
-    assert expected_stability(3, m, draws=50, seed=1) == 0.0
+    assert expected_stability(3, m) == 0.0
 
 
 def test_expected_constant_half_matrix():
@@ -45,7 +46,7 @@ def test_expected_constant_half_matrix():
     pairs = {(a, b): 0.5 for a, b in combinations(order, 2)}
     m = matrix_from(order, pairs)
     for size in (2, 4, 7):
-        assert expected_stability(size, m, draws=25, seed=3) == pytest.approx(0.5)
+        assert expected_stability(size, m) == 0.5
 
 
 def test_expected_matches_enumeration_four_nodes():
@@ -54,33 +55,31 @@ def test_expected_matches_enumeration_four_nodes():
     pairs = {(a, b): float(rng.random()) for a, b in combinations(order, 2)}
     m = matrix_from(order, pairs)
     exact = sum(pairs.values()) / 6  # mean over all C(4,2) size-2 subsets
-    approx = expected_stability(2, m, draws=10_000, seed=5)
-    assert approx == pytest.approx(exact, abs=0.02)
+    assert expected_stability(2, m) == pytest.approx(exact, abs=1e-12)
 
 
 def test_expected_deterministic():
     m = matrix_from("abcdef", {("a", "b"): 0.7, ("c", "d"): 0.2})
-    a = expected_stability(3, m, draws=200, seed=9)
-    b = expected_stability(3, m, draws=200, seed=9)
-    assert a == b
-    assert expected_stability(3, m, draws=200, seed=10) != a
+    exact = math.fsum([0.7, 0.2]) / 15  # sum of entries over C(6, 2)
+    assert [expected_stability(size, m) for size in range(2, 7)] == [exact] * 5
+    assert expected_stability(3, m) == exact
 
 
 def test_expected_validates_size():
     m = matrix_from("abc", {})
     with pytest.raises(ValidationError):
-        expected_stability(4, m, draws=10, seed=0)
+        expected_stability(4, m)
     with pytest.raises(ValidationError):
-        expected_stability(1, m, draws=10, seed=0)
+        expected_stability(1, m)
 
 
 def test_corrected_perfect_community():
     order = "abcdefgh"
     pairs = {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0}
     m = matrix_from(order, pairs)
-    score = corrected_stability({"a", "b", "c"}, m, draws=500, seed=2)
+    score = corrected_stability({"a", "b", "c"}, m)
     assert score.raw == 1.0
-    assert score.expected < 1.0
+    assert score.expected == 3 / 28
     assert score.corrected == 1.0
 
 
@@ -88,9 +87,9 @@ def test_corrected_zero_when_raw_equals_expected():
     order = "abcdef"
     pairs = {(a, b): 0.5 for a, b in combinations(order, 2)}
     m = matrix_from(order, pairs)
-    score = corrected_stability({"a", "b", "c"}, m, draws=100, seed=4)
+    score = corrected_stability({"a", "b", "c"}, m)
     assert score.raw == pytest.approx(0.5)
-    assert score.expected == pytest.approx(0.5)
+    assert score.expected == 0.5
     assert score.corrected == pytest.approx(0.0, abs=1e-12)
 
 
@@ -98,8 +97,8 @@ def test_corrected_saturated_matrix_guard():
     order = "abcd"
     pairs = {(a, b): 1.0 for a, b in combinations(order, 2)}
     m = matrix_from(order, pairs)
-    score = corrected_stability({"a", "b"}, m, draws=50, seed=1)
-    assert score.expected == pytest.approx(1.0)
+    score = corrected_stability({"a", "b"}, m)
+    assert score.expected == 1.0
     assert score.corrected == 0.0  # raw == expected on a saturated matrix
 
 
@@ -123,7 +122,7 @@ def test_rank_planted_above_noise():
         pairs[(a, b)] = 0.1
     m = matrix_from(order, pairs)
     cs = CommunitySet.from_sets([planted, noise])
-    ranked = rank_communities(cs, m, draws=400, seed=6)
+    ranked = rank_communities(cs, m)
     assert ranked[0][0] == frozenset(planted)
     assert ranked[0][1].corrected > ranked[1][1].corrected
 
@@ -139,21 +138,36 @@ def test_rank_sorting_and_ties():
         pairs[(a, b)] = 0.5
     m = matrix_from(order, pairs)
     cs = CommunitySet.from_sets([strong, weak])
-    ranked = rank_communities(cs, m, draws=300, seed=7)
+    ranked = rank_communities(cs, m)
     assert [r[1].corrected for r in ranked] == sorted(
         (r[1].corrected for r in ranked), reverse=True)
-    single = rank_communities(CommunitySet.from_sets([strong]), m,
-                              draws=300, seed=7)
+    single = rank_communities(CommunitySet.from_sets([strong]), m)
     assert len(single) == 1
 
 
-def test_rank_memoizes_expected_by_size():
+def test_rank_uses_one_expected_per_matrix():
     order = [f"n{i}" for i in range(10)]
     pairs = {("n0", "n1"): 1.0, ("n2", "n3"): 0.4}
     m = matrix_from(order, pairs)
-    cs = CommunitySet.from_sets([{"n0", "n1"}, {"n2", "n3"}])
-    ranked = rank_communities(cs, m, draws=300, seed=8)
-    assert ranked[0][1].expected == ranked[1][1].expected
+    cs = CommunitySet.from_sets([{"n0", "n1"}, {"n2", "n3", "n4"}])
+    ranked = rank_communities(cs, m)
+    exact = math.fsum([1.0, 0.4]) / 45  # sum of entries over C(10, 2)
+    assert [score.expected for _, score in ranked] == [exact, exact]
+
+
+def test_rank_order_is_raw_descending_with_tie_breaks():
+    order = [f"n{i:02d}" for i in range(12)]
+    rng = np.random.Generator(np.random.PCG64(8))
+    pairs = {(a, b): float(rng.choice([0.25, 0.5, 1.0]))
+             for a, b in combinations(order, 2) if rng.random() < 0.5}
+    m = matrix_from(order, pairs)
+    cs = CommunitySet.from_sets(
+        rng.choice(order, size=int(rng.integers(2, 6)), replace=False).tolist()
+        for _ in range(40))
+    ranked = rank_communities(cs, m)
+    assert [c for c, _ in ranked] == sorted(
+        (c for c in cs if len(c) >= 2),
+        key=lambda c: (-raw_stability(c, m), -len(c), tuple(sorted(c))))
 
 
 def test_rank_matches_corrected_stability_op():
@@ -162,8 +176,8 @@ def test_rank_matches_corrected_stability_op():
     m = matrix_from(order, pairs)
     community = {"n0", "n1", "n2"}
     cs = CommunitySet.from_sets([community])
-    ranked = rank_communities(cs, m, draws=250, seed=11)
-    direct = corrected_stability(community, m, draws=250, seed=11)
+    ranked = rank_communities(cs, m)
+    direct = corrected_stability(community, m)
     assert ranked[0][1] == direct
 
 
@@ -172,7 +186,7 @@ def test_write_ranking_format(tmp_path):
     pairs = {("a", "b"): 1.0}
     m = matrix_from(order, pairs)
     cs = CommunitySet.from_sets([{"a", "b"}, {"c", "d"}])
-    ranked = rank_communities(cs, m, draws=100, seed=0)
+    ranked = rank_communities(cs, m)
     path = tmp_path / "rank.tsv"
     write_ranking(ranked, cs, path)
     lines = path.read_text("utf-8").splitlines()
