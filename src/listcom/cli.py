@@ -25,7 +25,6 @@ _CONFIG_FLAGS = (
     ("--tau", float, "consensus matrix threshold"),
     ("--mu", float, "membership weight threshold"),
     ("--master-seed", int, "seed all randomness derives from"),
-    ("--workers", int, "ensemble worker threads"),
     ("--top-k", int, "labels per community"),
     ("--fast-iterations", int, "propagation iterations for base runs"),
     ("--thorough-iterations", int, "propagation iterations for the final pass"),
@@ -62,7 +61,7 @@ def _resolved_config(args: argparse.Namespace) -> pipe.PipelineConfig:
     flags = {
         name: getattr(args, name, None)
         for name in (
-            "rho", "runs", "tau", "mu", "master_seed", "workers", "top_k",
+            "rho", "runs", "tau", "mu", "master_seed", "top_k",
             "fast_iterations", "thorough_iterations",
             "overlap_threshold", "stopwords", "iterate",
         )

@@ -7,21 +7,21 @@ pair of arrays: sorted ``int64`` pair keys ``i * l + j`` (i < j, positions in
 the sorted node order) and their ``float64`` scores.  Each run contributes
 its co-assigned pair keys and their scores inter / (|X| + |Y| - inter), which
 are added to the matrix in ascending run order, so the floating-point result
-is identical no matter how many workers executed the runs.  The normalised
-matrix is thresholded into a consensus graph (a mask over the keys) on which
-a thorough detection pass produces the final cover.
+is a pure function of the runs' covers.  The normalised matrix is
+thresholded into a consensus graph (a mask over the keys) on which a
+thorough detection pass produces the final cover.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .atomic import atomic_write
-from .detect import CommunitySet, DetectorConfig, detect, filter_singletons
+from .detect import (CommunitySet, DetectorConfig, detect, detect_runs,
+                     filter_singletons)
 from .errors import ParseError, ValidationError
 from .listgraph import ListGraph, node_index
 from .seeds import STREAM_CONSENSUS, derive_seed
@@ -185,29 +185,23 @@ def accumulate(matrix: ConsensusMatrix, base: CommunitySet) -> ConsensusMatrix:
 def run_ensemble(
     graph: ListGraph,
     config: EnsembleConfig,
-    workers: int = 1,
     detector: Detector = detect,
 ) -> ConsensusMatrix:
     """Aggregate ``config.runs`` fast detections into a normalised matrix.
 
-    Run i uses seed ``derive_seed(master_seed, i)``; detections may execute
-    on up to ``workers`` threads but are reduced in run order, so the result
-    is independent of scheduling.
+    Run i uses seed ``derive_seed(master_seed, i)``, and runs are reduced in
+    run order.  The built-in :func:`detect` steps all runs together through
+    :func:`detect_runs`; any other detector is called one run at a time.
     """
     matrix = ConsensusMatrix.empty(graph.nodes, config.runs)
-
-    def one_run(i: int) -> CommunitySet:
-        cfg = config.fast_config.with_seed(derive_seed(config.master_seed, i))
-        return filter_singletons(detector(graph, cfg))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for base in pool.map(one_run, range(config.runs)):
-                accumulate(matrix, base)
+    seeds = [derive_seed(config.master_seed, i) for i in range(config.runs)]
+    if detector is detect:
+        covers = detect_runs(graph, config.fast_config, seeds)
     else:
-        for i in range(config.runs):
-            accumulate(matrix, one_run(i))
-
+        covers = (detector(graph, config.fast_config.with_seed(seed))
+                  for seed in seeds)
+    for cover in covers:
+        accumulate(matrix, filter_singletons(cover))
     matrix.values *= 1.0 / config.runs
     return matrix
 
@@ -231,7 +225,6 @@ def consensus_communities(matrix: ConsensusMatrix, config: EnsembleConfig,
 def iterate_consensus(
     graph: ListGraph,
     config: EnsembleConfig,
-    workers: int = 1,
     detector: Detector = detect,
     max_rounds: int = 20,
 ) -> tuple[ConsensusMatrix, CommunitySet]:
@@ -239,15 +232,14 @@ def iterate_consensus(
     graphs until the cover stops changing (or ``max_rounds`` is hit)."""
     from .seeds import STREAM_ITERATE
 
-    matrix = run_ensemble(graph, config, workers=workers, detector=detector)
+    matrix = run_ensemble(graph, config, detector=detector)
     cover = consensus_communities(matrix, config, detector=detector)
     for round_no in range(1, max_rounds):
         next_graph = consensus_graph(matrix, config.tau)
         round_cfg = replace(
             config,
             master_seed=derive_seed(config.master_seed, STREAM_ITERATE + round_no))
-        next_matrix = run_ensemble(next_graph, round_cfg, workers=workers,
-                                   detector=detector)
+        next_matrix = run_ensemble(next_graph, round_cfg, detector=detector)
         next_cover = consensus_communities(next_matrix, round_cfg, detector=detector)
         matrix = next_matrix
         if next_cover.communities == cover.communities:

@@ -1,22 +1,50 @@
 """Stochastic overlapping community detection on weighted graphs.
 
-The built-in detector is a speaker-listener label propagation: every node
-keeps a growing memory of labels, seeded with its own id.  Each iteration
-visits nodes in a seed-driven random order; the visited node collects one
-label from each neighbour (sampled in proportion to that label's frequency
-in the neighbour's memory), tallies the collected labels weighted by edge
-weight, and appends the winning label to its own memory.  After the final
-iteration a node belongs to every community whose label holds at least
-``overlap_threshold`` of its memory, and always to its single most frequent
-label, so every non-isolated node lands in at least one community before
-singleton filtering.  Ties always go to the lowest label id, which keeps a
-run a pure function of (graph, config).
+The built-in detector is a speaker-listener label propagation (SLPA): every
+node keeps a growing memory of labels, seeded with its own id.  Each
+iteration visits the nodes in a seed-driven random order; the visited node
+collects one label from each neighbour (a uniformly drawn slot of the
+neighbour's memory, so labels come in proportion to their frequency there),
+tallies the collected labels weighted by edge weight, and appends the
+winning label to its own memory.  After the final iteration a node belongs
+to every community whose label holds at least ``overlap_threshold`` of its
+memory, and always to its single most frequent label, so every
+non-isolated node lands in at least one community before singleton
+filtering.  Ties always go to the lowest label id, which keeps a run a pure
+function of (graph, config).
 
-The propagation reads the graph's CSR arrays directly.  Label ids are node
-positions, memories are one ``int64`` row per node, and a visited node's
-collected labels are tallied with one ``np.bincount`` weighted by the edge
-weights, so the winner is the first maximum of that vote vector.  Neighbours
-come in ascending order, which fixes the order of the random draws.
+Draws are counter-based: each is the splitmix64 finalizer of
+``seeds.derive_seed`` applied to its coordinates, never a position in a
+sequential stream.  In iteration ``it`` of the run with seed ``s``:
+
+* node ``u`` gets the visit key ``derive_seed(derive_seed(s, 2 it), u)``,
+  and nodes are visited in ascending (key, node) order;
+* the neighbour at CSR position ``p`` of the visited node's row gives the
+  label in slot ``derive_seed(derive_seed(s, 2 it + 1), p)`` modulo its
+  current memory length: ``it + 1`` if it was visited earlier in this
+  iteration, ``it`` otherwise.
+
+Every slot is therefore known when the iteration starts, and a node's
+update reads only the labels in its drawn slots.  The one label it can read
+that the iteration itself writes is slot ``it`` of an earlier-visited
+neighbour.  Updates therefore need not run one at a time: a node is ready
+once every neighbour whose slot ``it`` it drew is done, and nodes that are
+ready together read nothing any of them writes, so they are updated in one
+vectorised step.  That gives the memories of the node-by-node loop in visit
+order (the asynchronous SLPA of Xie, Szymanski and Liu, 2011) in as many
+levels as the longest chain of such reads.  :func:`detect_runs` stacks
+several runs as (run, node) cells over the one shared CSR and steps their
+ready cells together.  A step gathers at most ``SLOT_CAP`` neighbour slots
+and leaves the other ready cells for the next step; any subset of the ready
+cells is independent, so the cap bounds memory without changing a result.
+Runs are independent too, and are stacked in groups that hold at most
+``RUN_SLOTS`` drawn slots.
+
+Labels are node positions and memories are ``int32``.  A step tallies each
+cell's collected labels with one ``np.unique`` over (cell, label) keys and
+one ``np.bincount`` of the edge weights in CSR order, so the winner is the
+first maximum of the cell's votes, or the lowest collected label when
+every vote is 0.0.
 
 Anything callable as ``(graph, config) -> CommunitySet`` can stand in for
 :func:`detect` in the ensemble driver, so a heavier external detector can be
@@ -33,9 +61,12 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import ValidationError
 from .listgraph import ListGraph
+from .seeds import derive_seed, derive_seeds
 
 FAST_ITERATIONS = 5
 THOROUGH_ITERATIONS = 50
+SLOT_CAP = 1 << 14  # neighbour slots gathered per step
+RUN_SLOTS = 1 << 23  # drawn slots held at once by a group of stacked runs
 
 
 @dataclass(frozen=True)
@@ -94,56 +125,134 @@ class CommunitySet:
 def detect(graph: ListGraph, config: DetectorConfig) -> CommunitySet:
     """Run label propagation; returns non-singleton communities only.
 
-    Deterministic given (graph, config): node order, label ids, and the RNG
-    stream are all derived from the sorted node ids plus the seed.  Isolated
-    nodes are never assigned.
+    Deterministic given (graph, config): the visit order and every memory
+    slot are derived from the seed and the node and edge positions.
+    Isolated nodes are never assigned.
     """
+    return detect_runs(graph, config, [config.seed])[0]
+
+
+def detect_runs(graph: ListGraph, config: DetectorConfig,
+                seeds) -> list[CommunitySet]:
+    """:func:`detect` once per seed, all runs stepped together.
+
+    Equals ``[detect(graph, config.with_seed(s)) for s in seeds]``.  Runs
+    are stacked in groups that hold at most ``RUN_SLOTS`` drawn slots (one
+    run at least).
+    """
+    if not graph.nodes:
+        raise ValidationError("graph has no nodes")
+    seeds = [int(s) for s in seeds]
+    group = max(1, RUN_SLOTS // max(1, len(graph.indices)))
+    return [cover for start in range(0, len(seeds), group)
+            for cover in _stacked_runs(graph, config, seeds[start:start + group])]
+
+
+def _stacked_runs(graph: ListGraph, config: DetectorConfig,
+                  seeds: list[int]) -> list[CommunitySet]:
     nodes = graph.nodes
     n = len(nodes)
-    if not n:
-        raise ValidationError("graph has no nodes")
-    bounds = graph.indptr.tolist()
-    nbr, wgt = graph.indices, graph.weights
-    active = np.flatnonzero(np.diff(graph.indptr) > 0)
-    iterations = config.resolved_iterations
-    memory_size = iterations + 1
-    mem = np.full((n, memory_size), -1, dtype=np.int64)
-    mem[:, 0] = np.arange(n)
-    mem_len = np.ones(n, dtype=np.int64)
-
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    for it in range(1, memory_size):
-        for u in active[rng.permutation(len(active))].tolist():
-            lo, hi = bounds[u], bounds[u + 1]
-            nbrs = nbr[lo:hi]
-            labels = mem[nbrs, rng.integers(0, mem_len[nbrs])]
-            # Votes per label id: the first maximum is the lowest winning id.
-            # Absent ids score 0.0, so when every vote is 0.0 the winner is
-            # the lowest collected id instead.
-            votes = np.bincount(labels, weights=wgt[lo:hi])
-            winner = votes.argmax()
-            mem[u, it] = winner if votes[winner] > 0.0 else labels.min()
-            mem_len[u] = it + 1
+    runs = len(seeds)
+    deg = np.diff(graph.indptr)
+    active = np.flatnonzero(deg > 0)
     if not len(active):
-        return CommunitySet(())
+        return [CommunitySet(())] * runs
+    memory_size = config.resolved_iterations + 1
+    # One memory row per (run, node) cell: cell = run * n + node.
+    mem = np.empty((runs * n, memory_size), dtype=np.int32)
+    mem[:, 0] = np.tile(np.arange(n, dtype=np.int32), runs)
+    edges = len(graph.indices)
+    rows = np.repeat(np.arange(n), deg)
+    positions = np.arange(edges)
+    # reverse[p] is the position of the edge p read the other way round.
+    reverse = np.empty(edges, dtype=np.int64)
+    reverse[np.argsort(graph.indices, kind="stable")] = positions
+    slots = np.empty(runs * edges, dtype=np.min_scalar_type(memory_size))
+    indeg = np.empty(runs * n, dtype=np.int64)
+    for it in range(1, memory_size):
+        for j, seed in enumerate(seeds):
+            keys = derive_seeds(derive_seed(seed, 2 * it), np.arange(n))
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.argsort(keys, kind="stable")] = np.arange(n)
+            # A neighbour visited earlier in this iteration has one more
+            # label; a node that draws it waits for that neighbour.
+            lengths = (rank[graph.indices] < rank[rows]).astype(np.uint64)
+            lengths += np.uint64(it)
+            run_slots = derive_seeds(derive_seed(seed, 2 * it + 1), positions)
+            run_slots %= lengths
+            slots[j * edges:(j + 1) * edges] = run_slots
+            indeg[j * n:(j + 1) * n] = np.bincount(rows[run_slots == it],
+                                                   minlength=n)
+        ready = (np.arange(runs)[:, None] * n + active).ravel()
+        ready = ready[indeg[ready] == 0]
+        while len(ready):
+            # Ready cells are independent: take a prefix of them that
+            # gathers at most SLOT_CAP neighbour slots (one cell at least).
+            head = deg[ready[:SLOT_CAP] % n].cumsum()
+            take = max(1, int(np.searchsorted(head, SLOT_CAP, side="right")))
+            batch, ready = ready[:take], ready[take:]
+            newly = _step(graph, mem, slots, reverse, batch, it, indeg)
+            ready = np.concatenate([ready, newly])
+    return [_cover(nodes, active, mem[j * n + active], config.overlap_threshold)
+            for j in range(runs)]
 
+
+def _step(graph, mem, slots, reverse, cells, it, indeg) -> np.ndarray:
+    """Append iteration ``it``'s label to each of ``cells``, whose drawn
+    labels are all in place; returns the cells this makes ready."""
+    n = len(graph.nodes)
+    edges = len(graph.indices)
+    memory_size = mem.shape[1]
+    run, u = np.divmod(cells, n)
+    lo = graph.indptr[u]
+    counts = graph.indptr[u + 1] - lo
+    ends = counts.cumsum()
+    # CSR positions of every cell's neighbour slots, cell by cell.
+    pos = np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)
+    edge_run = np.repeat(run, counts)
+    nbr_cells = edge_run * n + graph.indices[pos]
+    slot_base = edge_run * edges
+    labels = mem.ravel()[nbr_cells * memory_size + slots[slot_base + pos]]
+    # Votes per (cell, label), summed in CSR order; groups come out sorted
+    # by cell, then label, so the first maximum is the lowest winning id
+    # (the lowest collected id when every vote is 0.0).
+    groups, inverse = np.unique(np.repeat(np.arange(len(cells)), counts) * n
+                                + labels, return_inverse=True)
+    votes = np.bincount(inverse, weights=graph.weights[pos])
+    starts = np.flatnonzero(np.r_[True, np.diff(groups // n) != 0])
+    top = np.repeat(np.maximum.reduceat(votes, starts),
+                    np.diff(np.r_[starts, len(groups)]))
+    first = np.minimum.reduceat(
+        np.where(votes == top, np.arange(len(groups)), len(groups)), starts)
+    mem[cells, it] = groups[first] % n
+    # Neighbours that drew the label just written.
+    waiting = nbr_cells[slots[slot_base + reverse[pos]] == it]
+    np.subtract.at(indeg, waiting, 1)
+    return np.unique(waiting[indeg[waiting] == 0])
+
+
+def _cover(nodes, active, mem, overlap_threshold) -> CommunitySet:
+    """Communities from the memory rows of the active nodes."""
+    n = len(nodes)
+    memory_size = mem.shape[1]
     # Label counts per active node: (row, label) pairs in ascending order.
     pairs, counts = np.unique(
-        np.arange(len(active)).repeat(memory_size) * n + mem[active].ravel(),
+        np.arange(len(active)).repeat(memory_size) * n + mem.ravel(),
         return_counts=True)
     rows, labels = np.divmod(pairs, n)
-    keep = counts / memory_size >= config.overlap_threshold
+    keep = counts / memory_size >= overlap_threshold
     # Each node's most frequent label, the lowest id on ties, always stays.
     best = np.lexsort((labels, -counts, rows))
     keep[best[np.r_[True, np.diff(rows[best]) != 0]]] = True
-    active_nodes = [nodes[u] for u in active.tolist()]
-    members: dict[int, set[str]] = {}
-    for row, label in zip(rows[keep].tolist(), labels[keep].tolist()):
-        members.setdefault(label, set()).add(active_nodes[row])
-
+    # Members per label: kept (row, label) pairs grouped by label.
+    by_label = np.lexsort((rows[keep], labels[keep]))
+    rows, labels = rows[keep][by_label], labels[keep][by_label]
+    bounds = np.flatnonzero(np.diff(labels)) + 1
+    members = [nodes[u] for u in active[rows].tolist()]
     return CommunitySet.from_sets(
-        c for c in members.values() if len(c) >= 2
-    )
+        members[a:b] for a, b in zip(np.r_[0, bounds].tolist(),
+                                     np.r_[bounds, len(rows)].tolist())
+        if b - a >= 2)
 
 
 def filter_singletons(cs: CommunitySet) -> CommunitySet:

@@ -45,7 +45,6 @@ class PipelineConfig:
     tau: float = 0.2
     mu: float = 0.1
     master_seed: int = 0
-    workers: int = 1
     top_k: int = 3
     fast_iterations: int = 5
     thorough_iterations: int = 50
@@ -62,8 +61,6 @@ class PipelineConfig:
             raise ValidationError("tau must be in [0, 1]")
         if not (0.0 <= self.mu <= 1.0):
             raise ValidationError("mu must be in [0, 1]")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
         if self.top_k < 1:
             raise ValidationError("top_k must be >= 1")
         if self.fast_iterations < 1 or self.thorough_iterations < 1:
@@ -166,19 +163,22 @@ def stage_build_graph(memberships_path, lists_path, out_dir,
 
 def stage_ensemble(out_dir, config: PipelineConfig) -> None:
     graph = lg.load_graph(_require(out_dir, "graph"), _require(out_dir, "nodes"))
-    matrix = cons.run_ensemble(graph, config.ensemble_config(),
-                               workers=config.workers)
+    matrix = cons.run_ensemble(graph, config.ensemble_config())
     cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
 
 
-def stage_consensus(out_dir, config: PipelineConfig) -> None:
+def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
+    """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`; it is
+    parsed here when not given.  ``--iterate`` rewrites the file instead of
+    reading it, and ignores ``matrix``."""
     ens = config.ensemble_config()
     if config.iterate:
         graph = lg.load_graph(_require(out_dir, "graph"), _require(out_dir, "nodes"))
-        matrix, cover = cons.iterate_consensus(graph, ens, workers=config.workers)
+        matrix, cover = cons.iterate_consensus(graph, ens)
         cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
     else:
-        matrix = _load_matrix(out_dir)
+        if matrix is None:
+            matrix = _load_matrix(out_dir)
         cover = cons.consensus_communities(matrix, ens)
     save_communities(cover, _artifact(out_dir, "communities"))
 
@@ -195,12 +195,15 @@ def _load_matrix(out_dir) -> cons.ConsensusMatrix:
     return cons.load_matrix(_require(out_dir, "consensus"), order=order)
 
 
-def stage_stability(out_dir, config: PipelineConfig) -> None:
+def stage_stability(out_dir, config: PipelineConfig, matrix=None) -> None:
+    """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`; it is
+    parsed here when not given."""
     if not _artifact(out_dir, "nodes").exists():
         raise ValidationError(
             "stability needs graph.nodes for the node count l of the "
             "expected term")
-    matrix = _load_matrix(out_dir)
+    if matrix is None:
+        matrix = _load_matrix(out_dir)
     cover = load_communities(_require(out_dir, "communities"))
     ranked = stab.rank_communities(cover, matrix)
     stab.write_ranking(ranked, cover, _artifact(out_dir, "stability"))
@@ -281,13 +284,17 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Parsed on first use, inside the stage that fails if the files are bad.
+    # consensus.tsv is read after the ensemble stage wrote it, or after
+    # ``--iterate`` rewrote it in the consensus stage.
     corpus = cache(lambda: corp.load_corpus(memberships_path, lists_path))
+    matrix = cache(lambda: _load_matrix(out))
     stages: list[tuple[str, object]] = [
         ("build-graph", lambda: stage_build_graph(memberships_path, lists_path, out,
                                                   config, corpus=corpus())),
         ("ensemble", lambda: stage_ensemble(out, config)),
-        ("consensus", lambda: stage_consensus(out, config)),
-        ("stability", lambda: stage_stability(out, config)),
+        ("consensus", lambda: stage_consensus(
+            out, config, matrix=None if config.iterate else matrix())),
+        ("stability", lambda: stage_stability(out, config, matrix=matrix())),
         ("label", lambda: stage_label(memberships_path, lists_path, out, config,
                                       corpus=corpus())),
         ("members", lambda: stage_members(memberships_path, lists_path, out, config,

@@ -2,7 +2,8 @@
 
 Plain dict-based loops that compute what the arrays compute: label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
-index-pair tuples and tallies votes with ``np.unique``, the per-run Jaccard
+index-pair tuples, updates one node at a time in visit order with scalar
+counter-based draws and tallies votes with ``np.unique``, the per-run Jaccard
 table over distinct label sets folded into a ``{key: score}`` dict, the
 stability sums over that dict with the expected term enumerated over every
 subset, and term labels from a full sort of every scored term.  Tests
@@ -18,6 +19,7 @@ from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.detect import CommunitySet
 from listcom.labeling import background_vector
 from listcom.listgraph import ListGraph
+from listcom.seeds import derive_seed
 
 
 def edge_map(graph) -> dict[tuple[str, str], float]:
@@ -89,26 +91,33 @@ def csr_fill(nodes, edges):
 
 
 def detect(nodes, edges, config) -> CommunitySet:
-    """Label propagation over a dict graph, one ``np.unique`` per update."""
+    """Label propagation over a dict graph, one node at a time in visit
+    order, one ``np.unique`` per update.
+
+    The draws are the scalar ``derive_seed``: in iteration ``it`` nodes go in
+    ascending (derive_seed(derive_seed(seed, 2 it), node), node) order, and
+    the neighbour at CSR position p gives the label in slot
+    derive_seed(derive_seed(seed, 2 it + 1), p) mod its memory length.
+    """
     nodes = sorted(nodes)
     n = len(nodes)
     offsets, nbr, wgt = csr_fill(nodes, edges)
     deg = np.diff(offsets)
 
-    active = np.flatnonzero(deg > 0)
+    active = np.flatnonzero(deg > 0).tolist()
     iterations = config.resolved_iterations
     mem = np.full((n, iterations + 1), -1, dtype=np.int64)
     mem[:, 0] = np.arange(n)
     mem_len = np.ones(n, dtype=np.int64)
 
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    for _ in range(iterations):
-        order = rng.permutation(len(active))
-        for pos in order:
-            u = int(active[pos])
+    for it in range(1, iterations + 1):
+        visit = derive_seed(config.seed, 2 * it)
+        draw = derive_seed(config.seed, 2 * it + 1)
+        for u in sorted(active, key=lambda u: (derive_seed(visit, u), u)):
             lo, hi = offsets[u], offsets[u + 1]
             nbrs = nbr[lo:hi]
-            slots = rng.integers(0, mem_len[nbrs])
+            slots = [derive_seed(draw, p) % int(mem_len[v])
+                     for p, v in zip(range(lo, hi), nbrs.tolist())]
             labels = mem[nbrs, slots]
             uniq, inv = np.unique(labels, return_inverse=True)
             votes = np.bincount(inv, weights=wgt[lo:hi])
@@ -118,7 +127,7 @@ def detect(nodes, edges, config) -> CommunitySet:
 
     members: dict[int, set[str]] = {}
     memory_size = iterations + 1
-    for u in active.tolist():
+    for u in active:
         uniq, counts = np.unique(mem[u, :memory_size], return_counts=True)
         keep = set(uniq[counts / memory_size >= config.overlap_threshold].tolist())
         keep.add(int(uniq[int(np.argmax(counts))]))

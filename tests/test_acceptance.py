@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from listcom import consensus
 from listcom.consensus import (EnsembleConfig, consensus_communities,
                                consensus_graph, cover_agreement,
                                label_jaccard, run_ensemble)
@@ -131,7 +132,7 @@ def test_criterion_4_planted_recovery(tmp_path):
     t0 = time.perf_counter()
     paths = synth_files(BENCH_SPEC, BENCH_SEED, tmp_path / "data")
     config = PipelineConfig(rho=6.0, runs=20, tau=0.2, mu=0.1,
-                            master_seed=1, workers=1)
+                            master_seed=1)
     out = tmp_path / "run"
     run_pipeline(paths["memberships"], paths["lists"], out, config,
                  groundtruth_path=paths["groundtruth"])
@@ -229,24 +230,36 @@ def test_criterion_7_expected_stability_monte_carlo():
            f"|{estimate:.5f} - {exact:.5f}| = {abs(estimate - exact):.1e}")
 
 
-def test_criterion_8_worker_count_determinism(tmp_path):
-    """workers=1 and workers=8 produce byte-identical bundles."""
+def test_criterion_8_execution_strategy_determinism(tmp_path, monkeypatch):
+    """The batched ensemble and one detection at a time through the
+    ``detector`` seam produce byte-identical bundles."""
     spec = PlantedSpec(groups=4, users_per_group=18, lists_per_group=12,
                        size_min=5, size_max=12, noise=0.1, overlap=0.1)
     paths = synth_files(spec, 9, tmp_path / "data")
+    batched = consensus.run_ensemble
+    seam_calls = []
+
+    def run_at_a_time(graph, config):
+        seam_calls.append(config.runs)
+        return batched(graph, config, detector=lambda g, c: detect(g, c))
+
     bundles = {}
-    for workers in (1, 8):
-        out = tmp_path / f"w{workers}"
-        config = PipelineConfig(runs=8, master_seed=5, workers=workers)
+    for strategy in ("batched", "run-at-a-time"):
+        if strategy == "run-at-a-time":
+            monkeypatch.setattr(consensus, "run_ensemble", run_at_a_time)
+        out = tmp_path / strategy
+        config = PipelineConfig(runs=8, master_seed=5)
         run_pipeline(paths["memberships"], paths["lists"], out, config,
                      groundtruth_path=paths["groundtruth"])
-        bundles[workers] = {
+        bundles[strategy] = {
             name: (out / fname).read_bytes()
             for name, fname in ARTIFACTS.items()
         }
-    assert bundles[1] == bundles[8]
-    report("8 worker determinism",
-           f"{len(bundles[1])} artifacts byte-identical across worker counts")
+    assert seam_calls == [8]
+    assert bundles["batched"] == bundles["run-at-a-time"]
+    report("8 execution-strategy determinism",
+           f"{len(bundles['batched'])} artifacts byte-identical, batched "
+           "and run at a time")
 
 
 def test_criterion_9_scale_smoke():

@@ -104,12 +104,13 @@ def test_run_ensemble_mean_of_two_runs():
     assert matrix.get("a", "c") == pytest.approx(0.5)
 
 
-def test_run_ensemble_deterministic_and_worker_independent():
+def test_run_ensemble_deterministic_and_strategy_independent():
+    # Batched through detect_runs, and one run at a time through the seam.
     graph = planted_graph()
     cfg = EnsembleConfig.from_master(11, runs=8, tau=0.2)
-    m1 = run_ensemble(graph, cfg, workers=1)
-    m2 = run_ensemble(graph, cfg, workers=4)
-    m3 = run_ensemble(graph, cfg, workers=1)
+    m1 = run_ensemble(graph, cfg)
+    m2 = run_ensemble(graph, cfg, detector=lambda g, c: detect(g, c))
+    m3 = run_ensemble(graph, cfg)
     assert same_matrix(m1, m2) and same_matrix(m1, m3)
 
 

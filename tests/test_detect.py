@@ -1,10 +1,13 @@
+import importlib
 import json
+import warnings
 
 import pytest
 
-from listcom.detect import (CommunitySet, DetectorConfig, detect,
+from listcom.detect import (CommunitySet, DetectorConfig, detect, detect_runs,
                             filter_singletons, load_communities,
                             save_communities)
+from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
 from listcom.listgraph import GraphBuildConfig, build_list_graph
@@ -112,3 +115,34 @@ def test_communities_json_round_trip(tmp_path):
     assert load_communities(path) == cs
     payload = json.loads(path.read_text("utf-8"))
     assert payload == [["a", "b", "c"], ["b", "d"]]
+
+
+@pytest.mark.parametrize("limits", [{}, {"SLOT_CAP": 1}, {"SLOT_CAP": 7},
+                                    {"RUN_SLOTS": 1}, {"RUN_SLOTS": 300}])
+def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
+    # Any grouping of runs, and any cap on the slots gathered per step or
+    # held per group of stacked runs, gives each run's own result.
+    for name, value in limits.items():
+        # The package exports the function ``detect``, which hides the module.
+        monkeypatch.setattr(importlib.import_module("listcom.detect"), name, value)
+    graph = noisy_planted_graph()
+    graph = graph_from_edges(graph.nodes + ("zz-isolated",), edge_map(graph))
+    seeds = [derive_seed(8, i) for i in range(6)] + [0, 2**64 - 1]
+    for mode in ("fast", "thorough"):
+        cfg = DetectorConfig(mode=mode, iterations=None if mode == "fast" else 12)
+        single = [detect(graph, cfg.with_seed(s)) for s in seeds]
+        assert detect_runs(graph, cfg, seeds) == single
+        assert (detect_runs(graph, cfg, seeds[:3]) + detect_runs(graph, cfg, seeds[3:])
+                == single)
+        assert detect_runs(graph, cfg, seeds[::-1]) == single[::-1]
+        assert detect_runs(graph, cfg, [seeds[2]] * 3) == [single[2]] * 3
+    assert detect_runs(graph, cfg, []) == []
+
+
+def test_detect_raises_no_runtime_warning():
+    graph = noisy_planted_graph()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            detect(graph, DetectorConfig(mode="fast", seed=seed))
+        detect_runs(graph, DetectorConfig(mode="fast"), [3, 2**64 - 1])

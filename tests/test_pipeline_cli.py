@@ -21,7 +21,7 @@ def corpus_files(tmp_path_factory):
 
 
 def fast_config(**overrides):
-    base = dict(runs=6, master_seed=3, workers=1)
+    base = dict(runs=6, master_seed=3)
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -211,6 +211,21 @@ def test_cli_draws_config_key_is_unknown(tmp_path, capsys):
     assert "unknown config key 'draws'" in capsys.readouterr().err
 
 
+def test_cli_workers_flag_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--out", str(tmp_path), "--workers", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+def test_cli_workers_config_key_is_unknown(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("runs = 4\nworkers = 4\n", encoding="utf-8")
+    assert main(["ensemble", "--out", str(tmp_path),
+                 "--config", str(cfgfile)]) == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
+
+
 def test_cli_config_file_respected(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--groups", "2",
@@ -274,6 +289,22 @@ def test_run_pipeline_parses_corpus_once(corpus_files, tmp_path, monkeypatch):
                         lambda *args: calls.append(args) or load(*args))
     run_pipeline(corpus_files["memberships"], corpus_files["lists"],
                  tmp_path / "run", fast_config(),
+                 groundtruth_path=corpus_files["groundtruth"])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("iterate", [False, True])
+def test_run_pipeline_parses_consensus_once(corpus_files, tmp_path, monkeypatch,
+                                            iterate):
+    from listcom import consensus as cons
+
+    calls = []
+    load = cons.load_matrix
+    monkeypatch.setattr(cons, "load_matrix",
+                        lambda *args, **kwargs: calls.append(args)
+                        or load(*args, **kwargs))
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"],
+                 tmp_path / "run", fast_config(iterate=iterate),
                  groundtruth_path=corpus_files["groundtruth"])
     assert len(calls) == 1
 
