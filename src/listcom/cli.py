@@ -38,9 +38,6 @@ def _config_parent() -> argparse.ArgumentParser:
     parent.add_argument("--config", default=None, help="key = value config file")
     for flag, ftype, help_text in _CONFIG_FLAGS:
         parent.add_argument(flag, type=ftype, default=None, help=help_text)
-    parent.add_argument("--iterate", action="store_const", const=True,
-                        default=None,
-                        help="repeat consensus until the cover stabilises")
     return parent
 
 
@@ -63,7 +60,7 @@ def _resolved_config(args: argparse.Namespace) -> pipe.PipelineConfig:
         for name in (
             "rho", "runs", "tau", "mu", "master_seed", "top_k",
             "fast_iterations", "thorough_iterations",
-            "overlap_threshold", "stopwords", "iterate",
+            "overlap_threshold", "stopwords",
         )
     }
     return pipe.resolve_config(flags, args.config)
@@ -201,7 +198,7 @@ def main(argv=None) -> int:
         cause = exc.cause
         if isinstance(cause, ParseError):
             return EXIT_PARSE
-        if isinstance(cause, (ValidationError, ValueError)):
+        if isinstance(cause, (ValidationError, ValueError, OSError)):
             return EXIT_VALIDATION
         return EXIT_INTERNAL
     except ParseError as exc:

@@ -4,24 +4,27 @@ A configured number of fast detector runs, each with a seed derived from the
 master seed, vote on every node pair through the Jaccard similarity of the
 community-label sets the run assigned to the two nodes.  The matrix is a
 pair of arrays: sorted ``int64`` pair keys ``i * l + j`` (i < j, positions in
-the sorted node order) and their ``float64`` scores.  Each run contributes
-its co-assigned pair keys and their scores inter / (|X| + |Y| - inter), which
-are added to the matrix in ascending run order, so the floating-point result
-is a pure function of the runs' covers.  The normalised matrix is
-thresholded into a consensus graph (a mask over the keys) on which a
+the sorted node order) and their ``float64`` scores.  Each run is a
+:class:`~listcom.detect.Cover` over that same order, so its member positions
+are the matrix positions: :func:`~listcom.detect.group_pairs` gives its
+co-assigned pair keys, one ``np.triu_indices`` per distinct community size,
+and their scores are inter / (|X| + |Y| - inter).  Runs are folded into the
+matrix one at a time in ascending run order, so the floating-point result is
+a pure function of the runs' covers.  A detector at the ``detector=`` seam
+returns id sets, which become a cover once per run.  The normalised matrix
+is thresholded into a consensus graph (a mask over the keys) on which a
 thorough detection pass produces the final cover.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .atomic import atomic_write
-from .detect import (CommunitySet, DetectorConfig, detect, detect_runs,
-                     filter_singletons)
+from .detect import (CommunitySet, Cover, DetectorConfig, detect, detect_runs,
+                     filter_singletons, group_pairs, node_positions)
 from .errors import ParseError, ValidationError
 from .listgraph import ListGraph, node_index
 from .seeds import STREAM_CONSENSUS, derive_seed
@@ -51,19 +54,8 @@ class ConsensusMatrix:
         return cls(order, np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.float64), r)
 
-    def positions(self, nodes) -> np.ndarray:
-        """Positions of ``nodes`` in the order, found by bisection."""
-        order = self.order
-        out = np.empty(len(nodes), dtype=np.int64)
-        for k, node in enumerate(nodes):
-            i = bisect_left(order, node)
-            if i == len(order) or order[i] != node:
-                raise ValidationError(f"node {node!r} outside the matrix order")
-            out[k] = i
-        return out
-
     def get(self, a: str, b: str) -> float:
-        i, j = sorted(self.positions((a, b)).tolist())
+        i, j = sorted(node_positions(self.order, (a, b)).tolist())
         if i == j:
             raise ValidationError(f"no diagonal entries: {a!r}")
         return float(self.lookup(np.array([i * len(self.order) + j]))[0])
@@ -132,46 +124,35 @@ def label_jaccard(labels_x, labels_y) -> float:
     return len(x & y) / union
 
 
-def _pair_scores(base: CommunitySet, order: tuple[str, ...]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _pair_scores(cover: Cover, l: int) -> tuple[np.ndarray, np.ndarray]:
     """One run's pair keys (ascending) and Jaccard scores of the two nodes'
-    community-label sets.
+    community-label sets, for a cover over an ``l``-node order.
 
     With ``inter`` the number of communities holding both nodes and ``|X|``
     the number holding one, the score is inter / (|X| + |Y| - inter); only
     co-assigned pairs have ``inter > 0``.  Singleton communities are
-    ignored.  Raises if a node is missing from the matrix order.
+    ignored.
     """
-    index = node_index(order)
-    l = len(order)
-    key_arrays = []
-    member_arrays = []
-    for community in base:
-        if len(community) < 2:
-            continue
-        try:
-            idx = np.sort(np.fromiter((index[node] for node in community),
-                                      dtype=np.int64, count=len(community)))
-        except KeyError as exc:
-            raise ValidationError(
-                f"node {exc.args[0]!r} outside the matrix order") from exc
-        iu, ju = np.triu_indices(len(idx), 1)
-        key_arrays.append(idx[iu] * l + idx[ju])
-        member_arrays.append(idx)
-    if not key_arrays:
+    keys = [(first.astype(np.int64) * l + second).ravel()
+            for _, first, second in group_pairs(cover.indptr, cover.members)]
+    if not keys:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    keys, inter = np.unique(np.concatenate(key_arrays), return_counts=True)
-    labels = np.bincount(np.concatenate(member_arrays), minlength=l)
+    keys, inter = np.unique(np.concatenate(keys), return_counts=True)
+    sizes = cover.sizes()
+    labels = np.bincount(cover.members[np.repeat(sizes >= 2, sizes)], minlength=l)
     i, j = np.divmod(keys, l)
     return keys, inter / (labels[i] + labels[j] - inter)
 
 
-def accumulate(matrix: ConsensusMatrix, base: CommunitySet) -> ConsensusMatrix:
-    """Add one base set's pairwise Jaccard scores into the matrix (in place).
+def accumulate(matrix: ConsensusMatrix, base: Cover) -> ConsensusMatrix:
+    """Add one cover's pairwise Jaccard scores into the matrix (in place).
 
-    Each score is added to the key's running value, so folding runs in run
-    order gives the same doubles as summing them one run at a time."""
-    keys, scores = _pair_scores(base, matrix.order)
+    The cover must be over the matrix order.  Each score is added to the
+    key's running value, so folding runs in run order gives the same
+    doubles as summing them one run at a time."""
+    if base.nodes is not matrix.order and base.nodes != matrix.order:
+        raise ValidationError("cover and matrix node orders differ")
+    keys, scores = _pair_scores(base, len(matrix.order))
     pos = np.searchsorted(matrix.keys, keys)
     found = pos < len(matrix.keys)
     found[found] = matrix.keys[pos[found]] == keys[found]
@@ -182,6 +163,17 @@ def accumulate(matrix: ConsensusMatrix, base: CommunitySet) -> ConsensusMatrix:
     return matrix
 
 
+def _covers(graph: ListGraph, config: DetectorConfig, seeds,
+            detector: Detector) -> Iterable[Cover]:
+    """One cover over ``graph.nodes`` per seed.  The built-in :func:`detect`
+    steps all runs together through :func:`detect_runs`; any other detector
+    is called one run at a time and its id sets become a cover once."""
+    if detector is detect:
+        return detect_runs(graph, config, seeds)
+    return (Cover.from_sets(graph.nodes, detector(graph, config.with_seed(seed)))
+            for seed in seeds)
+
+
 def run_ensemble(
     graph: ListGraph,
     config: EnsembleConfig,
@@ -189,18 +181,12 @@ def run_ensemble(
 ) -> ConsensusMatrix:
     """Aggregate ``config.runs`` fast detections into a normalised matrix.
 
-    Run i uses seed ``derive_seed(master_seed, i)``, and runs are reduced in
-    run order.  The built-in :func:`detect` steps all runs together through
-    :func:`detect_runs`; any other detector is called one run at a time.
+    Run i uses seed ``derive_seed(master_seed, i)``, and runs are folded in
+    run order.
     """
     matrix = ConsensusMatrix.empty(graph.nodes, config.runs)
     seeds = [derive_seed(config.master_seed, i) for i in range(config.runs)]
-    if detector is detect:
-        covers = detect_runs(graph, config.fast_config, seeds)
-    else:
-        covers = (detector(graph, config.fast_config.with_seed(seed))
-                  for seed in seeds)
-    for cover in covers:
+    for cover in _covers(graph, config.fast_config, seeds, detector):
         accumulate(matrix, filter_singletons(cover))
     matrix.values *= 1.0 / config.runs
     return matrix
@@ -216,40 +202,18 @@ def consensus_graph(matrix: ConsensusMatrix, tau: float) -> ListGraph:
 
 
 def consensus_communities(matrix: ConsensusMatrix, config: EnsembleConfig,
-                          detector: Detector = detect) -> CommunitySet:
-    """Thorough detection on the tau-thresholded consensus graph."""
+                          detector: Detector = detect) -> Cover:
+    """Thorough detection on the tau-thresholded consensus graph, singletons
+    dropped."""
     graph = consensus_graph(matrix, config.tau)
-    return filter_singletons(detector(graph, config.thorough_config))
-
-
-def iterate_consensus(
-    graph: ListGraph,
-    config: EnsembleConfig,
-    detector: Detector = detect,
-    max_rounds: int = 20,
-) -> tuple[ConsensusMatrix, CommunitySet]:
-    """Optional fixed-point mode: re-run the ensemble on successive consensus
-    graphs until the cover stops changing (or ``max_rounds`` is hit)."""
-    from .seeds import STREAM_ITERATE
-
-    matrix = run_ensemble(graph, config, detector=detector)
-    cover = consensus_communities(matrix, config, detector=detector)
-    for round_no in range(1, max_rounds):
-        next_graph = consensus_graph(matrix, config.tau)
-        round_cfg = replace(
-            config,
-            master_seed=derive_seed(config.master_seed, STREAM_ITERATE + round_no))
-        next_matrix = run_ensemble(next_graph, round_cfg, detector=detector)
-        next_cover = consensus_communities(next_matrix, round_cfg, detector=detector)
-        matrix = next_matrix
-        if next_cover.communities == cover.communities:
-            return matrix, next_cover
-        cover = next_cover
-    return matrix, cover
+    thorough = config.thorough_config
+    [cover] = _covers(graph, thorough, [thorough.seed], detector)
+    return filter_singletons(cover)
 
 
 def cover_agreement(a: CommunitySet, b: CommunitySet) -> float:
-    """Symmetric best-match Jaccard agreement between two covers in [0, 1]."""
+    """Symmetric best-match Jaccard agreement in [0, 1] between two covers
+    given as id sets."""
     if len(a) == 0 and len(b) == 0:
         return 1.0
     if len(a) == 0 or len(b) == 0:

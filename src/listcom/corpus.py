@@ -1,4 +1,4 @@
-"""Curated-list membership data: loading, validation, filtering.
+"""Curated-list membership data: loading, validation and saving.
 
 File formats (all UTF-8, no headers unless noted):
 
@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .atomic import atomic_write
 from .errors import ParseError, ValidationError
 
 
@@ -132,11 +133,11 @@ def load_corpus(memberships_path, lists_path) -> MembershipCorpus:
 
 def save_corpus(corpus: MembershipCorpus, memberships_path, lists_path) -> None:
     """Write a corpus back to its two files in canonical (sorted) order."""
-    with open(memberships_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(memberships_path) as fh:
         for lid in sorted(corpus.memberships):
             for uid in sorted(corpus.memberships[lid]):
                 fh.write(f"{lid}\t{uid}\n")
-    with open(lists_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(lists_path) as fh:
         for lid in sorted(corpus.lists):
             rec = corpus.lists[lid]
             fh.write(json.dumps(
@@ -153,26 +154,7 @@ def load_ground_truth(path) -> GroundTruth:
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for cat in sorted(truth.categories):
             for uid in sorted(truth.categories[cat]):
                 fh.write(f"{cat}\t{uid}\n")
-
-
-def filter_lists(
-    corpus: MembershipCorpus,
-    min_size: int,
-    min_core_members: int,
-    core: frozenset[str] | set[str],
-) -> MembershipCorpus:
-    """Keep lists with at least ``min_size`` members, ``min_core_members`` of
-    them from ``core``; recompute the user universe over the survivors."""
-    if min_size < 1:
-        raise ValidationError("min_size must be >= 1")
-    survivors = {
-        lid: members
-        for lid, members in corpus.memberships.items()
-        if len(members) >= min_size and len(members & core) >= min_core_members
-    }
-    records = [corpus.lists[lid] for lid in survivors]
-    return MembershipCorpus.build(records, survivors)

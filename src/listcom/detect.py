@@ -46,8 +46,21 @@ one ``np.bincount`` of the edge weights in CSR order, so the winner is the
 first maximum of the cell's votes, or the lowest collected label when
 every vote is 0.0.
 
-Anything callable as ``(graph, config) -> CommunitySet`` can stand in for
-:func:`detect` in the ensemble driver, so a heavier external detector can be
+A run's result is a :class:`Cover`: the sorted node order plus ``indptr``
+and ``int32`` ``members`` arrays holding each community's node positions in
+ascending order.  Communities come in the canonical order, size descending
+and then members lexicographic.  The node order is sorted, so positions
+compare as the ids do and the order is computed on positions: one
+``np.lexsort`` per distinct size sorts the member rows, and equal
+neighbours collapse.  Filtering singletons is a size mask.
+:func:`group_pairs` lists every community's member pairs with one
+``np.triu_indices`` per distinct size; the consensus fold and the stability
+scores both read pairs through it.
+
+Ids appear only when a cover is saved or loaded, and at the ``detector=``
+seam: :func:`detect` returns a :class:`CommunitySet` of id frozensets, and
+anything callable as ``(graph, config) -> CommunitySet`` can stand in for it
+in the ensemble and the thorough pass, so a heavier external detector can be
 slotted in without touching the aggregation machinery.
 """
 from __future__ import annotations
@@ -67,6 +80,7 @@ FAST_ITERATIONS = 5
 THOROUGH_ITERATIONS = 50
 SLOT_CAP = 1 << 14  # neighbour slots gathered per step
 RUN_SLOTS = 1 << 23  # drawn slots held at once by a group of stacked runs
+PAIR_BLOCK = 1 << 18  # member pairs in one block of group_pairs
 
 
 @dataclass(frozen=True)
@@ -96,7 +110,8 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class CommunitySet:
-    """An overlapping cover: a canonically ordered tuple of member sets.
+    """An overlapping cover as id sets, the form a detector hands over at
+    the ``detector=`` seam: a canonically ordered tuple of member sets.
 
     Duplicate member sets collapse; order is (size desc, members lex asc).
     """
@@ -105,9 +120,9 @@ class CommunitySet:
 
     @classmethod
     def from_sets(cls, sets) -> "CommunitySet":
-        uniq = {frozenset(s) for s in sets}
-        ordered = sorted(uniq, key=lambda c: (-len(c), tuple(sorted(c))))
-        return cls(tuple(ordered))
+        sets = [frozenset(s) for s in sets]
+        nodes = sorted(frozenset().union(*sets))
+        return Cover.from_sets(nodes, sets).community_set()
 
     def __iter__(self) -> Iterator[frozenset[str]]:
         return iter(self.communities)
@@ -122,6 +137,130 @@ class CommunitySet:
         return frozenset(out)
 
 
+@dataclass(frozen=True, eq=False)
+class Cover:
+    """An overlapping cover as integer arrays over a sorted node order.
+
+    Community ``k`` is the node positions ``members[indptr[k]:indptr[k + 1]]``
+    (``int32``, ascending).  Communities are distinct and in canonical
+    order: size descending, then members lexicographic.  Covers are equal
+    when their node orders and arrays are.
+    """
+
+    nodes: tuple[str, ...]
+    indptr: np.ndarray
+    members: np.ndarray
+
+    @classmethod
+    def from_groups(cls, nodes, sizes, members) -> "Cover":
+        """Canonical cover over the sorted ``nodes`` from groups given as
+        consecutive runs of ``members`` (positions, distinct within a
+        group, in any order) of the given ``sizes``.  Duplicate groups
+        collapse."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        members = np.asarray(members, dtype=np.int32)
+        starts = np.cumsum(sizes) - sizes
+        blocks = []
+        for size in np.unique(sizes)[::-1].tolist():
+            rows = np.sort(members[starts[sizes == size][:, None] + np.arange(size)],
+                           axis=1)
+            rows = rows[np.lexsort(rows.T[::-1])] if size else rows[:1]
+            # Of each run of equal rows, keep the first.
+            blocks.append(rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]])
+        widths = np.array([block.shape[1] for block in blocks], dtype=np.int64)
+        counts = np.repeat(widths, [len(block) for block in blocks])
+        return cls(tuple(nodes), np.r_[0, np.cumsum(counts)],
+                   np.concatenate([members[:0]] + [block.ravel() for block in blocks]))
+
+    @classmethod
+    def from_sets(cls, nodes, sets) -> "Cover":
+        """Canonical cover over the sorted ``nodes`` from collections of
+        ids; raises for an id outside ``nodes``."""
+        nodes = tuple(nodes)
+        sets = [frozenset(s) for s in sets]
+        ids = [node for s in sets for node in s]
+        return cls.from_groups(nodes, [len(s) for s in sets],
+                               node_positions(nodes, ids))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cover):
+            return NotImplemented
+        return (self.nodes == other.nodes
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.members, other.members))
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def id_lists(self) -> list[list[str]]:
+        """Each community's ids, ascending, in the cover order."""
+        nodes = self.nodes
+        members = self.members.tolist()
+        bounds = self.indptr.tolist()
+        return [[nodes[p] for p in members[a:b]]
+                for a, b in zip(bounds, bounds[1:])]
+
+    def community_set(self) -> CommunitySet:
+        return CommunitySet(tuple(map(frozenset, self.id_lists())))
+
+
+def node_positions(nodes, ids) -> np.ndarray:
+    """``int32`` positions of ``ids`` in the sorted ``nodes``; raises for
+    an id outside them."""
+    order = np.array(nodes, dtype=object)
+    ids = np.array(ids, dtype=object)
+    pos = np.searchsorted(order, ids)
+    found = pos < len(order)
+    found[found] = order[pos[found]] == ids[found]
+    if not found.all():
+        raise ValidationError(f"node {ids[~found][0]!r} outside the node order")
+    return pos.astype(np.int32)
+
+
+def group_pairs(indptr, members):
+    """Every member pair of every group of at least two, size by size.
+
+    Group ``k`` is ``members[indptr[k]:indptr[k + 1]]``.  Yields
+    ``(groups, first, second)``: the indices of some groups of one size, and
+    two ``(len(groups), p)`` arrays whose rows hold the members at local
+    positions ``a < b`` of a run of that group's pairs, in
+    ``itertools.combinations`` order.  ``np.triu_indices`` runs once per
+    distinct size.  A block holds about ``PAIR_BLOCK`` pairs: a size with
+    more pairs than that comes one group at a time, in row blocks of its
+    pair triangle, so each group's pairs still come in order.
+    """
+    sizes = np.diff(indptr)
+    for size in np.unique(sizes[sizes >= 2]).tolist():
+        groups = np.flatnonzero(sizes == size)
+        rows = members[indptr[groups][:, None] + np.arange(size)]
+        pairs = size * (size - 1) // 2
+        if pairs <= PAIR_BLOCK:
+            first, second = np.triu_indices(size, 1)
+            step = PAIR_BLOCK // pairs
+            for start in range(0, len(groups), step):
+                block = rows[start:start + step]
+                yield groups[start:start + step], block[:, first], block[:, second]
+        else:
+            for k in range(len(groups)):
+                for first, second in _pair_blocks(size):
+                    yield groups[k:k + 1], rows[k:k + 1, first], rows[k:k + 1, second]
+
+
+def _pair_blocks(size: int):
+    """The pairs of positions ``0..size-1`` in ``itertools.combinations``
+    order, as (first, second) arrays in row blocks of about ``PAIR_BLOCK``
+    pairs."""
+    step = max(1, PAIR_BLOCK // size)
+    for start in range(0, size - 1, step):
+        counts = np.arange(size - 1 - start, max(size - 1 - start - step, 0), -1)
+        first = np.repeat(np.arange(start, start + len(counts)), counts)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+        yield first, first + 1 + offset
+
+
 def detect(graph: ListGraph, config: DetectorConfig) -> CommunitySet:
     """Run label propagation; returns non-singleton communities only.
 
@@ -129,16 +268,17 @@ def detect(graph: ListGraph, config: DetectorConfig) -> CommunitySet:
     slot are derived from the seed and the node and edge positions.
     Isolated nodes are never assigned.
     """
-    return detect_runs(graph, config, [config.seed])[0]
+    return detect_runs(graph, config, [config.seed])[0].community_set()
 
 
 def detect_runs(graph: ListGraph, config: DetectorConfig,
-                seeds) -> list[CommunitySet]:
-    """:func:`detect` once per seed, all runs stepped together.
+                seeds) -> list[Cover]:
+    """:func:`detect` once per seed, all runs stepped together, as covers
+    over ``graph.nodes``.
 
-    Equals ``[detect(graph, config.with_seed(s)) for s in seeds]``.  Runs
-    are stacked in groups that hold at most ``RUN_SLOTS`` drawn slots (one
-    run at least).
+    Equals ``[detect(graph, config.with_seed(s)) for s in seeds]`` in
+    :class:`Cover` form.  Runs are stacked in groups that hold at most
+    ``RUN_SLOTS`` drawn slots (one run at least).
     """
     if not graph.nodes:
         raise ValidationError("graph has no nodes")
@@ -149,14 +289,14 @@ def detect_runs(graph: ListGraph, config: DetectorConfig,
 
 
 def _stacked_runs(graph: ListGraph, config: DetectorConfig,
-                  seeds: list[int]) -> list[CommunitySet]:
+                  seeds: list[int]) -> list[Cover]:
     nodes = graph.nodes
     n = len(nodes)
     runs = len(seeds)
     deg = np.diff(graph.indptr)
     active = np.flatnonzero(deg > 0)
     if not len(active):
-        return [CommunitySet(())] * runs
+        return [Cover.from_groups(nodes, [], [])] * runs
     memory_size = config.resolved_iterations + 1
     # One memory row per (run, node) cell: cell = run * n + node.
     mem = np.empty((runs * n, memory_size), dtype=np.int32)
@@ -231,7 +371,7 @@ def _step(graph, mem, slots, reverse, cells, it, indeg) -> np.ndarray:
     return np.unique(waiting[indeg[waiting] == 0])
 
 
-def _cover(nodes, active, mem, overlap_threshold) -> CommunitySet:
+def _cover(nodes, active, mem, overlap_threshold) -> Cover:
     """Communities from the memory rows of the active nodes."""
     n = len(nodes)
     memory_size = mem.shape[1]
@@ -247,30 +387,35 @@ def _cover(nodes, active, mem, overlap_threshold) -> CommunitySet:
     # Members per label: kept (row, label) pairs grouped by label.
     by_label = np.lexsort((rows[keep], labels[keep]))
     rows, labels = rows[keep][by_label], labels[keep][by_label]
-    bounds = np.flatnonzero(np.diff(labels)) + 1
-    members = [nodes[u] for u in active[rows].tolist()]
-    return CommunitySet.from_sets(
-        members[a:b] for a, b in zip(np.r_[0, bounds].tolist(),
-                                     np.r_[bounds, len(rows)].tolist())
-        if b - a >= 2)
+    sizes = np.unique(labels, return_counts=True)[1]
+    big = sizes >= 2
+    return Cover.from_groups(nodes, sizes[big], active[rows][np.repeat(big, sizes)])
 
 
-def filter_singletons(cs: CommunitySet) -> CommunitySet:
-    """Drop all size-1 communities."""
-    return CommunitySet.from_sets(c for c in cs if len(c) >= 2)
+def filter_singletons(cover: Cover) -> Cover:
+    """Drop all communities of fewer than two nodes, which the canonical
+    order puts last."""
+    k = int(np.count_nonzero(cover.sizes() >= 2))
+    return Cover(cover.nodes, cover.indptr[:k + 1],
+                 cover.members[:cover.indptr[k]])
 
 
-def save_communities(cs: CommunitySet, path) -> None:
+def save_communities(cover: Cover, path) -> None:
     """JSON array of arrays of node ids, in the canonical community order."""
-    payload = [sorted(c) for c in cs]
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False)
+        json.dump(cover.id_lists(), fh, ensure_ascii=False)
         fh.write("\n")
 
 
-def load_communities(path) -> CommunitySet:
+def load_communities(path, order=None) -> Cover:
+    """Reload a cover over the sorted node ``order``; without one, over the
+    ids the file names."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, list) or not all(isinstance(c, list) for c in payload):
-        raise ValidationError(f"{path}: expected a JSON array of arrays")
-    return CommunitySet.from_sets(frozenset(c) for c in payload)
+    if not isinstance(payload, list) or not all(
+            isinstance(c, list) and all(isinstance(node, str) for node in c)
+            for c in payload):
+        raise ValidationError(f"{path}: expected a JSON array of arrays of ids")
+    if order is None:
+        order = sorted({node for c in payload for node in c})
+    return Cover.from_sets(order, payload)

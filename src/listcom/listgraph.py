@@ -97,9 +97,6 @@ class ListGraph:
         return [(nodes[a], nodes[b], x)
                 for a, b, x in zip(i.tolist(), j.tolist(), w.tolist())]
 
-    def degrees(self) -> dict[str, int]:
-        return dict(zip(self.nodes, np.diff(self.indptr).tolist()))
-
 
 def node_index(nodes) -> dict[str, int]:
     """Position of each id in ``nodes``; the string-to-integer boundary."""

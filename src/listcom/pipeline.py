@@ -50,7 +50,6 @@ class PipelineConfig:
     thorough_iterations: int = 50
     overlap_threshold: float = 0.3
     stopwords: str | None = None
-    iterate: bool = False
 
     def __post_init__(self):
         if self.rho < 0.0:
@@ -99,10 +98,6 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
 def resolve_config(flag_values: dict[str, object] | None = None,
                    config_path=None) -> PipelineConfig:
     """Merge defaults < config file < flags into a validated PipelineConfig."""
@@ -116,13 +111,6 @@ def resolve_config(flag_values: dict[str, object] | None = None,
                 return int(raw)
             if ftype in ("float",):
                 return float(raw)
-            if ftype in ("bool",):
-                low = raw.lower()
-                if low in _BOOL_TRUE:
-                    return True
-                if low in _BOOL_FALSE:
-                    return False
-                raise ValueError(raw)
             return raw
         except ValueError as exc:
             raise ValidationError(f"config key {name!r}: bad value {raw!r}") from exc
@@ -169,17 +157,10 @@ def stage_ensemble(out_dir, config: PipelineConfig) -> None:
 
 def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
     """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`; it is
-    parsed here when not given.  ``--iterate`` rewrites the file instead of
-    reading it, and ignores ``matrix``."""
-    ens = config.ensemble_config()
-    if config.iterate:
-        graph = lg.load_graph(_require(out_dir, "graph"), _require(out_dir, "nodes"))
-        matrix, cover = cons.iterate_consensus(graph, ens)
-        cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
-    else:
-        if matrix is None:
-            matrix = _load_matrix(out_dir)
-        cover = cons.consensus_communities(matrix, ens)
+    parsed here when not given."""
+    if matrix is None:
+        matrix = _load_matrix(out_dir)
+    cover = cons.consensus_communities(matrix, config.ensemble_config())
     save_communities(cover, _artifact(out_dir, "communities"))
 
 
@@ -204,7 +185,7 @@ def stage_stability(out_dir, config: PipelineConfig, matrix=None) -> None:
             "expected term")
     if matrix is None:
         matrix = _load_matrix(out_dir)
-    cover = load_communities(_require(out_dir, "communities"))
+    cover = load_communities(_require(out_dir, "communities"), matrix.order)
     ranked = stab.rank_communities(cover, matrix)
     stab.write_ranking(ranked, cover, _artifact(out_dir, "stability"))
 
@@ -219,7 +200,7 @@ def stage_label(memberships_path, lists_path, out_dir,
     background = lab.Background(lab.background_vector(vectors))
     labels = {
         cid: lab.label_community(community, vectors, lcfg, background=background)
-        for cid, community in enumerate(cover)
+        for cid, community in enumerate(cover.id_lists())
     }
     lab.write_labels(labels, _artifact(out_dir, "labels"))
 
@@ -246,7 +227,7 @@ def stage_members(memberships_path, lists_path, out_dir,
     cover = load_communities(_require(out_dir, "communities"))
     user_communities = [
         memb.derive_members(community, corpus, config.mu, community_id=cid)
-        for cid, community in enumerate(cover)
+        for cid, community in enumerate(cover.id_lists())
     ]
     labels_path = _artifact(out_dir, "labels")
     labels_by_id = lab.load_labels(labels_path) if labels_path.exists() else {}
@@ -283,17 +264,15 @@ def run_pipeline(
     failure, which is reported with the failing stage's name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # Parsed on first use, inside the stage that fails if the files are bad.
-    # consensus.tsv is read after the ensemble stage wrote it, or after
-    # ``--iterate`` rewrote it in the consensus stage.
+    # Parsed on first use, inside the stage that fails if the files are bad;
+    # consensus.tsv once the ensemble stage has written it.
     corpus = cache(lambda: corp.load_corpus(memberships_path, lists_path))
     matrix = cache(lambda: _load_matrix(out))
     stages: list[tuple[str, object]] = [
         ("build-graph", lambda: stage_build_graph(memberships_path, lists_path, out,
                                                   config, corpus=corpus())),
         ("ensemble", lambda: stage_ensemble(out, config)),
-        ("consensus", lambda: stage_consensus(
-            out, config, matrix=None if config.iterate else matrix())),
+        ("consensus", lambda: stage_consensus(out, config, matrix=matrix())),
         ("stability", lambda: stage_stability(out, config, matrix=matrix())),
         ("label", lambda: stage_label(memberships_path, lists_path, out, config,
                                       corpus=corpus())),

@@ -15,7 +15,6 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
 STREAM_CONSENSUS = 1 << 32
-STREAM_ITERATE = 1 << 33
 
 
 def derive_seed(master_seed: int, index: int) -> int:

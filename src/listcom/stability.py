@@ -15,6 +15,15 @@ whatever the size.  The corrected score rescales raw against that baseline:
 
 so 1 means perfectly stable co-assignment and values near 0 mean the
 community is indistinguishable from a random node set of its size.
+
+A cover is scored as a :class:`~listcom.detect.Cover` over the matrix
+order, so member positions are matrix positions.  Its pairs come from
+:func:`~listcom.detect.group_pairs`, one ``np.triu_indices`` per distinct
+size in blocks of at most about ``PAIR_BLOCK`` pairs, and each community's
+scores are added one after the other in ``itertools.combinations`` order
+(``np.cumsum`` is a sequential running sum, carried from block to block).
+Ranking ties break by the canonical cover order, which is size descending,
+then members lexicographic.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .consensus import ConsensusMatrix
-from .detect import CommunitySet
+from .detect import Cover, group_pairs
 from .errors import ValidationError
 
 _SATURATION_EPS = 1e-9
@@ -38,38 +47,34 @@ class StabilityScore:
     corrected: float
 
 
-_PAIR_BLOCK = 1 << 18
+def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:
+    """Each community's mean consensus score over its unordered member
+    pairs, absent entries counting 0; NaN for a community of fewer than two.
 
-
-def _pair_blocks(size: int):
-    """The pairs of positions ``0..size-1`` in ``itertools.combinations``
-    order, as (first, second) arrays in row blocks of about ``_PAIR_BLOCK``
-    pairs."""
-    step = max(1, _PAIR_BLOCK // size)
-    for start in range(0, size - 1, step):
-        counts = np.arange(size - 1 - start, max(size - 1 - start - step, 0), -1)
-        first = np.repeat(np.arange(start, start + len(counts)), counts)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield first, first + 1 + offset
+    The cover must be over the matrix order.  A community's scores are
+    added one after the other in pair order.
+    """
+    if cover.nodes is not matrix.order and cover.nodes != matrix.order:
+        raise ValidationError("cover and matrix node orders differ")
+    l = len(matrix.order)
+    totals = np.zeros(len(cover))
+    for groups, first, second in group_pairs(cover.indptr, cover.members):
+        scores = matrix.lookup(first.astype(np.int64) * l + second)
+        totals[groups] = np.cumsum(
+            np.concatenate([totals[groups][:, None], scores], axis=1), axis=1)[:, -1]
+    sizes = cover.sizes()
+    pairs = sizes * (sizes - 1) // 2
+    return np.divide(totals, pairs, out=np.full(len(cover), np.nan),
+                     where=pairs > 0)
 
 
 def raw_stability(community, matrix: ConsensusMatrix) -> float:
-    """Mean consensus score over all unordered pairs; absent entries count 0.
-
-    The scores are added one after the other in pair order (``np.cumsum`` is
-    a sequential running sum).
-    """
-    members = sorted(community)
-    if len(members) < 2:
+    """Mean consensus score over all unordered pairs of a community of ids;
+    absent entries count 0."""
+    cover = Cover.from_sets(matrix.order, [community])
+    if cover.sizes()[0] < 2:
         raise ValidationError("stability is undefined for communities of size < 2")
-    positions = matrix.positions(members)
-    l = len(matrix.order)
-    total = np.zeros(1)
-    for first, second in _pair_blocks(len(members)):
-        a, b = positions[first], positions[second]
-        scores = matrix.lookup(np.minimum(a, b) * l + np.maximum(a, b))
-        total = np.cumsum(np.concatenate([total, scores]))[-1:]
-    return float(total[0]) / (len(members) * (len(members) - 1) // 2)
+    return float(raw_stabilities(cover, matrix)[0])
 
 
 def expected_stability(size: int, matrix: ConsensusMatrix) -> float:
@@ -97,28 +102,30 @@ def corrected_stability(community, matrix: ConsensusMatrix) -> StabilityScore:
 
 
 def rank_communities(
-    cs: CommunitySet, matrix: ConsensusMatrix
-) -> list[tuple[frozenset[str], StabilityScore]]:
-    """Communities with scores, sorted by corrected stability descending.
+    cover: Cover, matrix: ConsensusMatrix
+) -> list[tuple[int, StabilityScore]]:
+    """``(community id, score)`` pairs, sorted by corrected stability
+    descending.
 
-    Ties break by size descending, then lexicographically by members.
-    Size-1 communities carry no pair signal and are skipped.  The expected
-    term is the same for every size, so it is computed once.
+    The id is the community's position in the cover.  Ties break by size
+    descending, then lexicographically by members, which is the cover
+    order.  Size-1 communities carry no pair signal and are skipped.  The
+    expected term is the same for every size, so it is computed once.
     """
-    raws = [(community, raw_stability(community, matrix))
-            for community in cs if len(community) >= 2]
-    if not raws:
+    raws = raw_stabilities(cover, matrix)
+    scored = np.flatnonzero(cover.sizes() >= 2).tolist()
+    if not scored:
         return []
     expected = expected_stability(2, matrix)
-    scored = [(community, _score(raw, expected)) for community, raw in raws]
-    scored.sort(key=lambda item: (-item[1].corrected, -len(item[0]),
-                                  tuple(sorted(item[0]))))
-    return scored
+    ranked = [(k, _score(raw, expected))
+              for k, raw in zip(scored, raws[scored].tolist())]
+    ranked.sort(key=lambda item: (-item[1].corrected, item[0]))
+    return ranked
 
 
 def write_ranking(
-    ranked: list[tuple[frozenset[str], StabilityScore]],
-    cs: CommunitySet,
+    ranked: list[tuple[int, StabilityScore]],
+    cover: Cover,
     path,
 ) -> None:
     """TSV: rank, corrected (2 decimals), raw, expected, list count,
@@ -127,11 +134,11 @@ def write_ranking(
     Community ids are positions in the canonical cover order.  The last
     column is what later stages read; the rounded one is for people.
     """
-    id_of = {community: i for i, community in enumerate(cs)}
+    sizes = cover.sizes().tolist()
     with atomic_write(path) as fh:
-        for rank, (community, score) in enumerate(ranked, start=1):
+        for rank, (k, score) in enumerate(ranked, start=1):
             fh.write(
                 f"{rank}\t{score.corrected:.2f}\t{score.raw:.6f}\t"
-                f"{score.expected:.6f}\t{len(community)}\t{id_of[community]}\t"
+                f"{score.expected:.6f}\t{sizes[k]}\t{k}\t"
                 f"{float(score.corrected)!r}\n"
             )

@@ -3,14 +3,17 @@
 Plain dict-based loops that compute what the arrays compute: label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
 index-pair tuples, updates one node at a time in visit order with scalar
-counter-based draws and tallies votes with ``np.unique``, the per-run Jaccard
+counter-based draws and tallies votes with ``np.unique``, covers as
+frozensets of ids sorted by the strings themselves, the per-run Jaccard
 table over distinct label sets folded into a ``{key: score}`` dict, the
+per-community pair keys of those frozenset covers folded into a matrix, the
 stability sums over that dict with the expected term enumerated over every
 subset, and term labels from a full sort of every scored term.  Tests
 compare the package against them with ``==``, except the expected term,
 which sums in another order and must agree within 1e-12.  Helpers build
 graphs and matrices from small dicts.
 """
+import math
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +22,7 @@ from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.detect import CommunitySet
 from listcom.labeling import background_vector
 from listcom.listgraph import ListGraph
+from listcom.errors import ValidationError
 from listcom.seeds import derive_seed
 
 
@@ -134,7 +138,53 @@ def detect(nodes, edges, config) -> CommunitySet:
         for label in keep:
             members.setdefault(label, set()).add(nodes[u])
 
-    return CommunitySet.from_sets(c for c in members.values() if len(c) >= 2)
+    return community_set(c for c in members.values() if len(c) >= 2)
+
+
+def community_set(sets) -> CommunitySet:
+    """The canonical id cover: duplicate sets collapse, then (size desc,
+    members lex asc) with the ids compared as strings."""
+    uniq = {frozenset(s) for s in sets}
+    return CommunitySet(tuple(sorted(uniq, key=lambda c: (-len(c), tuple(sorted(c))))))
+
+
+def community_pair_scores(base, order):
+    """One frozenset cover's pair keys (ascending) and Jaccard scores: each
+    community's ids looked up in a dict and its pairs from its own
+    ``np.triu_indices``; singletons ignored."""
+    index = {node: i for i, node in enumerate(order)}
+    l = len(order)
+    key_arrays = []
+    member_arrays = []
+    for community in base:
+        if len(community) < 2:
+            continue
+        try:
+            idx = np.sort(np.fromiter((index[node] for node in community),
+                                      dtype=np.int64, count=len(community)))
+        except KeyError as exc:
+            raise ValidationError(f"node {exc.args[0]!r} outside the order") from exc
+        iu, ju = np.triu_indices(len(idx), 1)
+        key_arrays.append(idx[iu] * l + idx[ju])
+        member_arrays.append(idx)
+    if not key_arrays:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    keys, inter = np.unique(np.concatenate(key_arrays), return_counts=True)
+    labels = np.bincount(np.concatenate(member_arrays), minlength=l)
+    i, j = np.divmod(keys, l)
+    return keys, inter / (labels[i] + labels[j] - inter)
+
+
+def accumulate(matrix, base):
+    """Fold one frozenset cover into the matrix in place, key by key, with
+    :func:`community_pair_scores`."""
+    keys, scores = community_pair_scores(base, matrix.order)
+    entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
+    for k, v in zip(keys.tolist(), scores.tolist()):
+        entries[k] = entries[k] + v if k in entries else v
+    matrix.keys = np.array(sorted(entries), dtype=np.int64)
+    matrix.values = np.array([entries[k] for k in sorted(entries)], dtype=np.float64)
+    return matrix
 
 
 def pair_scores(base, index, l):
@@ -212,6 +262,28 @@ def mean_pair_score(indices, entries, l) -> float:
         total += entries.get(i * l + j, 0.0)
     count = len(indices) * (len(indices) - 1) // 2
     return total / count
+
+
+def rank_communities(cs, matrix):
+    """``(community, raw)`` for each community of two or more of a frozenset
+    cover, sorted by corrected stability descending, then size descending,
+    then sorted members; raw from :func:`mean_pair_score`."""
+    l = len(matrix.order)
+    index = {node: i for i, node in enumerate(matrix.order)}
+    entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
+    expected = math.fsum(entries.values()) / math.comb(l, 2)
+    rows = []
+    for community in cs:
+        if len(community) < 2:
+            continue
+        raw = mean_pair_score(sorted(index[node] for node in community), entries, l)
+        if expected >= 1.0 - 1e-9:
+            corrected = 0.0 if raw <= expected else 1.0
+        else:
+            corrected = (raw - expected) / (1.0 - expected)
+        rows.append((community, raw, corrected))
+    rows.sort(key=lambda row: (-row[2], -len(row[0]), tuple(sorted(row[0]))))
+    return [(community, raw) for community, raw, _ in rows]
 
 
 def expected_stability(size, entries, l) -> float:

@@ -16,7 +16,7 @@ from listcom.consensus import (EnsembleConfig, consensus_communities,
                                consensus_graph, cover_agreement,
                                label_jaccard, run_ensemble)
 from listcom.corpus import ListRecord, MembershipCorpus, load_ground_truth
-from listcom.detect import CommunitySet, DetectorConfig, detect, filter_singletons
+from listcom.detect import Cover, DetectorConfig, detect
 from listcom.listgraph import GraphBuildConfig, build_list_graph, overlap_pvalue
 from listcom.members import derive_members, evaluate, f1_score, load_users
 from listcom.pipeline import ARTIFACTS, PipelineConfig, run_pipeline
@@ -151,9 +151,9 @@ def test_criterion_5_consensus_stabilizes_noisy_detections(tmp_path):
     corpus, _truth = synth(spec, BENCH_SEED)
     graph = build_list_graph(corpus, GraphBuildConfig(rho=6.0))
 
+    # A detection holds no singletons.
     bases = [
-        filter_singletons(detect(graph, DetectorConfig(
-            mode="fast", seed=derive_seed(999, i))))
+        detect(graph, DetectorConfig(mode="fast", seed=derive_seed(999, i)))
         for i in range(10)
     ]
     pairs = list(itertools.combinations(bases, 2))
@@ -163,7 +163,7 @@ def test_criterion_5_consensus_stabilizes_noisy_detections(tmp_path):
     for master in (101, 202):
         ens = EnsembleConfig.from_master(master, runs=20, tau=0.2)
         matrix = run_ensemble(graph, ens)
-        covers.append(consensus_communities(matrix, ens))
+        covers.append(consensus_communities(matrix, ens).community_set())
     consensus_agreement = cover_agreement(covers[0], covers[1])
 
     assert consensus_agreement > base_agreement
@@ -194,9 +194,10 @@ def test_criterion_6_stability_discrimination():
         frozenset(np.array(matrix.order)[rng.choice(l, size=20, replace=False)].tolist())
         for _ in range(20)
     ]
-    cover = CommunitySet.from_sets(planted + random_sets)
+    cover = Cover.from_sets(matrix.order, planted + random_sets)
     assert len(cover) == len(planted) + len(random_sets)
-    scored = dict(rank_communities(cover, matrix))
+    ids = cover.community_set().communities
+    scored = {ids[k]: score for k, score in rank_communities(cover, matrix)}
     planted_scores = [scored[c].corrected for c in map(frozenset, planted)]
     random_scores = [scored[c].corrected for c in random_sets]
     assert all(s >= 0.9 for s in planted_scores)

@@ -7,7 +7,7 @@ from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                                consensus_communities, consensus_graph,
                                cover_agreement, label_jaccard, load_matrix,
                                run_ensemble, save_matrix)
-from listcom.detect import CommunitySet, DetectorConfig, detect
+from listcom.detect import CommunitySet, Cover, DetectorConfig, detect
 from listcom.errors import ValidationError
 from listcom.listgraph import GraphBuildConfig, build_list_graph
 from listcom.synth import PlantedSpec, synth
@@ -18,6 +18,10 @@ from reference import (edge_map, entry_map, graph_from_edges,
 
 def empty_matrix(order, r=1):
     return ConsensusMatrix.empty(sorted(order), r)
+
+
+def cover_of(matrix, sets):
+    return Cover.from_sets(matrix.order, sets)
 
 
 def test_label_jaccard_figure_cases():
@@ -43,7 +47,7 @@ def test_label_jaccard_bounds_and_symmetry(x, y):
 
 def test_accumulate_single_community():
     m = empty_matrix(["a", "b", "c"])
-    accumulate(m, CommunitySet.from_sets([{"a", "b"}]))
+    accumulate(m, cover_of(m, [{"a", "b"}]))
     assert m.get("a", "b") == 1.0
     assert m.get("a", "c") == 0.0
     assert len(m.keys) == 1
@@ -51,7 +55,7 @@ def test_accumulate_single_community():
 
 def test_accumulate_overlapping_communities():
     m = empty_matrix(["a", "b", "c"])
-    accumulate(m, CommunitySet.from_sets([{"a", "b"}, {"a", "c"}]))
+    accumulate(m, cover_of(m, [{"a", "b"}, {"a", "c"}]))
     assert m.get("a", "b") == pytest.approx(0.5)
     assert m.get("a", "c") == pytest.approx(0.5)
     assert m.get("b", "c") == 0.0
@@ -59,14 +63,16 @@ def test_accumulate_overlapping_communities():
 
 def test_accumulate_ignores_singletons():
     m = empty_matrix(["a", "b"])
-    accumulate(m, CommunitySet((frozenset({"a"}), frozenset({"b"}))))
+    accumulate(m, cover_of(m, [{"a"}, {"b"}]))
     assert entry_map(m) == {}
 
 
 def test_accumulate_rejects_unknown_node():
     m = empty_matrix(["a", "b"])
     with pytest.raises(ValidationError):
-        accumulate(m, CommunitySet.from_sets([{"a", "zz"}]))
+        accumulate(m, cover_of(m, [{"a", "zz"}]))
+    with pytest.raises(ValidationError, match="orders differ"):
+        accumulate(m, Cover.from_sets(("a", "b", "c"), [{"a", "b"}]))
 
 
 def planted_graph(noise=0.1, seed=3):
@@ -82,7 +88,7 @@ def test_run_ensemble_r1_equals_single_run():
     matrix = run_ensemble(graph, cfg)
     base = detect(graph, cfg.fast_config.with_seed(derive_seed(4, 0)))
     manual = empty_matrix(graph.nodes, r=1)
-    accumulate(manual, base)
+    accumulate(manual, cover_of(manual, base))
     assert np.array_equal(matrix.keys, manual.keys)
     assert matrix.values.tobytes() == manual.values.tobytes()
 
@@ -133,7 +139,7 @@ def test_consensus_of_identical_base_sets_is_that_matrix():
     cfg = EnsembleConfig.from_master(0, runs=7, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=constant_detector)
     single = empty_matrix(graph.nodes, r=1)
-    accumulate(single, fixed)
+    accumulate(single, cover_of(single, fixed))
     assert entry_map(matrix).keys() == entry_map(single).keys()
     for k, v in entry_map(single).items():
         assert entry_map(matrix)[k] == pytest.approx(v)
@@ -168,7 +174,7 @@ def test_accumulate_matches_brute_force_jaccard(seed):
         for _ in range(int(rng.integers(1, 5)))
     )
     m = empty_matrix(nodes)
-    accumulate(m, cover)
+    accumulate(m, cover_of(m, cover))
     labels = {n: set() for n in nodes}
     for cid, community in enumerate(cover):
         for n in community:
@@ -177,19 +183,6 @@ def test_accumulate_matches_brute_force_jaccard(seed):
         for b in nodes[i + 1:]:
             expected = label_jaccard(labels[a], labels[b])
             assert m.get(a, b) == pytest.approx(expected), (a, b)
-
-
-def test_iterate_consensus_reaches_fixed_point():
-    from listcom.consensus import iterate_consensus
-
-    graph = planted_graph()
-    cfg = EnsembleConfig.from_master(6, runs=8, tau=0.2)
-    matrix, cover = iterate_consensus(graph, cfg, max_rounds=6)
-    assert len(cover) >= 1
-    assert all(0.0 < v <= 1.0 + 1e-12 for v in matrix.values)
-    again_matrix, again_cover = iterate_consensus(graph, cfg, max_rounds=6)
-    assert again_cover == cover
-    assert same_matrix(again_matrix, matrix)
 
 
 def test_consensus_graph_threshold_zero_keeps_all_entries():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from listcom.corpus import (ListRecord, MembershipCorpus, filter_lists,
-                            load_corpus, load_ground_truth, save_corpus)
+from listcom.corpus import (ListRecord, MembershipCorpus, load_corpus,
+                            load_ground_truth, save_corpus)
 from listcom.errors import ParseError, ValidationError
 
 IDS = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)
@@ -134,52 +134,6 @@ def test_round_trip(tmp_path_factory, memberships, names):
     save_corpus(corpus, tmp / "m.tsv", tmp / "l.jsonl")
     reloaded = load_corpus(tmp / "m.tsv", tmp / "l.jsonl")
     assert reloaded == corpus
-
-
-def make_corpus(memberships):
-    return MembershipCorpus.build(
-        [ListRecord(lid, "", "") for lid in memberships], memberships)
-
-
-def test_filter_removes_small_lists():
-    corpus = make_corpus({"a": {"u1", "u2", "u3", "u4"}})
-    out = filter_lists(corpus, min_size=5, min_core_members=2,
-                       core={"u1", "u2"})
-    assert out.lists == {}
-
-
-def test_filter_identity():
-    corpus = make_corpus({"a": {"u1"}, "b": {"u1", "u2"}})
-    out = filter_lists(corpus, min_size=1, min_core_members=0, core=frozenset())
-    assert out == corpus
-
-
-def test_filter_core_threshold():
-    corpus = make_corpus({"a": {"u1", "u2", "u3", "u4", "u5", "u6"}})
-    out = filter_lists(corpus, min_size=5, min_core_members=2, core={"u1"})
-    assert out.lists == {}
-
-
-def test_filter_min_size_validation():
-    corpus = make_corpus({"a": {"u1"}})
-    with pytest.raises(ValidationError):
-        filter_lists(corpus, min_size=0, min_core_members=0, core=frozenset())
-
-
-@given(
-    memberships=st.dictionaries(
-        IDS, st.sets(IDS, min_size=1, max_size=6), max_size=10),
-    min_size=st.integers(min_value=1, max_value=4),
-    min_core=st.integers(min_value=0, max_value=3),
-    core=st.sets(IDS, max_size=6),
-)
-@settings(max_examples=80, deadline=None)
-def test_filter_idempotent_and_shrinking(memberships, min_size, min_core, core):
-    corpus = make_corpus(memberships)
-    once = filter_lists(corpus, min_size, min_core, core)
-    twice = filter_lists(once, min_size, min_core, core)
-    assert once == twice
-    assert once.n <= corpus.n
 
 
 def test_ground_truth_judo_sized_category(tmp_path):

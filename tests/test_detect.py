@@ -4,8 +4,8 @@ import warnings
 
 import pytest
 
-from listcom.detect import (CommunitySet, DetectorConfig, detect, detect_runs,
-                            filter_singletons, load_communities,
+from listcom.detect import (CommunitySet, Cover, DetectorConfig, detect,
+                            detect_runs, filter_singletons, load_communities,
                             save_communities)
 from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
@@ -96,9 +96,12 @@ def test_permutation_equivariance_under_monotone_relabel():
 
 
 def test_filter_singletons_examples():
-    cs = CommunitySet.from_sets([{"a"}, {"b", "c"}])
-    assert filter_singletons(cs).communities == (frozenset({"b", "c"}),)
-    assert filter_singletons(CommunitySet.from_sets([])).communities == ()
+    nodes = ("a", "b", "c")
+    cover = Cover.from_sets(nodes, [{"a"}, set(), {"b", "c"}, {"c"}])
+    assert filter_singletons(cover).community_set().communities == (
+        frozenset({"b", "c"}),)
+    assert filter_singletons(cover) == Cover.from_sets(nodes, [{"b", "c"}])
+    assert len(filter_singletons(Cover.from_sets(nodes, []))) == 0
     cs = CommunitySet.from_sets([{"a", "b"}, {"a", "b"}])
     assert cs.communities == (frozenset({"a", "b"}),)
 
@@ -109,10 +112,13 @@ def test_community_set_canonical_order():
 
 
 def test_communities_json_round_trip(tmp_path):
-    cs = CommunitySet.from_sets([{"a", "b", "c"}, {"b", "d"}])
+    cover = Cover.from_sets(("a", "b", "c", "d", "e"), [{"a", "b", "c"}, {"b", "d"}])
     path = tmp_path / "c.json"
-    save_communities(cs, path)
-    assert load_communities(path) == cs
+    save_communities(cover, path)
+    assert load_communities(path, cover.nodes) == cover
+    assert load_communities(path).community_set() == cover.community_set()
+    with pytest.raises(ValidationError):
+        load_communities(path, ("a", "b", "c"))
     payload = json.loads(path.read_text("utf-8"))
     assert payload == [["a", "b", "c"], ["b", "d"]]
 
@@ -130,7 +136,9 @@ def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
     seeds = [derive_seed(8, i) for i in range(6)] + [0, 2**64 - 1]
     for mode in ("fast", "thorough"):
         cfg = DetectorConfig(mode=mode, iterations=None if mode == "fast" else 12)
-        single = [detect(graph, cfg.with_seed(s)) for s in seeds]
+        single = [detect_runs(graph, cfg, [s])[0] for s in seeds]
+        assert ([cover.community_set() for cover in single]
+                == [detect(graph, cfg.with_seed(s)) for s in seeds])
         assert detect_runs(graph, cfg, seeds) == single
         assert (detect_runs(graph, cfg, seeds[:3]) + detect_runs(graph, cfg, seeds[3:])
                 == single)

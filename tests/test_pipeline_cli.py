@@ -196,6 +196,16 @@ def test_cli_exit_codes(tmp_path):
     assert main(["consensus", "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_cli_missing_input_is_a_validation_error(tmp_path, capsys):
+    # An unreadable input exits 2 whether or not it fails inside a stage.
+    missing = ["--memberships", str(tmp_path / "nonexist.tsv"),
+               "--lists", str(tmp_path / "nonexist.jsonl"),
+               "--out", str(tmp_path / "run")]
+    for command in ("build-graph", "pipeline"):
+        assert main([command, *missing]) == 2, command
+        assert "nonexist.jsonl" in capsys.readouterr().err
+
+
 def test_cli_draws_flag_is_an_argparse_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stability", "--out", str(tmp_path), "--draws", "50"])
@@ -226,6 +236,21 @@ def test_cli_workers_config_key_is_unknown(tmp_path, capsys):
     assert "unknown config key 'workers'" in capsys.readouterr().err
 
 
+def test_cli_iterate_flag_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["consensus", "--out", str(tmp_path), "--iterate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --iterate" in capsys.readouterr().err
+
+
+def test_cli_iterate_config_key_is_unknown(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("runs = 4\niterate = true\n", encoding="utf-8")
+    assert main(["consensus", "--out", str(tmp_path),
+                 "--config", str(cfgfile)]) == 2
+    assert "unknown config key 'iterate'" in capsys.readouterr().err
+
+
 def test_cli_config_file_respected(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--groups", "2",
@@ -242,21 +267,6 @@ def test_cli_config_file_respected(tmp_path):
     assert main(["pipeline", *corpus_flags, "--out", str(out2),
                  "--runs", "4", "--master-seed", "9", "--top-k", "2"]) == 0
     assert bundle_bytes(out1) == bundle_bytes(out2)
-
-
-def test_cli_iterate_flag(tmp_path):
-    data = tmp_path / "data"
-    main(["synth", "--out", str(data), "--groups", "2",
-          "--users-per-group", "12", "--lists-per-group", "8",
-          "--size-min", "4", "--size-max", "9", "--seed", "4"])
-    out = tmp_path / "run"
-    corpus_flags = ["--memberships", str(data / "memberships.tsv"),
-                    "--lists", str(data / "lists.jsonl")]
-    common = ["--out", str(out), "--runs", "4", "--master-seed", "2"]
-    assert main(["build-graph", *corpus_flags, *common]) == 0
-    assert main(["ensemble", *common]) == 0
-    assert main(["consensus", *common, "--iterate"]) == 0
-    assert (out / ARTIFACTS["communities"]).exists()
 
 
 def test_stopword_override_changes_labels(tmp_path):
@@ -293,9 +303,7 @@ def test_run_pipeline_parses_corpus_once(corpus_files, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("iterate", [False, True])
-def test_run_pipeline_parses_consensus_once(corpus_files, tmp_path, monkeypatch,
-                                            iterate):
+def test_run_pipeline_parses_consensus_once(corpus_files, tmp_path, monkeypatch):
     from listcom import consensus as cons
 
     calls = []
@@ -304,7 +312,7 @@ def test_run_pipeline_parses_consensus_once(corpus_files, tmp_path, monkeypatch,
                         lambda *args, **kwargs: calls.append(args)
                         or load(*args, **kwargs))
     run_pipeline(corpus_files["memberships"], corpus_files["lists"],
-                 tmp_path / "run", fast_config(iterate=iterate),
+                 tmp_path / "run", fast_config(),
                  groundtruth_path=corpus_files["groundtruth"])
     assert len(calls) == 1
 
@@ -317,9 +325,9 @@ def test_users_json_carries_full_precision_stability(corpus_files, tmp_path):
     out = tmp_path / "run"
     cfg = fast_config(rho=2.0)  # communities with corrected scores below 1
     run_pipeline(corpus_files["memberships"], corpus_files["lists"], out, cfg)
-    cover = load_communities(out / ARTIFACTS["communities"])
-    ranked = rank_communities(cover, pipe._load_matrix(out))
-    corrected = {cover.communities.index(c): s.corrected for c, s in ranked}
+    matrix = pipe._load_matrix(out)
+    cover = load_communities(out / ARTIFACTS["communities"], matrix.order)
+    corrected = {k: s.corrected for k, s in rank_communities(cover, matrix)}
     rows = [line.split("\t") for line in
             (out / ARTIFACTS["stability"]).read_text("utf-8").splitlines()]
     assert {int(f[5]): float(f[6]) for f in rows} == corrected
@@ -413,6 +421,41 @@ def test_failed_artifact_writes_leave_previous_bundle(corpus_files, tmp_path,
             stage()
         assert bundle_bytes(out) == before
         assert not list(out.glob("*.tmp"))
+
+
+def test_failed_synth_writes_leave_previous_inputs(tmp_path, monkeypatch,
+                                                   capsys):
+    import builtins
+
+    from listcom import atomic
+
+    def synth_args(out, groups):
+        return ["synth", "--out", str(out), "--groups", str(groups),
+                "--users-per-group", "12", "--lists-per-group", "8",
+                "--size-min", "4", "--size-max", "9"]
+
+    def contents(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    assert main(synth_args(tmp_path / "other", 3)) == 0
+    other = contents(tmp_path / "other")
+    data = tmp_path / "data"
+    real_open = builtins.open
+    for name in ("memberships.tsv", "lists.jsonl", "groundtruth.tsv"):
+        assert main(synth_args(data, 2)) == 0
+        before = contents(data)
+        assert before[name] != other[name]
+
+        def failing_open(file, *args, _tmp=name + ".tmp", **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return _FailingFile(fh) if Path(file).name == _tmp else fh
+
+        monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+        assert main(synth_args(data, 3)) == 2
+        assert "mid-write" in capsys.readouterr().err
+        assert contents(data)[name] == before[name]
+        assert not list(data.glob("*.tmp"))
+        monkeypatch.undo()
 
 
 def test_cli_pipeline_leaves_scipy_unimported(tmp_path):

@@ -1,4 +1,5 @@
 """The array code against the dict-based reference loops, compared with ==."""
+import importlib
 from itertools import combinations
 
 import numpy as np
@@ -7,16 +8,18 @@ import pytest
 from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                                consensus_graph, run_ensemble)
 from listcom.corpus import ListRecord, MembershipCorpus
-from listcom.detect import CommunitySet, DetectorConfig, detect
+from listcom.detect import (CommunitySet, Cover, DetectorConfig, detect,
+                            filter_singletons, group_pairs)
 from listcom.labeling import (Background, LabelingConfig, background_vector,
                               label_community)
 from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
                                load_graph, save_graph)
 from listcom.seeds import derive_seed
-from listcom.stability import expected_stability, raw_stability
+from listcom.stability import (expected_stability, rank_communities,
+                               raw_stabilities, raw_stability)
 from listcom.synth import PlantedSpec, synth
 import reference
-from reference import graph_from_edges, matrix_from_pairs
+from reference import graph_from_edges, matrix_from_pairs, same_matrix
 
 
 def planted_graph():
@@ -89,24 +92,54 @@ def test_detect_matches_reference_on_all_zero_weights(tmp_path):
         assert_same_detection(consensus, DetectorConfig(mode="thorough", seed=seed))
 
 
-def random_cover(rng, nodes):
-    return CommunitySet.from_sets(
-        frozenset(rng.choice(nodes, size=int(rng.integers(1, min(12, len(nodes)) + 1)),
-                             replace=False).tolist())
-        for _ in range(int(rng.integers(0, 9)))
-    )
+def random_nodes(rng, low=2, high=40):
+    """Sorted ids whose string order is not their numeric order."""
+    return sorted(f"n{i}" for i in range(int(rng.integers(low, high))))
+
+
+def random_sets(rng, nodes, largest=12):
+    """Id sets of one cover: none at times, singletons and repeats among
+    them, in no particular order."""
+    largest = min(largest, len(nodes))
+    sets = [frozenset(rng.choice(nodes, size=int(rng.integers(1, largest + 1)),
+                                 replace=False).tolist())
+            for _ in range(int(rng.integers(0, 9)))]
+    if sets and rng.random() < 0.5:
+        sets.insert(int(rng.integers(len(sets))), sets[int(rng.integers(len(sets)))])
+    return sets
+
+
+def test_cover_matches_frozenset_path():
+    rng = np.random.Generator(np.random.PCG64(11))
+    for trial in range(300):
+        nodes = random_nodes(rng, 1)
+        sets = random_sets(rng, nodes)
+        want = reference.community_set(sets)
+        cover = Cover.from_sets(nodes, sets)
+        assert cover.community_set() == want, trial
+        # The canonical order, with each community's ids ascending.
+        assert cover.id_lists() == [sorted(c) for c in want], trial
+        assert cover.sizes().tolist() == [len(c) for c in want], trial
+        assert CommunitySet.from_sets(sets) == want, trial
+        assert filter_singletons(cover).community_set() == reference.community_set(
+            c for c in sets if len(c) >= 2), trial
 
 
 def test_accumulate_matches_dict_fold():
     rng = np.random.Generator(np.random.PCG64(12))
     for trial in range(60):
-        nodes = [f"n{i:02d}" for i in range(int(rng.integers(2, 40)))]
-        covers = [random_cover(rng, nodes) for _ in range(int(rng.integers(1, 9)))]
-        matrix = ConsensusMatrix.empty(nodes, len(covers))
-        for cover in covers:
-            accumulate(matrix, cover)
-        matrix.values *= 1.0 / len(covers)
-        want = reference.ensemble_fold(nodes, covers)
+        nodes = random_nodes(rng)
+        runs = [random_sets(rng, nodes) for _ in range(int(rng.integers(1, 9)))]
+        matrix = ConsensusMatrix.empty(nodes, len(runs))
+        folded = ConsensusMatrix.empty(nodes, len(runs))
+        for sets in runs:
+            accumulate(matrix, Cover.from_sets(matrix.order, sets))
+            reference.accumulate(folded, reference.community_set(sets))
+        # Bit for bit against the frozenset fold, run by run.
+        assert same_matrix(matrix, folded), trial
+        matrix.values *= 1.0 / len(runs)
+        want = reference.ensemble_fold(nodes, [reference.community_set(sets)
+                                               for sets in runs])
         assert matrix.keys.tolist() == sorted(want), trial
         assert matrix.values.tolist() == [want[k] for k in sorted(want)], trial
 
@@ -120,6 +153,37 @@ def test_run_ensemble_matches_dict_fold():
     matrix = run_ensemble(graph, config)
     assert matrix.keys.tolist() == sorted(want)
     assert matrix.values.tolist() == [want[k] for k in sorted(want)]
+    folded = ConsensusMatrix.empty(graph.nodes, 6)
+    for cover in covers:
+        reference.accumulate(folded, cover)
+    folded.values *= 1.0 / 6
+    assert same_matrix(matrix, folded)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 10])
+def test_group_pairs_lists_combinations_in_order(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(importlib.import_module("listcom.detect"),
+                            "PAIR_BLOCK", block)
+    bound = importlib.import_module("listcom.detect").PAIR_BLOCK
+    rng = np.random.Generator(np.random.PCG64(14))
+    for trial in range(30):
+        sizes = rng.integers(0, 9, size=int(rng.integers(0, 12)))
+        sizes[sizes == 8] = 25
+        indptr = np.r_[0, np.cumsum(sizes)]
+        members = np.concatenate([rng.permutation(100)[:s] for s in sizes] +
+                                 [np.empty(0, dtype=np.int64)]).astype(np.int32)
+        got = {k: [] for k in range(len(sizes))}
+        for groups, first, second in group_pairs(indptr, members):
+            size = int(sizes[groups[0]])
+            assert (sizes[groups] == size).all()
+            assert first.shape == second.shape == (len(groups), first.shape[1])
+            assert first.size <= max(bound, size - 1)
+            for k, a, b in zip(groups.tolist(), first.tolist(), second.tolist()):
+                got[k].extend(zip(a, b))
+        for k in range(len(sizes)):
+            group = members[indptr[k]:indptr[k + 1]].tolist()
+            assert got[k] == list(combinations(group, 2)), (trial, k)
 
 
 def test_consensus_graph_matches_sorted_tuple_fill():
@@ -161,6 +225,30 @@ def test_stability_matches_dict_loops():
             community = nodes[:size]
             want = reference.mean_pair_score(list(range(size)), entries, l)
             assert raw_stability(community, matrix) == want
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+def test_rank_matches_frozenset_ranking(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(importlib.import_module("listcom.detect"),
+                            "PAIR_BLOCK", block)
+    rng = np.random.Generator(np.random.PCG64(24))
+    for trial in range(40):
+        nodes = random_nodes(rng, 2, 60)
+        # Few distinct scores, so raw and corrected values tie.
+        scores = {pair: float(rng.choice([0.25, 0.5, 1.0]))
+                  for pair in combinations(nodes, 2) if rng.random() < 0.4}
+        matrix = matrix_from_pairs(nodes, scores, 1)
+        sets = random_sets(rng, nodes, largest=30)
+        cover = Cover.from_sets(matrix.order, sets)
+        ids = cover.community_set().communities
+        want = reference.rank_communities(reference.community_set(sets), matrix)
+        got = rank_communities(cover, matrix)
+        assert [(ids[k], score.raw) for k, score in got] == want, trial
+        raws = dict(want)
+        assert [raws.get(c) for c in ids] == [
+            None if np.isnan(raw) else raw
+            for raw in raw_stabilities(cover, matrix).tolist()], trial
 
 
 def test_expected_matches_subset_enumeration():

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from listcom.detect import CommunitySet
+from listcom.detect import CommunitySet, Cover
 from listcom.errors import ValidationError
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stability, write_ranking)
@@ -121,9 +121,9 @@ def test_rank_planted_above_noise():
     for a, b in combinations(sorted(noise), 2):
         pairs[(a, b)] = 0.1
     m = matrix_from(order, pairs)
-    cs = CommunitySet.from_sets([planted, noise])
-    ranked = rank_communities(cs, m)
-    assert ranked[0][0] == frozenset(planted)
+    cover = Cover.from_sets(m.order, [planted, noise])
+    ranked = rank_communities(cover, m)
+    assert cover.id_lists()[ranked[0][0]] == sorted(planted)
     assert ranked[0][1].corrected > ranked[1][1].corrected
 
 
@@ -137,11 +137,10 @@ def test_rank_sorting_and_ties():
     for a, b in combinations(sorted(weak), 2):
         pairs[(a, b)] = 0.5
     m = matrix_from(order, pairs)
-    cs = CommunitySet.from_sets([strong, weak])
-    ranked = rank_communities(cs, m)
+    ranked = rank_communities(Cover.from_sets(m.order, [strong, weak]), m)
     assert [r[1].corrected for r in ranked] == sorted(
         (r[1].corrected for r in ranked), reverse=True)
-    single = rank_communities(CommunitySet.from_sets([strong]), m)
+    single = rank_communities(Cover.from_sets(m.order, [strong]), m)
     assert len(single) == 1
 
 
@@ -149,8 +148,8 @@ def test_rank_uses_one_expected_per_matrix():
     order = [f"n{i}" for i in range(10)]
     pairs = {("n0", "n1"): 1.0, ("n2", "n3"): 0.4}
     m = matrix_from(order, pairs)
-    cs = CommunitySet.from_sets([{"n0", "n1"}, {"n2", "n3", "n4"}])
-    ranked = rank_communities(cs, m)
+    cover = Cover.from_sets(m.order, [{"n0", "n1"}, {"n2", "n3", "n4"}])
+    ranked = rank_communities(cover, m)
     exact = math.fsum([1.0, 0.4]) / 45  # sum of entries over C(10, 2)
     assert [score.expected for _, score in ranked] == [exact, exact]
 
@@ -164,8 +163,10 @@ def test_rank_order_is_raw_descending_with_tie_breaks():
     cs = CommunitySet.from_sets(
         rng.choice(order, size=int(rng.integers(2, 6)), replace=False).tolist()
         for _ in range(40))
-    ranked = rank_communities(cs, m)
-    assert [c for c, _ in ranked] == sorted(
+    cover = Cover.from_sets(m.order, cs)
+    ranked = rank_communities(cover, m)
+    ids = cover.community_set().communities
+    assert [ids[k] for k, _ in ranked] == sorted(
         (c for c in cs if len(c) >= 2),
         key=lambda c: (-raw_stability(c, m), -len(c), tuple(sorted(c))))
 
@@ -175,8 +176,7 @@ def test_rank_matches_corrected_stability_op():
     pairs = {("n0", "n1"): 0.9, ("n0", "n2"): 0.8, ("n1", "n2"): 0.7}
     m = matrix_from(order, pairs)
     community = {"n0", "n1", "n2"}
-    cs = CommunitySet.from_sets([community])
-    ranked = rank_communities(cs, m)
+    ranked = rank_communities(Cover.from_sets(m.order, [community]), m)
     direct = corrected_stability(community, m)
     assert ranked[0][1] == direct
 
@@ -185,10 +185,10 @@ def test_write_ranking_format(tmp_path):
     order = "abcd"
     pairs = {("a", "b"): 1.0}
     m = matrix_from(order, pairs)
-    cs = CommunitySet.from_sets([{"a", "b"}, {"c", "d"}])
-    ranked = rank_communities(cs, m)
+    cover = Cover.from_sets(m.order, [{"a", "b"}, {"c", "d"}])
+    ranked = rank_communities(cover, m)
     path = tmp_path / "rank.tsv"
-    write_ranking(ranked, cs, path)
+    write_ranking(ranked, cover, path)
     lines = path.read_text("utf-8").splitlines()
     assert len(lines) == 2
     first = lines[0].split("\t")
