@@ -26,7 +26,7 @@ from .atomic import atomic_write
 from .detect import (CommunitySet, Cover, DetectorConfig, detect, detect_runs,
                      filter_singletons, group_pairs, node_positions)
 from .errors import ParseError, ValidationError
-from .listgraph import ListGraph, node_index
+from .listgraph import ListGraph, node_index, write_pair_rows
 from .seeds import STREAM_CONSENSUS, derive_seed
 
 Detector = Callable[[ListGraph, DetectorConfig], CommunitySet]
@@ -228,12 +228,17 @@ def cover_agreement(a: CommunitySet, b: CommunitySet) -> float:
     return 0.5 * (directed(a, b) + directed(b, a))
 
 
-def save_matrix(matrix: ConsensusMatrix, path) -> None:
+def save_matrix(matrix: ConsensusMatrix, path) -> ConsensusMatrix:
     """TSV rows ``a<TAB>b<TAB>score`` (6 decimals, lexicographic pairs) under
-    a ``#r=<runs>`` header."""
+    a ``#r=<runs>`` header.  Returns the matrix that :func:`load_matrix`
+    reads back over the same order: the written scores, without those
+    written as 0.000000."""
+    i, j = np.divmod(matrix.keys, len(matrix.order))
     with atomic_write(path) as fh:
         fh.write(f"#r={matrix.r}\n")
-        fh.writelines(f"{a}\t{b}\t{v:.6f}\n" for a, b, v in matrix.items())
+        values = write_pair_rows(fh, matrix.order, i, j, matrix.values)
+    kept = values > 0.0
+    return ConsensusMatrix(matrix.order, matrix.keys[kept], values[kept], matrix.r)
 
 
 def load_matrix(path, order: tuple[str, ...] | None = None) -> ConsensusMatrix:

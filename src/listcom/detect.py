@@ -40,11 +40,20 @@ cells is independent, so the cap bounds memory without changing a result.
 Runs are independent too, and are stacked in groups that hold at most
 ``RUN_SLOTS`` drawn slots.
 
-Labels are node positions and memories are ``int32``.  A step tallies each
-cell's collected labels with one ``np.unique`` over (cell, label) keys and
-one ``np.bincount`` of the edge weights in CSR order, so the winner is the
-first maximum of the cell's votes, or the lowest collected label when
-every vote is 0.0.
+Labels are node positions and memories are ``int32``.  The slot reads are
+hoisted out of the steps: when an iteration's slots are drawn for a run,
+each stacked CSR position gets the flat index into the memory of the label
+it reads, and a flag saying whether the neighbour there reads the label its
+own row writes in this iteration.  The index is ``int32`` unless the memory
+holds more than 2**31 labels (:func:`read_index_dtype`).  A step then reads
+each slot's label with one lookup, and takes the cells its writes wake from
+``graph.indices`` at the flagged positions.  It tallies each cell's
+collected labels with one stable ``np.argsort`` of the (cell, label) keys:
+the breaks in the sorted keys number the groups, and ``np.bincount`` sums
+the edge weights in sorted order, which the stable sort keeps in CSR order
+within a group, so every vote is the same sequential sum of doubles.  The
+winner is the first maximum of the cell's votes, or the lowest collected
+label when every vote is 0.0.
 
 A run's result is a :class:`Cover`: the sorted node order plus ``indptr``
 and ``int32`` ``members`` arrays holding each community's node positions in
@@ -288,6 +297,13 @@ def detect_runs(graph: ListGraph, config: DetectorConfig,
             for cover in _stacked_runs(graph, config, seeds[start:start + group])]
 
 
+def read_index_dtype(cells: int, memory_size: int) -> np.dtype:
+    """``int32`` when every flat index into ``cells`` memory rows of
+    ``memory_size`` labels fits in it, ``int64`` otherwise."""
+    fits = cells * memory_size - 1 <= np.iinfo(np.int32).max
+    return np.dtype(np.int32 if fits else np.int64)
+
+
 def _stacked_runs(graph: ListGraph, config: DetectorConfig,
                   seeds: list[int]) -> list[Cover]:
     nodes = graph.nodes
@@ -307,7 +323,14 @@ def _stacked_runs(graph: ListGraph, config: DetectorConfig,
     # reverse[p] is the position of the edge p read the other way round.
     reverse = np.empty(edges, dtype=np.int64)
     reverse[np.argsort(graph.indices, kind="stable")] = positions
-    slots = np.empty(runs * edges, dtype=np.min_scalar_type(memory_size))
+    # Per stacked position j * edges + p: the flat memory index of the label
+    # it reads, and whether the neighbour at p reads the label that p's own
+    # row writes in this iteration.  row_start[p] is where the memory row
+    # of the neighbour at p starts in run 0.
+    dtype = read_index_dtype(runs * n, memory_size)
+    row_start = graph.indices.astype(dtype) * memory_size
+    read = np.empty(runs * edges, dtype=dtype)
+    wake = np.empty(runs * edges, dtype=bool)
     indeg = np.empty(runs * n, dtype=np.int64)
     for it in range(1, memory_size):
         for j, seed in enumerate(seeds):
@@ -316,12 +339,17 @@ def _stacked_runs(graph: ListGraph, config: DetectorConfig,
             rank[np.argsort(keys, kind="stable")] = np.arange(n)
             # A neighbour visited earlier in this iteration has one more
             # label; a node that draws it waits for that neighbour.
-            lengths = (rank[graph.indices] < rank[rows]).astype(np.uint64)
+            earlier = np.take(rank, graph.indices) < np.repeat(rank, deg)
+            lengths = earlier.astype(np.uint64)
             lengths += np.uint64(it)
-            run_slots = derive_seeds(derive_seed(seed, 2 * it + 1), positions)
-            run_slots %= lengths
-            slots[j * edges:(j + 1) * edges] = run_slots
-            indeg[j * n:(j + 1) * n] = np.bincount(rows[run_slots == it],
+            slots = derive_seeds(derive_seed(seed, 2 * it + 1), positions)
+            slots %= lengths
+            slots = slots.astype(dtype)
+            part = slice(j * edges, (j + 1) * edges)
+            np.add(row_start, slots, out=read[part])
+            read[part] += j * n * memory_size
+            np.equal(np.take(slots, reverse), it, out=wake[part])
+            indeg[j * n:(j + 1) * n] = np.bincount(rows[slots == it],
                                                    minlength=n)
         ready = (np.arange(runs)[:, None] * n + active).ravel()
         ready = ready[indeg[ready] == 0]
@@ -331,42 +359,50 @@ def _stacked_runs(graph: ListGraph, config: DetectorConfig,
             head = deg[ready[:SLOT_CAP] % n].cumsum()
             take = max(1, int(np.searchsorted(head, SLOT_CAP, side="right")))
             batch, ready = ready[:take], ready[take:]
-            newly = _step(graph, mem, slots, reverse, batch, it, indeg)
+            newly = _step(graph, mem, read, wake, batch, it, indeg)
             ready = np.concatenate([ready, newly])
     return [_cover(nodes, active, mem[j * n + active], config.overlap_threshold)
             for j in range(runs)]
 
 
-def _step(graph, mem, slots, reverse, cells, it, indeg) -> np.ndarray:
+def _step(graph, mem, read, wake, cells, it, indeg) -> np.ndarray:
     """Append iteration ``it``'s label to each of ``cells``, whose drawn
     labels are all in place; returns the cells this makes ready."""
     n = len(graph.nodes)
     edges = len(graph.indices)
-    memory_size = mem.shape[1]
     run, u = np.divmod(cells, n)
     lo = graph.indptr[u]
     counts = graph.indptr[u + 1] - lo
     ends = counts.cumsum()
-    # CSR positions of every cell's neighbour slots, cell by cell.
-    pos = np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)
-    edge_run = np.repeat(run, counts)
-    nbr_cells = edge_run * n + graph.indices[pos]
-    slot_base = edge_run * edges
-    labels = mem.ravel()[nbr_cells * memory_size + slots[slot_base + pos]]
-    # Votes per (cell, label), summed in CSR order; groups come out sorted
-    # by cell, then label, so the first maximum is the lowest winning id
-    # (the lowest collected id when every vote is 0.0).
-    groups, inverse = np.unique(np.repeat(np.arange(len(cells)), counts) * n
-                                + labels, return_inverse=True)
-    votes = np.bincount(inverse, weights=graph.weights[pos])
-    starts = np.flatnonzero(np.r_[True, np.diff(groups // n) != 0])
+    firsts = ends - counts
+    # CSR positions of every cell's neighbour slots, cell by cell, and
+    # their stacked positions.
+    pos = np.arange(ends[-1]) + np.repeat(lo - firsts, counts)
+    stacked = pos + np.repeat(run * edges, counts) if run.any() else pos
+    labels = np.take(mem, np.take(read, stacked))
+    # Votes per (cell, label): one stable sort keeps each group's votes in
+    # CSR order, so bincount sums them in that order.  Groups come out
+    # sorted by cell, then label, so the first maximum is the lowest
+    # winning id (the lowest collected id when every vote is 0.0).
+    keys = np.repeat(np.arange(len(cells)) * n, counts) + labels
+    order = np.argsort(keys, kind="stable")
+    keys = np.take(keys, order)
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    group = np.cumsum(new)  # 1-based: bin 0 of the bincount stays empty
+    weights = np.take(np.take(graph.weights, pos), order)
+    votes = np.bincount(group, weights=weights)[1:]
+    # Each cell keeps its span of slots in the sorted order.
+    starts = group[firsts] - 1
     top = np.repeat(np.maximum.reduceat(votes, starts),
-                    np.diff(np.r_[starts, len(groups)]))
+                    group[ends - 1] - starts)
     first = np.minimum.reduceat(
-        np.where(votes == top, np.arange(len(groups)), len(groups)), starts)
-    mem[cells, it] = groups[first] % n
+        np.where(votes == top, np.arange(len(votes)), len(votes)), starts)
+    mem[cells, it] = keys[new][first] % n
     # Neighbours that drew the label just written.
-    waiting = nbr_cells[slots[slot_base + reverse[pos]] == it]
+    woken_run, woken = np.divmod(stacked[np.take(wake, stacked)], edges)
+    waiting = woken_run * n + graph.indices[woken]
     np.subtract.at(indeg, waiting, 1)
     return np.unique(waiting[indeg[waiting] == 0])
 

@@ -31,6 +31,7 @@ from .corpus import MembershipCorpus
 from .errors import ParseError, ValidationError
 
 _LN10 = math.log(10.0)
+TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
 
 
 @dataclass(frozen=True)
@@ -265,13 +266,30 @@ def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> List
     return ListGraph.from_pairs(nodes, *(np.concatenate(c) for c in zip(*kept)))
 
 
-def save_graph(graph: ListGraph, edges_path, nodes_path) -> None:
+def write_pair_rows(fh, nodes, i, j, values) -> np.ndarray:
+    """Write one ``a<TAB>b<TAB>value`` row (6 decimals) per node pair
+    ``(nodes[i[k]], nodes[j[k]])``; returns the values as a reader parses
+    them back, converted from the very strings written."""
+    parsed = np.empty(len(values), dtype=np.float64)
+    for start in range(0, len(values), TEXT_BLOCK):
+        block = slice(start, start + TEXT_BLOCK)
+        text = [f"{v:.6f}" for v in values[block].tolist()]
+        fh.writelines(f"{nodes[a]}\t{nodes[b]}\t{t}\n" for a, b, t
+                      in zip(i[block].tolist(), j[block].tolist(), text))
+        parsed[block] = np.array(text, dtype=np.float64)
+    return parsed
+
+
+def save_graph(graph: ListGraph, edges_path, nodes_path) -> ListGraph:
     """Write edges (lexicographic pair order, weights to 6 decimals) and the
-    sidecar node list that preserves isolated nodes."""
+    sidecar node list that preserves isolated nodes.  Returns the graph that
+    :func:`load_graph` reads back from them."""
+    i, j, w = graph.edge_pairs()
     with atomic_write(edges_path) as fh:
-        fh.writelines(f"{a}\t{b}\t{w:.6f}\n" for a, b, w in graph.edge_list())
+        written = write_pair_rows(fh, graph.nodes, i, j, w)
     with atomic_write(nodes_path) as fh:
         fh.writelines(node + "\n" for node in graph.nodes)
+    return ListGraph.from_pairs(graph.nodes, i, j, written)
 
 
 def load_graph(edges_path, nodes_path) -> ListGraph:

@@ -1,9 +1,12 @@
 """End-to-end orchestration with file-based stages.
 
-Stages communicate only through artifacts in the output directory, so any
-prefix of the pipeline can be resumed from disk with an identical final
-result, and a one-shot run equals running the stages one by one.  Artifact
-filenames are fixed:
+Stages communicate through artifacts in the output directory, so any prefix
+of the pipeline can be resumed from disk with an identical final result,
+and a one-shot run equals running the stages one by one.  A one-shot run
+parses no artifact it writes: the graph and the consensus matrix are handed
+to the next stages as their writers return them, which is exactly what the
+files hold (the weights and scores converted from the very strings
+written).  Artifact filenames are fixed:
 
     graph.tsv, graph.nodes, consensus.tsv, communities.json,
     stability.tsv, labels.json, users.json, eval.tsv
@@ -13,8 +16,8 @@ defaults, a flat ``key = value`` config file, then explicit flags.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cache
 from pathlib import Path
 
 from . import consensus as cons
@@ -52,7 +55,7 @@ class PipelineConfig:
     stopwords: str | None = None
 
     def __post_init__(self):
-        if self.rho < 0.0:
+        if not (self.rho >= 0.0):
             raise ValidationError("rho must be >= 0")
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
@@ -142,17 +145,24 @@ def _require(out_dir, name) -> Path:
 
 
 def stage_build_graph(memberships_path, lists_path, out_dir,
-                      config: PipelineConfig, corpus=None) -> None:
+                      config: PipelineConfig, corpus=None) -> lg.ListGraph:
+    """Returns the graph as graph.tsv and graph.nodes hold it."""
     if corpus is None:
         corpus = corp.load_corpus(memberships_path, lists_path)
     graph = lg.build_list_graph(corpus, lg.GraphBuildConfig(rho=config.rho))
-    lg.save_graph(graph, _artifact(out_dir, "graph"), _artifact(out_dir, "nodes"))
+    return lg.save_graph(graph, _artifact(out_dir, "graph"),
+                         _artifact(out_dir, "nodes"))
 
 
-def stage_ensemble(out_dir, config: PipelineConfig) -> None:
-    graph = lg.load_graph(_require(out_dir, "graph"), _require(out_dir, "nodes"))
+def stage_ensemble(out_dir, config: PipelineConfig,
+                   graph=None) -> cons.ConsensusMatrix:
+    """``graph`` is graph.tsv as :func:`listgraph.load_graph` reads it; it is
+    parsed here when not given.  Returns the matrix as consensus.tsv holds
+    it."""
+    if graph is None:
+        graph = lg.load_graph(_require(out_dir, "graph"), _require(out_dir, "nodes"))
     matrix = cons.run_ensemble(graph, config.ensemble_config())
-    cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
+    return cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
 
 
 def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
@@ -252,6 +262,16 @@ def stage_evaluate(groundtruth_path, out_dir, config: PipelineConfig,
     memb.write_eval(rows, truth, _artifact(out_dir, "eval"))
 
 
+@contextmanager
+def _stage(name):
+    """Report a failure inside the block as a :class:`StageError` of the
+    stage ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def run_pipeline(
     memberships_path,
     lists_path,
@@ -261,32 +281,29 @@ def run_pipeline(
     core_path=None,
 ) -> dict[str, Path]:
     """Run every stage in order; artifacts from completed stages survive a
-    failure, which is reported with the failing stage's name."""
+    failure, which is reported with the failing stage's name.  The corpus
+    is parsed once, inside build-graph; the graph and the matrix are handed
+    on as their writers return them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # Parsed on first use, inside the stage that fails if the files are bad;
-    # consensus.tsv once the ensemble stage has written it.
-    corpus = cache(lambda: corp.load_corpus(memberships_path, lists_path))
-    matrix = cache(lambda: _load_matrix(out))
-    stages: list[tuple[str, object]] = [
-        ("build-graph", lambda: stage_build_graph(memberships_path, lists_path, out,
-                                                  config, corpus=corpus())),
-        ("ensemble", lambda: stage_ensemble(out, config)),
-        ("consensus", lambda: stage_consensus(out, config, matrix=matrix())),
-        ("stability", lambda: stage_stability(out, config, matrix=matrix())),
-        ("label", lambda: stage_label(memberships_path, lists_path, out, config,
-                                      corpus=corpus())),
-        ("members", lambda: stage_members(memberships_path, lists_path, out, config,
-                                          corpus=corpus())),
-    ]
+    with _stage("build-graph"):
+        corpus = corp.load_corpus(memberships_path, lists_path)
+        graph = stage_build_graph(memberships_path, lists_path, out, config,
+                                  corpus=corpus)
+    with _stage("ensemble"):
+        matrix = stage_ensemble(out, config, graph=graph)
+    del graph  # read by no later stage; freed before the thorough pass
+    with _stage("consensus"):
+        stage_consensus(out, config, matrix=matrix)
+    with _stage("stability"):
+        stage_stability(out, config, matrix=matrix)
+    with _stage("label"):
+        stage_label(memberships_path, lists_path, out, config, corpus=corpus)
+    with _stage("members"):
+        stage_members(memberships_path, lists_path, out, config, corpus=corpus)
     if groundtruth_path is not None:
-        stages.append(("evaluate",
-                       lambda: stage_evaluate(groundtruth_path, out, config, core_path)))
-    for name, run in stages:
-        try:
-            run()
-        except Exception as exc:
-            raise StageError(name, exc) from exc
+        with _stage("evaluate"):
+            stage_evaluate(groundtruth_path, out, config, core_path)
     produced = {name: _artifact(out, name) for name in ARTIFACTS}
     if groundtruth_path is None:
         produced.pop("eval")

@@ -67,6 +67,14 @@ def same_matrix(x, y) -> bool:
             and x.values.tobytes() == y.values.tobytes())
 
 
+def same_graph(x, y) -> bool:
+    """Same nodes, CSR arrays and bit-identical weights."""
+    return (x.nodes == y.nodes
+            and np.array_equal(x.indptr, y.indptr)
+            and np.array_equal(x.indices, y.indices)
+            and x.weights.tobytes() == y.weights.tobytes())
+
+
 def csr_fill(nodes, edges):
     """CSR (offsets, neighbours, weights) filled from the sorted index-pair
     tuples of a ``{(a, b): weight}`` dict."""

@@ -239,6 +239,22 @@ def test_matrix_round_trip_with_header(tmp_path):
     assert partial.order == ("a", "b", "c")
 
 
+def test_save_matrix_returns_what_load_matrix_reads(tmp_path):
+    # Scores below 5e-7 print as 0.000000 and are dropped, the others keep
+    # the value of their written string; nodes without entries stay in the
+    # order.
+    scores = {("a", "b"): 0.1234565, ("a", "c"): 4.9e-7, ("a", "d"): 2.5e-7,
+              ("b", "c"): 1.0, ("b", "d"): 1 / 3, ("c", "d"): 0.7500005}
+    m = matrix_from_pairs("abcde", scores, 7)
+    path = tmp_path / "m.tsv"
+    returned = save_matrix(m, path)
+    assert same_matrix(returned, load_matrix(path, order=m.order))
+    assert not same_matrix(returned, m)
+    assert set(entry_map(returned)) == set(scores) - {("a", "c"), ("a", "d")}
+    assert returned.order == ("a", "b", "c", "d", "e")
+    assert returned.r == 7
+
+
 def test_cover_agreement_bounds():
     a = CommunitySet.from_sets([{"a", "b"}, {"c", "d"}])
     assert cover_agreement(a, a) == 1.0

@@ -2,6 +2,7 @@ import importlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from listcom.detect import (CommunitySet, Cover, DetectorConfig, detect,
@@ -123,11 +124,17 @@ def test_communities_json_round_trip(tmp_path):
     assert payload == [["a", "b", "c"], ["b", "d"]]
 
 
+def int64_read_index(cells, memory_size):
+    return np.dtype(np.int64)
+
+
 @pytest.mark.parametrize("limits", [{}, {"SLOT_CAP": 1}, {"SLOT_CAP": 7},
-                                    {"RUN_SLOTS": 1}, {"RUN_SLOTS": 300}])
+                                    {"RUN_SLOTS": 1}, {"RUN_SLOTS": 300},
+                                    {"read_index_dtype": int64_read_index}])
 def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
-    # Any grouping of runs, and any cap on the slots gathered per step or
-    # held per group of stacked runs, gives each run's own result.
+    # Any grouping of runs, any cap on the slots gathered per step or held
+    # per group of stacked runs, and either width of the read index gives
+    # each run's own result.
     for name, value in limits.items():
         # The package exports the function ``detect``, which hides the module.
         monkeypatch.setattr(importlib.import_module("listcom.detect"), name, value)
@@ -145,6 +152,18 @@ def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
         assert detect_runs(graph, cfg, seeds[::-1]) == single[::-1]
         assert detect_runs(graph, cfg, [seeds[2]] * 3) == [single[2]] * 3
     assert detect_runs(graph, cfg, []) == []
+
+
+def test_read_index_dtype_at_the_int32_boundary():
+    # The largest flat index into cells x memory_size labels is
+    # cells * memory_size - 1; int32 holds it up to 2**31 - 1.
+    read_index_dtype = importlib.import_module("listcom.detect").read_index_dtype
+    assert read_index_dtype(1, 6) == np.int32
+    assert read_index_dtype(1 << 25, 64) == np.int32
+    assert read_index_dtype((1 << 25) + 1, 64) == np.int64
+    assert read_index_dtype(2**31, 1) == np.int32
+    assert read_index_dtype(2**31 + 1, 1) == np.int64
+    assert read_index_dtype(3, 715827883) == np.int64  # 2**31 + 1 labels
 
 
 def test_detect_raises_no_runtime_warning():

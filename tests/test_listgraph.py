@@ -1,3 +1,4 @@
+import importlib
 import math
 from math import comb
 
@@ -11,7 +12,7 @@ from listcom.errors import ValidationError
 from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
                                load_graph, overlap_lpv, overlap_pvalue,
                                save_graph)
-from reference import edge_map
+from reference import edge_map, graph_from_edges, same_graph
 
 
 def exact_pvalue(size_x, size_y, k, n):
@@ -190,6 +191,24 @@ def test_graph_round_trip_preserves_isolated_nodes(tmp_path):
     assert set(edge_map(reloaded)) == set(edge_map(graph))
     for key, w in edge_map(graph).items():
         assert edge_map(reloaded)[key] == pytest.approx(w, abs=5e-7)
+
+
+@pytest.mark.parametrize("block", [1 << 16, 2])
+def test_save_graph_returns_what_load_graph_reads(tmp_path, monkeypatch, block):
+    # The returned weights are the written 6-decimal strings converted, so
+    # they equal a reload bit for bit; a weight that prints as 0.000000
+    # stays an edge, as load_graph keeps it.
+    monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
+                        "TEXT_BLOCK", block)
+    weights = {("a", "b"): 6.1234565, ("a", "c"): 2.5e-7, ("b", "c"): 1 / 3,
+               ("b", "d"): 0.0, ("c", "d"): 1e6 + 5e-7, ("d", "e"): 7.0000005}
+    graph = graph_from_edges("abcdef", weights)
+    returned = save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
+    reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+    assert same_graph(returned, reloaded)
+    assert not same_graph(returned, graph)
+    assert returned.nodes == ("a", "b", "c", "d", "e", "f")
+    assert edge_map(returned)[("a", "c")] == 0.0
 
 
 def test_graph_arrays_sorted_per_row_and_symmetric():

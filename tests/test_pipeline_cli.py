@@ -47,6 +47,9 @@ def test_config_validation():
         PipelineConfig(runs=0)
     with pytest.raises(ValidationError):
         PipelineConfig(mu=-0.1)
+    for rho in (-1.0, float("nan")):
+        with pytest.raises(ValidationError, match="rho"):
+            PipelineConfig(rho=rho)
 
 
 def test_config_file_parsing(tmp_path):
@@ -196,6 +199,15 @@ def test_cli_exit_codes(tmp_path):
     assert main(["consensus", "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_cli_rho_nan_exits_2_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--memberships", str(tmp_path / "m.tsv"),
+                 "--lists", str(tmp_path / "l.jsonl"), "--out", str(out),
+                 "--rho", "nan"]) == 2
+    assert "rho" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_input_is_a_validation_error(tmp_path, capsys):
     # An unreadable input exits 2 whether or not it fails inside a stage.
     missing = ["--memberships", str(tmp_path / "nonexist.tsv"),
@@ -303,18 +315,37 @@ def test_run_pipeline_parses_corpus_once(corpus_files, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_pipeline_parses_consensus_once(corpus_files, tmp_path, monkeypatch):
+def test_run_pipeline_parses_no_artifact(corpus_files, tmp_path, monkeypatch):
+    # The graph and the matrix go from their writers to the next stages.
     from listcom import consensus as cons
+    from listcom import listgraph as lg
 
     calls = []
-    load = cons.load_matrix
-    monkeypatch.setattr(cons, "load_matrix",
-                        lambda *args, **kwargs: calls.append(args)
-                        or load(*args, **kwargs))
+    for module, name in ((lg, "load_graph"), (cons, "load_matrix")):
+        load = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _load=load, _name=name, **kwargs:
+                            calls.append(_name) or _load(*args, **kwargs))
     run_pipeline(corpus_files["memberships"], corpus_files["lists"],
                  tmp_path / "run", fast_config(),
                  groundtruth_path=corpus_files["groundtruth"])
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_stage_hand_offs_equal_a_reload(corpus_files, tmp_path):
+    from listcom import listgraph as lg
+    from listcom import pipeline as pipe
+    from reference import same_graph, same_matrix
+
+    cfg = fast_config()
+    graph = pipe.stage_build_graph(corpus_files["memberships"],
+                                   corpus_files["lists"], tmp_path, cfg)
+    assert same_graph(graph, lg.load_graph(tmp_path / ARTIFACTS["graph"],
+                                           tmp_path / ARTIFACTS["nodes"]))
+    matrix = pipe.stage_ensemble(tmp_path, cfg, graph=graph)
+    assert same_matrix(matrix, pipe._load_matrix(tmp_path))
+    # Run alone, the stage parses graph.tsv and hands over the same matrix.
+    assert same_matrix(pipe.stage_ensemble(tmp_path, cfg), matrix)
 
 
 def test_users_json_carries_full_precision_stability(corpus_files, tmp_path):

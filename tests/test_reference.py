@@ -42,6 +42,25 @@ def tied_graph(weight=1.0):
     return graph_from_edges(nodes + ["v99"], edges)
 
 
+def hub_graph():
+    """Six hubs, each linked to all 27 nodes of four strong cliques with
+    weights drawn from 0.1, 0.2, 0.3 and 0.6.  A hub's tally sums several
+    such weights per label, and those sums differ in the last bit with the
+    order of their terms: (0.1 + 0.2) + 0.3 is not 0.6, but
+    (0.3 + 0.2) + 0.1 is."""
+    rng = np.random.Generator(np.random.PCG64(16))
+    hubs = [f"h{i}" for i in range(6)]
+    edges = {}
+    for name, size in zip("abcd", (12, 6, 5, 4)):
+        members = [f"{name}{i:02d}" for i in range(size)]
+        for x, y in combinations(members, 2):
+            edges[(x, y)] = 5.0
+        for member in members:
+            for hub in hubs:
+                edges[(hub, member)] = float(rng.choice([0.1, 0.2, 0.3, 0.6]))
+    return graph_from_edges({node for pair in edges for node in pair}, edges)
+
+
 def assert_same_detection(graph, config):
     edges = reference.edge_map(graph)
     assert detect(graph, config) == reference.detect(graph.nodes, edges, config)
@@ -63,6 +82,17 @@ def test_detect_matches_reference_on_weighted_ties():
     for seed in range(40):
         assert_same_detection(half, DetectorConfig(mode="fast", seed=seed,
                                                    overlap_threshold=0.2))
+
+
+def test_detect_matches_reference_on_order_sensitive_sums():
+    # Each vote is summed one at a time in CSR order, as the reference
+    # does.  A non-stable sort of the (cell, label) keys, or a pairwise sum
+    # such as np.add.reduceat, changes winners on this graph.
+    graph = hub_graph()
+    assert np.diff(graph.indptr).max() > 16
+    for seed in range(10):
+        assert_same_detection(graph, DetectorConfig(mode="thorough",
+                                                    iterations=15, seed=seed))
 
 
 def test_detect_matches_reference_on_all_zero_weights(tmp_path):
