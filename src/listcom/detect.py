@@ -55,6 +55,30 @@ within a group, so every vote is the same sequential sum of doubles.  The
 winner is the first maximum of the cell's votes, or the lowest collected
 label when every vote is 0.0.
 
+A group of stacked runs is stepped on ``min(WORKERS, positions //
+WORKER_POSITIONS)`` workers, one at least: ``WORKERS`` is the number of
+usable cores (the affinity mask), and ``positions`` the group's stacked CSR
+positions, so small graphs keep to one.  The calling thread is worker 0;
+with one worker no thread starts and the same loop runs inline.  Each
+iteration shares three phases out among the workers, one after the other:
+the visit ranks, one task per run; the slot draw, in tasks of whole rows of
+one run with at most ``DRAW_TASK`` positions, each writing the read
+indices, wake flags and wait counts of its own positions and rows; and the
+drain.  In the drain the workers share one ready queue and the per-cell wait
+counts under one lock.  A worker takes a prefix of the queue, runs the step
+outside the lock, and under it counts down the waits of the cells the step
+wakes and queues those left with none.  Which worker steps which cells, and
+in which order, then varies from run to run, and no result depends on it: a
+step reads slots below ``it``, written in earlier iterations, and slot
+``it`` of neighbours whose steps finished before its cell was queued, and
+each cell's slot ``it`` is written by one step.  Worker threads allocate
+nothing large.  The draw writes through buffers that the calling thread
+allocates once per call (``derive_seeds`` takes ``out=``), and a step's
+temporaries are bounded by ``SLOT_CAP``: memory a thread frees stays
+resident in its own malloc arena, so per-task temporaries the size of a run
+would raise the peak RSS.  If a job raises on any worker, the others stop,
+the caller re-raises it, and no thread outlives the call.
+
 A run's result is a :class:`Cover`: the sorted node order plus ``indptr``
 and ``int32`` ``members`` arrays holding each community's node positions in
 ascending order.  Communities come in the canonical order, size descending
@@ -75,6 +99,8 @@ slotted in without touching the aggregation machinery.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -90,6 +116,22 @@ THOROUGH_ITERATIONS = 50
 SLOT_CAP = 1 << 14  # neighbour slots gathered per step
 RUN_SLOTS = 1 << 23  # drawn slots held at once by a group of stacked runs
 PAIR_BLOCK = 1 << 18  # member pairs in one block of group_pairs
+DRAW_TASK = 1 << 16  # CSR positions of one run drawn by one task
+# Stacked positions per worker thread, at least.  At around 2.7e5 positions
+# (100 runs of 2.7e3), two workers took 14 % more CPU time than one on a
+# 2-core host and saved no wall time.
+WORKER_POSITIONS = 16 * SLOT_CAP
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+WORKERS = _usable_cores()  # worker threads that step one group of runs, at most
 
 
 @dataclass(frozen=True)
@@ -309,65 +351,271 @@ def _stacked_runs(graph: ListGraph, config: DetectorConfig,
     nodes = graph.nodes
     n = len(nodes)
     runs = len(seeds)
-    deg = np.diff(graph.indptr)
-    active = np.flatnonzero(deg > 0)
+    active = np.flatnonzero(np.diff(graph.indptr) > 0)
     if not len(active):
         return [Cover.from_groups(nodes, [], [])] * runs
-    memory_size = config.resolved_iterations + 1
-    # One memory row per (run, node) cell: cell = run * n + node.
-    mem = np.empty((runs * n, memory_size), dtype=np.int32)
-    mem[:, 0] = np.tile(np.arange(n, dtype=np.int32), runs)
-    edges = len(graph.indices)
-    rows = np.repeat(np.arange(n), deg)
-    positions = np.arange(edges)
-    # reverse[p] is the position of the edge p read the other way round.
-    reverse = np.empty(edges, dtype=np.int64)
-    reverse[np.argsort(graph.indices, kind="stable")] = positions
-    # Per stacked position j * edges + p: the flat memory index of the label
-    # it reads, and whether the neighbour at p reads the label that p's own
-    # row writes in this iteration.  row_start[p] is where the memory row
-    # of the neighbour at p starts in run 0.
-    dtype = read_index_dtype(runs * n, memory_size)
-    row_start = graph.indices.astype(dtype) * memory_size
-    read = np.empty(runs * edges, dtype=dtype)
-    wake = np.empty(runs * edges, dtype=bool)
-    indeg = np.empty(runs * n, dtype=np.int64)
-    for it in range(1, memory_size):
-        for j, seed in enumerate(seeds):
-            keys = derive_seeds(derive_seed(seed, 2 * it), np.arange(n))
-            rank = np.empty(n, dtype=np.int64)
-            rank[np.argsort(keys, kind="stable")] = np.arange(n)
-            # A neighbour visited earlier in this iteration has one more
-            # label; a node that draws it waits for that neighbour.
-            earlier = np.take(rank, graph.indices) < np.repeat(rank, deg)
-            lengths = earlier.astype(np.uint64)
-            lengths += np.uint64(it)
-            slots = derive_seeds(derive_seed(seed, 2 * it + 1), positions)
-            slots %= lengths
-            slots = slots.astype(dtype)
-            part = slice(j * edges, (j + 1) * edges)
-            np.add(row_start, slots, out=read[part])
-            read[part] += j * n * memory_size
-            np.equal(np.take(slots, reverse), it, out=wake[part])
-            indeg[j * n:(j + 1) * n] = np.bincount(rows[slots == it],
-                                                   minlength=n)
-        ready = (np.arange(runs)[:, None] * n + active).ravel()
-        ready = ready[indeg[ready] == 0]
-        while len(ready):
-            # Ready cells are independent: take a prefix of them that
-            # gathers at most SLOT_CAP neighbour slots (one cell at least).
-            head = deg[ready[:SLOT_CAP] % n].cumsum()
-            take = max(1, int(np.searchsorted(head, SLOT_CAP, side="right")))
-            batch, ready = ready[:take], ready[take:]
-            newly = _step(graph, mem, read, wake, batch, it, indeg)
-            ready = np.concatenate([ready, newly])
-    return [_cover(nodes, active, mem[j * n + active], config.overlap_threshold)
+    workers = max(1, min(WORKERS, runs * len(graph.indices) // WORKER_POSITIONS))
+    stack = _Stack(graph, config, seeds, active, workers)
+    with _Crew(workers) as crew:
+        for it in range(1, stack.memory_size):
+            stack.it = it
+            crew.map(stack.rank, range(runs))
+            crew.map(stack.draw, stack.draws)
+            ready = (np.arange(runs)[:, None] * n + active).ravel()
+            stack.queue = ready[np.take(stack.indeg, ready) == 0]
+            crew.run(stack.drain)
+    return [_cover(nodes, active, stack.mem[j * n + active], config.overlap_threshold)
             for j in range(runs)]
 
 
-def _step(graph, mem, read, wake, cells, it, indeg) -> np.ndarray:
+def _draw_tasks(indptr, active, size):
+    """The active rows in runs of consecutive rows that hold at most
+    ``size`` CSR positions (one row at least), as ``(rows, first, stop)``:
+    the rows, and the positions ``first:stop`` they span."""
+    ends = indptr[active + 1]
+    tasks = []
+    start = 0
+    while start < len(active):
+        first = int(indptr[active[start]])
+        stop = max(start + 1, int(np.searchsorted(ends, first + size, side="right")))
+        tasks.append((active[start:stop], first, int(ends[stop - 1])))
+        start = stop
+    return tasks
+
+
+class _Stack:
+    """The state of one :func:`_stacked_runs` call: the memories, and for
+    the current iteration ``it`` the visit ranks, read indices, wake flags,
+    wait counts and ready queue of the stacked (run, node) cells.  Each
+    worker gets its own draw buffers, allocated here, once."""
+
+    def __init__(self, graph, config, seeds, active, workers):
+        n = len(graph.nodes)
+        runs = len(seeds)
+        edges = len(graph.indices)
+        self.graph = graph
+        self.seeds = seeds
+        self.n = n
+        self.it = 0
+        self.deg = np.diff(graph.indptr)
+        self.memory_size = memory_size = config.resolved_iterations + 1
+        # One memory row per (run, node) cell: cell = run * n + node.
+        self.mem = np.empty((runs * n, memory_size), dtype=np.int32)
+        self.mem[:, 0] = np.tile(np.arange(n, dtype=np.int32), runs)
+        self.node_ids = np.arange(n)
+        self.rows = np.repeat(self.node_ids, self.deg)
+        self.positions = np.arange(edges)
+        # reverse[p] is the position of the edge p read the other way round.
+        self.reverse = np.empty(edges, dtype=np.int64)
+        self.reverse[np.argsort(graph.indices, kind="stable")] = self.positions
+        # Per stacked position j * edges + p: the flat memory index of the
+        # label it reads, and whether the neighbour at p reads the label
+        # that p's own row writes in this iteration.  row_start[p] is where
+        # the memory row of the neighbour at p starts in run 0.
+        self.read_dtype = read_index_dtype(runs * n, memory_size)
+        self.row_start = graph.indices.astype(self.read_dtype) * memory_size
+        self.read = np.empty(runs * edges, dtype=self.read_dtype)
+        self.wake = np.empty(runs * edges, dtype=bool)
+        # Per cell: how many labels it still waits for in this iteration.
+        self.indeg = np.empty(runs * n, dtype=np.int32)
+        self.visit = np.empty((runs, n), dtype=np.int32)
+        # A prefix of the queue gathers at most SLOT_CAP slots in at most
+        # this many cells.
+        self.lookahead = SLOT_CAP // int(self.deg[active].min()) + 1
+        tasks = _draw_tasks(graph.indptr, active, DRAW_TASK)
+        self.draws = [(j, task) for j in range(runs) for task in tasks]
+        width = max(max(stop - first for _, first, stop in tasks), n)
+        self.keys = np.empty((workers, width), dtype=np.uint64)
+        self.scratch = np.empty_like(self.keys)
+        self.flags = np.empty((workers, width), dtype=bool)
+        self.counts = np.empty((workers, max(len(rows) for rows, _, _ in tasks)),
+                               dtype=np.int32)
+        self.turn = threading.Condition()
+        self.busy = 0
+        self.failed = False
+
+    def rank(self, worker, j):
+        """Run ``j``'s visit ranks: node ``u`` is visited in ascending
+        order of ``derive_seed(derive_seed(seed, 2 it), u)``, then ``u``."""
+        n = self.n
+        keys = derive_seeds(derive_seed(self.seeds[j], 2 * self.it), self.node_ids,
+                            out=self.keys[worker, :n], scratch=self.scratch[worker, :n])
+        self.visit[j][np.argsort(keys, kind="stable")] = self.node_ids
+
+    def draw(self, worker, draw):
+        """Iteration ``it``'s slot draw for the positions of one task of
+        run ``j``: their read indices, the wake flags of the positions that
+        read them the other way round, and their rows' wait counts.
+
+        Writes only through this worker's buffers: ``scratch`` holds the
+        two visit ranks, then the memory lengths; ``flags`` the "earlier"
+        mask, then the waits.  ``np.take`` gets ``mode="clip"`` because
+        ``"raise"`` copies its output."""
+        j, (rows, first, stop) = draw
+        it = self.it
+        size = stop - first
+        span = slice(first, stop)
+        keys, scratch = self.keys[worker, :size], self.scratch[worker, :size]
+        theirs, ours = scratch.view(np.int32).reshape(2, size)
+        flags = self.flags[worker, :size]
+        derive_seeds(derive_seed(self.seeds[j], 2 * it + 1), self.positions[span],
+                     out=keys, scratch=scratch)
+        # A neighbour visited earlier in this iteration has one more label;
+        # a node that draws it waits for that neighbour.
+        np.take(self.visit[j], self.graph.indices[span], out=theirs, mode="clip")
+        np.take(self.visit[j], self.rows[span], out=ours, mode="clip")
+        np.less(theirs, ours, out=flags)
+        np.add(flags, np.uint64(it), out=scratch)
+        np.remainder(keys, scratch, out=keys)  # the slots, all below it + 1
+        edges = len(self.positions)
+        read = self.read[j * edges + first:j * edges + stop]
+        np.add(self.row_start[span], keys, out=read, dtype=self.read_dtype,
+               casting="unsafe")
+        read += j * self.n * self.memory_size
+        np.equal(keys, np.uint64(it), out=flags)
+        # reverse is an involution, so the neighbour at reverse[p] waits
+        # for p's row exactly when p draws slot it.
+        self.wake[j * edges:(j + 1) * edges][self.reverse[span]] = flags
+        counts = self.counts[worker, :len(rows)]
+        np.add.reduceat(flags, self.graph.indptr[rows] - first, out=counts,
+                        dtype=np.int32)
+        self.indeg[j * self.n + rows] = counts
+
+    def drain(self, worker):
+        """Step ready cells until the queue is empty and no step is running.
+
+        The queue and ``indeg`` are shared under ``turn``; a step itself
+        runs outside it."""
+        turn = self.turn
+        while True:
+            with turn:
+                while not len(self.queue) and self.busy and not self.failed:
+                    turn.wait()
+                if self.failed or not len(self.queue):
+                    return
+                # Ready cells are independent: take a prefix of them that
+                # gathers at most SLOT_CAP neighbour slots (one cell at least).
+                head = np.take(self.deg, self.queue[:self.lookahead] % self.n).cumsum()
+                take = max(1, int(np.searchsorted(head, SLOT_CAP, side="right")))
+                batch, self.queue = self.queue[:take], self.queue[take:]
+                self.busy += 1
+            waiting = None
+            try:
+                waiting = _step(self.graph, self.mem, self.read, self.wake, batch,
+                                self.it)
+            finally:
+                with turn:
+                    self.busy -= 1
+                    # Waiters run once the lock is free, even if this raises.
+                    turn.notify_all()
+                    if waiting is None:
+                        self.failed = True
+                    else:
+                        self._release(waiting)
+
+    def _release(self, waiting):
+        """Count one finished wait per entry of ``waiting`` and queue the
+        cells left with none, each once.  A cell woken twice by one step
+        appears twice: every such entry writes its own negative stamp into
+        the cell's count, and only the entry whose stamp stuck is kept.  A
+        queued cell's count is never read again in this iteration."""
+        indeg = self.indeg
+        # An int32 one: a Python 1 would take ufunc.at's slow casting path.
+        np.subtract.at(indeg, waiting, np.int32(1))
+        newly = waiting[np.take(indeg, waiting) == 0]
+        stamps = np.arange(-1, -1 - len(newly), -1, dtype=indeg.dtype)
+        indeg[newly] = stamps
+        self.queue = np.concatenate([self.queue, newly[np.take(indeg, newly) == stamps]])
+
+
+class _Crew:
+    """The workers of one :func:`_stacked_runs` call: the calling thread
+    (worker 0) and ``count - 1`` threads, as a context manager.
+
+    ``run(job)`` calls ``job(worker)`` on every worker and returns once all
+    have returned; ``map(fn, tasks)`` has the workers call ``fn(worker,
+    task)`` for each task, taking tasks in turn.  If a job raises, the rest
+    of the tasks are skipped and ``run`` re-raises the first exception in
+    the caller.  Leaving the ``with`` block ends and joins every thread.
+    With one worker no thread is started and jobs run inline.
+    """
+
+    def __init__(self, count: int):
+        self._barrier = threading.Barrier(count)
+        self._lock = threading.Lock()
+        self._job = None
+        self._error = None
+        self._threads = [threading.Thread(target=self._serve, args=(worker,),
+                                          name=f"listcom-detect-{worker}")
+                         for worker in range(1, count)]
+
+    def __enter__(self) -> "_Crew":
+        try:
+            for thread in self._threads:
+                thread.start()
+        except BaseException:
+            self._barrier.abort()
+            for thread in self._threads:
+                if thread.ident is not None:
+                    thread.join()
+            raise
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._job = None
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        for thread in self._threads:
+            thread.join()
+
+    def _serve(self, worker: int) -> None:
+        try:
+            while True:
+                self._barrier.wait()
+                if self._job is None:
+                    return
+                self._call(worker)
+                self._barrier.wait()
+        except threading.BrokenBarrierError:
+            return
+
+    def _call(self, worker: int) -> None:
+        try:
+            self._job(worker)
+        except BaseException as exc:
+            with self._lock:
+                if self._error is None:
+                    self._error = exc
+
+    def run(self, job) -> None:
+        self._job = job
+        self._barrier.wait()
+        self._call(0)
+        self._barrier.wait()
+        if self._error is not None:
+            raise self._error
+
+    def map(self, fn, tasks) -> None:
+        tasks = iter(tasks)
+        lock = threading.Lock()
+
+        def job(worker):
+            while self._error is None:
+                with lock:
+                    task = next(tasks, None)
+                if task is None:
+                    return
+                fn(worker, task)
+
+        self.run(job)
+
+
+def _step(graph, mem, read, wake, cells, it) -> np.ndarray:
     """Append iteration ``it``'s label to each of ``cells``, whose drawn
-    labels are all in place; returns the cells this makes ready."""
+    labels are all in place; returns the cells waiting for these labels,
+    once per label each waits for."""
     n = len(graph.nodes)
     edges = len(graph.indices)
     run, u = np.divmod(cells, n)
@@ -402,9 +650,7 @@ def _step(graph, mem, read, wake, cells, it, indeg) -> np.ndarray:
     mem[cells, it] = keys[new][first] % n
     # Neighbours that drew the label just written.
     woken_run, woken = np.divmod(stacked[np.take(wake, stacked)], edges)
-    waiting = woken_run * n + graph.indices[woken]
-    np.subtract.at(indeg, waiting, 1)
-    return np.unique(waiting[indeg[waiting] == 0])
+    return woken_run * n + graph.indices[woken]
 
 
 def _cover(nodes, active, mem, overlap_threshold) -> Cover:

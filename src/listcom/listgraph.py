@@ -159,7 +159,8 @@ def overlap_pvalue(size_x: int, size_y: int, intersection: int, n: int) -> float
 def overlap_lpv(size_x: int, size_y: int, intersection: int, n: int) -> float:
     """Negative log10 of :func:`overlap_pvalue`, computed entirely in log space."""
     _check_overlap_args(size_x, size_y, intersection, n)
-    return -_log_tail(size_x, size_y, intersection, n) / _LN10
+    # 0.0 - x, not -x: a tail probability of 1 weighs 0.0, not -0.0.
+    return 0.0 - _log_tail(size_x, size_y, intersection, n) / _LN10
 
 
 def _log_tail_batch(
@@ -258,7 +259,7 @@ def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> List
         cc = counts[start:start + 1_000_000]
         i_idx = kk // l
         j_idx = kk % l
-        lpv = -_log_tail_batch(sizes[i_idx], sizes[j_idx], cc, n, lg) / _LN10
+        lpv = 0.0 - _log_tail_batch(sizes[i_idx], sizes[j_idx], cc, n, lg) / _LN10
         keep = lpv >= config.rho
         kept.append((i_idx[keep], j_idx[keep], lpv[keep]))
     if not kept:

@@ -25,20 +25,31 @@ def derive_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def derive_seeds(master_seed: int, indices) -> np.ndarray:
+def derive_seeds(master_seed: int, indices, out=None, scratch=None) -> np.ndarray:
     """``derive_seed`` over an array: the ``uint64`` array of
     ``derive_seed(master_seed, i)`` for each i of ``indices``.
 
     Both are taken modulo 2**64.  The arithmetic stays on arrays, where
-    ``uint64`` wraps silently (numpy warns only on scalar overflow).
+    ``uint64`` wraps silently (numpy warns only on scalar overflow).  Given
+    ``out`` and ``scratch``, two ``uint64`` arrays shaped like ``indices``,
+    it writes the result to ``out`` and allocates nothing.
     """
-    z = np.array(indices, dtype=np.uint64, ndmin=1)
+    if out is None:
+        out = np.array(indices, dtype=np.uint64, ndmin=1)
+    else:
+        out[...] = indices
+    if scratch is None:
+        scratch = np.empty_like(out)
+    z = out
     z += np.uint64(1)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(master_seed & _MASK64)
-    z ^= z >> np.uint64(30)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
     z *= np.uint64(_MUL1)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
     z *= np.uint64(_MUL2)
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
     return z

@@ -1,5 +1,7 @@
 import importlib
+import itertools
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -128,13 +130,17 @@ def int64_read_index(cells, memory_size):
     return np.dtype(np.int64)
 
 
-@pytest.mark.parametrize("limits", [{}, {"SLOT_CAP": 1}, {"SLOT_CAP": 7},
-                                    {"RUN_SLOTS": 1}, {"RUN_SLOTS": 300},
-                                    {"read_index_dtype": int64_read_index}])
+LIMITS = [{}, {"SLOT_CAP": 1}, {"SLOT_CAP": 7}, {"RUN_SLOTS": 1},
+          {"RUN_SLOTS": 300}, {"read_index_dtype": int64_read_index},
+          {"DRAW_TASK": 5}]
+
+
+@pytest.mark.parametrize("limits", LIMITS)
 def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
     # Any grouping of runs, any cap on the slots gathered per step or held
-    # per group of stacked runs, and either width of the read index gives
-    # each run's own result.
+    # per group of stacked runs, any size of a draw task and either width
+    # of the read index give each run's own result.  These graphs are too
+    # small for a second worker unless the test below forces one.
     for name, value in limits.items():
         # The package exports the function ``detect``, which hides the module.
         monkeypatch.setattr(importlib.import_module("listcom.detect"), name, value)
@@ -152,6 +158,12 @@ def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
         assert detect_runs(graph, cfg, seeds[::-1]) == single[::-1]
         assert detect_runs(graph, cfg, [seeds[2]] * 3) == [single[2]] * 3
     assert detect_runs(graph, cfg, []) == []
+
+
+@pytest.mark.parametrize("limits", LIMITS)
+def test_detect_runs_equals_one_run_at_a_time_on_workers(monkeypatch, limits,
+                                                        workers):
+    test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits)
 
 
 def test_read_index_dtype_at_the_int32_boundary():
@@ -173,3 +185,21 @@ def test_detect_raises_no_runtime_warning():
         for seed in (0, 1, 2**63, 2**64 - 1):
             detect(graph, DetectorConfig(mode="fast", seed=seed))
         detect_runs(graph, DetectorConfig(mode="fast"), [3, 2**64 - 1])
+
+
+def test_a_failing_step_stops_every_worker(monkeypatch, workers):
+    module = importlib.import_module("listcom.detect")
+    calls = itertools.count(1)  # next() hands each thread its own number
+    step = module._step
+
+    def failing_step(*args):
+        if next(calls) == 3:
+            raise RuntimeError("step three fails")
+        return step(*args)
+
+    monkeypatch.setattr(module, "_step", failing_step)
+    graph = noisy_planted_graph()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="step three fails"):
+        detect_runs(graph, DetectorConfig(mode="thorough"), [1, 2, 3])
+    assert threading.active_count() == before

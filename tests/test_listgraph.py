@@ -30,6 +30,20 @@ def test_pvalue_zero_intersection_is_one():
     assert overlap_lpv(5, 4, 0, 10) == 0.0
 
 
+def test_certain_overlap_weighs_plus_zero(tmp_path):
+    # Two lists that both hold both users of a 2-user corpus share them
+    # with probability 1: the weight is 0.0, never -0.0, and rho = 0 keeps
+    # the edge, written as 0.000000.
+    assert math.copysign(1.0, overlap_lpv(2, 2, 2, 2)) == 1.0
+    corpus = MembershipCorpus.build([ListRecord("L1", "", ""), ListRecord("L2", "", "")],
+                                    {"L1": ["u1", "u2"], "L2": ["u1", "u2"]})
+    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    assert graph.edge_list() == [("L1", "L2", 0.0)]
+    assert all(math.copysign(1.0, w) == 1.0 for w in graph.weights.tolist())
+    save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
+    assert (tmp_path / "g.tsv").read_text("utf-8") == "L1\tL2\t0.000000\n"
+
+
 def test_pvalue_example_10_5_4_3():
     assert overlap_pvalue(5, 4, 3, 10) == pytest.approx(55 / 210, rel=1e-12)
     assert overlap_lpv(5, 4, 3, 10) == pytest.approx(-math.log10(55 / 210), rel=1e-12)

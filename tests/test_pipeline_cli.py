@@ -1,4 +1,5 @@
 import filecmp
+import importlib
 import json
 from pathlib import Path
 
@@ -102,6 +103,23 @@ def test_run_pipeline_byte_identical_reruns(corpus_files, tmp_path):
                      fast_config(),
                      groundtruth_path=corpus_files["groundtruth"])
     assert bundle_bytes(out1) == bundle_bytes(out2)
+
+
+def test_bundle_does_not_depend_on_the_worker_count(corpus_files, tmp_path,
+                                                    monkeypatch):
+    # Threads start even on this small corpus; the schedule of the steps
+    # changes with their number, and no artifact does.
+    detect_module = importlib.import_module("listcom.detect")
+    monkeypatch.setattr(detect_module, "WORKER_POSITIONS", 1)
+    bundles = []
+    for count in (1, 2):
+        monkeypatch.setattr(detect_module, "WORKERS", count)
+        out = tmp_path / f"workers{count}"
+        run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                     fast_config(), groundtruth_path=corpus_files["groundtruth"])
+        bundles.append(bundle_bytes(out))
+    assert len(bundles[0]) == len(ARTIFACTS) == 8
+    assert bundles[0] == bundles[1]
 
 
 def test_stagewise_equals_one_shot(corpus_files, tmp_path):

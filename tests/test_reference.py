@@ -122,6 +122,15 @@ def test_detect_matches_reference_on_all_zero_weights(tmp_path):
         assert_same_detection(consensus, DetectorConfig(mode="thorough", seed=seed))
 
 
+def test_detect_matches_reference_on_workers(tmp_path, workers):
+    # The cases above, stepped on 1, 2 or 3 worker threads.
+    for mode in ("fast", "thorough"):
+        test_detect_matches_reference_on_planted_graph(mode)
+    test_detect_matches_reference_on_weighted_ties()
+    test_detect_matches_reference_on_order_sensitive_sums()
+    test_detect_matches_reference_on_all_zero_weights(tmp_path)
+
+
 def random_nodes(rng, low=2, high=40):
     """Sorted ids whose string order is not their numeric order."""
     return sorted(f"n{i}" for i in range(int(rng.integers(low, high))))

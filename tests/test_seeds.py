@@ -19,3 +19,15 @@ def test_derive_seeds_wraps_like_the_scalar_mix():
     assert derive_seeds(5, np.array([-1])).tolist() == [derive_seed(5, 2**64 - 1)]
     assert derive_seed(5, 2**64 - 1) == derive_seed(5, -1)
     assert derive_seeds(2**64 + 5, [3]).tolist() == [derive_seed(5, 3)]
+
+
+def test_derive_seeds_into_buffers_allocates_no_result():
+    indices = np.array(EDGES, dtype=np.uint64)
+    out = np.empty_like(indices)
+    scratch = np.empty_like(indices)
+    got = derive_seeds(7, indices, out=out, scratch=scratch)
+    assert got is out
+    assert got.tolist() == derive_seeds(7, indices).tolist()
+    # Any integer indices are taken modulo 2**64, as without buffers.
+    derive_seeds(7, np.arange(-3, 3), out=out[:6], scratch=scratch[:6])
+    assert out[:6].tolist() == derive_seeds(7, np.arange(-3, 3)).tolist()
