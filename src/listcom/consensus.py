@@ -166,8 +166,8 @@ def accumulate(matrix: ConsensusMatrix, base: Cover) -> ConsensusMatrix:
 def _covers(graph: ListGraph, config: DetectorConfig, seeds,
             detector: Detector) -> Iterable[Cover]:
     """One cover over ``graph.nodes`` per seed.  The built-in :func:`detect`
-    steps all runs together through :func:`detect_runs`; any other detector
-    is called one run at a time and its id sets become a cover once."""
+    hands all runs to :func:`detect_runs` at once; any other detector is
+    called one run at a time and its id sets become a cover once."""
     if detector is detect:
         return detect_runs(graph, config, seeds)
     return (Cover.from_sets(graph.nodes, detector(graph, config.with_seed(seed)))

@@ -24,60 +24,35 @@ sequential stream.  In iteration ``it`` of the run with seed ``s``:
   current memory length: ``it + 1`` if it was visited earlier in this
   iteration, ``it`` otherwise.
 
-Every slot is therefore known when the iteration starts, and a node's
-update reads only the labels in its drawn slots.  The one label it can read
-that the iteration itself writes is slot ``it`` of an earlier-visited
-neighbour.  Updates therefore need not run one at a time: a node is ready
-once every neighbour whose slot ``it`` it drew is done, and nodes that are
-ready together read nothing any of them writes, so they are updated in one
-vectorised step.  That gives the memories of the node-by-node loop in visit
-order (the asynchronous SLPA of Xie, Szymanski and Liu, 2011) in as many
-levels as the longest chain of such reads.  :func:`detect_runs` stacks
-several runs as (run, node) cells over the one shared CSR and steps their
-ready cells together.  A step gathers at most ``SLOT_CAP`` neighbour slots
-and leaves the other ready cells for the next step; any subset of the ready
-cells is independent, so the cap bounds memory without changing a result.
-Runs are independent too, and are stacked in groups that hold at most
-``RUN_SLOTS`` drawn slots.
+A run is one call of the C function ``slpa`` (``_slpa.c``): the
+asynchronous SLPA of Xie, Szymanski and Liu (2011), one node at a time in
+visit order.  Each label's vote is its edge weights summed from 0.0 in CSR
+order in a dense per-label accumulator; the highest vote wins, and a tie,
+all-zero votes included, goes to the lowest label.  Labels are node
+positions and memories ``int32`` rows of ``iterations + 1`` labels.  A
+malformed array would crash the kernel, so :func:`detect_runs` checks the
+CSR arrays first and raises :class:`ValidationError`.
 
-Labels are node positions and memories are ``int32``.  The slot reads are
-hoisted out of the steps: when an iteration's slots are drawn for a run,
-each stacked CSR position gets the flat index into the memory of the label
-it reads, and a flag saying whether the neighbour there reads the label its
-own row writes in this iteration.  The index is ``int32`` unless the memory
-holds more than 2**31 labels (:func:`read_index_dtype`).  A step then reads
-each slot's label with one lookup, and takes the cells its writes wake from
-``graph.indices`` at the flagged positions.  It tallies each cell's
-collected labels with one stable ``np.argsort`` of the (cell, label) keys:
-the breaks in the sorted keys number the groups, and ``np.bincount`` sums
-the edge weights in sorted order, which the stable sort keeps in CSR order
-within a group, so every vote is the same sequential sum of doubles.  The
-winner is the first maximum of the cell's votes, or the lowest collected
-label when every vote is 0.0.
+:func:`detect_runs` gives each run whole to one thread of a
+``ThreadPoolExecutor``; ``ctypes`` releases the interpreter lock during the
+call.  It uses ``min(WORKERS, runs, runs * positions // THREAD_POSITIONS)``
+threads, one at least, where ``WORKERS`` is the number of usable cores (the
+affinity mask) and ``positions`` the graph's CSR positions, so small graphs
+and the single thorough run keep to one.  Threads share only the CSR arrays,
+which the kernel only reads, and each run writes its own memory, so no
+result depends on the number of threads or their schedule.  If a run raises,
+the runs not yet started are cancelled, the caller re-raises it, and no
+thread outlives the call.
 
-A group of stacked runs is stepped on ``min(WORKERS, positions //
-WORKER_POSITIONS)`` workers, one at least: ``WORKERS`` is the number of
-usable cores (the affinity mask), and ``positions`` the group's stacked CSR
-positions, so small graphs keep to one.  The calling thread is worker 0;
-with one worker no thread starts and the same loop runs inline.  Each
-iteration shares three phases out among the workers, one after the other:
-the visit ranks, one task per run; the slot draw, in tasks of whole rows of
-one run with at most ``DRAW_TASK`` positions, each writing the read
-indices, wake flags and wait counts of its own positions and rows; and the
-drain.  In the drain the workers share one ready queue and the per-cell wait
-counts under one lock.  A worker takes a prefix of the queue, runs the step
-outside the lock, and under it counts down the waits of the cells the step
-wakes and queues those left with none.  Which worker steps which cells, and
-in which order, then varies from run to run, and no result depends on it: a
-step reads slots below ``it``, written in earlier iterations, and slot
-``it`` of neighbours whose steps finished before its cell was queued, and
-each cell's slot ``it`` is written by one step.  Worker threads allocate
-nothing large.  The draw writes through buffers that the calling thread
-allocates once per call (``derive_seeds`` takes ``out=``), and a step's
-temporaries are bounded by ``SLOT_CAP``: memory a thread frees stays
-resident in its own malloc arena, so per-task temporaries the size of a run
-would raise the peak RSS.  If a job raises on any worker, the others stop,
-the caller re-raises it, and no thread outlives the call.
+The kernel is compiled on first use, never at import, with ``cc -O2 -shared
+-fPIC`` into ``$XDG_CACHE_HOME/listcom``, else ``~/.cache/listcom``,
+created with mode 0700: never a shared temporary directory, where another
+user could plant the library.  The file name holds the sha256 of the source
+and ``sysconfig.get_platform()``, so an edited source or another platform
+builds anew, and the library is renamed into place from a temporary
+directory beside it, so no process loads a partial file.  There is no
+fallback: a missing compiler or a failed build raises a ``RuntimeError``
+naming the command, and ``listcom`` exits 4.
 
 A run's result is a :class:`Cover`: the sorted node order plus ``indptr``
 and ``int32`` ``members`` arrays holding each community's node positions in
@@ -98,10 +73,12 @@ slotted in without touching the aggregation machinery.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
-import threading
+import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -109,18 +86,17 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import ValidationError
 from .listgraph import ListGraph
-from .seeds import derive_seed, derive_seeds
 
 FAST_ITERATIONS = 5
 THOROUGH_ITERATIONS = 50
-SLOT_CAP = 1 << 14  # neighbour slots gathered per step
-RUN_SLOTS = 1 << 23  # drawn slots held at once by a group of stacked runs
 PAIR_BLOCK = 1 << 18  # member pairs in one block of group_pairs
-DRAW_TASK = 1 << 16  # CSR positions of one run drawn by one task
-# Stacked positions per worker thread, at least.  At around 2.7e5 positions
-# (100 runs of 2.7e3), two workers took 14 % more CPU time than one on a
-# 2-core host and saved no wall time.
-WORKER_POSITIONS = 16 * SLOT_CAP
+# CSR positions of all runs per thread, at least.  On ``desk`` (100 runs of
+# about 2.8e3 positions) two threads took 0.031-0.037 s against 0.029-0.031 s
+# for one, on a 2-core host.
+THREAD_POSITIONS = 1 << 18
+KERNEL_SOURCE = Path(__file__).with_name("_slpa.c")
+COMPILER = ("cc", "-O2", "-shared", "-fPIC")
+_MASK64 = (1 << 64) - 1
 
 
 def _usable_cores() -> int:
@@ -131,7 +107,7 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-WORKERS = _usable_cores()  # worker threads that step one group of runs, at most
+WORKERS = _usable_cores()  # threads that run one call's runs, at most
 
 
 @dataclass(frozen=True)
@@ -324,333 +300,108 @@ def detect(graph: ListGraph, config: DetectorConfig) -> CommunitySet:
 
 def detect_runs(graph: ListGraph, config: DetectorConfig,
                 seeds) -> list[Cover]:
-    """:func:`detect` once per seed, all runs stepped together, as covers
-    over ``graph.nodes``.
+    """:func:`detect` once per seed, as covers over ``graph.nodes``.
 
     Equals ``[detect(graph, config.with_seed(s)) for s in seeds]`` in
-    :class:`Cover` form.  Runs are stacked in groups that hold at most
-    ``RUN_SLOTS`` drawn slots (one run at least).
+    :class:`Cover` form; each run goes whole to one thread.
     """
-    if not graph.nodes:
-        raise ValidationError("graph has no nodes")
-    seeds = [int(s) for s in seeds]
-    group = max(1, RUN_SLOTS // max(1, len(graph.indices)))
-    return [cover for start in range(0, len(seeds), group)
-            for cover in _stacked_runs(graph, config, seeds[start:start + group])]
+    # Imported here: it would add to the import time of every command.
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def read_index_dtype(cells: int, memory_size: int) -> np.dtype:
-    """``int32`` when every flat index into ``cells`` memory rows of
-    ``memory_size`` labels fits in it, ``int64`` otherwise."""
-    fits = cells * memory_size - 1 <= np.iinfo(np.int32).max
-    return np.dtype(np.int32 if fits else np.int64)
-
-
-def _stacked_runs(graph: ListGraph, config: DetectorConfig,
-                  seeds: list[int]) -> list[Cover]:
-    nodes = graph.nodes
-    n = len(nodes)
-    runs = len(seeds)
+    csr = _checked_csr(graph)
+    seeds = [int(s) & _MASK64 for s in seeds]
     active = np.flatnonzero(np.diff(graph.indptr) > 0)
     if not len(active):
-        return [Cover.from_groups(nodes, [], [])] * runs
-    workers = max(1, min(WORKERS, runs * len(graph.indices) // WORKER_POSITIONS))
-    stack = _Stack(graph, config, seeds, active, workers)
-    with _Crew(workers) as crew:
-        for it in range(1, stack.memory_size):
-            stack.it = it
-            crew.map(stack.rank, range(runs))
-            crew.map(stack.draw, stack.draws)
-            ready = (np.arange(runs)[:, None] * n + active).ravel()
-            stack.queue = ready[np.take(stack.indeg, ready) == 0]
-            crew.run(stack.drain)
-    return [_cover(nodes, active, stack.mem[j * n + active], config.overlap_threshold)
-            for j in range(runs)]
-
-
-def _draw_tasks(indptr, active, size):
-    """The active rows in runs of consecutive rows that hold at most
-    ``size`` CSR positions (one row at least), as ``(rows, first, stop)``:
-    the rows, and the positions ``first:stop`` they span."""
-    ends = indptr[active + 1]
-    tasks = []
-    start = 0
-    while start < len(active):
-        first = int(indptr[active[start]])
-        stop = max(start + 1, int(np.searchsorted(ends, first + size, side="right")))
-        tasks.append((active[start:stop], first, int(ends[stop - 1])))
-        start = stop
-    return tasks
-
-
-class _Stack:
-    """The state of one :func:`_stacked_runs` call: the memories, and for
-    the current iteration ``it`` the visit ranks, read indices, wake flags,
-    wait counts and ready queue of the stacked (run, node) cells.  Each
-    worker gets its own draw buffers, allocated here, once."""
-
-    def __init__(self, graph, config, seeds, active, workers):
-        n = len(graph.nodes)
-        runs = len(seeds)
-        edges = len(graph.indices)
-        self.graph = graph
-        self.seeds = seeds
-        self.n = n
-        self.it = 0
-        self.deg = np.diff(graph.indptr)
-        self.memory_size = memory_size = config.resolved_iterations + 1
-        # One memory row per (run, node) cell: cell = run * n + node.
-        self.mem = np.empty((runs * n, memory_size), dtype=np.int32)
-        self.mem[:, 0] = np.tile(np.arange(n, dtype=np.int32), runs)
-        self.node_ids = np.arange(n)
-        self.rows = np.repeat(self.node_ids, self.deg)
-        self.positions = np.arange(edges)
-        # reverse[p] is the position of the edge p read the other way round.
-        self.reverse = np.empty(edges, dtype=np.int64)
-        self.reverse[np.argsort(graph.indices, kind="stable")] = self.positions
-        # Per stacked position j * edges + p: the flat memory index of the
-        # label it reads, and whether the neighbour at p reads the label
-        # that p's own row writes in this iteration.  row_start[p] is where
-        # the memory row of the neighbour at p starts in run 0.
-        self.read_dtype = read_index_dtype(runs * n, memory_size)
-        self.row_start = graph.indices.astype(self.read_dtype) * memory_size
-        self.read = np.empty(runs * edges, dtype=self.read_dtype)
-        self.wake = np.empty(runs * edges, dtype=bool)
-        # Per cell: how many labels it still waits for in this iteration.
-        self.indeg = np.empty(runs * n, dtype=np.int32)
-        self.visit = np.empty((runs, n), dtype=np.int32)
-        # A prefix of the queue gathers at most SLOT_CAP slots in at most
-        # this many cells.
-        self.lookahead = SLOT_CAP // int(self.deg[active].min()) + 1
-        tasks = _draw_tasks(graph.indptr, active, DRAW_TASK)
-        self.draws = [(j, task) for j in range(runs) for task in tasks]
-        width = max(max(stop - first for _, first, stop in tasks), n)
-        self.keys = np.empty((workers, width), dtype=np.uint64)
-        self.scratch = np.empty_like(self.keys)
-        self.flags = np.empty((workers, width), dtype=bool)
-        self.counts = np.empty((workers, max(len(rows) for rows, _, _ in tasks)),
-                               dtype=np.int32)
-        self.turn = threading.Condition()
-        self.busy = 0
-        self.failed = False
-
-    def rank(self, worker, j):
-        """Run ``j``'s visit ranks: node ``u`` is visited in ascending
-        order of ``derive_seed(derive_seed(seed, 2 it), u)``, then ``u``."""
-        n = self.n
-        keys = derive_seeds(derive_seed(self.seeds[j], 2 * self.it), self.node_ids,
-                            out=self.keys[worker, :n], scratch=self.scratch[worker, :n])
-        self.visit[j][np.argsort(keys, kind="stable")] = self.node_ids
-
-    def draw(self, worker, draw):
-        """Iteration ``it``'s slot draw for the positions of one task of
-        run ``j``: their read indices, the wake flags of the positions that
-        read them the other way round, and their rows' wait counts.
-
-        Writes only through this worker's buffers: ``scratch`` holds the
-        two visit ranks, then the memory lengths; ``flags`` the "earlier"
-        mask, then the waits.  ``np.take`` gets ``mode="clip"`` because
-        ``"raise"`` copies its output."""
-        j, (rows, first, stop) = draw
-        it = self.it
-        size = stop - first
-        span = slice(first, stop)
-        keys, scratch = self.keys[worker, :size], self.scratch[worker, :size]
-        theirs, ours = scratch.view(np.int32).reshape(2, size)
-        flags = self.flags[worker, :size]
-        derive_seeds(derive_seed(self.seeds[j], 2 * it + 1), self.positions[span],
-                     out=keys, scratch=scratch)
-        # A neighbour visited earlier in this iteration has one more label;
-        # a node that draws it waits for that neighbour.
-        np.take(self.visit[j], self.graph.indices[span], out=theirs, mode="clip")
-        np.take(self.visit[j], self.rows[span], out=ours, mode="clip")
-        np.less(theirs, ours, out=flags)
-        np.add(flags, np.uint64(it), out=scratch)
-        np.remainder(keys, scratch, out=keys)  # the slots, all below it + 1
-        edges = len(self.positions)
-        read = self.read[j * edges + first:j * edges + stop]
-        np.add(self.row_start[span], keys, out=read, dtype=self.read_dtype,
-               casting="unsafe")
-        read += j * self.n * self.memory_size
-        np.equal(keys, np.uint64(it), out=flags)
-        # reverse is an involution, so the neighbour at reverse[p] waits
-        # for p's row exactly when p draws slot it.
-        self.wake[j * edges:(j + 1) * edges][self.reverse[span]] = flags
-        counts = self.counts[worker, :len(rows)]
-        np.add.reduceat(flags, self.graph.indptr[rows] - first, out=counts,
+        return [Cover.from_groups(graph.nodes, [], [])] * len(seeds)
+    run = functools.partial(_run, _kernel(), csr)
+    threads = max(1, min(WORKERS, len(seeds),
+                         len(seeds) * len(graph.indices) // THREAD_POSITIONS))
+    # The memories, and the covers made from them as they arrive, are
+    # allocated on the calling thread: memory that a worker thread frees
+    # stays resident in its own malloc arena.
+    memories = np.empty((len(seeds), len(graph.nodes), config.resolved_iterations + 1),
                         dtype=np.int32)
-        self.indeg[j * self.n + rows] = counts
-
-    def drain(self, worker):
-        """Step ready cells until the queue is empty and no step is running.
-
-        The queue and ``indeg`` are shared under ``turn``; a step itself
-        runs outside it."""
-        turn = self.turn
-        while True:
-            with turn:
-                while not len(self.queue) and self.busy and not self.failed:
-                    turn.wait()
-                if self.failed or not len(self.queue):
-                    return
-                # Ready cells are independent: take a prefix of them that
-                # gathers at most SLOT_CAP neighbour slots (one cell at least).
-                head = np.take(self.deg, self.queue[:self.lookahead] % self.n).cumsum()
-                take = max(1, int(np.searchsorted(head, SLOT_CAP, side="right")))
-                batch, self.queue = self.queue[:take], self.queue[take:]
-                self.busy += 1
-            waiting = None
-            try:
-                waiting = _step(self.graph, self.mem, self.read, self.wake, batch,
-                                self.it)
-            finally:
-                with turn:
-                    self.busy -= 1
-                    # Waiters run once the lock is free, even if this raises.
-                    turn.notify_all()
-                    if waiting is None:
-                        self.failed = True
-                    else:
-                        self._release(waiting)
-
-    def _release(self, waiting):
-        """Count one finished wait per entry of ``waiting`` and queue the
-        cells left with none, each once.  A cell woken twice by one step
-        appears twice: every such entry writes its own negative stamp into
-        the cell's count, and only the entry whose stamp stuck is kept.  A
-        queued cell's count is never read again in this iteration."""
-        indeg = self.indeg
-        # An int32 one: a Python 1 would take ufunc.at's slow casting path.
-        np.subtract.at(indeg, waiting, np.int32(1))
-        newly = waiting[np.take(indeg, waiting) == 0]
-        stamps = np.arange(-1, -1 - len(newly), -1, dtype=indeg.dtype)
-        indeg[newly] = stamps
-        self.queue = np.concatenate([self.queue, newly[np.take(indeg, newly) == stamps]])
+    with ThreadPoolExecutor(threads, thread_name_prefix="listcom-detect") as pool:
+        return [_cover(graph.nodes, active, mem[active], config.overlap_threshold)
+                for mem in pool.map(run, seeds, memories)]
 
 
-class _Crew:
-    """The workers of one :func:`_stacked_runs` call: the calling thread
-    (worker 0) and ``count - 1`` threads, as a context manager.
-
-    ``run(job)`` calls ``job(worker)`` on every worker and returns once all
-    have returned; ``map(fn, tasks)`` has the workers call ``fn(worker,
-    task)`` for each task, taking tasks in turn.  If a job raises, the rest
-    of the tasks are skipped and ``run`` re-raises the first exception in
-    the caller.  Leaving the ``with`` block ends and joins every thread.
-    With one worker no thread is started and jobs run inline.
-    """
-
-    def __init__(self, count: int):
-        self._barrier = threading.Barrier(count)
-        self._lock = threading.Lock()
-        self._job = None
-        self._error = None
-        self._threads = [threading.Thread(target=self._serve, args=(worker,),
-                                          name=f"listcom-detect-{worker}")
-                         for worker in range(1, count)]
-
-    def __enter__(self) -> "_Crew":
-        try:
-            for thread in self._threads:
-                thread.start()
-        except BaseException:
-            self._barrier.abort()
-            for thread in self._threads:
-                if thread.ident is not None:
-                    thread.join()
-            raise
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._job = None
-        try:
-            self._barrier.wait()
-        except threading.BrokenBarrierError:
-            pass
-        for thread in self._threads:
-            thread.join()
-
-    def _serve(self, worker: int) -> None:
-        try:
-            while True:
-                self._barrier.wait()
-                if self._job is None:
-                    return
-                self._call(worker)
-                self._barrier.wait()
-        except threading.BrokenBarrierError:
-            return
-
-    def _call(self, worker: int) -> None:
-        try:
-            self._job(worker)
-        except BaseException as exc:
-            with self._lock:
-                if self._error is None:
-                    self._error = exc
-
-    def run(self, job) -> None:
-        self._job = job
-        self._barrier.wait()
-        self._call(0)
-        self._barrier.wait()
-        if self._error is not None:
-            raise self._error
-
-    def map(self, fn, tasks) -> None:
-        tasks = iter(tasks)
-        lock = threading.Lock()
-
-        def job(worker):
-            while self._error is None:
-                with lock:
-                    task = next(tasks, None)
-                if task is None:
-                    return
-                fn(worker, task)
-
-        self.run(job)
-
-
-def _step(graph, mem, read, wake, cells, it) -> np.ndarray:
-    """Append iteration ``it``'s label to each of ``cells``, whose drawn
-    labels are all in place; returns the cells waiting for these labels,
-    once per label each waits for."""
+def _checked_csr(graph: ListGraph):
+    """``(indptr, indices, weights)`` of ``graph`` once they are safe to
+    hand to the kernel; raises :class:`ValidationError` otherwise."""
     n = len(graph.nodes)
-    edges = len(graph.indices)
-    run, u = np.divmod(cells, n)
-    lo = graph.indptr[u]
-    counts = graph.indptr[u + 1] - lo
-    ends = counts.cumsum()
-    firsts = ends - counts
-    # CSR positions of every cell's neighbour slots, cell by cell, and
-    # their stacked positions.
-    pos = np.arange(ends[-1]) + np.repeat(lo - firsts, counts)
-    stacked = pos + np.repeat(run * edges, counts) if run.any() else pos
-    labels = np.take(mem, np.take(read, stacked))
-    # Votes per (cell, label): one stable sort keeps each group's votes in
-    # CSR order, so bincount sums them in that order.  Groups come out
-    # sorted by cell, then label, so the first maximum is the lowest
-    # winning id (the lowest collected id when every vote is 0.0).
-    keys = np.repeat(np.arange(len(cells)) * n, counts) + labels
-    order = np.argsort(keys, kind="stable")
-    keys = np.take(keys, order)
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    group = np.cumsum(new)  # 1-based: bin 0 of the bincount stays empty
-    weights = np.take(np.take(graph.weights, pos), order)
-    votes = np.bincount(group, weights=weights)[1:]
-    # Each cell keeps its span of slots in the sorted order.
-    starts = group[firsts] - 1
-    top = np.repeat(np.maximum.reduceat(votes, starts),
-                    group[ends - 1] - starts)
-    first = np.minimum.reduceat(
-        np.where(votes == top, np.arange(len(votes)), len(votes)), starts)
-    mem[cells, it] = keys[new][first] % n
-    # Neighbours that drew the label just written.
-    woken_run, woken = np.divmod(stacked[np.take(wake, stacked)], edges)
-    return woken_run * n + graph.indices[woken]
+    if not 0 < n < 2**31:
+        raise ValidationError(f"graph has {n} nodes; it needs 1 to 2**31 - 1")
+    csr = (graph.indptr, graph.indices, graph.weights)
+    for name, array, dtype in zip(("indptr", "indices", "weights"), csr,
+                                  (np.int64, np.int64, np.float64)):
+        if not (isinstance(array, np.ndarray) and array.dtype == dtype
+                and array.ndim == 1 and array.flags.c_contiguous):
+            raise ValidationError(
+                f"graph {name} must be a C-contiguous 1-d {np.dtype(dtype)} array")
+    indptr, indices, weights = csr
+    if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
+            or np.any(indptr[1:] < indptr[:-1])):
+        raise ValidationError("graph indptr must hold n + 1 non-decreasing "
+                              "offsets from 0 to the number of indices")
+    if len(indices) and not (indices.min() >= 0 and indices.max() < n):
+        raise ValidationError("graph indices must be node positions in [0, n)")
+    if len(weights) != len(indices) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValidationError("graph weights must be one finite value >= 0 per index")
+    return csr
+
+
+def _run(kernel, csr, seed: int, mem: np.ndarray) -> np.ndarray:
+    """Fill ``mem``, one row of ``iterations + 1`` labels per node, with
+    the memories of the run with ``seed``; returns it."""
+    if kernel(mem.shape[0], *csr, seed, mem.shape[1] - 1, mem):
+        raise MemoryError("the detection kernel could not allocate its scratch arrays")
+    return mem
+
+
+@functools.cache
+def _kernel():
+    """The kernel's ``slpa`` function; the first use on a machine compiles
+    it into the cache, through a temporary directory beside the library."""
+    # Imported here: they would add to the import time of every command.
+    import ctypes
+    import subprocess
+    import sysconfig
+    import tempfile
+    try:  # CPython's own sha256: hashlib loads OpenSSL, 4 MB more resident
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
+    folder = os.path.join(cache, "listcom")
+    path = os.path.join(folder, f"_slpa-{sha256(KERNEL_SOURCE.read_bytes()).hexdigest()}"
+                        f"-{sysconfig.get_platform()}.so")
+    try:
+        if not os.path.exists(path):
+            os.makedirs(folder, mode=0o700, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=folder) as tmp:
+                built = os.path.join(tmp, "_slpa.so")
+                subprocess.run([*COMPILER, "-o", built, str(KERNEL_SOURCE)], check=True,
+                               capture_output=True, text=True)
+                os.replace(built, path)
+        slpa = ctypes.CDLL(path).slpa
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = exc.stderr.strip() if isinstance(exc, subprocess.CalledProcessError) else exc
+        raise RuntimeError(f"cannot build or load the detection kernel "
+                           f"`{' '.join(COMPILER)} -o {path} {KERNEL_SOURCE}`: "
+                           f"{detail}") from exc
+    array = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
+    slpa.argtypes = [ctypes.c_int64, array(np.int64, ndim=1), array(np.int64, ndim=1),
+                     array(np.float64, ndim=1), ctypes.c_uint64, ctypes.c_int64,
+                     array(np.int32, ndim=2)]
+    slpa.restype = ctypes.c_int
+    return slpa
 
 
 def _cover(nodes, active, mem, overlap_threshold) -> Cover:

@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import json
+import stat
+import subprocess
 import threading
 import warnings
 
@@ -13,7 +15,7 @@ from listcom.detect import (CommunitySet, Cover, DetectorConfig, detect,
 from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
-from listcom.listgraph import GraphBuildConfig, build_list_graph
+from listcom.listgraph import GraphBuildConfig, ListGraph, build_list_graph
 from reference import edge_map, graph_from_edges
 
 
@@ -126,21 +128,18 @@ def test_communities_json_round_trip(tmp_path):
     assert payload == [["a", "b", "c"], ["b", "d"]]
 
 
-def int64_read_index(cells, memory_size):
-    return np.dtype(np.int64)
-
-
-LIMITS = [{}, {"SLOT_CAP": 1}, {"SLOT_CAP": 7}, {"RUN_SLOTS": 1},
-          {"RUN_SLOTS": 300}, {"read_index_dtype": int64_read_index},
-          {"DRAW_TASK": 5}]
+# Patches of the module's thread-count knobs: none; the size rule's floor
+# of one thread, whatever ``WORKERS`` says; and one thread per run, up to 8,
+# more than the cores.  Under the ``workers`` fixture the last two override
+# its count.
+LIMITS = [{}, {"THREAD_POSITIONS": 2**62}, {"WORKERS": 8, "THREAD_POSITIONS": 1}]
 
 
 @pytest.mark.parametrize("limits", LIMITS)
 def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
-    # Any grouping of runs, any cap on the slots gathered per step or held
-    # per group of stacked runs, any size of a draw task and either width
-    # of the read index give each run's own result.  These graphs are too
-    # small for a second worker unless the test below forces one.
+    # Any grouping or order of the seeds and any number of threads give
+    # each run its own result.  These graphs are too small for a second
+    # thread unless the limits or the test below force one.
     for name, value in limits.items():
         # The package exports the function ``detect``, which hides the module.
         monkeypatch.setattr(importlib.import_module("listcom.detect"), name, value)
@@ -166,18 +165,6 @@ def test_detect_runs_equals_one_run_at_a_time_on_workers(monkeypatch, limits,
     test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits)
 
 
-def test_read_index_dtype_at_the_int32_boundary():
-    # The largest flat index into cells x memory_size labels is
-    # cells * memory_size - 1; int32 holds it up to 2**31 - 1.
-    read_index_dtype = importlib.import_module("listcom.detect").read_index_dtype
-    assert read_index_dtype(1, 6) == np.int32
-    assert read_index_dtype(1 << 25, 64) == np.int32
-    assert read_index_dtype((1 << 25) + 1, 64) == np.int64
-    assert read_index_dtype(2**31, 1) == np.int32
-    assert read_index_dtype(2**31 + 1, 1) == np.int64
-    assert read_index_dtype(3, 715827883) == np.int64  # 2**31 + 1 labels
-
-
 def test_detect_raises_no_runtime_warning():
     graph = noisy_planted_graph()
     with warnings.catch_warnings():
@@ -190,16 +177,96 @@ def test_detect_raises_no_runtime_warning():
 def test_a_failing_step_stops_every_worker(monkeypatch, workers):
     module = importlib.import_module("listcom.detect")
     calls = itertools.count(1)  # next() hands each thread its own number
-    step = module._step
+    run = module._run
 
-    def failing_step(*args):
+    def failing_run(*args):
         if next(calls) == 3:
-            raise RuntimeError("step three fails")
-        return step(*args)
+            raise RuntimeError("run three fails")
+        return run(*args)
 
-    monkeypatch.setattr(module, "_step", failing_step)
+    monkeypatch.setattr(module, "_run", failing_run)
     graph = noisy_planted_graph()
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="step three fails"):
-        detect_runs(graph, DetectorConfig(mode="thorough"), [1, 2, 3])
+    with pytest.raises(RuntimeError, match="run three fails"):
+        detect_runs(graph, DetectorConfig(mode="thorough"), range(6))
     assert threading.active_count() == before
+
+
+def bad_graphs():
+    """A graph for each defect that the ``ListGraph`` constructor lets
+    through, with the defect as its id; the id's first word names the field
+    at fault."""
+    good = clique_pair_graph()
+    n = len(good.nodes)
+    indptr, indices, weights = good.indptr, good.indices, good.weights
+
+    def with_value(array, index, value):
+        array = array.copy()
+        array[index] = value
+        return array
+
+    class Huge(tuple):
+        def __len__(self):
+            return 2**31
+
+    variants = {
+        "indptr int32": {"indptr": indptr.astype(np.int32)},
+        "indptr a list": {"indptr": indptr.tolist()},
+        "indptr 2-d": {"indptr": indptr[None, :]},
+        "indptr short": {"indptr": indptr[:-1]},
+        "indptr from 1": {"indptr": with_value(indptr, 0, 1)},
+        "indptr decreasing": {"indptr": with_value(indptr, 3, indptr[2] - 1)},
+        "indptr past the end": {"indptr": with_value(indptr, -1, len(indices) + 1)},
+        "indptr short of the end": {"indptr": with_value(indptr, -1, len(indices) - 1)},
+        "indices int32": {"indices": indices.astype(np.int32)},
+        "indices negative": {"indices": with_value(indices, 4, -1)},
+        "indices n": {"indices": with_value(indices, 4, n)},
+        "indices strided": {"indices": np.repeat(indices, 2)[::2]},
+        "weights float32": {"weights": weights.astype(np.float32)},
+        "weights short": {"weights": weights[:-1]},
+        "weights nan": {"weights": with_value(weights, 4, np.nan)},
+        "weights inf": {"weights": with_value(weights, 4, np.inf)},
+        "weights negative": {"weights": with_value(weights, 4, -1.0)},
+        "weights strided": {"weights": np.repeat(weights, 2)[::2]},
+        "nodes none": {"nodes": (), "indptr": np.zeros(1, dtype=np.int64),
+                     "indices": indices[:0], "weights": weights[:0]},
+        "nodes 2**31": {"nodes": Huge(good.nodes)},
+    }
+    fields = {"nodes": good.nodes, "indptr": indptr, "indices": indices,
+              "weights": weights}
+    return [pytest.param(ListGraph(**{**fields, **change}), id=defect)
+            for defect, change in variants.items()]
+
+
+@pytest.mark.parametrize("graph", bad_graphs())
+def test_detect_runs_rejects_a_malformed_graph(request, graph):
+    # A malformed array that reached the kernel would crash the process.
+    field = request.node.callspec.id.split()[0]
+    with pytest.raises(ValidationError, match=field):
+        detect_runs(graph, DetectorConfig(), [1, 2])
+
+
+def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
+    module = importlib.import_module("listcom.detect")
+    graph = clique_pair_graph()
+    cfg = DetectorConfig(mode="thorough", seed=4)
+    assert not kernel_cache.exists()
+    built = detect(graph, cfg)
+    [library] = kernel_cache.iterdir()  # one file, no temporary left over
+    assert library.suffix == ".so"
+    assert stat.S_IMODE(kernel_cache.stat().st_mode) == 0o700
+
+    def failing_compiler(command, **kwargs):
+        raise subprocess.CalledProcessError(1, command, stderr="compiler broken")
+
+    monkeypatch.setattr(subprocess, "run", failing_compiler)
+    module._kernel.cache_clear()
+    assert detect(graph, cfg) == built
+    assert list(kernel_cache.iterdir()) == [library]
+    # In an empty cache the failed build raises, naming the command, and
+    # leaves nothing behind.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(kernel_cache / "elsewhere"))
+    module._kernel.cache_clear()
+    with pytest.raises(RuntimeError, match="cc -O2 -shared -fPIC.*compiler broken"):
+        detect(graph, cfg)
+    assert list((kernel_cache / "elsewhere" / "listcom").iterdir()) == []

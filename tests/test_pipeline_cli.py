@@ -107,10 +107,10 @@ def test_run_pipeline_byte_identical_reruns(corpus_files, tmp_path):
 
 def test_bundle_does_not_depend_on_the_worker_count(corpus_files, tmp_path,
                                                     monkeypatch):
-    # Threads start even on this small corpus; the schedule of the steps
+    # Threads start even on this small corpus; which thread runs which run
     # changes with their number, and no artifact does.
     detect_module = importlib.import_module("listcom.detect")
-    monkeypatch.setattr(detect_module, "WORKER_POSITIONS", 1)
+    monkeypatch.setattr(detect_module, "THREAD_POSITIONS", 1)
     bundles = []
     for count in (1, 2):
         monkeypatch.setattr(detect_module, "WORKERS", count)
@@ -215,6 +215,17 @@ def test_cli_exit_codes(tmp_path):
                  "--config", str(badcfg)]) == 3
     # missing artifact for a resumed stage is a validation error
     assert main(["consensus", "--out", str(tmp_path / "empty")]) == 2
+
+
+def test_cli_exits_4_without_a_compiler(corpus_files, kernel_cache, tmp_path,
+                                        monkeypatch, capsys):
+    # No kernel is built yet and no cc is on the PATH.
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--memberships", str(corpus_files["memberships"]),
+                 "--lists", str(corpus_files["lists"]), "--out", str(out)]) == 4
+    assert "cc -O2 -shared -fPIC" in capsys.readouterr().err
+    assert not (out / "consensus.tsv").exists()
 
 
 def test_cli_rho_nan_exits_2_before_creating_out(tmp_path, capsys):
