@@ -8,13 +8,17 @@ File formats (all UTF-8, no headers unless noted):
 * ``groundtruth.tsv`` -- ``category<TAB>user_id`` per line.
 
 Identifiers are opaque case-sensitive strings; no normalisation is applied.
-A loaded corpus is immutable and safe to share across threads.
+A loaded corpus is the list x user incidence in compressed sparse row form
+over sorted ids, with its transpose; strings remain only in the id tuples
+and the list metadata.  It is immutable and safe to share across threads.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
+
+import numpy as np
 
 from .atomic import atomic_write
 from .errors import ParseError, ValidationError
@@ -27,24 +31,30 @@ class ListRecord:
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipCorpus:
     """Bipartite record of lists and their members.
 
-    ``memberships`` and ``user_index`` are exact transposes; ``n`` is the
-    number of distinct users assigned to at least one list.
+    List ``i`` is ``list_ids[i]``, and user ``u`` is ``user_ids[u]``, in
+    sorted order.  Row ``i`` of (``indptr``, ``users``) holds list i's users
+    and row ``u`` of (``user_indptr``, ``user_lists``) user u's lists, each
+    ascending; ``n`` is the number of distinct users in at least one list.
     """
 
     lists: dict[str, ListRecord]
-    memberships: dict[str, frozenset[str]]
-    user_index: dict[str, frozenset[str]]
+    list_ids: tuple[str, ...]
+    user_ids: tuple[str, ...]
+    indptr: np.ndarray
+    users: np.ndarray
+    user_indptr: np.ndarray
+    user_lists: np.ndarray
     n: int
 
     @classmethod
     def build(
         cls,
         records: Iterable[ListRecord],
-        memberships: Mapping[str, Iterable[str]],
+        memberships: Mapping[str, Collection[str]],
     ) -> "MembershipCorpus":
         """Assemble a corpus, synthesising empty metadata for unknown list ids."""
         lists: dict[str, ListRecord] = {}
@@ -54,19 +64,25 @@ class MembershipCorpus:
             if rec.id in lists:
                 raise ValidationError(f"duplicate list metadata id: {rec.id!r}")
             lists[rec.id] = rec
-        member_map: dict[str, frozenset[str]] = {
-            lid: frozenset() for lid in lists
-        }
-        users: dict[str, set[str]] = {}
-        for lid, uids in memberships.items():
-            member_map[lid] = frozenset(uids)
-            if lid not in lists:
-                lists[lid] = ListRecord(lid, "", "")
-            for uid in member_map[lid]:
-                users.setdefault(uid, set()).add(lid)
-        user_index = {uid: frozenset(lids) for uid, lids in users.items()}
-        return cls(lists=lists, memberships=member_map,
-                   user_index=user_index, n=len(user_index))
+        for lid in memberships:
+            lists.setdefault(lid, ListRecord(lid, "", ""))
+        list_ids = tuple(sorted(lists))
+        user_ids = tuple(sorted(set().union(*memberships.values())))
+        position = {uid: u for u, uid in enumerate(user_ids)}
+        n = len(user_ids)
+        keys = np.unique(np.fromiter(
+            (i * n + position[uid] for i, lid in enumerate(list_ids)
+             for uid in memberships.get(lid, ())), dtype=np.int64))
+        if len(keys) > np.iinfo(np.int32).max:
+            raise ValidationError("corpus has more than 2**31 - 1 memberships")
+        rows, users = np.divmod(keys, max(n, 1))
+        by_user = np.argsort(users, kind="stable")
+        arrays = [arr.astype(np.int32) for arr in (
+            np.searchsorted(rows, np.arange(len(list_ids) + 1)), users,
+            np.searchsorted(users[by_user], np.arange(n + 1)), rows[by_user])]
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(lists, list_ids, user_ids, *arrays, n)
 
 
 @dataclass(frozen=True)
@@ -125,18 +141,18 @@ def load_corpus(memberships_path, lists_path) -> MembershipCorpus:
             raise ParseError(f"{lists_path}:{lineno}: all values must be strings")
         records.append(ListRecord(obj["id"], obj["name"], obj["description"]))
 
-    memberships: dict[str, set[str]] = {}
+    memberships: dict[str, list[str]] = {}
     for lid, uid in _parse_tsv_pairs(memberships_path):
-        memberships.setdefault(lid, set()).add(uid)
+        memberships.setdefault(lid, []).append(uid)
     return MembershipCorpus.build(records, memberships)
 
 
 def save_corpus(corpus: MembershipCorpus, memberships_path, lists_path) -> None:
     """Write a corpus back to its two files in canonical (sorted) order."""
+    rows = np.repeat(np.arange(len(corpus.list_ids)), np.diff(corpus.indptr))
     with atomic_write(memberships_path) as fh:
-        for lid in sorted(corpus.memberships):
-            for uid in sorted(corpus.memberships[lid]):
-                fh.write(f"{lid}\t{uid}\n")
+        fh.writelines(f"{corpus.list_ids[i]}\t{corpus.user_ids[u]}\n"
+                      for i, u in zip(rows.tolist(), corpus.users.tolist()))
     with atomic_write(lists_path) as fh:
         for lid in sorted(corpus.lists):
             rec = corpus.lists[lid]

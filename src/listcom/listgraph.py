@@ -9,8 +9,11 @@ tail), so weights stay finite and accurate far past the point where the
 probability itself underflows a double.
 
 Candidate pairs are enumerated through shared users, never over all l^2
-list pairs.  Lists whose every edge falls below the ``rho`` cutoff remain in
-the graph as isolated nodes.
+list pairs: list i reaches its users in the corpus rows, then their lists
+j > i in the transpose, counted in blocks of about ``PAIR_BLOCK`` pair
+instances.  Each distinct (size, size, overlap) triple is weighted once.
+Lists whose every edge falls below the ``rho`` cutoff remain in the graph as
+isolated nodes.
 
 The graph is held as integer arrays: node ``i`` is the i-th list id in
 sorted order, and the edges form a compressed sparse row structure
@@ -32,6 +35,7 @@ from .errors import ParseError, ValidationError
 
 _LN10 = math.log(10.0)
 TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
+PAIR_BLOCK = 1 << 18  # pair instances counted at once by _intersection_counts
 
 
 @dataclass(frozen=True)
@@ -192,79 +196,51 @@ def _log_tail_batch(
     return out
 
 
-def _intersection_counts(
-    corpus: MembershipCorpus, index: dict[str, int], l: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared-user pair enumeration: returns (pair keys ``i*l+j`` with i<j,
-    intersection sizes), reduced deterministically."""
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
-    buf: list[np.ndarray] = []
-    buf_n = 0
-    triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def flush():
-        nonlocal buf, buf_n
-        if not buf:
-            return
-        keys, counts = np.unique(np.concatenate(buf), return_counts=True)
-        chunks.append((keys, counts))
-        buf = []
-        buf_n = 0
-
-    for uid in sorted(corpus.user_index):
-        lids = corpus.user_index[uid]
-        d = len(lids)
-        if d < 2:
-            continue
-        idx = np.sort(np.fromiter((index[x] for x in lids), dtype=np.int64, count=d))
-        if d <= 512:
-            pair = triu_cache.get(d)
-            if pair is None:
-                pair = np.triu_indices(d, 1)
-                triu_cache[d] = pair
-        else:
-            pair = np.triu_indices(d, 1)
-        buf.append(idx[pair[0]] * l + idx[pair[1]])
-        buf_n += len(pair[0])
-        if buf_n >= 4_000_000:
-            flush()
-    flush()
-    if not chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    all_keys = np.concatenate([c[0] for c in chunks])
-    all_counts = np.concatenate([c[1] for c in chunks])
-    keys, inv = np.unique(all_keys, return_inverse=True)
-    counts = np.bincount(inv, weights=all_counts.astype(np.float64))
-    return keys, counts.astype(np.int64)
+def _intersection_counts(corpus: MembershipCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending pair keys ``i*l+j`` with i<j of lists that share users, and
+    the number they share.  A block of rows holds every instance of its keys,
+    so the blocks join in order and memory follows the block."""
+    l, indptr = len(corpus.list_ids), corpus.indptr
+    start = np.empty(len(corpus.users), dtype=np.int64)
+    start[np.argsort(corpus.users, kind="stable")] = np.arange(1, len(start) + 1)
+    later = corpus.user_indptr[corpus.users + 1] - start
+    done = np.concatenate(([0], np.cumsum(later)))[indptr]
+    blocks = []
+    a = 0
+    while a < l:
+        b = max(a + 1, int(np.searchsorted(done, done[a] + PAIR_BLOCK, "right")) - 1)
+        take = later[indptr[a]:indptr[b]]
+        first = start[indptr[a]:indptr[b]] - np.cumsum(take) + take
+        pair = np.repeat(np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1])), take) * l
+        pair += corpus.user_lists[np.repeat(first, take) + np.arange(len(pair))]
+        blocks.append(np.unique(pair, return_counts=True))
+        a = b
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> ListGraph:
     """One node per list; edges for every member-sharing pair whose weight
     clears ``config.rho``."""
-    nodes = tuple(sorted(corpus.memberships))
+    nodes = corpus.list_ids
     if not nodes:
         raise ValidationError("corpus has no lists")
-    index = node_index(nodes)
-    sizes = np.fromiter((len(corpus.memberships[lid]) for lid in nodes),
-                        dtype=np.int64, count=len(nodes))
     n = corpus.n
-    l = len(nodes)
-    keys, counts = _intersection_counts(corpus, index, l)
+    keys, counts = _intersection_counts(corpus)
+    i, j = np.divmod(keys, len(nodes))
+    # Code each ordered triple by the ranks of the d distinct sizes.  Below
+    # 2**31 memberships, d * d * (largest size + 1) stays under 2**62.
+    distinct, rank = np.unique(np.diff(corpus.indptr).astype(np.int64),
+                               return_inverse=True)
+    d, top = len(distinct), int(distinct[-1]) + 1
+    codes, which = np.unique((rank[i] * d + rank[j]) * top + counts,
+                             return_inverse=True)
+    size_pair, k = np.divmod(codes, top)
     lg = np.zeros(n + 2)  # index 0 is never touched (log_comb args are >= 1)
-    lg[1:] = [math.lgamma(i) for i in range(1, n + 2)]
-    kept = []
-    for start in range(0, len(keys), 1_000_000):
-        kk = keys[start:start + 1_000_000]
-        cc = counts[start:start + 1_000_000]
-        i_idx = kk // l
-        j_idx = kk % l
-        lpv = 0.0 - _log_tail_batch(sizes[i_idx], sizes[j_idx], cc, n, lg) / _LN10
-        keep = lpv >= config.rho
-        kept.append((i_idx[keep], j_idx[keep], lpv[keep]))
-    if not kept:
-        return ListGraph.from_pairs(nodes, [], [], [])
-    return ListGraph.from_pairs(nodes, *(np.concatenate(c) for c in zip(*kept)))
+    lg[1:] = [math.lgamma(x) for x in range(1, n + 2)]
+    lpv = (0.0 - _log_tail_batch(distinct[size_pair // d], distinct[size_pair % d],
+                                 k, n, lg) / _LN10)[which]
+    keep = lpv >= config.rho
+    return ListGraph.from_pairs(nodes, i[keep], j[keep], lpv[keep])
 
 
 def write_pair_rows(fh, nodes, i, j, values) -> np.ndarray:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .atomic import atomic_write
 from .corpus import GroundTruth, MembershipCorpus
@@ -50,19 +53,23 @@ def derive_members(
     community_id: int = 0,
 ) -> UserCommunity:
     """Weight users by the fraction of the community's lists containing them;
-    keep weights >= mu."""
+    keep weights >= mu.  Every list must be in the corpus."""
     lists = sorted(set(community))
     c = len(lists)
     if c < 1:
         raise ValidationError("community must contain at least one list")
     if not (0.0 <= mu <= 1.0):
         raise ValidationError("mu must be in [0, 1]")
-    counts: dict[str, int] = {}
+    rows = []
     for lid in lists:
-        for uid in corpus.memberships.get(lid, frozenset()):
-            counts[uid] = counts.get(uid, 0) + 1
+        i = bisect_left(corpus.list_ids, lid)
+        if i == len(corpus.list_ids) or corpus.list_ids[i] != lid:
+            raise ValidationError(f"community list {lid!r} is not in the corpus")
+        rows.append(corpus.users[corpus.indptr[i]:corpus.indptr[i + 1]])
+    users, counts = np.unique(np.concatenate(rows), return_counts=True)
     members = {
-        uid: count / c for uid, count in counts.items() if count / c >= mu
+        corpus.user_ids[u]: count / c
+        for u, count in zip(users.tolist(), counts.tolist()) if count / c >= mu
     }
     return UserCommunity(community_id=community_id, members=members)
 

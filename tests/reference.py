@@ -1,6 +1,9 @@
 """Reference implementations: exact oracles for the package's array code.
 
-Plain dict-based loops that compute what the arrays compute: label
+Plain dict-based loops that compute what the arrays compute: the corpus as
+id sets rebuilt from its arrays, list intersections counted pair by pair
+per user and each edge weighted by its own call of the tail kernel, user
+weights counted in a dict per list, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
 index-pair tuples, updates one node at a time in visit order with scalar
 counter-based draws and tallies votes with ``np.unique``, covers as
@@ -11,7 +14,7 @@ stability sums over that dict with the expected term enumerated over every
 subset, and term labels from a full sort of every scored term.  Tests
 compare the package against them with ``==``, except the expected term,
 which sums in another order and must agree within 1e-12.  Helpers build
-graphs and matrices from small dicts.
+corpora, graphs and matrices from small dicts.
 """
 import math
 from itertools import combinations
@@ -19,11 +22,89 @@ from itertools import combinations
 import numpy as np
 
 from listcom.consensus import ConsensusMatrix, label_jaccard
+from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import CommunitySet
 from listcom.labeling import background_vector
-from listcom.listgraph import ListGraph
+from listcom.listgraph import _LN10, ListGraph, _log_tail_batch
 from listcom.errors import ValidationError
 from listcom.seeds import derive_seed
+
+
+def id_sets(corpus):
+    """``(memberships, user_index)`` rebuilt from a corpus's arrays: each
+    list's users (an empty set for a list without any) and each user's
+    lists, from the rows and the transpose respectively."""
+    lists, users = corpus.list_ids, corpus.user_ids
+    indptr, user_indptr = corpus.indptr.tolist(), corpus.user_indptr.tolist()
+    memberships = {
+        lid: frozenset(users[u] for u in corpus.users[indptr[i]:indptr[i + 1]].tolist())
+        for i, lid in enumerate(lists)}
+    user_index = {
+        uid: frozenset(lists[i] for i in
+                       corpus.user_lists[user_indptr[u]:user_indptr[u + 1]].tolist())
+        for u, uid in enumerate(users)}
+    return memberships, user_index
+
+
+def same_corpus(x, y) -> bool:
+    """Same list metadata, ids, rows, transpose and user count."""
+    return (x.lists == y.lists and x.list_ids == y.list_ids
+            and x.user_ids == y.user_ids and x.n == y.n
+            and all(np.array_equal(getattr(x, name), getattr(y, name))
+                    for name in ("indptr", "users", "user_indptr", "user_lists")))
+
+
+def random_corpus(rng, lists=30, users=40) -> MembershipCorpus:
+    """Lists of 1-12 users drawn from a shared pool, three lists of private
+    users that share none, and two lists with metadata only."""
+    pool = [f"u{k:03d}" for k in range(users)]
+    memberships = {
+        f"l{j:03d}": set(rng.choice(pool, size=int(rng.integers(1, 13)),
+                                    replace=False).tolist())
+        for j in range(lists)}
+    for j in range(3):
+        memberships[f"p{j}"] = {f"p{j}_{k}" for k in range(int(rng.integers(1, 4)))}
+    records = [ListRecord(lid, "", "") for lid in [*memberships, "m0", "m1"]]
+    return MembershipCorpus.build(records, memberships)
+
+
+def intersection_counts(user_index) -> dict[tuple[str, str], int]:
+    """``{(a, b): shared users}`` with a < b for every two lists that share
+    a user, counted one pair of each user's lists at a time."""
+    counts: dict[tuple[str, str], int] = {}
+    for lids in user_index.values():
+        for pair in combinations(sorted(lids), 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def graph_edges(memberships, user_index, rho) -> dict[tuple[str, str], float]:
+    """``{(a, b): weight}`` of the list graph: every sharing pair weighted
+    by its own one-element call of the tail kernel, kept when >= rho."""
+    n = len(user_index)
+    lg = np.zeros(n + 2)
+    lg[1:] = [math.lgamma(x) for x in range(1, n + 2)]
+    edges = {}
+    for (a, b), k in intersection_counts(user_index).items():
+        tail = _log_tail_batch(np.array([len(memberships[a])]),
+                               np.array([len(memberships[b])]),
+                               np.array([k]), n, lg)
+        weight = float(0.0 - tail[0] / _LN10)
+        if weight >= rho:
+            edges[(a, b)] = weight
+    return edges
+
+
+def derive_members(community, memberships, mu) -> dict[str, float]:
+    """``{user: weight}``: each user's lists in the community counted in a
+    dict, one list at a time, as a fraction of the community's lists."""
+    lists = sorted(set(community))
+    counts: dict[str, int] = {}
+    for lid in lists:
+        for uid in memberships[lid]:
+            counts[uid] = counts.get(uid, 0) + 1
+    return {uid: count / len(lists) for uid, count in counts.items()
+            if count / len(lists) >= mu}
 
 
 def edge_map(graph) -> dict[tuple[str, str], float]:

@@ -24,7 +24,7 @@ from listcom.seeds import derive_seed
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stability)
 from listcom.synth import PlantedSpec, synth, synth_files
-from reference import edge_map, matrix_from_pairs
+from reference import edge_map, id_sets, matrix_from_pairs
 
 BENCH_SPEC = PlantedSpec(groups=8, users_per_group=25, lists_per_group=40,
                          size_min=5, size_max=15, noise=0.1, overlap=0.1)
@@ -317,7 +317,7 @@ def test_criterion_10_threshold_monotonicity():
 
     for _ in range(200):
         corpus = _random_corpus(rng, lists=6, users=20)
-        community = set(corpus.memberships)
+        community = set(id_sets(corpus)[0])
         m1 = float(rng.random() * 0.5)
         m2 = min(1.0, m1 + float(rng.random() * 0.5))
         lo = derive_members(community, corpus, m1)

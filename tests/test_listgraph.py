@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -12,7 +13,8 @@ from listcom.errors import ValidationError
 from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
                                load_graph, overlap_lpv, overlap_pvalue,
                                save_graph)
-from reference import edge_map, graph_from_edges, same_graph
+from reference import (edge_map, graph_edges, graph_from_edges, id_sets,
+                       intersection_counts, random_corpus, same_graph)
 
 
 def exact_pvalue(size_x, size_y, k, n):
@@ -168,11 +170,49 @@ def test_edge_weights_match_scalar_op():
     corpus = corpus_from(memberships)
     graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
     assert graph.edge_count()
+    memberships, _ = id_sets(corpus)
     for a, b, w in graph.edge_list():
-        k = len(corpus.memberships[a] & corpus.memberships[b])
-        expected = overlap_lpv(len(corpus.memberships[a]),
-                               len(corpus.memberships[b]), k, corpus.n)
+        k = len(memberships[a] & memberships[b])
+        expected = overlap_lpv(len(memberships[a]),
+                               len(memberships[b]), k, corpus.n)
         assert w == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 18])
+@pytest.mark.parametrize("seed", range(10))
+def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch):
+    # Blocks of one list, of a few pair instances and of the whole corpus.
+    listgraph = importlib.import_module("listcom.listgraph")
+    monkeypatch.setattr(listgraph, "PAIR_BLOCK", block)
+    corpus = random_corpus(np.random.Generator(np.random.PCG64(seed)))
+    memberships, user_index = id_sets(corpus)
+    keys, counts = listgraph._intersection_counts(corpus)
+    assert np.all(np.diff(keys) > 0)
+    ids, l = corpus.list_ids, len(corpus.list_ids)
+    assert {(ids[k // l], ids[k % l]): c for k, c in zip(keys.tolist(), counts.tolist())
+            } == intersection_counts(user_index)
+    for rho in (0.0, 1.5):
+        graph = build_list_graph(corpus, GraphBuildConfig(rho=rho))
+        expected = graph_edges(memberships, user_index, rho)
+        assert {e: w.hex() for e, w in edge_map(graph).items()} == {
+            e: w.hex() for e, w in expected.items()}
+
+
+def test_intersection_count_memory_follows_the_block(monkeypatch):
+    # 60 lists that all hold the same 100 users: 100 * C(60, 2) = 177,000
+    # pair instances, 43 blocks' worth, over 1,770 pairs.
+    listgraph = importlib.import_module("listcom.listgraph")
+    monkeypatch.setattr(listgraph, "PAIR_BLOCK", 1 << 12)
+    corpus = corpus_from({f"l{j:02d}": {f"u{k:03d}" for k in range(100)}
+                          for j in range(60)})
+    tracemalloc.start()
+    try:
+        keys, counts = listgraph._intersection_counts(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 1_770 and np.all(counts == 100)
+    assert peak <= 16 * 8 * listgraph.PAIR_BLOCK + 2 * (keys.nbytes + counts.nbytes)
 
 
 @given(st.integers(min_value=0, max_value=200))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,8 @@ from listcom.corpus import GroundTruth, ListRecord, MembershipCorpus
 from listcom.errors import ValidationError
 from listcom.members import (UserCommunity, derive_members, evaluate, f1_score,
                              load_users, write_eval, write_users)
+import reference
+from reference import id_sets, random_corpus
 
 
 def corpus_from(memberships):
@@ -51,6 +54,25 @@ def test_derive_members_empty_community_rejected():
         derive_members(set(), corpus, mu=0.1)
 
 
+def test_derive_members_rejects_a_list_outside_the_corpus():
+    corpus = corpus_from({"l0": {"u1"}, "l1": {"u1", "u2"}})
+    with pytest.raises(ValidationError, match="'ghost'"):
+        derive_members({"l0", "ghost"}, corpus, mu=0.1)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_derive_members_matches_reference(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    corpus = random_corpus(rng)
+    memberships, _ = id_sets(corpus)
+    for _ in range(20):
+        size = int(rng.integers(1, len(corpus.list_ids) + 1))
+        community = set(rng.choice(corpus.list_ids, size=size, replace=False).tolist())
+        mu = float(rng.choice([0.0, 0.1, 0.25, rng.random()]))
+        derived = derive_members(community, corpus, mu)
+        assert derived.members == reference.derive_members(community, memberships, mu)
+
+
 @given(
     seed=st.integers(0, 10_000),
     mu_lo=st.floats(0.0, 0.5),
@@ -58,7 +80,6 @@ def test_derive_members_empty_community_rejected():
 )
 @settings(max_examples=100, deadline=None)
 def test_weights_are_vote_fractions_and_mu_monotone(seed, mu_lo, mu_delta):
-    import numpy as np
     rng = np.random.Generator(np.random.PCG64(seed))
     users = [f"u{i}" for i in range(12)]
     memberships = {

@@ -414,6 +414,19 @@ def test_stale_stability_without_full_precision_column(corpus_files, tmp_path):
                            out, cfg)
 
 
+def test_members_exits_2_on_a_list_outside_the_corpus(corpus_files, tmp_path,
+                                                      capsys):
+    # communities.tsv names lists that another corpus does not hold.
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config())
+    (tmp_path / "m.tsv").write_text("other\tu1\n", encoding="utf-8")
+    (tmp_path / "l.jsonl").write_text("", encoding="utf-8")
+    assert main(["members", "--memberships", str(tmp_path / "m.tsv"),
+                 "--lists", str(tmp_path / "l.jsonl"), "--out", str(out)]) == 2
+    assert "is not in the corpus" in capsys.readouterr().err
+
+
 class _FailingFile:
     """Writes half of its first chunk to the real file, then fails."""
 

@@ -3,6 +3,7 @@ import pytest
 from listcom.corpus import load_corpus, load_ground_truth
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth, synth_files
+from reference import id_sets, same_corpus
 
 
 def small_spec(**overrides):
@@ -17,14 +18,16 @@ def test_shapes_and_counts():
     corpus, truth = synth(spec, 1)
     assert len(corpus.lists) == 3 * 8
     assert len(truth.categories) == 3
-    for members in corpus.memberships.values():
+    for members in id_sets(corpus)[0].values():
         assert 4 <= len(members) <= 8
 
 
 def test_determinism():
     spec = small_spec()
-    assert synth(spec, 5) == synth(spec, 5)
-    assert synth(spec, 5) != synth(spec, 6)
+    (corpus, truth), (again, again_truth) = synth(spec, 5), synth(spec, 5)
+    assert same_corpus(corpus, again) and truth == again_truth
+    other, other_truth = synth(spec, 6)
+    assert not (same_corpus(corpus, other) and truth == other_truth)
 
 
 def test_zero_noise_zero_overlap_group_separation():
@@ -35,17 +38,18 @@ def test_zero_noise_zero_overlap_group_separation():
         for u in users:
             group_of[u] = cat
     # within a group lists overlap heavily; across groups not at all
-    lists = sorted(corpus.memberships)
+    memberships, _ = id_sets(corpus)
+    lists = sorted(memberships)
     for a in lists:
         for b in lists:
             if a >= b:
                 continue
-            shared = corpus.memberships[a] & corpus.memberships[b]
+            shared = memberships[a] & memberships[b]
             same_group = a[:3] == b[:3]
             if not same_group:
                 assert not shared
     intra = [
-        len(corpus.memberships[a] & corpus.memberships[b])
+        len(memberships[a] & memberships[b])
         for a in lists for b in lists
         if a < b and a[:3] == b[:3]
     ]
@@ -67,10 +71,11 @@ def test_noise_members_are_bystanders_outside_groups():
     spec = small_spec(noise=0.3, overlap=0.0)
     corpus, truth = synth(spec, 4)
     planted = frozenset().union(*truth.categories.values())
-    outsiders = set(corpus.user_index) - planted
+    _, user_index = id_sets(corpus)
+    outsiders = set(user_index) - planted
     assert outsiders  # noise introduced co-listed bystanders
     for u in outsiders:
-        assert len(corpus.user_index[u]) == 1  # each bystander listed once
+        assert len(user_index[u]) == 1  # each bystander listed once
     assert corpus.n > len(planted)
 
 
@@ -101,5 +106,5 @@ def test_synth_files_round_trip(tmp_path):
     corpus = load_corpus(paths["memberships"], paths["lists"])
     truth = load_ground_truth(paths["groundtruth"])
     direct_corpus, direct_truth = synth(spec, 7)
-    assert corpus == direct_corpus
+    assert same_corpus(corpus, direct_corpus)
     assert truth == direct_truth
