@@ -9,7 +9,7 @@ evaluation.
 from .corpus import (GroundTruth, ListRecord, MembershipCorpus, load_corpus,
                      load_ground_truth, save_corpus)
 from .detect import (CommunitySet, Cover, DetectorConfig, detect,
-                     filter_singletons, group_pairs)
+                     filter_singletons)
 from .consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                         consensus_communities, consensus_graph, cover_agreement,
                         label_jaccard, run_ensemble)
@@ -20,7 +20,8 @@ from .listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
 from .members import EvalRow, UserCommunity, derive_members, evaluate, f1_score
 from .pipeline import PipelineConfig, resolve_config, run_pipeline
 from .stability import (StabilityScore, corrected_stability, expected_stability,
-                        rank_communities, raw_stabilities, raw_stability)
+                        group_pairs, rank_communities, raw_stabilities,
+                        raw_stability)
 from .synth import PlantedSpec, synth, synth_files
 
 __all__ = [

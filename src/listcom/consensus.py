@@ -6,14 +6,17 @@ community-label sets the run assigned to the two nodes.  The matrix is a
 pair of arrays: sorted ``int64`` pair keys ``i * l + j`` (i < j, positions in
 the sorted node order) and their ``float64`` scores.  Each run is a
 :class:`~listcom.detect.Cover` over that same order, so its member positions
-are the matrix positions: :func:`~listcom.detect.group_pairs` gives its
-co-assigned pair keys, one ``np.triu_indices`` per distinct community size,
-and their scores are inter / (|X| + |Y| - inter).  Runs are folded into the
-matrix one at a time in ascending run order, so the floating-point result is
-a pure function of the runs' covers.  A detector at the ``detector=`` seam
-returns id sets, which become a cover once per run.  The normalised matrix
-is thresholded into a consensus graph (a mask over the keys) on which a
-thorough detection pass produces the final cover.
+are the matrix positions.  A run's co-assigned pairs are counted like the
+list graph's shared users, by :func:`~listcom.listgraph.pair_counts`: the
+node-major rows (each node's communities of two or more, ascending) with the
+cover as their transpose, so ``inter`` is the number of communities a pair
+shares, ``|X|`` the length of a node's row, and the score
+inter / (|X| + |Y| - inter).  Runs are folded into the matrix one at a time
+in ascending run order, so the floating-point result is a pure function of
+the runs' covers.  A detector at the ``detector=`` seam returns id sets,
+which become a cover once per run.  The normalised matrix is thresholded
+into a consensus graph (a mask over the keys) on which a thorough detection
+pass produces the final cover.
 """
 from __future__ import annotations
 
@@ -24,9 +27,9 @@ import numpy as np
 
 from .atomic import atomic_write
 from .detect import (CommunitySet, Cover, DetectorConfig, detect, detect_runs,
-                     filter_singletons, group_pairs, node_positions)
+                     filter_singletons, node_positions)
 from .errors import ParseError, ValidationError
-from .listgraph import ListGraph, node_index, write_pair_rows
+from .listgraph import ListGraph, node_index, pair_counts, write_pair_rows
 from .seeds import STREAM_CONSENSUS, derive_seed
 
 Detector = Callable[[ListGraph, DetectorConfig], CommunitySet]
@@ -133,15 +136,15 @@ def _pair_scores(cover: Cover, l: int) -> tuple[np.ndarray, np.ndarray]:
     co-assigned pairs have ``inter > 0``.  Singleton communities are
     ignored.
     """
-    keys = [(first.astype(np.int64) * l + second).ravel()
-            for _, first, second in group_pairs(cover.indptr, cover.members)]
-    if not keys:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    keys, inter = np.unique(np.concatenate(keys), return_counts=True)
-    sizes = cover.sizes()
-    labels = np.bincount(cover.members[np.repeat(sizes >= 2, sizes)], minlength=l)
+    cover = filter_singletons(cover)
+    by_node = np.argsort(cover.members, kind="stable")
+    labels = np.repeat(np.arange(len(cover)), cover.sizes())[by_node]
+    indptr = np.zeros(l + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cover.members, minlength=l), out=indptr[1:])
+    keys, inter = pair_counts(indptr, labels, cover.indptr, cover.members)
+    sizes = np.diff(indptr)
     i, j = np.divmod(keys, l)
-    return keys, inter / (labels[i] + labels[j] - inter)
+    return keys, inter / (sizes[i] + sizes[j] - inter)
 
 
 def accumulate(matrix: ConsensusMatrix, base: Cover) -> ConsensusMatrix:
@@ -187,7 +190,7 @@ def run_ensemble(
     matrix = ConsensusMatrix.empty(graph.nodes, config.runs)
     seeds = [derive_seed(config.master_seed, i) for i in range(config.runs)]
     for cover in _covers(graph, config.fast_config, seeds, detector):
-        accumulate(matrix, filter_singletons(cover))
+        accumulate(matrix, cover)
     matrix.values *= 1.0 / config.runs
     return matrix
 

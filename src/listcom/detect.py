@@ -61,9 +61,6 @@ and then members lexicographic.  The node order is sorted, so positions
 compare as the ids do and the order is computed on positions: one
 ``np.lexsort`` per distinct size sorts the member rows, and equal
 neighbours collapse.  Filtering singletons is a size mask.
-:func:`group_pairs` lists every community's member pairs with one
-``np.triu_indices`` per distinct size; the consensus fold and the stability
-scores both read pairs through it.
 
 Ids appear only when a cover is saved or loaded, and at the ``detector=``
 seam: :func:`detect` returns a :class:`CommunitySet` of id frozensets, and
@@ -89,7 +86,6 @@ from .listgraph import ListGraph
 
 FAST_ITERATIONS = 5
 THOROUGH_ITERATIONS = 50
-PAIR_BLOCK = 1 << 18  # member pairs in one block of group_pairs
 # CSR positions of all runs per thread, at least.  On ``desk`` (100 runs of
 # about 2.8e3 positions) two threads took 0.031-0.037 s against 0.029-0.031 s
 # for one, on a 2-core host.
@@ -245,47 +241,6 @@ def node_positions(nodes, ids) -> np.ndarray:
     if not found.all():
         raise ValidationError(f"node {ids[~found][0]!r} outside the node order")
     return pos.astype(np.int32)
-
-
-def group_pairs(indptr, members):
-    """Every member pair of every group of at least two, size by size.
-
-    Group ``k`` is ``members[indptr[k]:indptr[k + 1]]``.  Yields
-    ``(groups, first, second)``: the indices of some groups of one size, and
-    two ``(len(groups), p)`` arrays whose rows hold the members at local
-    positions ``a < b`` of a run of that group's pairs, in
-    ``itertools.combinations`` order.  ``np.triu_indices`` runs once per
-    distinct size.  A block holds about ``PAIR_BLOCK`` pairs: a size with
-    more pairs than that comes one group at a time, in row blocks of its
-    pair triangle, so each group's pairs still come in order.
-    """
-    sizes = np.diff(indptr)
-    for size in np.unique(sizes[sizes >= 2]).tolist():
-        groups = np.flatnonzero(sizes == size)
-        rows = members[indptr[groups][:, None] + np.arange(size)]
-        pairs = size * (size - 1) // 2
-        if pairs <= PAIR_BLOCK:
-            first, second = np.triu_indices(size, 1)
-            step = PAIR_BLOCK // pairs
-            for start in range(0, len(groups), step):
-                block = rows[start:start + step]
-                yield groups[start:start + step], block[:, first], block[:, second]
-        else:
-            for k in range(len(groups)):
-                for first, second in _pair_blocks(size):
-                    yield groups[k:k + 1], rows[k:k + 1, first], rows[k:k + 1, second]
-
-
-def _pair_blocks(size: int):
-    """The pairs of positions ``0..size-1`` in ``itertools.combinations``
-    order, as (first, second) arrays in row blocks of about ``PAIR_BLOCK``
-    pairs."""
-    step = max(1, PAIR_BLOCK // size)
-    for start in range(0, size - 1, step):
-        counts = np.arange(size - 1 - start, max(size - 1 - start - step, 0), -1)
-        first = np.repeat(np.arange(start, start + len(counts)), counts)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield first, first + 1 + offset
 
 
 def detect(graph: ListGraph, config: DetectorConfig) -> CommunitySet:

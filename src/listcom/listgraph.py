@@ -9,9 +9,12 @@ tail), so weights stay finite and accurate far past the point where the
 probability itself underflows a double.
 
 Candidate pairs are enumerated through shared users, never over all l^2
-list pairs: list i reaches its users in the corpus rows, then their lists
-j > i in the transpose, counted in blocks of about ``PAIR_BLOCK`` pair
-instances.  Each distinct (size, size, overlap) triple is weighted once.
+list pairs: :func:`pair_counts` takes list i to its users in the corpus
+rows, then to their lists j > i in the transpose, counted in blocks of about
+``PAIR_BLOCK`` pair instances.  It is the package's one co-occurrence
+counter: the consensus fold counts the communities two nodes share with it,
+and the stability scores list member pairs in blocks of the same size.
+Each distinct (size, size, overlap) triple is weighted once.
 Lists whose every edge falls below the ``rho`` cutoff remain in the graph as
 isolated nodes.
 
@@ -35,7 +38,7 @@ from .errors import ParseError, ValidationError
 
 _LN10 = math.log(10.0)
 TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
-PAIR_BLOCK = 1 << 18  # pair instances counted at once by _intersection_counts
+PAIR_BLOCK = 1 << 18  # pair instances in one block of pair_counts or group_pairs
 
 
 @dataclass(frozen=True)
@@ -196,23 +199,27 @@ def _log_tail_batch(
     return out
 
 
-def _intersection_counts(corpus: MembershipCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending pair keys ``i*l+j`` with i<j of lists that share users, and
-    the number they share.  A block of rows holds every instance of its keys,
-    so the blocks join in order and memory follows the block."""
-    l, indptr = len(corpus.list_ids), corpus.indptr
-    start = np.empty(len(corpus.users), dtype=np.int64)
-    start[np.argsort(corpus.users, kind="stable")] = np.arange(1, len(start) + 1)
-    later = corpus.user_indptr[corpus.users + 1] - start
+def pair_counts(indptr, cols, t_indptr, t_cols) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending pair keys ``i*l+j`` with i<j of the ``l`` rows of the CSR
+    (``indptr``, ``cols``) that share a column, and the number they share.
+    (``t_indptr``, ``t_cols``) is its transpose; both list each row's
+    entries in ascending order.  Row i reaches its columns, then their
+    rows j > i in the transpose, in blocks of about ``PAIR_BLOCK`` pair
+    instances.  A block of rows holds every instance of its keys, so the
+    blocks join in order and memory follows the block."""
+    l = len(indptr) - 1
+    start = np.empty(len(cols), dtype=np.int64)
+    start[np.argsort(cols, kind="stable")] = np.arange(1, len(start) + 1)
+    later = t_indptr[cols + 1] - start
     done = np.concatenate(([0], np.cumsum(later)))[indptr]
-    blocks = []
+    blocks = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
     a = 0
     while a < l:
         b = max(a + 1, int(np.searchsorted(done, done[a] + PAIR_BLOCK, "right")) - 1)
         take = later[indptr[a]:indptr[b]]
         first = start[indptr[a]:indptr[b]] - np.cumsum(take) + take
         pair = np.repeat(np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1])), take) * l
-        pair += corpus.user_lists[np.repeat(first, take) + np.arange(len(pair))]
+        pair += t_cols[np.repeat(first, take) + np.arange(len(pair))]
         blocks.append(np.unique(pair, return_counts=True))
         a = b
     return tuple(np.concatenate(part) for part in zip(*blocks))
@@ -225,7 +232,8 @@ def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> List
     if not nodes:
         raise ValidationError("corpus has no lists")
     n = corpus.n
-    keys, counts = _intersection_counts(corpus)
+    keys, counts = pair_counts(corpus.indptr, corpus.users,
+                               corpus.user_indptr, corpus.user_lists)
     i, j = np.divmod(keys, len(nodes))
     # Code each ordered triple by the ranks of the d distinct sizes.  Below
     # 2**31 memberships, d * d * (largest size + 1) stays under 2**62.
@@ -269,7 +277,9 @@ def save_graph(graph: ListGraph, edges_path, nodes_path) -> ListGraph:
     return ListGraph.from_pairs(graph.nodes, i, j, written)
 
 
-def load_graph(edges_path, nodes_path) -> ListGraph:
+def load_nodes(nodes_path) -> list[str]:
+    """The sorted ids of a node list, one per line; blank lines are
+    skipped and a repeated id raises."""
     nodes: list[str] = []
     seen = set()
     with open(nodes_path, encoding="utf-8") as fh:
@@ -282,6 +292,11 @@ def load_graph(edges_path, nodes_path) -> ListGraph:
             seen.add(node)
             nodes.append(node)
     nodes.sort()
+    return nodes
+
+
+def load_graph(edges_path, nodes_path) -> ListGraph:
+    nodes = load_nodes(nodes_path)
     index = node_index(nodes)
     i_list: list[int] = []
     j_list: list[int] = []

@@ -3,10 +3,13 @@
 Stages communicate through artifacts in the output directory, so any prefix
 of the pipeline can be resumed from disk with an identical final result,
 and a one-shot run equals running the stages one by one.  A one-shot run
-parses no artifact it writes: the graph and the consensus matrix are handed
+parses neither the graph nor the consensus matrix it writes: both are handed
 to the next stages as their writers return them, which is exactly what the
 files hold (the weights and scores converted from the very strings
-written).  Artifact filenames are fixed:
+written).  The later, smaller artifacts are read back from disk:
+communities.json by the stability, label and members stages, stability.tsv
+and labels.json by the members stage, and users.json by the evaluate
+stage.  Artifact filenames are fixed:
 
     graph.tsv, graph.nodes, consensus.tsv, communities.json,
     stability.tsv, labels.json, users.json, eval.tsv
@@ -176,13 +179,7 @@ def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
 
 def _load_matrix(out_dir) -> cons.ConsensusMatrix:
     nodes_path = _artifact(out_dir, "nodes")
-    order: tuple[str, ...] | None = None
-    if nodes_path.exists():
-        order = tuple(
-            line.rstrip("\n")
-            for line in nodes_path.read_text("utf-8").splitlines()
-            if line
-        )
+    order = lg.load_nodes(nodes_path) if nodes_path.exists() else None
     return cons.load_matrix(_require(out_dir, "consensus"), order=order)
 
 

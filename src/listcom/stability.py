@@ -17,11 +17,12 @@ so 1 means perfectly stable co-assignment and values near 0 mean the
 community is indistinguishable from a random node set of its size.
 
 A cover is scored as a :class:`~listcom.detect.Cover` over the matrix
-order, so member positions are matrix positions.  Its pairs come from
-:func:`~listcom.detect.group_pairs`, one ``np.triu_indices`` per distinct
-size in blocks of at most about ``PAIR_BLOCK`` pairs, and each community's
-scores are added one after the other in ``itertools.combinations`` order
-(``np.cumsum`` is a sequential running sum, carried from block to block).
+order, so member positions are matrix positions.  :func:`group_pairs` lists
+every community's member pairs with one ``np.triu_indices`` per distinct
+size, in blocks of about ``listgraph.PAIR_BLOCK`` pairs, and each
+community's scores are added one after the other in
+``itertools.combinations`` order (``np.cumsum`` is a sequential running
+sum, carried from block to block).
 Ranking ties break by the canonical cover order, which is size descending,
 then members lexicographic.
 """
@@ -32,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import listgraph
 from .atomic import atomic_write
 from .consensus import ConsensusMatrix
-from .detect import Cover, group_pairs
+from .detect import Cover
 from .errors import ValidationError
 
 _SATURATION_EPS = 1e-9
@@ -45,6 +47,49 @@ class StabilityScore:
     raw: float
     expected: float
     corrected: float
+
+
+def group_pairs(indptr, members):
+    """Every member pair of every group of at least two, size by size.
+
+    Group ``k`` is ``members[indptr[k]:indptr[k + 1]]``.  Yields
+    ``(groups, first, second)``: the indices of some groups of one size, and
+    two ``(len(groups), p)`` arrays whose rows hold the members at local
+    positions ``a < b`` of a run of that group's pairs, in
+    ``itertools.combinations`` order.  ``np.triu_indices`` runs once per
+    distinct size.  A block holds about ``listgraph.PAIR_BLOCK`` pairs,
+    read at call time: a size with more pairs than that comes one group at
+    a time, in row blocks of its pair triangle, so each group's pairs still
+    come in order.
+    """
+    block = listgraph.PAIR_BLOCK
+    sizes = np.diff(indptr)
+    for size in np.unique(sizes[sizes >= 2]).tolist():
+        groups = np.flatnonzero(sizes == size)
+        rows = members[indptr[groups][:, None] + np.arange(size)]
+        pairs = size * (size - 1) // 2
+        if pairs <= block:
+            first, second = np.triu_indices(size, 1)
+            step = block // pairs
+            for start in range(0, len(groups), step):
+                part = rows[start:start + step]
+                yield groups[start:start + step], part[:, first], part[:, second]
+        else:
+            for k in range(len(groups)):
+                for first, second in _pair_blocks(size, block):
+                    yield groups[k:k + 1], rows[k:k + 1, first], rows[k:k + 1, second]
+
+
+def _pair_blocks(size: int, block: int):
+    """The pairs of positions ``0..size-1`` in ``itertools.combinations``
+    order, as (first, second) arrays in row blocks of about ``block``
+    pairs."""
+    step = max(1, block // size)
+    for start in range(0, size - 1, step):
+        counts = np.arange(size - 1 - start, max(size - 1 - start - step, 0), -1)
+        first = np.repeat(np.arange(start, start + len(counts)), counts)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+        yield first, first + 1 + offset
 
 
 def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:

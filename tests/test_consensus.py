@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,8 @@ from listcom.errors import ValidationError
 from listcom.listgraph import GraphBuildConfig, build_list_graph
 from listcom.synth import PlantedSpec, synth
 from listcom.seeds import derive_seed
-from reference import (edge_map, entry_map, graph_from_edges,
-                       matrix_from_pairs, same_matrix)
+from reference import (community_pair_scores, edge_map, entry_map,
+                       graph_from_edges, matrix_from_pairs, same_matrix)
 
 
 def empty_matrix(order, r=1):
@@ -65,6 +68,10 @@ def test_accumulate_ignores_singletons():
     m = empty_matrix(["a", "b"])
     accumulate(m, cover_of(m, [{"a"}, {"b"}]))
     assert entry_map(m) == {}
+    # A cover over no nodes at all adds nothing either.
+    m = empty_matrix([])
+    accumulate(m, cover_of(m, []))
+    assert entry_map(m) == {}
 
 
 def test_accumulate_rejects_unknown_node():
@@ -73,6 +80,28 @@ def test_accumulate_rejects_unknown_node():
         accumulate(m, cover_of(m, [{"a", "zz"}]))
     with pytest.raises(ValidationError, match="orders differ"):
         accumulate(m, Cover.from_sets(("a", "b", "c"), [{"a", "b"}]))
+
+
+def test_pair_scoring_memory_follows_the_block(monkeypatch):
+    # 21 windows of 100 consecutive nodes out of 120: 21 * C(100, 2) =
+    # 103,950 pair instances, 25 blocks' worth, over 6,930 pairs.
+    consensus = importlib.import_module("listcom.consensus")
+    listgraph = importlib.import_module("listcom.listgraph")
+    monkeypatch.setattr(listgraph, "PAIR_BLOCK", 1 << 12)
+    nodes = tuple(f"n{i:03d}" for i in range(120))
+    windows = [list(range(k, k + 100)) for k in range(21)]
+    cover = Cover.from_groups(nodes, [100] * 21, np.concatenate(windows))
+    tracemalloc.start()
+    try:
+        keys, scores = consensus._pair_scores(cover, len(nodes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want_keys, want_scores = community_pair_scores(
+        [frozenset(nodes[i] for i in w) for w in windows], nodes)
+    assert len(keys) == 6_930 and keys.tolist() == want_keys.tolist()
+    assert scores.tolist() == want_scores.tolist()
+    assert peak <= 16 * 8 * listgraph.PAIR_BLOCK + 2 * (keys.nbytes + scores.nbytes)
 
 
 def planted_graph(noise=0.1, seed=3):

@@ -186,7 +186,8 @@ def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch):
     monkeypatch.setattr(listgraph, "PAIR_BLOCK", block)
     corpus = random_corpus(np.random.Generator(np.random.PCG64(seed)))
     memberships, user_index = id_sets(corpus)
-    keys, counts = listgraph._intersection_counts(corpus)
+    keys, counts = listgraph.pair_counts(corpus.indptr, corpus.users,
+                                         corpus.user_indptr, corpus.user_lists)
     assert np.all(np.diff(keys) > 0)
     ids, l = corpus.list_ids, len(corpus.list_ids)
     assert {(ids[k // l], ids[k % l]): c for k, c in zip(keys.tolist(), counts.tolist())
@@ -207,7 +208,8 @@ def test_intersection_count_memory_follows_the_block(monkeypatch):
                           for j in range(60)})
     tracemalloc.start()
     try:
-        keys, counts = listgraph._intersection_counts(corpus)
+        keys, counts = listgraph.pair_counts(corpus.indptr, corpus.users,
+                                             corpus.user_indptr, corpus.user_lists)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

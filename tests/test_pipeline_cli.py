@@ -427,6 +427,23 @@ def test_members_exits_2_on_a_list_outside_the_corpus(corpus_files, tmp_path,
     assert "is not in the corpus" in capsys.readouterr().err
 
 
+def test_resumed_stages_exit_2_on_a_repeated_node(corpus_files, tmp_path,
+                                                  capsys):
+    # graph.nodes is read by one reader, with its duplicate check, wherever
+    # a stage reloads it.
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config())
+    nodes = out / ARTIFACTS["nodes"]
+    first = nodes.read_text("utf-8").splitlines()[0]
+    with open(nodes, "a", encoding="utf-8") as fh:
+        fh.write(first + "\n")
+    for stage in ("ensemble", "consensus", "stability"):
+        assert main([stage, "--out", str(out), "--runs", "6",
+                     "--master-seed", "3"]) == 2, stage
+        assert f"duplicate node {first!r}" in capsys.readouterr().err, stage
+
+
 class _FailingFile:
     """Writes half of its first chunk to the real file, then fails."""
 

@@ -9,14 +9,14 @@ from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                                consensus_graph, run_ensemble)
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import (CommunitySet, Cover, DetectorConfig, detect,
-                            detect_runs, filter_singletons, group_pairs)
+                            detect_runs, filter_singletons)
 from listcom.labeling import (Background, LabelingConfig, background_vector,
                               label_community)
 from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
                                load_graph, save_graph)
 from listcom.seeds import derive_seed
-from listcom.stability import (expected_stability, rank_communities,
-                               raw_stabilities, raw_stability)
+from listcom.stability import (expected_stability, group_pairs,
+                               rank_communities, raw_stabilities, raw_stability)
 from listcom.synth import PlantedSpec, synth
 import reference
 from reference import graph_from_edges, matrix_from_pairs, same_matrix
@@ -164,7 +164,11 @@ def test_cover_matches_frozenset_path():
             c for c in sets if len(c) >= 2), trial
 
 
-def test_accumulate_matches_dict_fold():
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_accumulate_matches_dict_fold(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
+                            "PAIR_BLOCK", block)
     rng = np.random.Generator(np.random.PCG64(12))
     for trial in range(60):
         nodes = random_nodes(rng)
@@ -202,9 +206,9 @@ def test_run_ensemble_matches_dict_fold():
 @pytest.mark.parametrize("block", [None, 1, 3, 10])
 def test_group_pairs_lists_combinations_in_order(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(importlib.import_module("listcom.detect"),
+        monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
                             "PAIR_BLOCK", block)
-    bound = importlib.import_module("listcom.detect").PAIR_BLOCK
+    bound = importlib.import_module("listcom.listgraph").PAIR_BLOCK
     rng = np.random.Generator(np.random.PCG64(14))
     for trial in range(30):
         sizes = rng.integers(0, 9, size=int(rng.integers(0, 12)))
@@ -269,7 +273,7 @@ def test_stability_matches_dict_loops():
 @pytest.mark.parametrize("block", [None, 1, 7, 64])
 def test_rank_matches_frozenset_ranking(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(importlib.import_module("listcom.detect"),
+        monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
                             "PAIR_BLOCK", block)
     rng = np.random.Generator(np.random.PCG64(24))
     for trial in range(40):
