@@ -8,8 +8,7 @@ evaluation.
 
 from .corpus import (GroundTruth, ListRecord, MembershipCorpus, load_corpus,
                      load_ground_truth, save_corpus)
-from .detect import (CommunitySet, Cover, DetectorConfig, detect,
-                     filter_singletons)
+from .detect import Cover, DetectorConfig, detect, filter_singletons
 from .consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                         consensus_communities, consensus_graph, cover_agreement,
                         label_jaccard, run_ensemble)
@@ -20,12 +19,11 @@ from .listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
 from .members import EvalRow, UserCommunity, derive_members, evaluate, f1_score
 from .pipeline import PipelineConfig, resolve_config, run_pipeline
 from .stability import (StabilityScore, corrected_stability, expected_stability,
-                        group_pairs, rank_communities, raw_stabilities,
-                        raw_stability)
+                        rank_communities, raw_stabilities, raw_stability)
 from .synth import PlantedSpec, synth, synth_files
 
 __all__ = [
-    "CommunitySet", "ConsensusMatrix", "Cover", "DetectorConfig",
+    "ConsensusMatrix", "Cover", "DetectorConfig",
     "EnsembleConfig", "EvalRow", "GraphBuildConfig", "GroundTruth",
     "LabelingConfig", "ListGraph", "ListRecord", "MembershipCorpus",
     "ParseError", "PipelineConfig", "PlantedSpec", "StabilityScore",
@@ -33,7 +31,7 @@ __all__ = [
     "build_list_graph", "build_vectors", "consensus_communities",
     "consensus_graph", "corrected_stability", "cover_agreement",
     "derive_members", "detect", "evaluate", "expected_stability", "f1_score",
-    "filter_singletons", "group_pairs", "label_community", "label_jaccard",
+    "filter_singletons", "label_community", "label_jaccard",
     "load_corpus", "load_ground_truth", "overlap_lpv", "overlap_pvalue",
     "rank_communities", "raw_stabilities", "raw_stability", "resolve_config",
     "run_ensemble", "run_pipeline", "save_corpus", "synth", "synth_files",

@@ -13,8 +13,8 @@ cover as their transpose, so ``inter`` is the number of communities a pair
 shares, ``|X|`` the length of a node's row, and the score
 inter / (|X| + |Y| - inter).  Runs are folded into the matrix one at a time
 in ascending run order, so the floating-point result is a pure function of
-the runs' covers.  A detector at the ``detector=`` seam returns id sets,
-which become a cover once per run.  The normalised matrix is thresholded
+the runs' covers.  A detector at the ``detector=`` seam returns a cover
+over the graph's node order.  The normalised matrix is thresholded
 into a consensus graph (a mask over the keys) on which a thorough detection
 pass produces the final cover.
 """
@@ -26,13 +26,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .atomic import atomic_write
-from .detect import (CommunitySet, Cover, DetectorConfig, detect, detect_runs,
+from .detect import (Cover, DetectorConfig, detect, detect_runs,
                      filter_singletons, node_positions)
 from .errors import ParseError, ValidationError
 from .listgraph import ListGraph, node_index, pair_counts, write_pair_rows
 from .seeds import STREAM_CONSENSUS, derive_seed
 
-Detector = Callable[[ListGraph, DetectorConfig], CommunitySet]
+Detector = Callable[[ListGraph, DetectorConfig], Cover]
 
 
 @dataclass(eq=False)
@@ -61,7 +61,11 @@ class ConsensusMatrix:
         i, j = sorted(node_positions(self.order, (a, b)).tolist())
         if i == j:
             raise ValidationError(f"no diagonal entries: {a!r}")
-        return float(self.lookup(np.array([i * len(self.order) + j]))[0])
+        key = i * len(self.order) + j
+        pos = int(np.searchsorted(self.keys, key))
+        if pos < len(self.keys) and self.keys[pos] == key:
+            return float(self.values[pos])
+        return 0.0
 
     def items(self) -> Iterator[tuple[str, str, float]]:
         """``(a, b, score)`` with a < b, in ascending pair order."""
@@ -69,13 +73,6 @@ class ConsensusMatrix:
         i, j = np.divmod(self.keys, len(order))
         for a, b, v in zip(i.tolist(), j.tolist(), self.values.tolist()):
             yield order[a], order[b], v
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Scores of arbitrary pair keys, 0.0 where a key is absent."""
-        if not len(self.keys):
-            return np.zeros(len(keys))
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[pos] == keys, self.values[pos], 0.0)
 
 
 @dataclass(frozen=True)
@@ -170,11 +167,20 @@ def _covers(graph: ListGraph, config: DetectorConfig, seeds,
             detector: Detector) -> Iterable[Cover]:
     """One cover over ``graph.nodes`` per seed.  The built-in :func:`detect`
     hands all runs to :func:`detect_runs` at once; any other detector is
-    called one run at a time and its id sets become a cover once."""
+    called one run at a time, and a cover over another node order raises."""
     if detector is detect:
         return detect_runs(graph, config, seeds)
-    return (Cover.from_sets(graph.nodes, detector(graph, config.with_seed(seed)))
+    return (_checked_cover(detector(graph, config.with_seed(seed)), graph.nodes)
             for seed in seeds)
+
+
+def _checked_cover(cover: Cover, nodes) -> Cover:
+    """``cover`` if it is a :class:`Cover` over ``nodes``; raises otherwise."""
+    if not isinstance(cover, Cover) or (cover.nodes is not nodes
+                                        and cover.nodes != nodes):
+        raise ValidationError("a detector must return a Cover over the "
+                              "graph's node order")
+    return cover
 
 
 def run_ensemble(
@@ -214,15 +220,16 @@ def consensus_communities(matrix: ConsensusMatrix, config: EnsembleConfig,
     return filter_singletons(cover)
 
 
-def cover_agreement(a: CommunitySet, b: CommunitySet) -> float:
-    """Symmetric best-match Jaccard agreement in [0, 1] between two covers
-    given as id sets."""
+def cover_agreement(a: Cover, b: Cover) -> float:
+    """Symmetric best-match Jaccard agreement in [0, 1] between the
+    communities of two covers, compared as id sets."""
+    a, b = [list(map(frozenset, cover)) for cover in (a, b)]
     if len(a) == 0 and len(b) == 0:
         return 1.0
     if len(a) == 0 or len(b) == 0:
         return 0.0
 
-    def directed(src: CommunitySet, dst: CommunitySet) -> float:
+    def directed(src, dst) -> float:
         total = 0.0
         for c in src:
             total += max(label_jaccard(c, d) for d in dst)

@@ -62,10 +62,11 @@ compare as the ids do and the order is computed on positions: one
 ``np.lexsort`` per distinct size sorts the member rows, and equal
 neighbours collapse.  Filtering singletons is a size mask.
 
-Ids appear only when a cover is saved or loaded, and at the ``detector=``
-seam: :func:`detect` returns a :class:`CommunitySet` of id frozensets, and
-anything callable as ``(graph, config) -> CommunitySet`` can stand in for it
-in the ensemble and the thorough pass, so a heavier external detector can be
+Ids appear only when a cover is saved or loaded; iterating a cover gives
+each community's ids.  :func:`detect` returns a :class:`Cover` over
+``graph.nodes``, and anything callable as ``(graph, config) -> Cover`` over
+that same order can stand in for it at the ``detector=`` seam of the
+ensemble and the thorough pass, so a heavier external detector can be
 slotted in without touching the aggregation machinery.
 """
 from __future__ import annotations
@@ -131,35 +132,6 @@ class DetectorConfig:
         return replace(self, seed=seed)
 
 
-@dataclass(frozen=True)
-class CommunitySet:
-    """An overlapping cover as id sets, the form a detector hands over at
-    the ``detector=`` seam: a canonically ordered tuple of member sets.
-
-    Duplicate member sets collapse; order is (size desc, members lex asc).
-    """
-
-    communities: tuple[frozenset[str], ...]
-
-    @classmethod
-    def from_sets(cls, sets) -> "CommunitySet":
-        sets = [frozenset(s) for s in sets]
-        nodes = sorted(frozenset().union(*sets))
-        return Cover.from_sets(nodes, sets).community_set()
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(self.communities)
-
-    def __len__(self) -> int:
-        return len(self.communities)
-
-    def nodes(self) -> frozenset[str]:
-        out: set[str] = set()
-        for c in self.communities:
-            out |= c
-        return frozenset(out)
-
-
 @dataclass(frozen=True, eq=False)
 class Cover:
     """An overlapping cover as integer arrays over a sorted node order.
@@ -215,6 +187,10 @@ class Cover:
                 and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.members, other.members))
 
+    def __iter__(self) -> Iterator[list[str]]:
+        """Each community's ids, as :meth:`id_lists` gives them."""
+        return iter(self.id_lists())
+
     def sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -225,9 +201,6 @@ class Cover:
         bounds = self.indptr.tolist()
         return [[nodes[p] for p in members[a:b]]
                 for a, b in zip(bounds, bounds[1:])]
-
-    def community_set(self) -> CommunitySet:
-        return CommunitySet(tuple(map(frozenset, self.id_lists())))
 
 
 def node_positions(nodes, ids) -> np.ndarray:
@@ -243,22 +216,22 @@ def node_positions(nodes, ids) -> np.ndarray:
     return pos.astype(np.int32)
 
 
-def detect(graph: ListGraph, config: DetectorConfig) -> CommunitySet:
+def detect(graph: ListGraph, config: DetectorConfig) -> Cover:
     """Run label propagation; returns non-singleton communities only.
 
     Deterministic given (graph, config): the visit order and every memory
     slot are derived from the seed and the node and edge positions.
     Isolated nodes are never assigned.
     """
-    return detect_runs(graph, config, [config.seed])[0].community_set()
+    return detect_runs(graph, config, [config.seed])[0]
 
 
 def detect_runs(graph: ListGraph, config: DetectorConfig,
                 seeds) -> list[Cover]:
     """:func:`detect` once per seed, as covers over ``graph.nodes``.
 
-    Equals ``[detect(graph, config.with_seed(s)) for s in seeds]`` in
-    :class:`Cover` form; each run goes whole to one thread.
+    Equals ``[detect(graph, config.with_seed(s)) for s in seeds]``; each
+    run goes whole to one thread.
     """
     # Imported here: it would add to the import time of every command.
     from concurrent.futures import ThreadPoolExecutor

@@ -168,4 +168,11 @@ def write_labels(labels_by_id: dict[int, list[tuple[str, float]]], path) -> None
 def load_labels(path) -> dict[int, list[str]]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, list) or not all(
+            isinstance(entry, dict) and type(entry.get("community_id")) is int
+            and isinstance(entry.get("labels"), list)
+            and all(isinstance(term, str) for term in entry["labels"])
+            for entry in payload):
+        raise ValidationError(f"{path}: expected a JSON array of objects with an "
+                              "integer community_id and a list of labels")
     return {entry["community_id"]: list(entry["labels"]) for entry in payload}

@@ -12,8 +12,8 @@ Candidate pairs are enumerated through shared users, never over all l^2
 list pairs: :func:`pair_counts` takes list i to its users in the corpus
 rows, then to their lists j > i in the transpose, counted in blocks of about
 ``PAIR_BLOCK`` pair instances.  It is the package's one co-occurrence
-counter: the consensus fold counts the communities two nodes share with it,
-and the stability scores list member pairs in blocks of the same size.
+counter: the consensus fold counts the communities two nodes share with it.
+Stability walks the consensus matrix's rows in blocks of the same size.
 Each distinct (size, size, overlap) triple is weighted once.
 Lists whose every edge falls below the ``rho`` cutoff remain in the graph as
 isolated nodes.
@@ -38,7 +38,7 @@ from .errors import ParseError, ValidationError
 
 _LN10 = math.log(10.0)
 TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
-PAIR_BLOCK = 1 << 18  # pair instances in one block of pair_counts or group_pairs
+PAIR_BLOCK = 1 << 18  # pair instances in one block of pair_counts or the stability walk
 
 
 @dataclass(frozen=True)

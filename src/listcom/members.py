@@ -150,10 +150,18 @@ def write_users(
 def load_users(path) -> list[UserCommunity]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, list) or not all(
+            isinstance(entry, dict) and type(entry.get("community_id")) is int
+            and isinstance(entry.get("users"), list)
+            and all(isinstance(u, dict) and isinstance(u.get("id"), str)
+                    and type(u.get("weight")) in (int, float) for u in entry["users"])
+            for entry in payload):
+        raise ValidationError(f"{path}: expected a JSON array of objects with an "
+                              "integer community_id and users with an id and a weight")
     out = []
     for entry in payload:
         out.append(UserCommunity(
-            community_id=int(entry["community_id"]),
+            community_id=entry["community_id"],
             members={u["id"]: float(u["weight"]) for u in entry["users"]},
         ))
     return sorted(out, key=lambda uc: uc.community_id)

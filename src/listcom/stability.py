@@ -17,12 +17,16 @@ so 1 means perfectly stable co-assignment and values near 0 mean the
 community is indistinguishable from a random node set of its size.
 
 A cover is scored as a :class:`~listcom.detect.Cover` over the matrix
-order, so member positions are matrix positions.  :func:`group_pairs` lists
-every community's member pairs with one ``np.triu_indices`` per distinct
-size, in blocks of about ``listgraph.PAIR_BLOCK`` pairs, and each
-community's scores are added one after the other in
-``itertools.combinations`` order (``np.cumsum`` is a sequential running
-sum, carried from block to block).
+order, so member positions are matrix positions.  :func:`raw_stabilities`
+walks the matrix rows, not the C(size, 2) member pairs: for each member
+``a`` of community ``k`` it takes the keys in ``[a l, (a + 1) l)``, keeps
+those whose other end is also in ``k`` (one ``np.searchsorted`` of
+``k l + b`` into the ascending ``k l + member`` codes) and adds their
+scores into ``k``'s total with ``np.add.at``, in blocks of about
+``listgraph.PAIR_BLOCK`` entries.  The work follows a community's matrix
+entries.  Entries come in key order, which is ``itertools.combinations``
+order, ``np.add.at`` adds in input order, and an absent pair would add 0.0,
+so each total is the sequential sum over all member pairs, bit for bit.
 Ranking ties break by the canonical cover order, which is size descending,
 then members lexicographic.
 """
@@ -49,64 +53,40 @@ class StabilityScore:
     corrected: float
 
 
-def group_pairs(indptr, members):
-    """Every member pair of every group of at least two, size by size.
-
-    Group ``k`` is ``members[indptr[k]:indptr[k + 1]]``.  Yields
-    ``(groups, first, second)``: the indices of some groups of one size, and
-    two ``(len(groups), p)`` arrays whose rows hold the members at local
-    positions ``a < b`` of a run of that group's pairs, in
-    ``itertools.combinations`` order.  ``np.triu_indices`` runs once per
-    distinct size.  A block holds about ``listgraph.PAIR_BLOCK`` pairs,
-    read at call time: a size with more pairs than that comes one group at
-    a time, in row blocks of its pair triangle, so each group's pairs still
-    come in order.
-    """
-    block = listgraph.PAIR_BLOCK
-    sizes = np.diff(indptr)
-    for size in np.unique(sizes[sizes >= 2]).tolist():
-        groups = np.flatnonzero(sizes == size)
-        rows = members[indptr[groups][:, None] + np.arange(size)]
-        pairs = size * (size - 1) // 2
-        if pairs <= block:
-            first, second = np.triu_indices(size, 1)
-            step = block // pairs
-            for start in range(0, len(groups), step):
-                part = rows[start:start + step]
-                yield groups[start:start + step], part[:, first], part[:, second]
-        else:
-            for k in range(len(groups)):
-                for first, second in _pair_blocks(size, block):
-                    yield groups[k:k + 1], rows[k:k + 1, first], rows[k:k + 1, second]
-
-
-def _pair_blocks(size: int, block: int):
-    """The pairs of positions ``0..size-1`` in ``itertools.combinations``
-    order, as (first, second) arrays in row blocks of about ``block``
-    pairs."""
-    step = max(1, block // size)
-    for start in range(0, size - 1, step):
-        counts = np.arange(size - 1 - start, max(size - 1 - start - step, 0), -1)
-        first = np.repeat(np.arange(start, start + len(counts)), counts)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield first, first + 1 + offset
-
-
 def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:
     """Each community's mean consensus score over its unordered member
     pairs, absent entries counting 0; NaN for a community of fewer than two.
 
-    The cover must be over the matrix order.  A community's scores are
-    added one after the other in pair order.
+    The cover must be over the matrix order.  Each member's matrix row is
+    walked in blocks of about ``listgraph.PAIR_BLOCK`` entries, and the
+    entries whose other end is in the same community are added in key
+    order.
     """
     if cover.nodes is not matrix.order and cover.nodes != matrix.order:
         raise ValidationError("cover and matrix node orders differ")
     l = len(matrix.order)
+    keys = matrix.keys
+    community = np.repeat(np.arange(len(cover), dtype=np.int64), cover.sizes())
+    members = cover.members.astype(np.int64)
+    # Ascending, as the cover lists each community's members in order.
+    codes = community * l + members
+    rows = np.searchsorted(keys, np.arange(l + 1, dtype=np.int64) * l)
+    starts = rows[members]
+    lengths = rows[members + 1] - starts
+    done = np.concatenate(([0], np.cumsum(lengths)))
     totals = np.zeros(len(cover))
-    for groups, first, second in group_pairs(cover.indptr, cover.members):
-        scores = matrix.lookup(first.astype(np.int64) * l + second)
-        totals[groups] = np.cumsum(
-            np.concatenate([totals[groups][:, None], scores], axis=1), axis=1)[:, -1]
+    a = 0
+    while a < len(members):
+        b = max(a + 1, int(np.searchsorted(done, done[a] + listgraph.PAIR_BLOCK,
+                                           "right")) - 1)
+        take = lengths[a:b]
+        pos = np.repeat(starts[a:b] - done[a:b], take) + np.arange(done[a], done[b])
+        owner = np.repeat(community[a:b], take)
+        query = owner * l + keys[pos] % l
+        hit = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+        inside = codes[hit] == query
+        np.add.at(totals, owner[inside], matrix.values[pos[inside]])
+        a = b
     sizes = cover.sizes()
     pairs = sizes * (sizes - 1) // 2
     return np.divide(totals, pairs, out=np.full(len(cover), np.nan),

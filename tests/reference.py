@@ -23,7 +23,6 @@ import numpy as np
 
 from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.corpus import ListRecord, MembershipCorpus
-from listcom.detect import CommunitySet
 from listcom.labeling import background_vector
 from listcom.listgraph import _LN10, ListGraph, _log_tail_batch
 from listcom.errors import ValidationError
@@ -183,7 +182,7 @@ def csr_fill(nodes, edges):
     return offsets, nbr, wgt
 
 
-def detect(nodes, edges, config) -> CommunitySet:
+def detect(nodes, edges, config) -> tuple[frozenset[str], ...]:
     """Label propagation over a dict graph, one node at a time in visit
     order, one ``np.unique`` per update.
 
@@ -230,11 +229,16 @@ def detect(nodes, edges, config) -> CommunitySet:
     return community_set(c for c in members.values() if len(c) >= 2)
 
 
-def community_set(sets) -> CommunitySet:
+def community_set(sets) -> tuple[frozenset[str], ...]:
     """The canonical id cover: duplicate sets collapse, then (size desc,
     members lex asc) with the ids compared as strings."""
     uniq = {frozenset(s) for s in sets}
-    return CommunitySet(tuple(sorted(uniq, key=lambda c: (-len(c), tuple(sorted(c))))))
+    return tuple(sorted(uniq, key=lambda c: (-len(c), tuple(sorted(c)))))
+
+
+def cover_sets(cover) -> tuple[frozenset[str], ...]:
+    """A cover's communities as id frozensets, in the cover's own order."""
+    return tuple(map(frozenset, cover))
 
 
 def community_pair_scores(base, order):

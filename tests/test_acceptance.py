@@ -24,7 +24,7 @@ from listcom.seeds import derive_seed
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stability)
 from listcom.synth import PlantedSpec, synth, synth_files
-from reference import edge_map, id_sets, matrix_from_pairs
+from reference import cover_sets, edge_map, id_sets, matrix_from_pairs
 
 BENCH_SPEC = PlantedSpec(groups=8, users_per_group=25, lists_per_group=40,
                          size_min=5, size_max=15, noise=0.1, overlap=0.1)
@@ -163,7 +163,7 @@ def test_criterion_5_consensus_stabilizes_noisy_detections(tmp_path):
     for master in (101, 202):
         ens = EnsembleConfig.from_master(master, runs=20, tau=0.2)
         matrix = run_ensemble(graph, ens)
-        covers.append(consensus_communities(matrix, ens).community_set())
+        covers.append(consensus_communities(matrix, ens))
     consensus_agreement = cover_agreement(covers[0], covers[1])
 
     assert consensus_agreement > base_agreement
@@ -196,7 +196,7 @@ def test_criterion_6_stability_discrimination():
     ]
     cover = Cover.from_sets(matrix.order, planted + random_sets)
     assert len(cover) == len(planted) + len(random_sets)
-    ids = cover.community_set().communities
+    ids = cover_sets(cover)
     scored = {ids[k]: score for k, score in rank_communities(cover, matrix)}
     planted_scores = [scored[c].corrected for c in map(frozenset, planted)]
     random_scores = [scored[c].corrected for c in random_sets]

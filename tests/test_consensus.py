@@ -10,7 +10,7 @@ from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                                consensus_communities, consensus_graph,
                                cover_agreement, label_jaccard, load_matrix,
                                run_ensemble, save_matrix)
-from listcom.detect import CommunitySet, Cover, DetectorConfig, detect
+from listcom.detect import Cover, DetectorConfig, detect
 from listcom.errors import ValidationError
 from listcom.listgraph import GraphBuildConfig, build_list_graph
 from listcom.synth import PlantedSpec, synth
@@ -124,12 +124,11 @@ def test_run_ensemble_r1_equals_single_run():
 
 def test_run_ensemble_mean_of_two_runs():
     # constant detectors: one run co-assigns (a,b), the other does not
-    covers = [CommunitySet.from_sets([{"a", "b"}]),
-              CommunitySet.from_sets([{"a", "c"}])]
+    covers = [[{"a", "b"}], [{"a", "c"}]]
 
     def fake_detector(graph, config):
         fake_detector.calls += 1
-        return covers[(fake_detector.calls - 1) % 2]
+        return Cover.from_sets(graph.nodes, covers[(fake_detector.calls - 1) % 2])
 
     fake_detector.calls = 0
     graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0})
@@ -159,10 +158,10 @@ def test_entries_in_unit_range_and_sparse():
 
 
 def test_consensus_of_identical_base_sets_is_that_matrix():
-    fixed = CommunitySet.from_sets([{"a", "b", "c"}, {"c", "d"}])
+    fixed = [{"a", "b", "c"}, {"c", "d"}]
 
     def constant_detector(graph, config):
-        return fixed
+        return Cover.from_sets(graph.nodes, fixed)
 
     graph = graph_from_edges(("a", "b", "c", "d"), {})
     cfg = EnsembleConfig.from_master(0, runs=7, tau=0.0)
@@ -181,8 +180,8 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
         # seed-dependent partition, never overlapping
         s = config.seed % 2
         if s == 0:
-            return CommunitySet.from_sets([{"a", "b"}, {"c", "d"}])
-        return CommunitySet.from_sets([{"a", "b", "c"}, {"d", "e"}])
+            return Cover.from_sets(graph.nodes, [{"a", "b"}, {"c", "d"}])
+        return Cover.from_sets(graph.nodes, [{"a", "b", "c"}, {"d", "e"}])
 
     graph = graph_from_edges(("a", "b", "c", "d", "e"), {})
     cfg = EnsembleConfig.from_master(1, runs=6, tau=0.0)
@@ -192,18 +191,32 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
         assert (v * 6) == pytest.approx(round(v * 6))
 
 
+@pytest.mark.parametrize("returned", [
+    lambda graph: Cover.from_sets(graph.nodes + ("zz",), [{"a", "b"}]),
+    lambda graph: Cover.from_sets(graph.nodes[1:], [{"b", "c"}]),
+    lambda graph: [frozenset({"a", "b"})],
+])
+def test_a_detector_must_return_a_cover_over_the_graph_order(returned):
+    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0})
+    cfg = EnsembleConfig.from_master(0, runs=2, tau=0.0)
+    with pytest.raises(ValidationError, match="node order"):
+        run_ensemble(graph, cfg, detector=lambda g, c: returned(g))
+    matrix = run_ensemble(graph, cfg)
+    with pytest.raises(ValidationError, match="node order"):
+        consensus_communities(matrix, cfg, detector=lambda g, c: returned(g))
+
+
 @given(st.integers(0, 1000))
 @settings(max_examples=60, deadline=None)
 def test_accumulate_matches_brute_force_jaccard(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = [f"n{i}" for i in range(10)]
-    cover = CommunitySet.from_sets(
-        frozenset(rng.choice(nodes, size=int(rng.integers(2, 6)),
-                             replace=False).tolist())
-        for _ in range(int(rng.integers(1, 5)))
-    )
     m = empty_matrix(nodes)
-    accumulate(m, cover_of(m, cover))
+    cover = cover_of(m, [
+        rng.choice(nodes, size=int(rng.integers(2, 6)), replace=False).tolist()
+        for _ in range(int(rng.integers(1, 5)))
+    ])
+    accumulate(m, cover)
     labels = {n: set() for n in nodes}
     for cid, community in enumerate(cover):
         for n in community:
@@ -285,11 +298,12 @@ def test_save_matrix_returns_what_load_matrix_reads(tmp_path):
 
 
 def test_cover_agreement_bounds():
-    a = CommunitySet.from_sets([{"a", "b"}, {"c", "d"}])
+    nodes = ("a", "b", "c", "d")
+    a = Cover.from_sets(nodes, [{"a", "b"}, {"c", "d"}])
     assert cover_agreement(a, a) == 1.0
-    b = CommunitySet.from_sets([{"a", "c"}, {"b", "d"}])
+    b = Cover.from_sets(nodes, [{"a", "c"}, {"b", "d"}])
     assert 0.0 <= cover_agreement(a, b) < 1.0
-    empty = CommunitySet.from_sets([])
+    empty = Cover.from_sets(nodes, [])
     assert cover_agreement(empty, empty) == 1.0
     assert cover_agreement(a, empty) == 0.0
 

@@ -9,14 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from listcom.detect import (CommunitySet, Cover, DetectorConfig, detect,
+from listcom.detect import (Cover, DetectorConfig, detect,
                             detect_runs, filter_singletons, load_communities,
                             save_communities)
 from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
 from listcom.listgraph import GraphBuildConfig, ListGraph, build_list_graph
-from reference import edge_map, graph_from_edges
+from reference import cover_sets, edge_map, graph_from_edges
 
 
 def clique_pair_graph(bridge=0.01):
@@ -67,7 +67,7 @@ def test_isolated_nodes_unassigned():
     graph = clique_pair_graph()
     graph = graph_from_edges(graph.nodes + ("loner",), edge_map(graph))
     cs = detect(graph, DetectorConfig(mode="thorough", seed=3))
-    assert "loner" not in cs.nodes()
+    assert all("loner" not in c for c in cs)
 
 
 def test_determinism_same_seed():
@@ -79,7 +79,7 @@ def test_determinism_same_seed():
 def test_seed_sensitivity_on_noisy_graph():
     graph = noisy_planted_graph()
     outcomes = {
-        detect(graph, DetectorConfig(mode="fast", seed=s)).communities
+        cover_sets(detect(graph, DetectorConfig(mode="fast", seed=s)))
         for s in range(10)
     }
     assert len(outcomes) >= 2
@@ -95,25 +95,30 @@ def test_permutation_equivariance_under_monotone_relabel():
     cfg = DetectorConfig(mode="fast", seed=77)
     base = detect(graph, cfg)
     moved = detect(mapped, cfg)
-    expect = CommunitySet.from_sets(
-        frozenset(relabel[n] for n in c) for c in base)
+    expect = Cover.from_sets(mapped.nodes, ({relabel[n] for n in c} for c in base))
     assert moved == expect
 
 
 def test_filter_singletons_examples():
     nodes = ("a", "b", "c")
     cover = Cover.from_sets(nodes, [{"a"}, set(), {"b", "c"}, {"c"}])
-    assert filter_singletons(cover).community_set().communities == (
-        frozenset({"b", "c"}),)
+    assert list(filter_singletons(cover)) == [["b", "c"]]
     assert filter_singletons(cover) == Cover.from_sets(nodes, [{"b", "c"}])
     assert len(filter_singletons(Cover.from_sets(nodes, []))) == 0
-    cs = CommunitySet.from_sets([{"a", "b"}, {"a", "b"}])
-    assert cs.communities == (frozenset({"a", "b"}),)
+    cover = Cover.from_sets(nodes, [{"a", "b"}, {"a", "b"}])
+    assert list(cover) == [["a", "b"]]
 
 
 def test_community_set_canonical_order():
-    cs = CommunitySet.from_sets([{"z", "y"}, {"a", "b", "c"}, {"a", "b"}])
-    assert [sorted(c) for c in cs] == [["a", "b", "c"], ["a", "b"], ["y", "z"]]
+    cover = Cover.from_sets("abcyz", [{"z", "y"}, {"a", "b", "c"}, {"a", "b"}])
+    assert [sorted(c) for c in cover] == [["a", "b", "c"], ["a", "b"], ["y", "z"]]
+
+
+def test_a_cover_iterates_as_its_id_lists():
+    cover = Cover.from_sets(("a", "b", "c", "d", "e"),
+                            [{"e", "a"}, {"b", "c", "d"}, {"c"}, set()])
+    assert list(cover) == cover.id_lists() == [["b", "c", "d"], ["a", "e"], ["c"], []]
+    assert list(Cover.from_sets(("a",), [])) == []
 
 
 def test_communities_json_round_trip(tmp_path):
@@ -121,7 +126,7 @@ def test_communities_json_round_trip(tmp_path):
     path = tmp_path / "c.json"
     save_communities(cover, path)
     assert load_communities(path, cover.nodes) == cover
-    assert load_communities(path).community_set() == cover.community_set()
+    assert list(load_communities(path)) == list(cover)
     with pytest.raises(ValidationError):
         load_communities(path, ("a", "b", "c"))
     payload = json.loads(path.read_text("utf-8"))
@@ -149,8 +154,7 @@ def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
     for mode in ("fast", "thorough"):
         cfg = DetectorConfig(mode=mode, iterations=None if mode == "fast" else 12)
         single = [detect_runs(graph, cfg, [s])[0] for s in seeds]
-        assert ([cover.community_set() for cover in single]
-                == [detect(graph, cfg.with_seed(s)) for s in seeds])
+        assert single == [detect(graph, cfg.with_seed(s)) for s in seeds]
         assert detect_runs(graph, cfg, seeds) == single
         assert (detect_runs(graph, cfg, seeds[:3]) + detect_runs(graph, cfg, seeds[3:])
                 == single)

@@ -427,6 +427,35 @@ def test_members_exits_2_on_a_list_outside_the_corpus(corpus_files, tmp_path,
     assert "is not in the corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    [{"labels": ["a"], "scores": [1.0]}],
+    {"community_id": 0, "labels": ["a"], "scores": [1.0]},
+])
+def test_members_exits_2_on_a_malformed_labels_file(corpus_files, tmp_path,
+                                                    capsys, payload):
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config())
+    (out / ARTIFACTS["labels"]).write_text(json.dumps(payload), "utf-8")
+    assert main(["members", "--memberships", str(corpus_files["memberships"]),
+                 "--lists", str(corpus_files["lists"]), "--out", str(out)]) == 2
+    assert f"{ARTIFACTS['labels']}: expected a JSON array" in capsys.readouterr().err
+
+
+def test_evaluate_exits_2_on_a_user_without_a_weight(corpus_files, tmp_path,
+                                                     capsys):
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config())
+    path = out / ARTIFACTS["users"]
+    reports = json.loads(path.read_text("utf-8"))
+    del reports[0]["users"][0]["weight"]
+    path.write_text(json.dumps(reports), "utf-8")
+    assert main(["evaluate", "--groundtruth", str(corpus_files["groundtruth"]),
+                 "--out", str(out)]) == 2
+    assert f"{ARTIFACTS['users']}: expected a JSON array" in capsys.readouterr().err
+
+
 def test_resumed_stages_exit_2_on_a_repeated_node(corpus_files, tmp_path,
                                                   capsys):
     # graph.nodes is read by one reader, with its duplicate check, wherever

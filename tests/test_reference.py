@@ -8,18 +8,18 @@ import pytest
 from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
                                consensus_graph, run_ensemble)
 from listcom.corpus import ListRecord, MembershipCorpus
-from listcom.detect import (CommunitySet, Cover, DetectorConfig, detect,
-                            detect_runs, filter_singletons)
+from listcom.detect import (Cover, DetectorConfig, detect, detect_runs,
+                            filter_singletons)
 from listcom.labeling import (Background, LabelingConfig, background_vector,
                               label_community)
 from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
                                load_graph, save_graph)
 from listcom.seeds import derive_seed
-from listcom.stability import (expected_stability, group_pairs,
-                               rank_communities, raw_stabilities, raw_stability)
+from listcom.stability import (expected_stability, rank_communities,
+                               raw_stabilities, raw_stability)
 from listcom.synth import PlantedSpec, synth
 import reference
-from reference import graph_from_edges, matrix_from_pairs, same_matrix
+from reference import cover_sets, graph_from_edges, matrix_from_pairs, same_matrix
 
 
 def planted_graph():
@@ -67,8 +67,8 @@ def assert_same_detections(graph, config, seeds):
     edges = reference.edge_map(graph)
     seeds = list(seeds)
     want = [reference.detect(graph.nodes, edges, config.with_seed(s)) for s in seeds]
-    assert [cover.community_set() for cover in detect_runs(graph, config, seeds)] == want
-    assert [detect(graph, config.with_seed(s)) for s in seeds] == want
+    assert [cover_sets(cover) for cover in detect_runs(graph, config, seeds)] == want
+    assert [cover_sets(detect(graph, config.with_seed(s))) for s in seeds] == want
 
 
 @pytest.mark.parametrize("mode", ["fast", "thorough"])
@@ -155,12 +155,11 @@ def test_cover_matches_frozenset_path():
         sets = random_sets(rng, nodes)
         want = reference.community_set(sets)
         cover = Cover.from_sets(nodes, sets)
-        assert cover.community_set() == want, trial
+        assert cover_sets(cover) == want, trial
         # The canonical order, with each community's ids ascending.
         assert cover.id_lists() == [sorted(c) for c in want], trial
         assert cover.sizes().tolist() == [len(c) for c in want], trial
-        assert CommunitySet.from_sets(sets) == want, trial
-        assert filter_singletons(cover).community_set() == reference.community_set(
+        assert cover_sets(filter_singletons(cover)) == reference.community_set(
             c for c in sets if len(c) >= 2), trial
 
 
@@ -201,32 +200,6 @@ def test_run_ensemble_matches_dict_fold():
         reference.accumulate(folded, cover)
     folded.values *= 1.0 / 6
     assert same_matrix(matrix, folded)
-
-
-@pytest.mark.parametrize("block", [None, 1, 3, 10])
-def test_group_pairs_lists_combinations_in_order(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
-                            "PAIR_BLOCK", block)
-    bound = importlib.import_module("listcom.listgraph").PAIR_BLOCK
-    rng = np.random.Generator(np.random.PCG64(14))
-    for trial in range(30):
-        sizes = rng.integers(0, 9, size=int(rng.integers(0, 12)))
-        sizes[sizes == 8] = 25
-        indptr = np.r_[0, np.cumsum(sizes)]
-        members = np.concatenate([rng.permutation(100)[:s] for s in sizes] +
-                                 [np.empty(0, dtype=np.int64)]).astype(np.int32)
-        got = {k: [] for k in range(len(sizes))}
-        for groups, first, second in group_pairs(indptr, members):
-            size = int(sizes[groups[0]])
-            assert (sizes[groups] == size).all()
-            assert first.shape == second.shape == (len(groups), first.shape[1])
-            assert first.size <= max(bound, size - 1)
-            for k, a, b in zip(groups.tolist(), first.tolist(), second.tolist()):
-                got[k].extend(zip(a, b))
-        for k in range(len(sizes)):
-            group = members[indptr[k]:indptr[k + 1]].tolist()
-            assert got[k] == list(combinations(group, 2)), (trial, k)
 
 
 def test_consensus_graph_matches_sorted_tuple_fill():
@@ -284,7 +257,7 @@ def test_rank_matches_frozenset_ranking(monkeypatch, block):
         matrix = matrix_from_pairs(nodes, scores, 1)
         sets = random_sets(rng, nodes, largest=30)
         cover = Cover.from_sets(matrix.order, sets)
-        ids = cover.community_set().communities
+        ids = cover_sets(cover)
         want = reference.rank_communities(reference.community_set(sets), matrix)
         got = rank_communities(cover, matrix)
         assert [(ids[k], score.raw) for k, score in got] == want, trial

@@ -1,14 +1,17 @@
+import importlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from listcom.detect import CommunitySet, Cover
+from listcom.detect import Cover
 from listcom.errors import ValidationError
 from listcom.stability import (corrected_stability, expected_stability,
-                               rank_communities, raw_stability, write_ranking)
-from reference import matrix_from_pairs
+                               rank_communities, raw_stabilities, raw_stability,
+                               write_ranking)
+from reference import cover_sets, matrix_from_pairs, mean_pair_score
 
 
 def matrix_from(order, pairs, r=10):
@@ -23,6 +26,14 @@ def test_raw_constant_one():
 def test_raw_with_absent_entry():
     m = matrix_from("abc", {("a", "b"): 0.6, ("a", "c"): 0.4})
     assert raw_stability({"a", "b", "c"}, m) == pytest.approx(1 / 3)
+
+
+def test_raw_over_a_matrix_without_entries():
+    m = matrix_from("abcd", {})
+    assert raw_stability({"a", "b", "c"}, m) == 0.0
+    cover = Cover.from_sets(m.order, [{"a", "b", "c"}, {"c", "d"}, {"d"}])
+    raws = raw_stabilities(cover, m).tolist()
+    assert raws[:2] == [0.0, 0.0] and math.isnan(raws[2])
 
 
 def test_raw_single_pair():
@@ -160,12 +171,11 @@ def test_rank_order_is_raw_descending_with_tie_breaks():
     pairs = {(a, b): float(rng.choice([0.25, 0.5, 1.0]))
              for a, b in combinations(order, 2) if rng.random() < 0.5}
     m = matrix_from(order, pairs)
-    cs = CommunitySet.from_sets(
+    cover = Cover.from_sets(m.order, (
         rng.choice(order, size=int(rng.integers(2, 6)), replace=False).tolist()
-        for _ in range(40))
-    cover = Cover.from_sets(m.order, cs)
+        for _ in range(40)))
     ranked = rank_communities(cover, m)
-    ids = cover.community_set().communities
+    ids = cs = cover_sets(cover)
     assert [ids[k] for k, _ in ranked] == sorted(
         (c for c in cs if len(c) >= 2),
         key=lambda c: (-raw_stability(c, m), -len(c), tuple(sorted(c))))
@@ -195,3 +205,26 @@ def test_write_ranking_format(tmp_path):
     assert first[0] == "1"
     assert len(first[1].split(".")[-1]) == 2  # corrected printed to 2 decimals
     assert first[4] == "2"
+
+
+def test_stability_memory_follows_the_block(monkeypatch):
+    # 21 windows of 100 consecutive nodes out of 120, over a matrix that
+    # holds every pair: member a's row has 119 - a entries, so the walk
+    # covers 124,950 entries, 30 blocks' worth.
+    listgraph = importlib.import_module("listcom.listgraph")
+    monkeypatch.setattr(listgraph, "PAIR_BLOCK", 1 << 12)
+    nodes = tuple(f"n{i:03d}" for i in range(120))
+    rng = np.random.Generator(np.random.PCG64(31))
+    m = matrix_from_pairs(nodes, {pair: float(rng.random())
+                                  for pair in combinations(nodes, 2)}, 1)
+    windows = [list(range(k, k + 100)) for k in range(21)]
+    cover = Cover.from_groups(nodes, [100] * 21, np.concatenate(windows))
+    tracemalloc.start()
+    try:
+        raws = raw_stabilities(cover, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = dict(zip(m.keys.tolist(), m.values.tolist()))
+    assert raws.tolist() == [mean_pair_score(w, entries, len(nodes)) for w in windows]
+    assert peak <= 16 * 8 * listgraph.PAIR_BLOCK + 2 * (m.keys.nbytes + m.values.nbytes)
