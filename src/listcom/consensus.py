@@ -29,7 +29,8 @@ from .atomic import atomic_write
 from .detect import (Cover, DetectorConfig, detect, detect_runs,
                      filter_singletons, node_positions)
 from .errors import ParseError, ValidationError
-from .listgraph import ListGraph, node_index, pair_counts, write_pair_rows
+from .listgraph import (ListGraph, pair_counts, pair_text, read_pair_rows,
+                        write_pair_rows)
 from .seeds import STREAM_CONSENSUS, derive_seed
 
 Detector = Callable[[ListGraph, DetectorConfig], Cover]
@@ -241,68 +242,38 @@ def cover_agreement(a: Cover, b: Cover) -> float:
 def save_matrix(matrix: ConsensusMatrix, path) -> ConsensusMatrix:
     """TSV rows ``a<TAB>b<TAB>score`` (6 decimals, lexicographic pairs) under
     a ``#r=<runs>`` header.  Returns the matrix that :func:`load_matrix`
-    reads back over the same order: the written scores, without those
-    written as 0.000000."""
+    reads back over the same order: the value of each written string,
+    without the scores written as 0.000000."""
     i, j = np.divmod(matrix.keys, len(matrix.order))
+    text, which = pair_text(matrix.values)
     with atomic_write(path) as fh:
         fh.write(f"#r={matrix.r}\n")
-        values = write_pair_rows(fh, matrix.order, i, j, matrix.values)
+        values = write_pair_rows(fh, matrix.order, i, j, text, which)[which]
     kept = values > 0.0
     return ConsensusMatrix(matrix.order, matrix.keys[kept], values[kept], matrix.r)
 
 
-def load_matrix(path, order: tuple[str, ...] | None = None) -> ConsensusMatrix:
-    """Reload a matrix.  Pass the full node ``order`` (e.g. from the graph's
-    sidecar node list) to preserve nodes that have no surviving entries;
-    otherwise the order is reconstructed from the entry endpoints alone.
+def load_matrix(path, order) -> ConsensusMatrix:
+    """Reload a matrix over the full node ``order`` (the graph's sidecar
+    node list), which keeps the nodes that have no entries.  The rows are
+    read by :func:`~listcom.listgraph.read_pair_rows` under a ``#r=<runs>``
+    header with runs >= 1; a score outside [0, 1] raises with its line.
     Scores that rounded to 0.000000 on disk are dropped to keep the sparse
     absent-means-zero invariant."""
-    first: list[str] = []
-    second: list[str] = []
-    scores: list[float] = []
-    r = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1:
-                if not line.startswith("#r="):
-                    raise ParseError(f"{path}:1: missing #r= header")
-                try:
-                    r = int(line[3:])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:1: bad run count") from exc
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected three fields")
-            try:
-                v = float(fields[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad score {fields[2]!r}") from exc
-            if v < 0.0 or v > 1.0 + 1e-9:
-                raise ValidationError(f"{path}:{lineno}: score out of range")
-            first.append(fields[0])
-            second.append(fields[1])
-            scores.append(v)
-    if r is None:
-        raise ParseError(f"{path}: empty file, missing header")
-    if order is None:
-        order = set(first) | set(second)
-    matrix = ConsensusMatrix.empty(sorted(order), r)
-    index = node_index(matrix.order)
+    order = sorted(order)
+    head, i, j, values, lines = read_pair_rows(path, order, header=1)
+    if not head or not head[0].startswith("#r="):
+        raise ParseError(f"{path}:1: missing #r= header")
     try:
-        i = np.fromiter((index[a] for a in first), dtype=np.int64, count=len(first))
-        j = np.fromiter((index[b] for b in second), dtype=np.int64, count=len(second))
-    except KeyError as exc:
-        raise ValidationError(
-            f"{path}: node {exc.args[0]!r} outside the given order") from exc
-    if np.any(i == j):
-        raise ValidationError(f"{path}: diagonal entry")
-    values = np.array(scores, dtype=np.float64)
-    nonzero = values > 0.0
-    keys = (np.minimum(i, j) * len(matrix.order) + np.maximum(i, j))[nonzero]
-    perm = np.argsort(keys, kind="stable")
-    matrix.keys, matrix.values = keys[perm], values[nonzero][perm]
-    if np.any(matrix.keys[1:] == matrix.keys[:-1]):
-        raise ValidationError(f"{path}: a node pair is listed twice")
+        r = int(head[0][3:])
+    except ValueError as exc:
+        raise ParseError(f"{path}:1: bad run count") from exc
+    if r < 1:
+        raise ValidationError(f"{path}:1: run count {r} is below 1")
+    bad = lines[~((values >= 0.0) & (values <= 1.0 + 1e-9))]
+    if len(bad):
+        raise ValidationError(f"{path}:{bad.min()}: score out of range")
+    matrix = ConsensusMatrix.empty(order, r)
+    kept = values > 0.0
+    matrix.keys, matrix.values = (i * len(order) + j)[kept], values[kept]
     return matrix

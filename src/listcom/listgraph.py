@@ -22,8 +22,11 @@ The graph is held as integer arrays: node ``i`` is the i-th list id in
 sorted order, and the edges form a compressed sparse row structure
 (``indptr``, ``indices``, ``weights``) with each row's neighbours in
 ascending order and every edge stored in both rows.  It is built once, by
-:func:`build_list_graph`, :func:`load_graph` or the consensus graph, and
-list ids reappear only when the graph is written out.
+:func:`build_list_graph`, :func:`load_graph` or the consensus graph, with
+one stable sort by row.  List ids reappear only in the pair files of the
+graph and the consensus matrix, ``a<TAB>b<TAB>value`` rows (6 decimals,
+lexicographic pairs) with one codec: :func:`pair_text` formats each distinct
+value once, and :func:`read_pair_rows` reads with ``path:line`` errors.
 """
 from __future__ import annotations
 
@@ -68,7 +71,9 @@ class ListGraph:
     @classmethod
     def from_pairs(cls, nodes, i, j, w) -> "ListGraph":
         """Build from sorted ``nodes`` and parallel arrays of node indices
-        ``i < j`` (each pair at most once) with weights ``w``."""
+        ``i < j`` with weights ``w``, distinct and in ascending ``(i, j)``
+        order.  Row ``a`` is then its pairs ``(b, a)`` followed by its pairs
+        ``(a, c)``, so one stable sort by row lays out the CSR."""
         nodes = tuple(nodes)
         if any(a >= b for a, b in zip(nodes, nodes[1:])):
             raise ValidationError("graph nodes must be sorted and unique")
@@ -77,14 +82,16 @@ class ListGraph:
         w = np.asarray(w, dtype=np.float64)
         if np.any(i >= j):
             raise ValidationError("edge pairs must satisfy i < j")
+        if np.any(np.diff(i * len(nodes) + j) <= 0):
+            raise ValidationError("edge pairs must be distinct and in "
+                                  "ascending (i, j) order")
         if not np.all(np.isfinite(w) & (w >= 0.0)):
             raise ValidationError("edge weights must be finite and >= 0")
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        perm = np.lexsort((cols, rows))
+        perm = np.argsort(np.concatenate([j, i]), kind="stable")
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
-        arrays = (indptr, cols[perm], np.concatenate([w, w])[perm])
+        np.cumsum(np.bincount(i, minlength=len(nodes))
+                  + np.bincount(j, minlength=len(nodes)), out=indptr[1:])
+        arrays = (indptr, np.concatenate([i, j])[perm], np.concatenate([w, w])[perm])
         for arr in arrays:
             arr.flags.writeable = False
         return cls(nodes, *arrays)
@@ -92,11 +99,13 @@ class ListGraph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each edge once as (i, j, w) arrays with i < j, in (i, j) order."""
+    def edge_pairs(self, values=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge once as (i, j, w) arrays with i < j, in (i, j) order;
+        ``values`` parallel to ``indices`` stand in for the weights."""
         rows = np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
         upper = self.indices > rows
-        return rows[upper], self.indices[upper], self.weights[upper]
+        w = self.weights if values is None else values
+        return rows[upper], self.indices[upper], w[upper]
 
     def edge_list(self) -> list[tuple[str, str, float]]:
         """Each edge once as ``(a, b, weight)`` with a < b, in sorted order."""
@@ -104,11 +113,6 @@ class ListGraph:
         nodes = self.nodes
         return [(nodes[a], nodes[b], x)
                 for a, b, x in zip(i.tolist(), j.tolist(), w.tolist())]
-
-
-def node_index(nodes) -> dict[str, int]:
-    """Position of each id in ``nodes``; the string-to-integer boundary."""
-    return {node: i for i, node in enumerate(nodes)}
 
 
 def _check_overlap_args(size_x: int, size_y: int, intersection: int, n: int) -> None:
@@ -251,30 +255,40 @@ def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> List
     return ListGraph.from_pairs(nodes, i[keep], j[keep], lpv[keep])
 
 
-def write_pair_rows(fh, nodes, i, j, values) -> np.ndarray:
-    """Write one ``a<TAB>b<TAB>value`` row (6 decimals) per node pair
-    ``(nodes[i[k]], nodes[j[k]])``; returns the values as a reader parses
-    them back, converted from the very strings written."""
-    parsed = np.empty(len(values), dtype=np.float64)
-    for start in range(0, len(values), TEXT_BLOCK):
+def pair_text(values) -> tuple[list[str], np.ndarray]:
+    """Each distinct value formatted once to 6 decimals, and each value's
+    index into those strings.  Values are told apart by their bits, so the
+    text depends only on a value's bits and ``-0.0`` keeps its sign."""
+    bits, which = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    return [f"{v:.6f}" for v in bits.view(np.float64).tolist()], which
+
+
+def write_pair_rows(fh, nodes, i, j, text, which) -> np.ndarray:
+    """Write one ``a<TAB>b<TAB>text[which[k]]`` row per node pair
+    ``(nodes[i[k]], nodes[j[k]])``, ``TEXT_BLOCK`` rows at a time; returns
+    each string of ``text`` as a reader parses it back."""
+    for start in range(0, len(which), TEXT_BLOCK):
         block = slice(start, start + TEXT_BLOCK)
-        text = [f"{v:.6f}" for v in values[block].tolist()]
-        fh.writelines(f"{nodes[a]}\t{nodes[b]}\t{t}\n" for a, b, t
-                      in zip(i[block].tolist(), j[block].tolist(), text))
-        parsed[block] = np.array(text, dtype=np.float64)
-    return parsed
+        fh.writelines(f"{nodes[a]}\t{nodes[b]}\t{text[t]}\n" for a, b, t in
+                      zip(i[block].tolist(), j[block].tolist(), which[block].tolist()))
+    return np.array(text, dtype=np.float64)
 
 
 def save_graph(graph: ListGraph, edges_path, nodes_path) -> ListGraph:
     """Write edges (lexicographic pair order, weights to 6 decimals) and the
     sidecar node list that preserves isolated nodes.  Returns the graph that
-    :func:`load_graph` reads back from them."""
-    i, j, w = graph.edge_pairs()
+    :func:`load_graph` reads back from them: the same CSR with each weight
+    replaced by the value of its written string."""
+    text, which = pair_text(graph.weights)
+    i, j, upper = graph.edge_pairs(which)
     with atomic_write(edges_path) as fh:
-        written = write_pair_rows(fh, graph.nodes, i, j, w)
+        parsed = write_pair_rows(fh, graph.nodes, i, j, text, upper)
     with atomic_write(nodes_path) as fh:
         fh.writelines(node + "\n" for node in graph.nodes)
-    return ListGraph.from_pairs(graph.nodes, i, j, written)
+    weights = parsed[which]
+    weights.flags.writeable = False
+    return ListGraph(graph.nodes, graph.indptr, graph.indices, weights)
 
 
 def load_nodes(nodes_path) -> list[str]:
@@ -295,38 +309,53 @@ def load_nodes(nodes_path) -> list[str]:
     return nodes
 
 
-def load_graph(edges_path, nodes_path) -> ListGraph:
-    nodes = load_nodes(nodes_path)
-    index = node_index(nodes)
-    i_list: list[int] = []
-    j_list: list[int] = []
-    w_list: list[float] = []
-    with open(edges_path, encoding="utf-8") as fh:
+def read_pair_rows(path, nodes, header=0):
+    """Parse a pair file over the sorted ids ``nodes``: ``header`` lines,
+    then ``a<TAB>b<TAB>value`` rows in any row and endpoint order.  Returns
+    the header lines and arrays ``(i, j, values, lines)`` in ascending
+    ``(i, j)`` order with i < j, ``lines`` being each row's line in the file.
+    Each error names ``path:line``: a wrong field count, a value ``float``
+    cannot parse, an endpoint outside ``nodes``, a self-pair, or the second
+    copy of a pair."""
+    index = {node: k for k, node in enumerate(nodes)}
+    head, first, second, values = [], [], [], []
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
+            line = line.rstrip("\n")
+            if lineno <= header:
+                head.append(line)
+                continue
+            fields = line.split("\t")
             if len(fields) != 3:
-                raise ParseError(f"{edges_path}:{lineno}: expected three fields")
-            a, b, w_str = fields
+                raise ParseError(f"{path}:{lineno}: expected three fields")
+            a, b, text = fields
             try:
-                w = float(w_str)
+                values.append(float(text))
             except ValueError as exc:
-                raise ParseError(f"{edges_path}:{lineno}: bad weight {w_str!r}") from exc
+                raise ParseError(f"{path}:{lineno}: bad value {text!r}") from exc
             ia = index.get(a)
             ib = index.get(b)
             if ia is None or ib is None:
-                raise ValidationError(f"{edges_path}:{lineno}: endpoint not in node list")
+                raise ValidationError(f"{path}:{lineno}: node "
+                                      f"{a if ia is None else b!r} not in the node list")
             if ia == ib:
-                raise ValidationError(f"{edges_path}:{lineno}: self-loop on {a!r}")
-            i_list.append(min(ia, ib))
-            j_list.append(max(ia, ib))
-            w_list.append(w)
-    i = np.array(i_list, dtype=np.int64)
-    j = np.array(j_list, dtype=np.int64)
+                raise ValidationError(f"{path}:{lineno}: self-pair on {a!r}")
+            first.append(ia)
+            second.append(ib)
+    i, j = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
+    i, j = np.minimum(i, j), np.maximum(i, j)
     keys = i * len(nodes) + j
     order = np.argsort(keys, kind="stable")
-    dup = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    i, j, lines = i[order], j[order], order + (header + 1)
+    dup = np.flatnonzero(np.diff(keys[order]) == 0) + 1
     if len(dup):
-        line = int(order[dup + 1].min())
-        raise ValidationError(f"{edges_path}:{line + 1}: duplicate edge "
-                              f"{(nodes[i[line]], nodes[j[line]])}")
-    return ListGraph.from_pairs(nodes, i, j, np.array(w_list, dtype=np.float64))
+        at = dup[np.argmin(lines[dup])]
+        raise ValidationError(f"{path}:{lines[at]}: duplicate pair "
+                              f"{(nodes[i[at]], nodes[j[at]])}")
+    return head, i, j, np.array(values, dtype=np.float64)[order], lines
+
+
+def load_graph(edges_path, nodes_path) -> ListGraph:
+    nodes = load_nodes(nodes_path)
+    _, i, j, w, _ = read_pair_rows(edges_path, nodes)
+    return ListGraph.from_pairs(nodes, i, j, w)

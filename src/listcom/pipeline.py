@@ -170,7 +170,7 @@ def stage_ensemble(out_dir, config: PipelineConfig,
 
 def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
     """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`; it is
-    parsed here when not given."""
+    parsed here when not given, which requires graph.nodes."""
     if matrix is None:
         matrix = _load_matrix(out_dir)
     cover = cons.consensus_communities(matrix, config.ensemble_config())
@@ -178,18 +178,15 @@ def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
 
 
 def _load_matrix(out_dir) -> cons.ConsensusMatrix:
-    nodes_path = _artifact(out_dir, "nodes")
-    order = lg.load_nodes(nodes_path) if nodes_path.exists() else None
-    return cons.load_matrix(_require(out_dir, "consensus"), order=order)
+    """consensus.tsv over the order of graph.nodes, which keeps the lists
+    that have no matrix entry; both files are required."""
+    order = lg.load_nodes(_require(out_dir, "nodes"))
+    return cons.load_matrix(_require(out_dir, "consensus"), order)
 
 
 def stage_stability(out_dir, config: PipelineConfig, matrix=None) -> None:
     """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`; it is
-    parsed here when not given."""
-    if not _artifact(out_dir, "nodes").exists():
-        raise ValidationError(
-            "stability needs graph.nodes for the node count l of the "
-            "expected term")
+    parsed here when not given, which requires graph.nodes."""
     if matrix is None:
         matrix = _load_matrix(out_dir)
     cover = load_communities(_require(out_dir, "communities"), matrix.order)

@@ -11,7 +11,8 @@ frozensets of ids sorted by the strings themselves, the per-run Jaccard
 table over distinct label sets folded into a ``{key: score}`` dict, the
 per-community pair keys of those frozenset covers folded into a matrix, the
 stability sums over that dict with the expected term enumerated over every
-subset, and term labels from a full sort of every scored term.  Tests
+subset, term labels from a full sort of every scored term, and pair files
+read one line at a time into a dict and written one value at a time.  Tests
 compare the package against them with ``==``, except the expected term,
 which sums in another order and must agree within 1e-12.  Helpers build
 corpora, graphs and matrices from small dicts.
@@ -133,6 +134,27 @@ def matrix_from_pairs(order, scores, r) -> ConsensusMatrix:
     matrix.keys = np.array(sorted(entries), dtype=np.int64)
     matrix.values = np.array([entries[k] for k in sorted(entries)], dtype=np.float64)
     return matrix
+
+
+def read_pairs(path, header=0) -> tuple[list[str], dict[tuple[str, str], float]]:
+    """The first ``header`` lines of a pair file and ``{(a, b): value}``
+    with a < b of its ``a<TAB>b<TAB>value`` rows, one line at a time into a
+    dict; a repeated pair or a self-pair fails."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows: dict[tuple[str, str], float] = {}
+    for line in lines[header:]:
+        a, b, text = line.split("\t")
+        pair = (min(a, b), max(a, b))
+        assert a != b and pair not in rows, line
+        rows[pair] = float(text)
+    return lines[:header], rows
+
+
+def pair_rows_text(rows) -> str:
+    """The ``a<TAB>b<TAB>value`` lines of ``{(a, b): value}`` (a < b) in
+    sorted pair order, each value formatted on its own to 6 decimals."""
+    return "".join(f"{a}\t{b}\t{v:.6f}\n" for (a, b), v in sorted(rows.items()))
 
 
 def entry_map(matrix) -> dict[tuple[str, str], float]:

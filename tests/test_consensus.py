@@ -276,9 +276,6 @@ def test_matrix_round_trip_with_header(tmp_path):
     reloaded = load_matrix(path, order=m.order)
     assert reloaded.r == 12
     assert same_matrix(reloaded, m)
-    # order reconstruction from entries drops isolated nodes only
-    partial = load_matrix(path)
-    assert partial.order == ("a", "b", "c")
 
 
 def test_save_matrix_returns_what_load_matrix_reads(tmp_path):
@@ -308,13 +305,30 @@ def test_cover_agreement_bounds():
     assert cover_agreement(a, empty) == 0.0
 
 
+# Explicit ids keep each case's test name when its message changes.
 @pytest.mark.parametrize("rows, message", [
-    ("a\tb\t0.5\nb\ta\t0.25\n", "listed twice"),
-    ("a\ta\t0.5\n", "diagonal"),
-    ("a\tz\t0.5\n", "outside the given order"),
+    pytest.param("a\tb\t0.5\nb\ta\t0.25\n", r"m\.tsv:3: duplicate pair \('a', 'b'\)",
+                 id="a\tb\t0.5\nb\ta\t0.25\n-listed twice"),
+    pytest.param("a\ta\t0.5\n", r"m\.tsv:2: self-pair on 'a'", id="a\ta\t0.5\n-diagonal"),
+    pytest.param("a\tz\t0.5\n", r"m\.tsv:2: node 'z' not in the node list",
+                 id="a\tz\t0.5\n-outside the given order"),
+    ("a\tb\tnan\n", r"m\.tsv:2: score out of range"),
+    # Sorted, the rows are a-b, a-b, c-d, c-d: the first second copy in the
+    # file is c-d on line 4, behind the header.
+    ("c\td\t0.5\na\tb\t0.5\nc\td\t0.5\na\tb\t0.5\n",
+     r"m\.tsv:4: duplicate pair \('c', 'd'\)"),
+    ("c\td\t0.5\na\tb\t2.0\n", r"m\.tsv:3: score out of range"),
 ])
 def test_load_matrix_rejects_bad_pairs(tmp_path, rows, message):
     path = tmp_path / "m.tsv"
     path.write_text("#r=2\n" + rows, encoding="utf-8")
     with pytest.raises(ValidationError, match=message):
+        load_matrix(path, order=("a", "b", "c", "d"))
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_load_matrix_rejects_a_run_count_below_1(tmp_path, runs):
+    path = tmp_path / "m.tsv"
+    path.write_text(f"#r={runs}\na\tb\t0.5\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf"m\.tsv:1: run count {runs} is below 1"):
         load_matrix(path, order=("a", "b"))

@@ -253,18 +253,24 @@ def test_graph_round_trip_preserves_isolated_nodes(tmp_path):
 def test_save_graph_returns_what_load_graph_reads(tmp_path, monkeypatch, block):
     # The returned weights are the written 6-decimal strings converted, so
     # they equal a reload bit for bit; a weight that prints as 0.000000
-    # stays an edge, as load_graph keeps it.
+    # stays an edge, as load_graph keeps it.  Values are told apart by
+    # their bits, so -0.0 is written as -0.000000 beside a 0.000000.
     monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
                         "TEXT_BLOCK", block)
-    weights = {("a", "b"): 6.1234565, ("a", "c"): 2.5e-7, ("b", "c"): 1 / 3,
-               ("b", "d"): 0.0, ("c", "d"): 1e6 + 5e-7, ("d", "e"): 7.0000005}
+    weights = {("a", "b"): 6.1234565, ("a", "c"): 2.5e-7, ("a", "e"): -0.0,
+               ("b", "c"): 1 / 3, ("b", "d"): 0.0, ("c", "d"): 1e6 + 5e-7,
+               ("d", "e"): 7.0000005}
     graph = graph_from_edges("abcdef", weights)
     returned = save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
     assert same_graph(returned, reloaded)
     assert not same_graph(returned, graph)
+    assert not returned.weights.flags.writeable
     assert returned.nodes == ("a", "b", "c", "d", "e", "f")
     assert edge_map(returned)[("a", "c")] == 0.0
+    text = (tmp_path / "g.tsv").read_text("utf-8")
+    assert "a\te\t-0.000000\n" in text and "b\td\t0.000000\n" in text
+    assert math.copysign(1.0, edge_map(returned)[("a", "e")]) == -1.0
 
 
 def test_graph_arrays_sorted_per_row_and_symmetric():
@@ -282,10 +288,22 @@ def test_graph_arrays_sorted_per_row_and_symmetric():
         ListGraph.from_pairs(("a", "b"), [0], [1], [-1.0])
 
 
+@pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([1, 0], [2, 1]), ([0, 0], [2, 1])],
+                         ids=["repeated", "descending i", "descending j"])
+def test_from_pairs_requires_distinct_ascending_pairs(i, j):
+    # One stable sort by row lays out the CSR only from distinct pairs in
+    # ascending (i, j) order.
+    with pytest.raises(ValidationError, match="distinct and in ascending"):
+        ListGraph.from_pairs(("a", "b", "c"), i, j, [1.0, 2.0])
+
+
+# Explicit ids keep each case's test name when its message changes.
 @pytest.mark.parametrize("edges, message", [
-    ("a\tb\t1.0\nb\ta\t2.0\n", r"g\.tsv:2: duplicate edge \('a', 'b'\)"),
-    ("a\ta\t1.0\n", "self-loop"),
-    ("a\tz\t1.0\n", "endpoint not in node list"),
+    pytest.param("a\tb\t1.0\nb\ta\t2.0\n", r"g\.tsv:2: duplicate pair \('a', 'b'\)",
+                 id="a\tb\t1.0\nb\ta\t2.0\n-" r"g\.tsv:2: duplicate edge \('a', 'b'\)"),
+    pytest.param("a\ta\t1.0\n", r"g\.tsv:1: self-pair on 'a'", id="a\ta\t1.0\n-self-loop"),
+    pytest.param("a\tz\t1.0\n", r"g\.tsv:1: node 'z' not in the node list",
+                 id="a\tz\t1.0\n-endpoint not in node list"),
     ("a\tb\t-1.0\n", ">= 0"),
 ])
 def test_load_graph_rejects_bad_edges(tmp_path, edges, message):

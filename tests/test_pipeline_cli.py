@@ -473,6 +473,20 @@ def test_resumed_stages_exit_2_on_a_repeated_node(corpus_files, tmp_path,
         assert f"duplicate node {first!r}" in capsys.readouterr().err, stage
 
 
+def test_consensus_exits_2_without_graph_nodes(corpus_files, tmp_path, capsys):
+    # The node order comes from graph.nodes alone: rebuilt from the matrix
+    # entries' endpoints, it would leave out the lists without an entry.
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config())
+    communities = (out / ARTIFACTS["communities"]).read_bytes()
+    (out / ARTIFACTS["nodes"]).unlink()
+    assert main(["consensus", "--out", str(out), "--runs", "6",
+                 "--master-seed", "3"]) == 2
+    assert f"missing artifact {out / ARTIFACTS['nodes']}" in capsys.readouterr().err
+    assert (out / ARTIFACTS["communities"]).read_bytes() == communities
+
+
 class _FailingFile:
     """Writes half of its first chunk to the real file, then fails."""
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
-                               consensus_graph, run_ensemble)
+                               consensus_graph, load_matrix, run_ensemble,
+                               save_matrix)
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import (Cover, DetectorConfig, detect, detect_runs,
                             filter_singletons)
@@ -224,6 +225,74 @@ def test_list_graph_matches_sorted_tuple_fill():
     assert graph.indptr.tolist() == offsets.tolist()
     assert graph.indices.tolist() == nbr.tolist()
     assert graph.weights.tolist() == wgt.tolist()
+
+
+# Ids whose string order is not their numeric order, several of which a
+# float parser would take for numbers.
+PAIR_IDS = ["0", "007", "1", "10", "9", "-3", "1e3", "0.5", "nan", "inf", "-0",
+            "2", "20", "100", "n1", "n10", "n2", "x", "X", "a b"]
+
+
+def random_pair_file(rng, path, value, header=()):
+    """Sorted ids, one of them isolated, and a pair file over them: rows
+    with a ``value(rng)`` string each, in shuffled row order and random
+    endpoint order, under the ``header`` lines."""
+    nodes = sorted(rng.choice(PAIR_IDS, size=int(rng.integers(3, len(PAIR_IDS))),
+                              replace=False).tolist())
+    isolated = nodes[int(rng.integers(len(nodes)))]
+    rows = [(a, b) if rng.random() < 0.5 else (b, a)
+            for a, b in combinations(nodes, 2)
+            if isolated not in (a, b) and rng.random() < 0.4]
+    text = "".join(f"{line}\n" for line in header)
+    text += "".join(f"{rows[k][0]}\t{rows[k][1]}\t{value(rng)}\n"
+                    for k in rng.permutation(len(rows)).tolist())
+    path.write_text(text, encoding="utf-8")
+    return nodes
+
+
+def value_text(rng, scale):
+    """A value in [0, scale], or -0.0, in one of the forms a writer may
+    use; some round to 0.000000 and some tie at the sixth decimal."""
+    v = float(rng.choice([0.0, -0.0, 1.0, 0.1234565, rng.random(), rng.random() * 1e-6]))
+    return str(rng.choice([f"{v * scale:.6f}", repr(v * scale), f"{v * scale:.3e}"]))
+
+
+def test_graph_codec_matches_the_dict_loop_reader(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(16))
+    for trial in range(10):
+        nodes = random_pair_file(rng, tmp_path / "g.tsv", lambda g: value_text(g, 50.0))
+        (tmp_path / "g.nodes").write_text(
+            "".join(f"{node}\n" for node in rng.permutation(nodes)), encoding="utf-8")
+        graph = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+        _, want = reference.read_pairs(tmp_path / "g.tsv")
+        assert graph.nodes == tuple(nodes), trial
+        assert reference.edge_map(graph) == want, trial
+        offsets, nbr, wgt = reference.csr_fill(nodes, want)
+        assert graph.indptr.tolist() == offsets.tolist(), trial
+        assert graph.indices.tolist() == nbr.tolist(), trial
+        assert graph.weights.tolist() == wgt.tolist(), trial
+        returned = save_graph(graph, tmp_path / "h.tsv", tmp_path / "h.nodes")
+        assert ((tmp_path / "h.tsv").read_text("utf-8")
+                == reference.pair_rows_text(want)), trial
+        assert reference.same_graph(
+            returned, load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes")), trial
+
+
+def test_matrix_codec_matches_the_dict_loop_reader(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(17))
+    for trial in range(10):
+        runs = int(rng.integers(1, 200))
+        nodes = random_pair_file(rng, tmp_path / "m.tsv", lambda g: value_text(g, 1.0),
+                                 header=[f"#r={runs}"])
+        matrix = load_matrix(tmp_path / "m.tsv", rng.permutation(nodes).tolist())
+        head, want = reference.read_pairs(tmp_path / "m.tsv", header=1)
+        want = {pair: v for pair, v in want.items() if v > 0.0}
+        assert head == [f"#r={runs}"], trial
+        assert same_matrix(matrix, matrix_from_pairs(nodes, want, runs)), trial
+        returned = save_matrix(matrix, tmp_path / "s.tsv")
+        assert ((tmp_path / "s.tsv").read_text("utf-8")
+                == f"#r={runs}\n" + reference.pair_rows_text(want)), trial
+        assert same_matrix(returned, load_matrix(tmp_path / "s.tsv", nodes)), trial
 
 
 def test_stability_matches_dict_loops():
