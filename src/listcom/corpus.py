@@ -70,9 +70,11 @@ class MembershipCorpus:
         user_ids = tuple(sorted(set().union(*memberships.values())))
         position = {uid: u for u, uid in enumerate(user_ids)}
         n = len(user_ids)
-        keys = np.unique(np.fromiter(
+        keys = np.sort(np.fromiter(
             (i * n + position[uid] for i, lid in enumerate(list_ids)
              for uid in memberships.get(lid, ())), dtype=np.int64))
+        # Sorted and deduplicated without np.unique, which imports numpy.ma.
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
         if len(keys) > np.iinfo(np.int32).max:
             raise ValidationError("corpus has more than 2**31 - 1 memberships")
         rows, users = np.divmod(keys, max(n, 1))

@@ -33,16 +33,20 @@ positions and memories ``int32`` rows of ``iterations + 1`` labels.  A
 malformed array would crash the kernel, so :func:`detect_runs` checks the
 CSR arrays first and raises :class:`ValidationError`.
 
-:func:`detect_runs` gives each run whole to one thread of a
-``ThreadPoolExecutor``; ``ctypes`` releases the interpreter lock during the
-call.  It uses ``min(WORKERS, runs, runs * positions // THREAD_POSITIONS)``
-threads, one at least, where ``WORKERS`` is the number of usable cores (the
-affinity mask) and ``positions`` the graph's CSR positions, so small graphs
-and the single thorough run keep to one.  Threads share only the CSR arrays,
-which the kernel only reads, and each run writes its own memory, so no
-result depends on the number of threads or their schedule.  If a run raises,
-the runs not yet started are cancelled, the caller re-raises it, and no
-thread outlives the call.
+:func:`detect_runs` gives each run whole to one thread, which then makes
+the run's cover with the kernel's second function, ``cover``, so the calling
+thread receives finished covers.  ``ctypes`` releases the interpreter lock
+during both calls.  It uses ``min(WORKERS, runs, runs * positions //
+THREAD_POSITIONS)`` threads, one at least, where ``WORKERS`` is the number
+of usable cores (the affinity mask) and ``positions`` the graph's CSR
+positions, so small graphs and the single thorough run keep to one, which
+runs inline on the calling thread without a pool.  Each thread owns one
+memory and one cover buffer, allocated on the calling thread and reused for
+all its runs, so memory does not grow with the number of runs.  Threads
+share only the CSR arrays, which the kernel only reads, so no result depends
+on the number of threads or their schedule.  If a run raises, the other
+threads stop before their next run, the caller re-raises it, and no thread
+outlives the call.
 
 The kernel is compiled on first use, never at import, with ``cc -O2 -shared
 -fPIC`` into ``$XDG_CACHE_HOME/listcom``, else ``~/.cache/listcom``,
@@ -50,7 +54,8 @@ created with mode 0700: never a shared temporary directory, where another
 user could plant the library.  The file name holds the sha256 of the source
 and ``sysconfig.get_platform()``, so an edited source or another platform
 builds anew, and the library is renamed into place from a temporary
-directory beside it, so no process loads a partial file.  There is no
+directory beside it, so no process loads a partial file.  A build then
+removes the libraries of earlier sources for the same platform.  There is no
 fallback: a missing compiler or a failed build raises a ``RuntimeError``
 naming the command, and ``listcom`` exits 4.
 
@@ -58,9 +63,16 @@ A run's result is a :class:`Cover`: the sorted node order plus ``indptr``
 and ``int32`` ``members`` arrays holding each community's node positions in
 ascending order.  Communities come in the canonical order, size descending
 and then members lexicographic.  The node order is sorted, so positions
-compare as the ids do and the order is computed on positions: one
-``np.lexsort`` per distinct size sorts the member rows, and equal
-neighbours collapse.  Filtering singletons is a size mask.
+compare as the ids do and the order is computed on positions.  ``cover``
+counts each active node's labels in its memory row, keeps every label that
+holds at least ``overlap_threshold`` of it and the most frequent one,
+groups the kept nodes by label with a counting sort, and sorts the groups of
+two or more into the canonical order, collapsing equal ones.  A node keeps
+at most ``min(m, int(1 / overlap_threshold) + 1)`` of its ``m`` labels,
+which sizes the cover buffer and the kernel's scratch.
+:meth:`Cover.from_groups` makes the same order in numpy, one ``np.lexsort``
+per distinct size, for covers read from files.  Filtering singletons is a
+size mask.
 
 Ids appear only when a cover is saved or loaded; iterating a cover gives
 each community's ids.  :func:`detect` returns a :class:`Cover` over
@@ -71,10 +83,13 @@ slotted in without touching the aggregation machinery.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -156,7 +171,7 @@ class Cover:
         members = np.asarray(members, dtype=np.int32)
         starts = np.cumsum(sizes) - sizes
         blocks = []
-        for size in np.unique(sizes)[::-1].tolist():
+        for size in sorted(set(sizes.tolist()), reverse=True):
             rows = np.sort(members[starts[sizes == size][:, None] + np.arange(size)],
                            axis=1)
             rows = rows[np.lexsort(rows.T[::-1])] if size else rows[:1]
@@ -231,27 +246,46 @@ def detect_runs(graph: ListGraph, config: DetectorConfig,
     """:func:`detect` once per seed, as covers over ``graph.nodes``.
 
     Equals ``[detect(graph, config.with_seed(s)) for s in seeds]``; each
-    run goes whole to one thread.
+    run goes whole to one thread, which makes its cover too.
     """
+    csr = _checked_csr(graph)
+    seeds = [int(s) & _MASK64 for s in seeds]
+    if not np.any(np.diff(graph.indptr) > 0):
+        return [Cover.from_groups(graph.nodes, [], [])] * len(seeds)
+    run = functools.partial(_run, _kernel(), csr, graph.nodes, config.overlap_threshold)
+    threads = max(1, min(WORKERS, len(seeds),
+                         len(seeds) * len(graph.indices) // THREAD_POSITIONS))
+    # Each thread's buffers are allocated on the calling thread: memory that
+    # a worker thread frees stays resident in its own malloc arena.
+    buffers = [_buffers(len(graph.nodes), config.resolved_iterations + 1,
+                        config.overlap_threshold) for _ in range(threads)]
+    if threads == 1:
+        return [run(buffers[0], seed) for seed in seeds]
     # Imported here: it would add to the import time of every command.
     from concurrent.futures import ThreadPoolExecutor
 
-    csr = _checked_csr(graph)
-    seeds = [int(s) & _MASK64 for s in seeds]
-    active = np.flatnonzero(np.diff(graph.indptr) > 0)
-    if not len(active):
-        return [Cover.from_groups(graph.nodes, [], [])] * len(seeds)
-    run = functools.partial(_run, _kernel(), csr)
-    threads = max(1, min(WORKERS, len(seeds),
-                         len(seeds) * len(graph.indices) // THREAD_POSITIONS))
-    # The memories, and the covers made from them as they arrive, are
-    # allocated on the calling thread: memory that a worker thread frees
-    # stays resident in its own malloc arena.
-    memories = np.empty((len(seeds), len(graph.nodes), config.resolved_iterations + 1),
-                        dtype=np.int32)
+    covers = [None] * len(seeds)
+    todo = itertools.count()  # next() hands each run to one thread
+    stop = threading.Event()
+
+    def work(buffer):
+        while not stop.is_set():
+            i = next(todo)
+            if i >= len(seeds):
+                return
+            try:
+                covers[i] = run(buffer, seeds[i])
+            except BaseException:
+                stop.set()
+                raise
+
     with ThreadPoolExecutor(threads, thread_name_prefix="listcom-detect") as pool:
-        return [_cover(graph.nodes, active, mem[active], config.overlap_threshold)
-                for mem in pool.map(run, seeds, memories)]
+        try:
+            for future in [pool.submit(work, buffer) for buffer in buffers]:
+                future.result()
+        finally:
+            stop.set()
+    return covers
 
 
 def _checked_csr(graph: ListGraph):
@@ -279,23 +313,47 @@ def _checked_csr(graph: ListGraph):
     return csr
 
 
-def _run(kernel, csr, seed: int, mem: np.ndarray) -> np.ndarray:
-    """Fill ``mem``, one row of ``iterations + 1`` labels per node, with
-    the memories of the run with ``seed``; returns it."""
-    if kernel(mem.shape[0], *csr, seed, mem.shape[1] - 1, mem):
+def _buffers(n: int, m: int, overlap_threshold: float):
+    """One thread's memory, ``n`` rows of ``m`` labels, and cover buffer:
+    offsets and members for ``n`` times the labels a node can keep, at most
+    ``int(1 / overlap_threshold)`` that hold the threshold of its memory
+    plus the most frequent one, and at most ``m``."""
+    pairs = n * int(min(m, 1 / overlap_threshold + 1))
+    return (np.empty((n, m), dtype=np.int32), np.empty(pairs // 2 + 1, dtype=np.int64),
+            np.empty(pairs, dtype=np.int32))
+
+
+def _run(kernel, csr, nodes, overlap_threshold, buffers, seed: int) -> Cover:
+    """The cover of the run with ``seed``: its memories fill the memory of
+    ``buffers``, and :func:`_cover` makes the cover from them."""
+    mem = buffers[0]
+    if kernel.slpa(mem.shape[0], *csr, seed, mem.shape[1] - 1, mem):
         raise MemoryError("the detection kernel could not allocate its scratch arrays")
-    return mem
+    return _cover(kernel, nodes, csr[0], overlap_threshold, *buffers)
+
+
+def _cover(kernel, nodes, indptr, overlap_threshold, mem, groups, members) -> Cover:
+    """The kernel's cover of the memory rows ``mem`` of the nodes with a
+    neighbour in ``indptr``, made in ``groups`` and ``members`` and copied
+    out."""
+    # k kept (node, label) pairs fill k members and at most k // 2 + 1 offsets.
+    capacity = min(len(members), 2 * len(groups) - 1)
+    k = kernel.cover(len(nodes), indptr, mem, mem.shape[1], overlap_threshold,
+                     capacity, groups, members)
+    if k == -2:
+        raise RuntimeError(f"the memories keep more than {capacity} labels")
+    if k < 0:
+        raise MemoryError("the detection kernel could not allocate its scratch arrays")
+    return Cover(nodes, groups[:k + 1].copy(), members[:groups[k]].copy())
 
 
 @functools.cache
 def _kernel():
-    """The kernel's ``slpa`` function; the first use on a machine compiles
-    it into the cache, through a temporary directory beside the library."""
+    """The kernel library, with its ``slpa`` and ``cover`` functions typed;
+    the first use on a machine compiles it into the cache."""
     # Imported here: they would add to the import time of every command.
     import ctypes
-    import subprocess
     import sysconfig
-    import tempfile
     try:  # CPython's own sha256: hashlib loads OpenSSL, 4 MB more resident
         if sys.version_info >= (3, 12):
             from _sha2 import sha256
@@ -308,49 +366,54 @@ def _kernel():
     if not os.path.isabs(cache):
         cache = os.path.join(os.path.expanduser("~"), ".cache")
     folder = os.path.join(cache, "listcom")
-    path = os.path.join(folder, f"_slpa-{sha256(KERNEL_SOURCE.read_bytes()).hexdigest()}"
-                        f"-{sysconfig.get_platform()}.so")
+    name = (f"_slpa-{sha256(KERNEL_SOURCE.read_bytes()).hexdigest()}"
+            f"-{sysconfig.get_platform()}.so")
+    path = os.path.join(folder, name)
     try:
         if not os.path.exists(path):
-            os.makedirs(folder, mode=0o700, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=folder) as tmp:
-                built = os.path.join(tmp, "_slpa.so")
-                subprocess.run([*COMPILER, "-o", built, str(KERNEL_SOURCE)], check=True,
-                               capture_output=True, text=True)
-                os.replace(built, path)
-        slpa = ctypes.CDLL(path).slpa
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = exc.stderr.strip() if isinstance(exc, subprocess.CalledProcessError) else exc
+            _build(folder, name)
+        kernel = ctypes.CDLL(path)
+    except OSError as exc:
         raise RuntimeError(f"cannot build or load the detection kernel "
                            f"`{' '.join(COMPILER)} -o {path} {KERNEL_SOURCE}`: "
-                           f"{detail}") from exc
+                           f"{exc}") from exc
     array = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
-    slpa.argtypes = [ctypes.c_int64, array(np.int64, ndim=1), array(np.int64, ndim=1),
-                     array(np.float64, ndim=1), ctypes.c_uint64, ctypes.c_int64,
-                     array(np.int32, ndim=2)]
-    slpa.restype = ctypes.c_int
-    return slpa
+    kernel.slpa.argtypes = [ctypes.c_int64, array(np.int64, ndim=1),
+                            array(np.int64, ndim=1), array(np.float64, ndim=1),
+                            ctypes.c_uint64, ctypes.c_int64, array(np.int32, ndim=2)]
+    kernel.slpa.restype = ctypes.c_int
+    kernel.cover.argtypes = [ctypes.c_int64, array(np.int64, ndim=1),
+                             array(np.int32, ndim=2), ctypes.c_int64, ctypes.c_double,
+                             ctypes.c_int64, array(np.int64, ndim=1),
+                             array(np.int32, ndim=1)]
+    kernel.cover.restype = ctypes.c_int64
+    return kernel
 
 
-def _cover(nodes, active, mem, overlap_threshold) -> Cover:
-    """Communities from the memory rows of the active nodes."""
-    n = len(nodes)
-    memory_size = mem.shape[1]
-    # Label counts per active node: (row, label) pairs in ascending order.
-    pairs, counts = np.unique(
-        np.arange(len(active)).repeat(memory_size) * n + mem.ravel(),
-        return_counts=True)
-    rows, labels = np.divmod(pairs, n)
-    keep = counts / memory_size >= overlap_threshold
-    # Each node's most frequent label, the lowest id on ties, always stays.
-    best = np.lexsort((labels, -counts, rows))
-    keep[best[np.r_[True, np.diff(rows[best]) != 0]]] = True
-    # Members per label: kept (row, label) pairs grouped by label.
-    by_label = np.lexsort((rows[keep], labels[keep]))
-    rows, labels = rows[keep][by_label], labels[keep][by_label]
-    sizes = np.unique(labels, return_counts=True)[1]
-    big = sizes >= 2
-    return Cover.from_groups(nodes, sizes[big], active[rows][np.repeat(big, sizes)])
+def _build(folder: str, name: str) -> None:
+    """Compile the kernel into ``folder`` as ``name`` through a temporary
+    directory beside it, then remove the other libraries of its platform
+    there, built from earlier sources.  A failed build raises ``OSError``."""
+    import subprocess
+    import tempfile
+
+    path = os.path.join(folder, name)
+    os.makedirs(folder, mode=0o700, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=folder) as tmp:
+        built = os.path.join(tmp, "_slpa.so")
+        try:
+            subprocess.run([*COMPILER, "-o", built, str(KERNEL_SOURCE)], check=True,
+                           capture_output=True, text=True)
+        except subprocess.CalledProcessError as exc:
+            raise OSError(exc.stderr.strip()) from exc
+        os.replace(built, path)
+    # Same length, prefix and suffix: another hash of this platform.
+    platform = name[name.index("-", len("_slpa-")):]
+    for other in os.listdir(folder):
+        if (other != name and len(other) == len(name) and other.startswith("_slpa-")
+                and other.endswith(platform)):
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(folder, other))
 
 
 def filter_singletons(cover: Cover) -> Cover:

@@ -143,8 +143,38 @@ def write_users(
             ],
         })
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=1)
+        fh.write(report_json(payload))
         fh.write("\n")
+
+
+def report_json(payload) -> str:
+    """``json.dumps(payload, ensure_ascii=False, indent=1)`` of a list of
+    community reports, written without ``indent``'s pure-Python encoder:
+    strings go through json's C string encoder, and numbers through
+    ``repr``, as json writes finite floats and ints.  The weights are
+    finite; the stability, read back from ``stability.tsv``, may be missing
+    or not finite, and goes through ``json.dumps``."""
+    string = json.encoder.encode_basestring
+    entries = []
+    for entry in payload:
+        users = [f'{{\n    "id": {string(user["id"])},\n'
+                 f'    "weight": {user["weight"]!r}\n   }}' for user in entry["users"]]
+        entries.append(
+            f'{{\n  "community_id": {entry["community_id"]!r},\n'
+            f'  "stability": {json.dumps(entry["stability"])},\n'
+            f'  "labels": {_array(map(string, entry["labels"]), 2)},\n'
+            f'  "users": {_array(users, 2)}\n }}')
+    return _array(entries, 0)
+
+
+def _array(items, indent: int) -> str:
+    """A JSON array of encoded ``items`` that sits ``indent`` spaces deep,
+    laid out as ``indent=1`` lays it out."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 def load_users(path) -> list[UserCommunity]:

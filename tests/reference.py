@@ -6,9 +6,10 @@ per user and each edge weighted by its own call of the tail kernel, user
 weights counted in a dict per list, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
 index-pair tuples, updates one node at a time in visit order with scalar
-counter-based draws and tallies votes with ``np.unique``, covers as
-frozensets of ids sorted by the strings themselves, the per-run Jaccard
-table over distinct label sets folded into a ``{key: score}`` dict, the
+counter-based draws and tallies votes with ``np.unique``, the cover of
+memory rows in whole-array numpy calls, covers as frozensets of ids sorted
+by the strings themselves, the per-run Jaccard table over distinct label
+sets folded into a ``{key: score}`` dict, the
 per-community pair keys of those frozenset covers folded into a matrix, the
 stability sums over that dict with the expected term enumerated over every
 subset, term labels from a full sort of every scored term, and pair files
@@ -24,6 +25,7 @@ import numpy as np
 
 from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.corpus import ListRecord, MembershipCorpus
+from listcom.detect import Cover
 from listcom.labeling import background_vector
 from listcom.listgraph import _LN10, ListGraph, _log_tail_batch
 from listcom.errors import ValidationError
@@ -249,6 +251,31 @@ def detect(nodes, edges, config) -> tuple[frozenset[str], ...]:
             members.setdefault(label, set()).add(nodes[u])
 
     return community_set(c for c in members.values() if len(c) >= 2)
+
+
+def memory_cover(nodes, active, mem, overlap_threshold) -> Cover:
+    """The cover of the memory rows ``mem`` of the ``active`` node
+    positions, with numpy calls over all rows at once: label counts from one
+    ``np.unique`` over (row, label) codes, the most frequent label by a
+    ``np.lexsort``, and the groups put in canonical order by
+    ``Cover.from_groups``."""
+    n = len(nodes)
+    memory_size = mem.shape[1]
+    # Label counts per active node: (row, label) pairs in ascending order.
+    pairs, counts = np.unique(
+        np.arange(len(active)).repeat(memory_size) * n + mem.ravel(),
+        return_counts=True)
+    rows, labels = np.divmod(pairs, n)
+    keep = counts / memory_size >= overlap_threshold
+    # Each node's most frequent label, the lowest id on ties, always stays.
+    best = np.lexsort((labels, -counts, rows))
+    keep[best[np.r_[True, np.diff(rows[best]) != 0]]] = True
+    # Members per label: kept (row, label) pairs grouped by label.
+    by_label = np.lexsort((rows[keep], labels[keep]))
+    rows, labels = rows[keep][by_label], labels[keep][by_label]
+    sizes = np.unique(labels, return_counts=True)[1]
+    big = sizes >= 2
+    return Cover.from_groups(nodes, sizes[big], active[rows][np.repeat(big, sizes)])
 
 
 def community_set(sets) -> tuple[frozenset[str], ...]:

@@ -3,7 +3,9 @@ import itertools
 import json
 import stat
 import subprocess
+import sysconfig
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
 from listcom.listgraph import GraphBuildConfig, ListGraph, build_list_graph
-from reference import cover_sets, edge_map, graph_from_edges
+from reference import cover_sets, edge_map, graph_from_edges, memory_cover
 
 
 def clique_pair_graph(bridge=0.01):
@@ -179,21 +181,108 @@ def test_detect_raises_no_runtime_warning():
 
 
 def test_a_failing_step_stops_every_worker(monkeypatch, workers):
+    # The kernel's cover of the third run to finish reports a failed
+    # allocation: detect_runs raises it, every other thread stops after the
+    # run it holds, and none outlives the call.
     module = importlib.import_module("listcom.detect")
     calls = itertools.count(1)  # next() hands each thread its own number
-    run = module._run
+    kernel = module._kernel()
 
-    def failing_run(*args):
-        if next(calls) == 3:
-            raise RuntimeError("run three fails")
-        return run(*args)
+    class FailingKernel:
+        slpa = kernel.slpa
 
-    monkeypatch.setattr(module, "_run", failing_run)
+        @staticmethod
+        def cover(*args):
+            return -1 if next(calls) == 3 else kernel.cover(*args)
+
+    monkeypatch.setattr(module, "_kernel", lambda: FailingKernel)
     graph = noisy_planted_graph()
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="run three fails"):
+    with pytest.raises(MemoryError, match="could not allocate"):
         detect_runs(graph, DetectorConfig(mode="thorough"), range(6))
     assert threading.active_count() == before
+    assert next(calls) <= 3 + workers  # at most one more run per other thread
+
+
+def test_detect_runs_holds_one_memory_per_thread(workers):
+    # 50 runs, each memory 96 kB: the traced peak stays near one memory per
+    # thread, where one memory per run would be 4.8 MB.
+    graph = noisy_planted_graph()
+    cfg = DetectorConfig(mode="fast", iterations=300)
+    memory = len(graph.nodes) * 301 * np.dtype(np.int32).itemsize
+    detect_runs(graph, cfg, [1])  # the kernel is built and loaded
+    tracemalloc.start()
+    try:
+        covers = detect_runs(graph, cfg, range(50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert covers == [detect(graph, cfg.with_seed(s)) for s in range(50)]
+    assert peak < (workers + 2) * memory
+
+
+def random_memories(rng):
+    """``(indptr, mem, threshold)`` cases for the kernel's cover: random
+    rows over few labels, which tie and repeat; counts exactly at the
+    threshold; equal groups; isolated nodes; rows of distinct labels; and a
+    single node."""
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(1, 12))
+        degree = rng.integers(0, 3, size=n) * (rng.random(n) < 0.8)
+        labels = rng.choice(n, size=min(n, int(rng.integers(1, 5))), replace=False)
+        mem = rng.choice(labels, size=(n, m)).astype(np.int32)
+        threshold = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5, 0.7, rng.random() * 0.98 + 0.01]))
+        cases.append((np.r_[0, np.cumsum(degree)], mem, threshold))
+    # Three of ten at 0.3: exactly at the threshold.  Then ties below it:
+    # four labels hold two of ten each, and the lowest of them stays.
+    rows = np.array([[4, 4, 4, 1, 1, 1, 2, 2, 2, 3], [1, 1, 1, 4, 4, 4, 0, 0, 3, 3]] * 3,
+                    dtype=np.int32)
+    cases.append((np.arange(7), rows, 0.3))
+    rows = np.array([[4, 4, 1, 1, 2, 2, 3, 3, 0, 5], [3, 3, 0, 0, 5, 5, 2, 2, 1, 4]] * 3,
+                    dtype=np.int32)
+    cases.append((np.arange(7), rows, 0.3))
+    # Labels 5 and 7 hold the same nodes: equal groups collapse into one.
+    rows = np.full((8, 4), 0, dtype=np.int32)
+    rows[[1, 3, 6]] = [5, 7, 5, 7]
+    cases.append((np.array([0, 1, 1, 2, 3, 4, 5, 6, 7]), rows, 0.5))
+    # Rows of distinct labels: each node keeps its lowest one, or all four.
+    rows = np.array([rng.choice(10, size=4, replace=False) for _ in range(10)],
+                    dtype=np.int32)
+    for threshold in (0.3, 0.25):
+        cases.append((np.arange(11), rows, threshold))
+    cases.append((np.array([0, 1]), np.zeros((1, 3), dtype=np.int32), 0.3))
+    return cases
+
+
+def test_the_kernel_cover_equals_the_reference():
+    module = importlib.import_module("listcom.detect")
+    kernel = module._kernel()
+    for indptr, mem, threshold in random_memories(np.random.default_rng(5)):
+        n, m = mem.shape
+        nodes = tuple(f"n{u:02d}" for u in range(n))
+        indptr = indptr.astype(np.int64)
+        active = np.flatnonzero(np.diff(indptr) > 0)
+        memory, groups, members = module._buffers(n, m, threshold)
+        memory[:] = mem
+        cover = module._cover(kernel, nodes, indptr, threshold, memory, groups, members)
+        want = (memory_cover(nodes, active, mem[active], threshold) if len(active)
+                else Cover.from_groups(nodes, [], []))
+        assert cover == want, (indptr, mem, threshold)
+
+
+def test_the_kernel_cover_refuses_a_short_buffer():
+    # Five nodes in one group need five members; the kernel stops at the
+    # end of a shorter buffer instead of writing past it.
+    module = importlib.import_module("listcom.detect")
+    memory, groups, members = module._buffers(5, 2, 0.5)
+    memory[:] = 0
+    for short in ({"members": members[:4]}, {"groups": groups[:2]}):
+        buffers = {"groups": groups, "members": members, **short}
+        with pytest.raises(RuntimeError, match="more than [34] labels"):
+            module._cover(module._kernel(), tuple("abcde"), np.arange(6, dtype=np.int64),
+                          0.5, memory, **buffers)
 
 
 def bad_graphs():
@@ -274,3 +363,27 @@ def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
     with pytest.raises(RuntimeError, match="cc -O2 -shared -fPIC.*compiler broken"):
         detect(graph, cfg)
     assert list((kernel_cache / "elsewhere" / "listcom").iterdir()) == []
+
+
+def test_a_build_removes_the_libraries_of_earlier_sources(kernel_cache, monkeypatch,
+                                                          tmp_path):
+    module = importlib.import_module("listcom.detect")
+    graph = clique_pair_graph()
+    cfg = DetectorConfig(mode="thorough", seed=4)
+    built = detect(graph, cfg)
+    [first] = kernel_cache.iterdir()
+    # Two other platforms' files, the second named as if its platform ended
+    # with this one's name.
+    planted = {kernel_cache / "_slpa-x-otherplatform.so",
+               kernel_cache / f"_slpa-{'0' * 64}-other-{sysconfig.get_platform()}.so"}
+    for path in planted:
+        path.write_bytes(b"")
+    edited = tmp_path / "_slpa.c"
+    edited.write_text(module.KERNEL_SOURCE.read_text("utf-8") + "/* edited */\n", "utf-8")
+    monkeypatch.setattr(module, "KERNEL_SOURCE", edited)
+    module._kernel.cache_clear()
+    assert detect(graph, cfg) == built
+    # The second source's library replaced the first; the other platforms'
+    # files stay.
+    [second] = set(kernel_cache.iterdir()) - planted
+    assert second.name != first.name and all(path.exists() for path in planted)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from listcom.corpus import GroundTruth, ListRecord, MembershipCorpus
 from listcom.errors import ValidationError
 from listcom.members import (UserCommunity, derive_members, evaluate, f1_score,
-                             load_users, write_eval, write_users)
+                             load_users, report_json, write_eval, write_users)
 import reference
 from reference import id_sets, random_corpus
 
@@ -199,3 +200,28 @@ def test_write_eval_mirrors_table_columns(tmp_path):
     assert fields[2] == "1.00"
     assert fields[3] == "0.65"
     assert fields[4] == "0.79"
+
+
+def test_report_json_equals_json_dumps():
+    # Ids and labels with non-ASCII characters, quotes, backslashes and
+    # control characters; empty payloads, label lists and user lists; a
+    # missing stability and one that is not finite.
+    rng = random.Random(7)
+    chars = ["a", "Z", "é", "ß", "東", "😀", '"', "\\", "/", "\n", "\t", "\x00",
+             "\x1f", "\x7f", "\u2028", " "]
+
+    def text():
+        return "".join(rng.choice(chars) for _ in range(rng.randrange(6)))
+
+    payloads = [[]]
+    for _ in range(300):
+        payloads.append([
+            {"community_id": rng.randrange(10**6),
+             "stability": rng.choice([None, round(rng.random(), 6), 0.0, 1.0, -0.25,
+                                      1e-7, float("nan"), float("inf")]),
+             "labels": [text() for _ in range(rng.randrange(4))],
+             "users": [{"id": text(), "weight": round(rng.random(), 6)}
+                       for _ in range(rng.randrange(4))]}
+            for _ in range(rng.randrange(4))])
+    for payload in payloads:
+        assert report_json(payload) == json.dumps(payload, ensure_ascii=False, indent=1)

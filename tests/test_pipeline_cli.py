@@ -612,3 +612,36 @@ def test_cli_pipeline_leaves_scipy_unimported(tmp_path):
                    stdout=subprocess.DEVNULL)
     pyproject = (src.parent / "pyproject.toml").read_text("utf-8")
     assert 'dependencies = ["numpy>=1.24"]' in pyproject.splitlines()
+
+
+def test_a_one_shot_run_imports_only_what_it_uses(corpus_files, tmp_path):
+    # On one thread and with the kernel built, a run loads numpy.ma,
+    # subprocess and concurrent.futures only where importing the CLI already
+    # does (numpy 1.24 imports numpy.ma itself): each costs milliseconds of
+    # start-up in every command.
+    import os
+    import subprocess
+    import sys
+
+    importlib.import_module("listcom.detect")._kernel()
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import json, os, sys\n"
+        "if hasattr(os, 'sched_setaffinity'):\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from listcom.cli import main\n"
+        "names = ('numpy.ma', 'subprocess', 'concurrent.futures')\n"
+        "loaded = [[name for name in names if name in sys.modules]]\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "loaded.append([name for name in names if name in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    argv = ["pipeline", "--memberships", str(corpus_files["memberships"]),
+            "--lists", str(corpus_files["lists"]),
+            "--groundtruth", str(corpus_files["groundtruth"]),
+            "--out", str(tmp_path / "out"), "--runs", "6"]
+    result = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                            capture_output=True, text=True, cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    cli_alone, after_run = json.loads(result.stdout)
+    assert after_run == cli_alone
