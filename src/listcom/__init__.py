@@ -9,13 +9,12 @@ evaluation.
 from .corpus import (GroundTruth, ListRecord, MembershipCorpus, load_corpus,
                      load_ground_truth, save_corpus)
 from .detect import Cover, DetectorConfig, detect, filter_singletons
-from .consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
-                        consensus_communities, consensus_graph, cover_agreement,
-                        label_jaccard, run_ensemble)
+from .consensus import (ConsensusMatrix, accumulate, consensus_communities,
+                        consensus_graph, cover_agreement, label_jaccard,
+                        run_ensemble)
 from .errors import ParseError, StageError, ValidationError
-from .labeling import LabelingConfig, build_vectors, label_community, tokenize
-from .listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
-                        overlap_lpv, overlap_pvalue)
+from .labeling import build_vectors, label_community, tokenize
+from .listgraph import ListGraph, build_list_graph, overlap_lpv, overlap_pvalue
 from .members import EvalRow, UserCommunity, derive_members, evaluate, f1_score
 from .pipeline import PipelineConfig, resolve_config, run_pipeline
 from .stability import (StabilityScore, corrected_stability, expected_stability,
@@ -23,9 +22,8 @@ from .stability import (StabilityScore, corrected_stability, expected_stability,
 from .synth import PlantedSpec, synth, synth_files
 
 __all__ = [
-    "ConsensusMatrix", "Cover", "DetectorConfig",
-    "EnsembleConfig", "EvalRow", "GraphBuildConfig", "GroundTruth",
-    "LabelingConfig", "ListGraph", "ListRecord", "MembershipCorpus",
+    "ConsensusMatrix", "Cover", "DetectorConfig", "EvalRow", "GroundTruth",
+    "ListGraph", "ListRecord", "MembershipCorpus",
     "ParseError", "PipelineConfig", "PlantedSpec", "StabilityScore",
     "StageError", "UserCommunity", "ValidationError", "accumulate",
     "build_list_graph", "build_vectors", "consensus_communities",

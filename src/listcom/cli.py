@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pipe
@@ -19,25 +20,15 @@ EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 
-_CONFIG_FLAGS = (
-    ("--rho", float, "minimum edge significance weight"),
-    ("--runs", int, "number of base detection runs"),
-    ("--tau", float, "consensus matrix threshold"),
-    ("--mu", float, "membership weight threshold"),
-    ("--master-seed", int, "seed all randomness derives from"),
-    ("--top-k", int, "labels per community"),
-    ("--fast-iterations", int, "propagation iterations for base runs"),
-    ("--thorough-iterations", int, "propagation iterations for the final pass"),
-    ("--overlap-threshold", float, "label retention threshold in (0,1)"),
-    ("--stopwords", str, "stopword file overriding the built-in list"),
-)
-
-
 def _config_parent() -> argparse.ArgumentParser:
+    """``--config`` and one flag per :class:`~listcom.pipeline.PipelineConfig`
+    field: ``--master-seed`` sets ``master_seed``."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", default=None, help="key = value config file")
-    for flag, ftype, help_text in _CONFIG_FLAGS:
-        parent.add_argument(flag, type=ftype, default=None, help=help_text)
+    for setting in fields(pipe.PipelineConfig):
+        parent.add_argument("--" + setting.name.replace("_", "-"),
+                            type=pipe.config_type(setting), default=None,
+                            help=setting.metadata["help"])
     return parent
 
 
@@ -55,14 +46,8 @@ def _out_parent() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args: argparse.Namespace) -> pipe.PipelineConfig:
-    flags = {
-        name: getattr(args, name, None)
-        for name in (
-            "rho", "runs", "tau", "mu", "master_seed", "top_k",
-            "fast_iterations", "thorough_iterations",
-            "overlap_threshold", "stopwords",
-        )
-    }
+    flags = {setting.name: getattr(args, setting.name, None)
+             for setting in fields(pipe.PipelineConfig)}
     return pipe.resolve_config(flags, args.config)
 
 

@@ -20,8 +20,8 @@ pass produces the final cover.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .errors import ParseError, ValidationError
 from .listgraph import (ListGraph, pair_counts, pair_text, read_pair_rows,
                         write_pair_rows)
 from .seeds import STREAM_CONSENSUS, derive_seed
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
 
 Detector = Callable[[ListGraph, DetectorConfig], Cover]
 
@@ -74,45 +77,6 @@ class ConsensusMatrix:
         i, j = np.divmod(self.keys, len(order))
         for a, b, v in zip(i.tolist(), j.tolist(), self.values.tolist()):
             yield order[a], order[b], v
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    runs: int = 100
-    tau: float = 0.2
-    master_seed: int = 0
-    fast_config: DetectorConfig = field(default_factory=lambda: DetectorConfig(mode="fast"))
-    thorough_config: DetectorConfig = field(default_factory=lambda: DetectorConfig(mode="thorough"))
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ValidationError("runs must be >= 1")
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValidationError("tau must be in [0, 1]")
-
-    @classmethod
-    def from_master(
-        cls,
-        master_seed: int,
-        runs: int = 100,
-        tau: float = 0.2,
-        fast_iterations: int | None = None,
-        thorough_iterations: int | None = None,
-        overlap_threshold: float = 0.3,
-    ) -> "EnsembleConfig":
-        """Wire all detector seeds from one master seed."""
-        return cls(
-            runs=runs,
-            tau=tau,
-            master_seed=master_seed,
-            fast_config=DetectorConfig(
-                mode="fast", iterations=fast_iterations,
-                overlap_threshold=overlap_threshold),
-            thorough_config=DetectorConfig(
-                mode="thorough", iterations=thorough_iterations,
-                overlap_threshold=overlap_threshold,
-                seed=derive_seed(master_seed, STREAM_CONSENSUS)),
-        )
 
 
 def label_jaccard(labels_x, labels_y) -> float:
@@ -186,38 +150,42 @@ def _checked_cover(cover: Cover, nodes) -> Cover:
 
 def run_ensemble(
     graph: ListGraph,
-    config: EnsembleConfig,
+    config: PipelineConfig,
     detector: Detector = detect,
 ) -> ConsensusMatrix:
     """Aggregate ``config.runs`` fast detections into a normalised matrix.
 
-    Run i uses seed ``derive_seed(master_seed, i)``, and runs are folded in
-    run order.
+    Run i has ``fast_iterations``, the ``overlap_threshold`` and the seed
+    ``derive_seed(master_seed, i)``, and runs are folded in run order.
     """
     matrix = ConsensusMatrix.empty(graph.nodes, config.runs)
+    fast = DetectorConfig(config.fast_iterations, config.overlap_threshold)
     seeds = [derive_seed(config.master_seed, i) for i in range(config.runs)]
-    for cover in _covers(graph, config.fast_config, seeds, detector):
+    for cover in _covers(graph, fast, seeds, detector):
         accumulate(matrix, cover)
     matrix.values *= 1.0 / config.runs
     return matrix
 
 
 def consensus_graph(matrix: ConsensusMatrix, tau: float) -> ListGraph:
-    """Graph over the matrix order keeping entries with score >= tau."""
-    if not (0.0 <= tau <= 1.0):
-        raise ValidationError("tau must be in [0, 1]")
+    """Graph over the matrix order keeping entries with score >= tau.
+    ``tau`` must be in [0, 1]: :class:`~listcom.pipeline.PipelineConfig`
+    checks it, and this function does not."""
     keep = matrix.values >= tau
     i, j = np.divmod(matrix.keys[keep], len(matrix.order))
     return ListGraph.from_pairs(matrix.order, i, j, matrix.values[keep])
 
 
-def consensus_communities(matrix: ConsensusMatrix, config: EnsembleConfig,
+def consensus_communities(matrix: ConsensusMatrix, config: PipelineConfig,
                           detector: Detector = detect) -> Cover:
     """Thorough detection on the tau-thresholded consensus graph, singletons
-    dropped."""
+    dropped.  The pass has ``thorough_iterations``, the
+    ``overlap_threshold`` and the seed ``derive_seed(master_seed,
+    STREAM_CONSENSUS)``."""
     graph = consensus_graph(matrix, config.tau)
-    thorough = config.thorough_config
-    [cover] = _covers(graph, thorough, [thorough.seed], detector)
+    seed = derive_seed(config.master_seed, STREAM_CONSENSUS)
+    thorough = DetectorConfig(config.thorough_iterations, config.overlap_threshold, seed)
+    [cover] = _covers(graph, thorough, [seed], detector)
     return filter_singletons(cover)
 
 

@@ -31,7 +31,17 @@ order in a dense per-label accumulator; the highest vote wins, and a tie,
 all-zero votes included, goes to the lowest label.  Labels are node
 positions and memories ``int32`` rows of ``iterations + 1`` labels.  A
 malformed array would crash the kernel, so :func:`detect_runs` checks the
-CSR arrays first and raises :class:`ValidationError`.
+CSR arrays first and raises :class:`ValidationError`.  The kernel takes the
+arrays as their data addresses, ``array.ctypes.data``, rather than as
+``ndpointer`` arguments, each of which goes through ``ctypes.cast`` and
+leaves a reference cycle for the cyclic garbage collector.  The dtype,
+ndim and C order that ``ndpointer`` checked are checked for the graph's
+arrays by the same check and hold for the buffers by their allocation.
+
+A detection has three settings, a :class:`DetectorConfig`: its iterations,
+its overlap threshold and its seed.  There are no detector modes: the
+ensemble's fast runs and the thorough pass differ only in the iterations
+that :class:`~listcom.pipeline.PipelineConfig` gives each.
 
 :func:`detect_runs` gives each run whole to one thread, which then makes
 the run's cover with the kernel's second function, ``cover``, so the calling
@@ -100,8 +110,6 @@ from .atomic import atomic_write
 from .errors import ValidationError
 from .listgraph import ListGraph
 
-FAST_ITERATIONS = 5
-THOROUGH_ITERATIONS = 50
 # CSR positions of all runs per thread, at least.  On ``desk`` (100 runs of
 # about 2.8e3 positions) two threads took 0.031-0.037 s against 0.029-0.031 s
 # for one, on a 2-core host.
@@ -124,24 +132,22 @@ WORKERS = _usable_cores()  # threads that run one call's runs, at most
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    mode: str = "fast"
-    iterations: int | None = None
-    overlap_threshold: float = 0.3
+    """One detection's settings, as the ``detector=`` seam receives them."""
+
+    iterations: int
+    overlap_threshold: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("fast", "thorough"):
-            raise ValidationError(f"unknown detector mode {self.mode!r}")
-        if self.iterations is not None and self.iterations < 1:
+        if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
         if not (0.0 < self.overlap_threshold < 1.0):
             raise ValidationError("overlap_threshold must be in (0, 1)")
 
     @property
     def resolved_iterations(self) -> int:
-        if self.iterations is not None:
-            return self.iterations
-        return FAST_ITERATIONS if self.mode == "fast" else THOROUGH_ITERATIONS
+        """``iterations``, under the name that ``bench/trace.py`` reads."""
+        return self.iterations
 
     def with_seed(self, seed: int) -> "DetectorConfig":
         return replace(self, seed=seed)
@@ -257,7 +263,7 @@ def detect_runs(graph: ListGraph, config: DetectorConfig,
                          len(seeds) * len(graph.indices) // THREAD_POSITIONS))
     # Each thread's buffers are allocated on the calling thread: memory that
     # a worker thread frees stays resident in its own malloc arena.
-    buffers = [_buffers(len(graph.nodes), config.resolved_iterations + 1,
+    buffers = [_buffers(len(graph.nodes), config.iterations + 1,
                         config.overlap_threshold) for _ in range(threads)]
     if threads == 1:
         return [run(buffers[0], seed) for seed in seeds]
@@ -327,7 +333,8 @@ def _run(kernel, csr, nodes, overlap_threshold, buffers, seed: int) -> Cover:
     """The cover of the run with ``seed``: its memories fill the memory of
     ``buffers``, and :func:`_cover` makes the cover from them."""
     mem = buffers[0]
-    if kernel.slpa(mem.shape[0], *csr, seed, mem.shape[1] - 1, mem):
+    if kernel.slpa(mem.shape[0], *(a.ctypes.data for a in csr), seed,
+                   mem.shape[1] - 1, mem.ctypes.data):
         raise MemoryError("the detection kernel could not allocate its scratch arrays")
     return _cover(kernel, nodes, csr[0], overlap_threshold, *buffers)
 
@@ -338,8 +345,8 @@ def _cover(kernel, nodes, indptr, overlap_threshold, mem, groups, members) -> Co
     out."""
     # k kept (node, label) pairs fill k members and at most k // 2 + 1 offsets.
     capacity = min(len(members), 2 * len(groups) - 1)
-    k = kernel.cover(len(nodes), indptr, mem, mem.shape[1], overlap_threshold,
-                     capacity, groups, members)
+    k = kernel.cover(len(nodes), indptr.ctypes.data, mem.ctypes.data, mem.shape[1],
+                     overlap_threshold, capacity, groups.ctypes.data, members.ctypes.data)
     if k == -2:
         raise RuntimeError(f"the memories keep more than {capacity} labels")
     if k < 0:
@@ -377,15 +384,13 @@ def _kernel():
         raise RuntimeError(f"cannot build or load the detection kernel "
                            f"`{' '.join(COMPILER)} -o {path} {KERNEL_SOURCE}`: "
                            f"{exc}") from exc
-    array = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
-    kernel.slpa.argtypes = [ctypes.c_int64, array(np.int64, ndim=1),
-                            array(np.int64, ndim=1), array(np.float64, ndim=1),
-                            ctypes.c_uint64, ctypes.c_int64, array(np.int32, ndim=2)]
+    # Arrays are passed as their addresses; see the module docstring.
+    array = ctypes.c_void_p
+    kernel.slpa.argtypes = [ctypes.c_int64, array, array, array,
+                            ctypes.c_uint64, ctypes.c_int64, array]
     kernel.slpa.restype = ctypes.c_int
-    kernel.cover.argtypes = [ctypes.c_int64, array(np.int64, ndim=1),
-                             array(np.int32, ndim=2), ctypes.c_int64, ctypes.c_double,
-                             ctypes.c_int64, array(np.int64, ndim=1),
-                             array(np.int32, ndim=1)]
+    kernel.cover.argtypes = [ctypes.c_int64, array, array, ctypes.c_int64,
+                             ctypes.c_double, ctypes.c_int64, array, array]
     kernel.cover.restype = ctypes.c_int64
     return kernel
 

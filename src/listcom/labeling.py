@@ -16,7 +16,6 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import islice
@@ -42,39 +41,29 @@ def load_stopwords(path) -> frozenset[str]:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
-@dataclass(frozen=True)
-class LabelingConfig:
-    top_k: int = 3
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
-
-    def __post_init__(self):
-        if self.top_k < 1:
-            raise ValidationError("top_k must be >= 1")
-
-
-def tokenize(name: str, description: str, config: LabelingConfig) -> list[str]:
+def tokenize(name: str, description: str, stopwords: frozenset[str]) -> list[str]:
     """Unigrams (stop-words removed) and bigrams for both text fields."""
     terms: list[str] = []
-    stop = config.stopwords
     for text in (name, description):
         tokens = _TOKEN.findall(text.lower())
-        terms.extend(t for t in tokens if t not in stop)
+        terms.extend(t for t in tokens if t not in stopwords)
         terms.extend(
             f"{a} {b}"
             for a, b in zip(tokens, tokens[1:])
-            if not (a in stop and b in stop)
+            if not (a in stopwords and b in stopwords)
         )
     return terms
 
 
-def build_vectors(corpus: MembershipCorpus, config: LabelingConfig) -> dict[str, ListVector]:
+def build_vectors(corpus: MembershipCorpus,
+                  stopwords: frozenset[str]) -> dict[str, ListVector]:
     """Log TF-IDF vectors: (1 + log10 tf) * log10(l / df), df = l terms dropped."""
     l = len(corpus.lists)
     tf_by_list: dict[str, Counter] = {}
     df: Counter = Counter()
     for lid in sorted(corpus.lists):
         rec = corpus.lists[lid]
-        tf = Counter(tokenize(rec.name, rec.description, config))
+        tf = Counter(tokenize(rec.name, rec.description, stopwords))
         tf_by_list[lid] = tf
         df.update(tf.keys())
     vectors: dict[str, ListVector] = {}
@@ -115,14 +104,15 @@ class Background:
 def label_community(
     community,
     vectors: dict[str, ListVector],
-    config: LabelingConfig,
+    top_k: int,
     background: Background | None = None,
 ) -> list[tuple[str, float]]:
     """Top terms by (community centroid - corpus mean), ties lexicographic.
 
-    Returns at most ``config.top_k`` (term, score) pairs, score descending.
+    Returns at most ``top_k`` (term, score) pairs, score descending.
     Only the centroid's terms and the ``top_k`` best-ranked terms outside it
-    are scored.
+    are scored.  ``top_k`` must be >= 1: :class:`~listcom.pipeline.PipelineConfig`
+    checks it, and this function does not.
     """
     members = sorted(set(community))
     if not members:
@@ -143,11 +133,10 @@ def label_community(
     weights = background.weights
     candidates = [(term, w / c - weights.get(term, 0.0))
                   for term, w in centroid.items()]
-    outside = islice((t for t in background.ascending if t not in centroid),
-                     config.top_k)
+    outside = islice((t for t in background.ascending if t not in centroid), top_k)
     candidates.extend((term, 0.0 / c - weights[term]) for term in outside)
     candidates.sort(key=lambda kv: (-kv[1], kv[0]))
-    return candidates[: config.top_k]
+    return candidates[:top_k]
 
 
 def write_labels(labels_by_id: dict[int, list[tuple[str, float]]], path) -> None:

@@ -44,15 +44,6 @@ TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
 PAIR_BLOCK = 1 << 18  # pair instances in one block of pair_counts or the stability walk
 
 
-@dataclass(frozen=True)
-class GraphBuildConfig:
-    rho: float = 6.0
-
-    def __post_init__(self):
-        if not (self.rho >= 0.0):
-            raise ValidationError("rho must be >= 0")
-
-
 @dataclass(frozen=True, eq=False)
 class ListGraph:
     """Weighted undirected graph in compressed sparse row form.
@@ -229,9 +220,11 @@ def pair_counts(indptr, cols, t_indptr, t_cols) -> tuple[np.ndarray, np.ndarray]
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> ListGraph:
+def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     """One node per list; edges for every member-sharing pair whose weight
-    clears ``config.rho``."""
+    clears ``rho``.  ``rho`` must be a number >= 0:
+    :class:`~listcom.pipeline.PipelineConfig` checks it, and this function
+    does not."""
     nodes = corpus.list_ids
     if not nodes:
         raise ValidationError("corpus has no lists")
@@ -251,7 +244,7 @@ def build_list_graph(corpus: MembershipCorpus, config: GraphBuildConfig) -> List
     lg[1:] = [math.lgamma(x) for x in range(1, n + 2)]
     lpv = (0.0 - _log_tail_batch(distinct[size_pair // d], distinct[size_pair % d],
                                  k, n, lg) / _LN10)[which]
-    keep = lpv >= config.rho
+    keep = lpv >= rho
     return ListGraph.from_pairs(nodes, i[keep], j[keep], lpv[keep])
 
 

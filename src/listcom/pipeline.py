@@ -16,11 +16,20 @@ stage.  Artifact filenames are fixed:
 
 Configuration merges three layers with increasing precedence: built-in
 defaults, a flat ``key = value`` config file, then explicit flags.
+:class:`PipelineConfig` is the one config type.  It declares every default
+and checks every value, a stopword path that names no file included, so a bad
+setting fails before any stage runs.  Its fields are the config file's keys
+and, with ``-`` for ``_``, the command line's flags, whose help text each
+field carries.  A key given twice in the file is a parse error.  A layer
+function takes only the values it uses: ``build_list_graph`` takes rho,
+labelling the stopwords and top_k, and members mu.  The ensemble and the
+thorough pass take the whole config and build each detection's
+:class:`~listcom.detect.DetectorConfig` from it.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import consensus as cons
@@ -44,18 +53,27 @@ ARTIFACTS = {
 }
 
 
+def _setting(default, help_text):
+    """A field of :class:`PipelineConfig`; ``help_text`` is its flag's help."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    rho: float = 6.0
-    runs: int = 100
-    tau: float = 0.2
-    mu: float = 0.1
-    master_seed: int = 0
-    top_k: int = 3
-    fast_iterations: int = 5
-    thorough_iterations: int = 50
-    overlap_threshold: float = 0.3
-    stopwords: str | None = None
+    """Every setting of a run, each with its default and its check; the
+    config file's keys and the command line's config flags are these
+    fields."""
+
+    rho: float = _setting(6.0, "minimum edge significance weight")
+    runs: int = _setting(100, "number of base detection runs")
+    tau: float = _setting(0.2, "consensus matrix threshold")
+    mu: float = _setting(0.1, "membership weight threshold")
+    master_seed: int = _setting(0, "seed all randomness derives from")
+    top_k: int = _setting(3, "labels per community")
+    fast_iterations: int = _setting(5, "propagation iterations for base runs")
+    thorough_iterations: int = _setting(50, "propagation iterations for the final pass")
+    overlap_threshold: float = _setting(0.3, "label retention threshold in (0,1)")
+    stopwords: str | None = _setting(None, "stopword file overriding the built-in list")
 
     def __post_init__(self):
         if not (self.rho >= 0.0):
@@ -72,25 +90,19 @@ class PipelineConfig:
             raise ValidationError("iteration counts must be >= 1")
         if not (0.0 < self.overlap_threshold < 1.0):
             raise ValidationError("overlap_threshold must be in (0, 1)")
+        if self.stopwords and not Path(self.stopwords).is_file():
+            raise ValidationError(f"stopwords file {self.stopwords!r} not found")
 
-    def ensemble_config(self) -> cons.EnsembleConfig:
-        return cons.EnsembleConfig.from_master(
-            self.master_seed,
-            runs=self.runs,
-            tau=self.tau,
-            fast_iterations=self.fast_iterations,
-            thorough_iterations=self.thorough_iterations,
-            overlap_threshold=self.overlap_threshold,
-        )
 
-    def labeling_config(self) -> lab.LabelingConfig:
-        stop = (lab.load_stopwords(self.stopwords) if self.stopwords
-                else lab.default_stopwords())
-        return lab.LabelingConfig(top_k=self.top_k, stopwords=stop)
+def config_type(setting) -> type:
+    """The type that parses the values of a :class:`PipelineConfig` field
+    from text: its annotation, with ``str | None`` read as ``str``."""
+    return {"int": int, "float": float}.get(setting.type, str)
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and ``#`` comments allowed."""
+    """Flat ``key = value`` lines; blank lines and ``#`` comments allowed.
+    A key given twice raises :class:`ParseError` at its second line."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -100,36 +112,30 @@ def parse_config_file(path) -> dict[str, str]:
             if "=" not in stripped:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ParseError(f"{path}:{lineno}: config key {key!r} given twice")
+            values[key] = value.strip()
     return values
 
 
 def resolve_config(flag_values: dict[str, object] | None = None,
                    config_path=None) -> PipelineConfig:
     """Merge defaults < config file < flags into a validated PipelineConfig."""
-    field_types = {f.name: f.type for f in fields(PipelineConfig)}
+    settings = {f.name: f for f in fields(PipelineConfig)}
     merged: dict[str, object] = {}
-
-    def coerce(name: str, raw: str) -> object:
-        ftype = field_types[name]
-        try:
-            if ftype in ("int",):
-                return int(raw)
-            if ftype in ("float",):
-                return float(raw)
-            return raw
-        except ValueError as exc:
-            raise ValidationError(f"config key {name!r}: bad value {raw!r}") from exc
-
     if config_path is not None:
         for key, raw in parse_config_file(config_path).items():
-            if key not in field_types:
+            if key not in settings:
                 raise ValidationError(f"unknown config key {key!r}")
-            merged[key] = coerce(key, raw)
+            try:
+                merged[key] = config_type(settings[key])(raw)
+            except ValueError as exc:
+                raise ValidationError(f"config key {key!r}: bad value {raw!r}") from exc
     for key, value in (flag_values or {}).items():
         if value is None:
             continue
-        if key not in field_types:
+        if key not in settings:
             raise ValidationError(f"unknown config key {key!r}")
         merged[key] = value
     return PipelineConfig(**merged)
@@ -152,7 +158,7 @@ def stage_build_graph(memberships_path, lists_path, out_dir,
     """Returns the graph as graph.tsv and graph.nodes hold it."""
     if corpus is None:
         corpus = corp.load_corpus(memberships_path, lists_path)
-    graph = lg.build_list_graph(corpus, lg.GraphBuildConfig(rho=config.rho))
+    graph = lg.build_list_graph(corpus, config.rho)
     return lg.save_graph(graph, _artifact(out_dir, "graph"),
                          _artifact(out_dir, "nodes"))
 
@@ -164,7 +170,7 @@ def stage_ensemble(out_dir, config: PipelineConfig,
     it."""
     if graph is None:
         graph = lg.load_graph(_require(out_dir, "graph"), _require(out_dir, "nodes"))
-    matrix = cons.run_ensemble(graph, config.ensemble_config())
+    matrix = cons.run_ensemble(graph, config)
     return cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
 
 
@@ -173,7 +179,7 @@ def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
     parsed here when not given, which requires graph.nodes."""
     if matrix is None:
         matrix = _load_matrix(out_dir)
-    cover = cons.consensus_communities(matrix, config.ensemble_config())
+    cover = cons.consensus_communities(matrix, config)
     save_communities(cover, _artifact(out_dir, "communities"))
 
 
@@ -199,11 +205,13 @@ def stage_label(memberships_path, lists_path, out_dir,
     if corpus is None:
         corpus = corp.load_corpus(memberships_path, lists_path)
     cover = load_communities(_require(out_dir, "communities"))
-    lcfg = config.labeling_config()
-    vectors = lab.build_vectors(corpus, lcfg)
+    stopwords = (lab.load_stopwords(config.stopwords) if config.stopwords
+                 else lab.default_stopwords())
+    vectors = lab.build_vectors(corpus, stopwords)
     background = lab.Background(lab.background_vector(vectors))
     labels = {
-        cid: lab.label_community(community, vectors, lcfg, background=background)
+        cid: lab.label_community(community, vectors, config.top_k,
+                                 background=background)
         for cid, community in enumerate(cover.id_lists())
     }
     lab.write_labels(labels, _artifact(out_dir, "labels"))

@@ -25,11 +25,18 @@ import numpy as np
 
 from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.corpus import ListRecord, MembershipCorpus
-from listcom.detect import Cover
+from listcom.detect import Cover, DetectorConfig
 from listcom.labeling import background_vector
 from listcom.listgraph import _LN10, ListGraph, _log_tail_batch
 from listcom.errors import ValidationError
+from listcom.pipeline import PipelineConfig
 from listcom.seeds import derive_seed
+
+_DEFAULTS = PipelineConfig()
+# The detections of the ensemble's runs and of the thorough pass, at the
+# default settings.
+FAST = DetectorConfig(_DEFAULTS.fast_iterations, _DEFAULTS.overlap_threshold)
+THOROUGH = DetectorConfig(_DEFAULTS.thorough_iterations, _DEFAULTS.overlap_threshold)
 
 
 def id_sets(corpus):
@@ -221,7 +228,7 @@ def detect(nodes, edges, config) -> tuple[frozenset[str], ...]:
     deg = np.diff(offsets)
 
     active = np.flatnonzero(deg > 0).tolist()
-    iterations = config.resolved_iterations
+    iterations = config.iterations
     mem = np.full((n, iterations + 1), -1, dtype=np.int64)
     mem[:, 0] = np.arange(n)
     mem_len = np.ones(n, dtype=np.int64)
@@ -436,7 +443,7 @@ def expected_stability(size, entries, l) -> float:
     return sum(means) / len(means)
 
 
-def label_community(community, vectors, config, background=None):
+def label_community(community, vectors, top_k, background=None):
     """Every term of the centroid and the ``{term: weight}`` background
     scored, then fully sorted by (-score, term)."""
     members = sorted(set(community))
@@ -450,4 +457,4 @@ def label_community(community, vectors, config, background=None):
     scores = {term: centroid.get(term, 0.0) / c - background.get(term, 0.0)
               for term in set(centroid) | set(background)}
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[: config.top_k]
+    return ranked[:top_k]

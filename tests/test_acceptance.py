@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from listcom import consensus
-from listcom.consensus import (EnsembleConfig, consensus_communities,
-                               consensus_graph, cover_agreement,
-                               label_jaccard, run_ensemble)
+from listcom.consensus import (consensus_communities, consensus_graph,
+                               cover_agreement, label_jaccard, run_ensemble)
 from listcom.corpus import ListRecord, MembershipCorpus, load_ground_truth
-from listcom.detect import Cover, DetectorConfig, detect
-from listcom.listgraph import GraphBuildConfig, build_list_graph, overlap_pvalue
+from listcom.detect import Cover, detect
+from listcom.listgraph import build_list_graph, overlap_pvalue
 from listcom.members import derive_members, evaluate, f1_score, load_users
 from listcom.pipeline import ARTIFACTS, PipelineConfig, run_pipeline
 from listcom.seeds import derive_seed
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stability)
 from listcom.synth import PlantedSpec, synth, synth_files
-from reference import cover_sets, edge_map, id_sets, matrix_from_pairs
+from reference import FAST, cover_sets, edge_map, id_sets, matrix_from_pairs
 
 BENCH_SPEC = PlantedSpec(groups=8, users_per_group=25, lists_per_group=40,
                          size_min=5, size_max=15, noise=0.1, overlap=0.1)
@@ -149,11 +148,11 @@ def test_criterion_5_consensus_stabilizes_noisy_detections(tmp_path):
     spec = PlantedSpec(groups=8, users_per_group=25, lists_per_group=40,
                        size_min=5, size_max=15, noise=0.25, overlap=0.1)
     corpus, _truth = synth(spec, BENCH_SEED)
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=6.0))
+    graph = build_list_graph(corpus, 6.0)
 
     # A detection holds no singletons.
     bases = [
-        detect(graph, DetectorConfig(mode="fast", seed=derive_seed(999, i)))
+        detect(graph, FAST.with_seed(derive_seed(999, i)))
         for i in range(10)
     ]
     pairs = list(itertools.combinations(bases, 2))
@@ -161,7 +160,7 @@ def test_criterion_5_consensus_stabilizes_noisy_detections(tmp_path):
 
     covers = []
     for master in (101, 202):
-        ens = EnsembleConfig.from_master(master, runs=20, tau=0.2)
+        ens = PipelineConfig(master_seed=master, runs=20, tau=0.2)
         matrix = run_ensemble(graph, ens)
         covers.append(consensus_communities(matrix, ens))
     consensus_agreement = cover_agreement(covers[0], covers[1])
@@ -269,10 +268,10 @@ def test_criterion_9_scale_smoke():
     spec = PlantedSpec(groups=25, users_per_group=30, lists_per_group=220,
                        size_min=22, size_max=28, noise=0.05, overlap=0.0)
     corpus, _ = synth(spec, 7)
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=6.0))
+    graph = build_list_graph(corpus, 6.0)
     assert len(graph.nodes) >= 5_000
     assert graph.edge_count() >= 500_000
-    ens = EnsembleConfig.from_master(3, runs=20, tau=0.2)
+    ens = PipelineConfig(master_seed=3, runs=20, tau=0.2)
     matrix = run_ensemble(graph, ens)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
@@ -299,8 +298,8 @@ def test_criterion_10_threshold_monotonicity():
         corpus = _random_corpus(rng)
         rho_lo = float(rng.random() * 3)
         rho_hi = rho_lo + float(rng.random() * 4)
-        lo = build_list_graph(corpus, GraphBuildConfig(rho=rho_lo))
-        hi = build_list_graph(corpus, GraphBuildConfig(rho=rho_hi))
+        lo = build_list_graph(corpus, rho_lo)
+        hi = build_list_graph(corpus, rho_hi)
         assert set(edge_map(hi)) <= set(edge_map(lo))
 
     for _ in range(200):

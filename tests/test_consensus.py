@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
+from listcom.consensus import (ConsensusMatrix, accumulate,
                                consensus_communities, consensus_graph,
                                cover_agreement, label_jaccard, load_matrix,
                                run_ensemble, save_matrix)
-from listcom.detect import Cover, DetectorConfig, detect
+from listcom.detect import Cover, detect
 from listcom.errors import ValidationError
-from listcom.listgraph import GraphBuildConfig, build_list_graph
+from listcom.listgraph import build_list_graph
+from listcom.pipeline import PipelineConfig
 from listcom.synth import PlantedSpec, synth
-from listcom.seeds import derive_seed
-from reference import (community_pair_scores, edge_map, entry_map,
+from listcom.seeds import STREAM_CONSENSUS, derive_seed
+from reference import (FAST, community_pair_scores, edge_map, entry_map,
                        graph_from_edges, matrix_from_pairs, same_matrix)
 
 
@@ -108,14 +109,14 @@ def planted_graph(noise=0.1, seed=3):
     spec = PlantedSpec(groups=3, users_per_group=20, lists_per_group=15,
                        size_min=5, size_max=12, noise=noise, overlap=0.1)
     corpus, _ = synth(spec, seed)
-    return build_list_graph(corpus, GraphBuildConfig(rho=5.0))
+    return build_list_graph(corpus, 5.0)
 
 
 def test_run_ensemble_r1_equals_single_run():
     graph = planted_graph()
-    cfg = EnsembleConfig.from_master(4, runs=1, tau=0.2)
+    cfg = PipelineConfig(master_seed=4, runs=1, tau=0.2)
     matrix = run_ensemble(graph, cfg)
-    base = detect(graph, cfg.fast_config.with_seed(derive_seed(4, 0)))
+    base = detect(graph, FAST.with_seed(derive_seed(4, 0)))
     manual = empty_matrix(graph.nodes, r=1)
     accumulate(manual, cover_of(manual, base))
     assert np.array_equal(matrix.keys, manual.keys)
@@ -132,16 +133,36 @@ def test_run_ensemble_mean_of_two_runs():
 
     fake_detector.calls = 0
     graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0})
-    cfg = EnsembleConfig.from_master(0, runs=2, tau=0.0)
+    cfg = PipelineConfig(master_seed=0, runs=2, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=fake_detector)
     assert matrix.get("a", "b") == pytest.approx(0.5)
     assert matrix.get("a", "c") == pytest.approx(0.5)
 
 
+def test_every_detection_gets_its_wired_seed_and_settings():
+    # Run i gets derive_seed(master_seed, i) and the fast iterations, the
+    # thorough pass the consensus stream's seed and the thorough
+    # iterations, and both the configured overlap threshold.
+    seen = []
+
+    def recording_detector(graph, config):
+        seen.append((config.seed, config.resolved_iterations, config.overlap_threshold))
+        return Cover.from_sets(graph.nodes, [set(graph.nodes[:2])])
+
+    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0})
+    cfg = PipelineConfig(runs=4, tau=0.0, master_seed=42, fast_iterations=3,
+                         thorough_iterations=7, overlap_threshold=0.25)
+    matrix = run_ensemble(graph, cfg, detector=recording_detector)
+    assert seen == [(derive_seed(42, i), 3, 0.25) for i in range(4)]
+    seen.clear()
+    consensus_communities(matrix, cfg, detector=recording_detector)
+    assert seen == [(derive_seed(42, STREAM_CONSENSUS), 7, 0.25)]
+
+
 def test_run_ensemble_deterministic_and_strategy_independent():
     # Batched through detect_runs, and one run at a time through the seam.
     graph = planted_graph()
-    cfg = EnsembleConfig.from_master(11, runs=8, tau=0.2)
+    cfg = PipelineConfig(master_seed=11, runs=8, tau=0.2)
     m1 = run_ensemble(graph, cfg)
     m2 = run_ensemble(graph, cfg, detector=lambda g, c: detect(g, c))
     m3 = run_ensemble(graph, cfg)
@@ -150,7 +171,7 @@ def test_run_ensemble_deterministic_and_strategy_independent():
 
 def test_entries_in_unit_range_and_sparse():
     graph = planted_graph()
-    cfg = EnsembleConfig.from_master(2, runs=10, tau=0.2)
+    cfg = PipelineConfig(master_seed=2, runs=10, tau=0.2)
     matrix = run_ensemble(graph, cfg)
     l = len(matrix.order)
     assert 0 < len(matrix.keys) < l * (l - 1) // 2
@@ -164,7 +185,7 @@ def test_consensus_of_identical_base_sets_is_that_matrix():
         return Cover.from_sets(graph.nodes, fixed)
 
     graph = graph_from_edges(("a", "b", "c", "d"), {})
-    cfg = EnsembleConfig.from_master(0, runs=7, tau=0.0)
+    cfg = PipelineConfig(master_seed=0, runs=7, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=constant_detector)
     single = empty_matrix(graph.nodes, r=1)
     accumulate(single, cover_of(single, fixed))
@@ -184,7 +205,7 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
         return Cover.from_sets(graph.nodes, [{"a", "b", "c"}, {"d", "e"}])
 
     graph = graph_from_edges(("a", "b", "c", "d", "e"), {})
-    cfg = EnsembleConfig.from_master(1, runs=6, tau=0.0)
+    cfg = PipelineConfig(master_seed=1, runs=6, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=partition_detector)
     # every per-run contribution is 0 or 1, so entries are multiples of 1/r
     for v in matrix.values:
@@ -198,7 +219,7 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
 ])
 def test_a_detector_must_return_a_cover_over_the_graph_order(returned):
     graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0})
-    cfg = EnsembleConfig.from_master(0, runs=2, tau=0.0)
+    cfg = PipelineConfig(master_seed=0, runs=2, tau=0.0)
     with pytest.raises(ValidationError, match="node order"):
         run_ensemble(graph, cfg, detector=lambda g, c: returned(g))
     matrix = run_ensemble(graph, cfg)
@@ -237,7 +258,7 @@ def test_consensus_graph_tau_one_empty_when_below():
     m = matrix_from_pairs("ab", {("a", "b"): 0.95}, 1)
     g = consensus_graph(m, 1.0)
     assert g.edge_count() == 0
-    cfg = EnsembleConfig.from_master(0, runs=1, tau=1.0)
+    cfg = PipelineConfig(master_seed=0, runs=1, tau=1.0)
     assert len(consensus_communities(m, cfg)) == 0
 
 
@@ -257,11 +278,11 @@ def test_consensus_graph_edge_count_monotone_in_tau():
 
 def test_consensus_count_not_above_mean_base_count():
     graph = planted_graph()
-    cfg = EnsembleConfig.from_master(5, runs=15, tau=0.2)
+    cfg = PipelineConfig(master_seed=5, runs=15, tau=0.2)
     matrix = run_ensemble(graph, cfg)
     consensus = consensus_communities(matrix, cfg)
     base_counts = [
-        len(detect(graph, cfg.fast_config.with_seed(derive_seed(5, i))))
+        len(detect(graph, FAST.with_seed(derive_seed(5, i))))
         for i in range(15)
     ]
     assert len(consensus) <= sum(base_counts) / len(base_counts)

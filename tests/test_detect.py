@@ -17,8 +17,9 @@ from listcom.detect import (Cover, DetectorConfig, detect,
 from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
-from listcom.listgraph import GraphBuildConfig, ListGraph, build_list_graph
-from reference import cover_sets, edge_map, graph_from_edges, memory_cover
+from listcom.listgraph import ListGraph, build_list_graph
+from reference import (FAST, THOROUGH, cover_sets, edge_map, graph_from_edges,
+                       memory_cover)
 
 
 def clique_pair_graph(bridge=0.01):
@@ -37,51 +38,48 @@ def noisy_planted_graph():
     spec = PlantedSpec(groups=4, users_per_group=20, lists_per_group=20,
                        size_min=5, size_max=12, noise=0.25, overlap=0.1)
     corpus, _ = synth(spec, 9)
-    return build_list_graph(corpus, GraphBuildConfig(rho=4.0))
+    return build_list_graph(corpus, 4.0)
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        DetectorConfig(mode="bogus")
-    with pytest.raises(ValidationError):
-        DetectorConfig(iterations=0)
-    with pytest.raises(ValidationError):
-        DetectorConfig(overlap_threshold=1.0)
-    assert DetectorConfig(mode="fast").resolved_iterations == 5
-    assert DetectorConfig(mode="thorough").resolved_iterations == 50
+    for iterations, overlap_threshold in ((0, 0.3), (5, 0.0), (5, 1.0)):
+        with pytest.raises(ValidationError):
+            DetectorConfig(iterations, overlap_threshold)
+    assert DetectorConfig(12, 0.3).resolved_iterations == 12
+    assert (FAST.iterations, THOROUGH.iterations) == (5, 50)
 
 
 def test_two_cliques_recovered_for_any_seed():
     graph = clique_pair_graph()
     want = [tuple(f"a{i}" for i in range(5)), tuple(f"b{i}" for i in range(5))]
     for seed in range(10):
-        cs = detect(graph, DetectorConfig(mode="thorough", seed=seed))
+        cs = detect(graph, THOROUGH.with_seed(seed))
         assert sorted(tuple(sorted(c)) for c in cs) == want
 
 
 def test_isolated_single_node_yields_nothing():
     graph = graph_from_edges(("solo",), {})
-    cs = detect(graph, DetectorConfig(mode="fast", seed=1))
+    cs = detect(graph, FAST.with_seed(1))
     assert len(cs) == 0
 
 
 def test_isolated_nodes_unassigned():
     graph = clique_pair_graph()
     graph = graph_from_edges(graph.nodes + ("loner",), edge_map(graph))
-    cs = detect(graph, DetectorConfig(mode="thorough", seed=3))
+    cs = detect(graph, THOROUGH.with_seed(3))
     assert all("loner" not in c for c in cs)
 
 
 def test_determinism_same_seed():
     graph = noisy_planted_graph()
-    cfg = DetectorConfig(mode="fast", seed=123)
+    cfg = FAST.with_seed(123)
     assert detect(graph, cfg) == detect(graph, cfg)
 
 
 def test_seed_sensitivity_on_noisy_graph():
     graph = noisy_planted_graph()
     outcomes = {
-        cover_sets(detect(graph, DetectorConfig(mode="fast", seed=s)))
+        cover_sets(detect(graph, FAST.with_seed(s)))
         for s in range(10)
     }
     assert len(outcomes) >= 2
@@ -94,7 +92,7 @@ def test_permutation_equivariance_under_monotone_relabel():
         tuple(relabel[n] for n in graph.nodes),
         {(relabel[a], relabel[b]): w for (a, b), w in edge_map(graph).items()},
     )
-    cfg = DetectorConfig(mode="fast", seed=77)
+    cfg = FAST.with_seed(77)
     base = detect(graph, cfg)
     moved = detect(mapped, cfg)
     expect = Cover.from_sets(mapped.nodes, ({relabel[n] for n in c} for c in base))
@@ -153,8 +151,7 @@ def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
     graph = noisy_planted_graph()
     graph = graph_from_edges(graph.nodes + ("zz-isolated",), edge_map(graph))
     seeds = [derive_seed(8, i) for i in range(6)] + [0, 2**64 - 1]
-    for mode in ("fast", "thorough"):
-        cfg = DetectorConfig(mode=mode, iterations=None if mode == "fast" else 12)
+    for cfg in (FAST, DetectorConfig(12, THOROUGH.overlap_threshold)):
         single = [detect_runs(graph, cfg, [s])[0] for s in seeds]
         assert single == [detect(graph, cfg.with_seed(s)) for s in seeds]
         assert detect_runs(graph, cfg, seeds) == single
@@ -176,8 +173,8 @@ def test_detect_raises_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in (0, 1, 2**63, 2**64 - 1):
-            detect(graph, DetectorConfig(mode="fast", seed=seed))
-        detect_runs(graph, DetectorConfig(mode="fast"), [3, 2**64 - 1])
+            detect(graph, FAST.with_seed(seed))
+        detect_runs(graph, FAST, [3, 2**64 - 1])
 
 
 def test_a_failing_step_stops_every_worker(monkeypatch, workers):
@@ -199,7 +196,7 @@ def test_a_failing_step_stops_every_worker(monkeypatch, workers):
     graph = noisy_planted_graph()
     before = threading.active_count()
     with pytest.raises(MemoryError, match="could not allocate"):
-        detect_runs(graph, DetectorConfig(mode="thorough"), range(6))
+        detect_runs(graph, THOROUGH, range(6))
     assert threading.active_count() == before
     assert next(calls) <= 3 + workers  # at most one more run per other thread
 
@@ -208,9 +205,11 @@ def test_detect_runs_holds_one_memory_per_thread(workers):
     # 50 runs, each memory 96 kB: the traced peak stays near one memory per
     # thread, where one memory per run would be 4.8 MB.
     graph = noisy_planted_graph()
-    cfg = DetectorConfig(mode="fast", iterations=300)
+    cfg = DetectorConfig(300, FAST.overlap_threshold)
     memory = len(graph.nodes) * 301 * np.dtype(np.int32).itemsize
-    detect_runs(graph, cfg, [1])  # the kernel is built and loaded
+    # The kernel is built and loaded, and a call on this many threads has
+    # imported what it needs.
+    detect_runs(graph, cfg, range(workers))
     tracemalloc.start()
     try:
         covers = detect_runs(graph, cfg, range(50))
@@ -336,13 +335,13 @@ def test_detect_runs_rejects_a_malformed_graph(request, graph):
     # A malformed array that reached the kernel would crash the process.
     field = request.node.callspec.id.split()[0]
     with pytest.raises(ValidationError, match=field):
-        detect_runs(graph, DetectorConfig(), [1, 2])
+        detect_runs(graph, FAST, [1, 2])
 
 
 def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
     module = importlib.import_module("listcom.detect")
     graph = clique_pair_graph()
-    cfg = DetectorConfig(mode="thorough", seed=4)
+    cfg = THOROUGH.with_seed(4)
     assert not kernel_cache.exists()
     built = detect(graph, cfg)
     [library] = kernel_cache.iterdir()  # one file, no temporary left over
@@ -369,7 +368,7 @@ def test_a_build_removes_the_libraries_of_earlier_sources(kernel_cache, monkeypa
                                                           tmp_path):
     module = importlib.import_module("listcom.detect")
     graph = clique_pair_graph()
-    cfg = DetectorConfig(mode="thorough", seed=4)
+    cfg = THOROUGH.with_seed(4)
     built = detect(graph, cfg)
     [first] = kernel_cache.iterdir()
     # Two other platforms' files, the second named as if its platform ended

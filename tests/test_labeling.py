@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.errors import ValidationError
-from listcom.labeling import (LabelingConfig, background_vector, build_vectors,
+from listcom.labeling import (background_vector, build_vectors,
                               default_stopwords, label_community,
                               load_stopwords, tokenize)
 
-CFG = LabelingConfig(top_k=3, stopwords=frozenset({"the", "a", "of"}))
+STOP = frozenset({"the", "a", "of"})
 
 
 def corpus_from_texts(texts):
@@ -20,16 +20,16 @@ def corpus_from_texts(texts):
 
 
 def test_tokenize_unigrams_and_bigram():
-    terms = tokenize("London 2012", "", CFG)
+    terms = tokenize("London 2012", "", STOP)
     assert terms == ["london", "2012", "london 2012"]
 
 
 def test_tokenize_drops_stopword_unigrams():
-    assert tokenize("the", "", CFG) == []
+    assert tokenize("the", "", STOP) == []
 
 
 def test_tokenize_multilingual_tokens_survive():
-    terms = tokenize("BMX Racing", "bmx atlēti", CFG)
+    terms = tokenize("BMX Racing", "bmx atlēti", STOP)
     assert "bmx" in terms
     assert "racing" in terms
     assert "atlēti" in terms
@@ -38,20 +38,20 @@ def test_tokenize_multilingual_tokens_survive():
 
 
 def test_tokenize_bigrams_do_not_cross_fields():
-    terms = tokenize("alpha", "beta", CFG)
+    terms = tokenize("alpha", "beta", STOP)
     assert terms == ["alpha", "beta"]
 
 
 def test_tokenize_bigram_kept_unless_both_stopwords():
     # one stopword constituent survives as a bigram, two do not
-    terms = tokenize("the game", "", CFG)
+    terms = tokenize("the game", "", STOP)
     assert terms == ["game", "the game"]
-    terms = tokenize("of the", "", CFG)
+    terms = tokenize("of the", "", STOP)
     assert terms == []
 
 
 def test_tokenize_splits_on_nonalnum_runs():
-    terms = tokenize("track & field", "", CFG)
+    terms = tokenize("track & field", "", STOP)
     assert "track" in terms and "field" in terms and "track field" in terms
     assert "&" not in terms
 
@@ -69,27 +69,27 @@ def test_build_vectors_single_occurrence_weight():
     texts = {f"l{i}": ("", "") for i in range(9)}
     texts["l9"] = ("unique", "")
     corpus = corpus_from_texts(texts)
-    vectors = build_vectors(corpus, CFG)
+    vectors = build_vectors(corpus, STOP)
     assert vectors["l9"]["unique"] == pytest.approx(1.0)  # (1+log10 1)*log10(10/1)
 
 
 def test_build_vectors_everywhere_term_dropped():
     texts = {f"l{i}": ("common", "") for i in range(4)}
     corpus = corpus_from_texts(texts)
-    vectors = build_vectors(corpus, CFG)
+    vectors = build_vectors(corpus, STOP)
     assert all("common" not in v for v in vectors.values())
 
 
 def test_build_vectors_empty_text_empty_vector():
     corpus = corpus_from_texts({"l0": ("", ""), "l1": ("word", "")})
-    vectors = build_vectors(corpus, CFG)
+    vectors = build_vectors(corpus, STOP)
     assert vectors["l0"] == {}
 
 
 def test_build_vectors_tf_component():
     texts = {"l0": ("word word word", ""), "l1": ("other", "")}
     corpus = corpus_from_texts(texts)
-    vectors = build_vectors(corpus, CFG)
+    vectors = build_vectors(corpus, STOP)
     expected = (1 + math.log10(3)) * math.log10(2 / 1)
     assert vectors["l0"]["word"] == pytest.approx(expected)
 
@@ -108,16 +108,16 @@ def badminton_corpus():
 
 def test_label_community_distinctive_term_first():
     corpus = badminton_corpus()
-    vectors = build_vectors(corpus, CFG)
-    labels = label_community({"b0", "b1", "b2"}, vectors, CFG)
+    vectors = build_vectors(corpus, STOP)
+    labels = label_community({"b0", "b1", "b2"}, vectors, 3)
     assert labels[0][0] == "badminton"
     assert labels[0][1] > 0
 
 
 def test_label_whole_corpus_all_zero_lexicographic():
     corpus = badminton_corpus()
-    vectors = build_vectors(corpus, CFG)
-    labels = label_community(set(vectors), vectors, CFG)
+    vectors = build_vectors(corpus, STOP)
+    labels = label_community(set(vectors), vectors, 3)
     assert all(score == 0.0 for _, score in labels)
     terms = [t for t, _ in labels]
     assert terms == sorted(terms)
@@ -125,17 +125,16 @@ def test_label_whole_corpus_all_zero_lexicographic():
 
 def test_label_empty_community_rejected():
     corpus = badminton_corpus()
-    vectors = build_vectors(corpus, CFG)
+    vectors = build_vectors(corpus, STOP)
     with pytest.raises(ValidationError):
-        label_community(set(), vectors, CFG)
+        label_community(set(), vectors, 3)
 
 
 def test_label_scores_antisymmetric_for_two_part_partition():
     corpus = badminton_corpus()
-    vectors = build_vectors(corpus, CFG)
-    big = LabelingConfig(top_k=100, stopwords=CFG.stopwords)
-    left = dict(label_community({"b0", "b1", "b2"}, vectors, big))
-    right = dict(label_community({"o0", "o1", "o2"}, vectors, big))
+    vectors = build_vectors(corpus, STOP)
+    left = dict(label_community({"b0", "b1", "b2"}, vectors, 100))
+    right = dict(label_community({"o0", "o1", "o2"}, vectors, 100))
     for term in set(left) | set(right):
         a = left.get(term, 0.0)
         b = right.get(term, 0.0)
@@ -144,10 +143,9 @@ def test_label_scores_antisymmetric_for_two_part_partition():
 
 def test_adding_list_with_term_never_decreases_centroid_component():
     corpus = badminton_corpus()
-    vectors = build_vectors(corpus, CFG)
-    big = LabelingConfig(top_k=100, stopwords=CFG.stopwords)
-    without = dict(label_community({"b0", "b1"}, vectors, big))
-    with_extra = dict(label_community({"b0", "b1", "b2"}, vectors, big))
+    vectors = build_vectors(corpus, STOP)
+    without = dict(label_community({"b0", "b1"}, vectors, 100))
+    with_extra = dict(label_community({"b0", "b1", "b2"}, vectors, 100))
     # b2 contains "badminton"; its centroid weight must not drop
     bg = background_vector(vectors)
     cen_without = without["badminton"] + bg.get("badminton", 0.0)
@@ -158,12 +156,12 @@ def test_adding_list_with_term_never_decreases_centroid_component():
 @given(st.text(max_size=40), st.text(max_size=40))
 @settings(max_examples=120, deadline=None)
 def test_tokenize_language_agnostic(name, description):
-    terms = tokenize(name, description, CFG)
+    terms = tokenize(name, description, STOP)
     for term in terms:
         for word in term.split(" "):
             assert word  # no empty tokens
             assert all(ch.isalnum() for ch in word)
     # every non-stopword alphanumeric run must survive as a unigram
     for tok in __import__("re").findall(r"[^\W_]+", name.lower()):
-        if tok not in CFG.stopwords:
+        if tok not in STOP:
             assert tok in terms

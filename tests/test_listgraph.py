@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.errors import ValidationError
-from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
+from listcom.listgraph import (ListGraph, build_list_graph,
                                load_graph, overlap_lpv, overlap_pvalue,
                                save_graph)
 from reference import (edge_map, graph_edges, graph_from_edges, id_sets,
@@ -39,7 +39,7 @@ def test_certain_overlap_weighs_plus_zero(tmp_path):
     assert math.copysign(1.0, overlap_lpv(2, 2, 2, 2)) == 1.0
     corpus = MembershipCorpus.build([ListRecord("L1", "", ""), ListRecord("L2", "", "")],
                                     {"L1": ["u1", "u2"], "L2": ["u1", "u2"]})
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    graph = build_list_graph(corpus, 0.0)
     assert graph.edge_list() == [("L1", "L2", 0.0)]
     assert all(math.copysign(1.0, w) == 1.0 for w in graph.weights.tolist())
     save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
@@ -137,7 +137,7 @@ def corpus_from(memberships):
 
 def test_disjoint_lists_never_linked():
     corpus = corpus_from({"a": {"u1", "u2"}, "b": {"u3", "u4"}})
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    graph = build_list_graph(corpus, 0.0)
     assert graph.edge_count() == 0
     assert set(graph.nodes) == {"a", "b"}
 
@@ -148,13 +148,13 @@ def test_identical_lists_edge_present_at_rho_6():
     memberships = {"a": members, "b": set(members), **extras}
     corpus = corpus_from(memberships)
     assert corpus.n == 95
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=6.0))
+    graph = build_list_graph(corpus, 6.0)
     assert edge_map(graph)[("a", "b")] > 6.0
 
 
 def test_isolated_nodes_retained():
     corpus = corpus_from({"a": {"u1", "u2"}, "b": {"u1", "u2"}, "c": {"zz"}})
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    graph = build_list_graph(corpus, 0.0)
     assert "c" in graph.nodes
     assert np.diff(graph.indptr)[graph.nodes.index("c")] == 0
 
@@ -168,7 +168,7 @@ def test_edge_weights_match_scalar_op():
         for j in range(12)
     }
     corpus = corpus_from(memberships)
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    graph = build_list_graph(corpus, 0.0)
     assert graph.edge_count()
     memberships, _ = id_sets(corpus)
     for a, b, w in graph.edge_list():
@@ -193,7 +193,7 @@ def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch):
     assert {(ids[k // l], ids[k % l]): c for k, c in zip(keys.tolist(), counts.tolist())
             } == intersection_counts(user_index)
     for rho in (0.0, 1.5):
-        graph = build_list_graph(corpus, GraphBuildConfig(rho=rho))
+        graph = build_list_graph(corpus, rho)
         expected = graph_edges(memberships, user_index, rho)
         assert {e: w.hex() for e, w in edge_map(graph).items()} == {
             e: w.hex() for e, w in expected.items()}
@@ -230,8 +230,8 @@ def test_sparsification_monotone(seed):
     corpus = corpus_from(memberships)
     rho_lo = float(rng.random() * 2)
     rho_hi = rho_lo + float(rng.random() * 3)
-    lo = build_list_graph(corpus, GraphBuildConfig(rho=rho_lo))
-    hi = build_list_graph(corpus, GraphBuildConfig(rho=rho_hi))
+    lo = build_list_graph(corpus, rho_lo)
+    hi = build_list_graph(corpus, rho_hi)
     assert set(edge_map(hi)) <= set(edge_map(lo))
     assert hi.nodes == lo.nodes
     assert np.all(np.diff(hi.indptr) <= np.diff(lo.indptr))
@@ -240,7 +240,7 @@ def test_sparsification_monotone(seed):
 def test_graph_round_trip_preserves_isolated_nodes(tmp_path):
     corpus = corpus_from({"a": {"u1", "u2", "u3"}, "b": {"u1", "u2", "u3"},
                           "c": {"solo"}})
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    graph = build_list_graph(corpus, 0.0)
     save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
     assert reloaded.nodes == graph.nodes
@@ -276,7 +276,7 @@ def test_save_graph_returns_what_load_graph_reads(tmp_path, monkeypatch, block):
 def test_graph_arrays_sorted_per_row_and_symmetric():
     corpus = corpus_from({"c": {"u1", "u2", "u3"}, "a": {"u1", "u2", "u3"},
                           "b": {"u2", "u3", "u4"}, "d": {"solo"}})
-    graph = build_list_graph(corpus, GraphBuildConfig(rho=0.0))
+    graph = build_list_graph(corpus, 0.0)
     assert graph.nodes == ("a", "b", "c", "d")
     assert graph.indptr.tolist() == [0, 2, 4, 6, 6]
     assert graph.indices.tolist() == [1, 2, 0, 2, 0, 1]

@@ -8,7 +8,7 @@ import pytest
 from listcom.cli import main
 from listcom.errors import ParseError, ValidationError
 from listcom.pipeline import (ARTIFACTS, PipelineConfig, parse_config_file,
-                              resolve_config, run_pipeline)
+                              resolve_config, run_pipeline, stage_label)
 from listcom.synth import PlantedSpec, synth_files
 
 SPEC = PlantedSpec(groups=4, users_per_group=18, lists_per_group=12,
@@ -41,16 +41,19 @@ def test_config_defaults_match_reported_parameters():
     assert cfg.top_k == 3
 
 
+# One bad value of each checked key, and the word its error names.
+BAD_VALUES = [("tau", 1.5, "tau"), ("runs", 0, "runs"), ("mu", -0.1, "mu"),
+              ("rho", -1.0, "rho"), ("rho", float("nan"), "rho"),
+              ("top_k", 0, "top_k"), ("fast_iterations", 0, "iteration"),
+              ("thorough_iterations", 0, "iteration"),
+              ("overlap_threshold", 0.0, "overlap_threshold"),
+              ("overlap_threshold", 1.0, "overlap_threshold")]
+
+
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        PipelineConfig(tau=1.5)
-    with pytest.raises(ValidationError):
-        PipelineConfig(runs=0)
-    with pytest.raises(ValidationError):
-        PipelineConfig(mu=-0.1)
-    for rho in (-1.0, float("nan")):
-        with pytest.raises(ValidationError, match="rho"):
-            PipelineConfig(rho=rho)
+    for key, value, word in BAD_VALUES:
+        with pytest.raises(ValidationError, match=word):
+            PipelineConfig(**{key: value})
 
 
 def test_config_file_parsing(tmp_path):
@@ -229,11 +232,36 @@ def test_cli_exits_4_without_a_compiler(corpus_files, kernel_cache, tmp_path,
 
 
 def test_cli_rho_nan_exits_2_before_creating_out(tmp_path, capsys):
+    # So does a bad value of every other checked key.
+    out = tmp_path / "run"
+    for key, value, word in BAD_VALUES:
+        assert main(["pipeline", "--memberships", str(tmp_path / "m.tsv"),
+                     "--lists", str(tmp_path / "l.jsonl"), "--out", str(out),
+                     "--" + key.replace("_", "-"), str(value)]) == 2, key
+        assert word in capsys.readouterr().err, key
+        assert not out.exists(), key
+
+
+def test_cli_missing_stopword_file_exits_2_before_any_stage(corpus_files, tmp_path,
+                                                            capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--memberships", str(corpus_files["memberships"]),
+                 "--lists", str(corpus_files["lists"]), "--out", str(out),
+                 "--stopwords", str(tmp_path / "missing.txt")]) == 2
+    assert "missing.txt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_repeated_config_key_is_a_parse_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("runs = 3\n# twice\nruns = 5\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{cfgfile}:3: .*'runs'"):
+        parse_config_file(cfgfile)
     out = tmp_path / "run"
     assert main(["pipeline", "--memberships", str(tmp_path / "m.tsv"),
                  "--lists", str(tmp_path / "l.jsonl"), "--out", str(out),
-                 "--rho", "nan"]) == 2
-    assert "rho" in capsys.readouterr().err
+                 "--config", str(cfgfile)]) == 3
+    assert f"{cfgfile}:3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -310,12 +338,32 @@ def test_cli_config_file_respected(tmp_path):
     assert bundle_bytes(out1) == bundle_bytes(out2)
 
 
-def test_stopword_override_changes_labels(tmp_path):
+def test_stopword_override_changes_labels(corpus_files, tmp_path, monkeypatch):
+    from listcom import labeling as lab
+
+    # A stopword file replaces the built-in list; without one, the built-in
+    # list applies.
+    seen = []
+    build = lab.build_vectors
+    monkeypatch.setattr(lab, "build_vectors",
+                        lambda corpus, stopwords: seen.append(stopwords)
+                        or build(corpus, stopwords))
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config())
+
+    def labels():
+        payload = json.loads((out / ARTIFACTS["labels"]).read_text("utf-8"))
+        return {term for entry in payload for term in entry["labels"]}
+
+    assert seen == [lab.default_stopwords()] and "the" in seen[0]
+    assert "topic00news" in labels()
     custom = tmp_path / "stop.txt"
-    custom.write_text("topic00\n", encoding="utf-8")
-    cfg = PipelineConfig(stopwords=str(custom))
-    assert cfg.labeling_config().stopwords == frozenset({"topic00"})
-    assert "the" in PipelineConfig().labeling_config().stopwords
+    custom.write_text("topic00news\n", encoding="utf-8")
+    stage_label(corpus_files["memberships"], corpus_files["lists"], out,
+                fast_config(stopwords=str(custom)))
+    assert seen[1:] == [frozenset({"topic00news"})]
+    assert "topic00news" not in labels()
 
 
 def test_partial_artifacts_retained_on_failure(corpus_files, tmp_path):

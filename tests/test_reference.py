@@ -5,29 +5,29 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from listcom.consensus import (ConsensusMatrix, EnsembleConfig, accumulate,
+from listcom.consensus import (ConsensusMatrix, accumulate,
                                consensus_graph, load_matrix, run_ensemble,
                                save_matrix)
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import (Cover, DetectorConfig, detect, detect_runs,
                             filter_singletons)
-from listcom.labeling import (Background, LabelingConfig, background_vector,
-                              label_community)
-from listcom.listgraph import (GraphBuildConfig, ListGraph, build_list_graph,
-                               load_graph, save_graph)
+from listcom.labeling import Background, background_vector, label_community
+from listcom.listgraph import ListGraph, build_list_graph, load_graph, save_graph
+from listcom.pipeline import PipelineConfig
 from listcom.seeds import derive_seed
 from listcom.stability import (expected_stability, rank_communities,
                                raw_stabilities, raw_stability)
 from listcom.synth import PlantedSpec, synth
 import reference
-from reference import cover_sets, graph_from_edges, matrix_from_pairs, same_matrix
+from reference import (FAST, THOROUGH, cover_sets, graph_from_edges, matrix_from_pairs,
+                       same_matrix)
 
 
 def planted_graph():
     spec = PlantedSpec(groups=4, users_per_group=20, lists_per_group=20,
                        size_min=5, size_max=12, noise=0.25, overlap=0.2)
     corpus, _ = synth(spec, 9)
-    return build_list_graph(corpus, GraphBuildConfig(rho=3.0))
+    return build_list_graph(corpus, 3.0)
 
 
 def tied_graph(weight=1.0):
@@ -77,15 +77,15 @@ def test_detect_matches_reference_on_planted_graph(mode):
     graph = planted_graph()
     # The extreme seeds pin the kernel's 64-bit mix to derive_seed.
     seeds = [*range(12 if mode == "fast" else 3), 2**64 - 1]
-    assert_same_detections(graph, DetectorConfig(mode=mode), seeds)
+    assert_same_detections(graph, {"fast": FAST, "thorough": THOROUGH}[mode], seeds)
 
 
 def test_detect_matches_reference_on_weighted_ties():
     graph = tied_graph()
-    assert_same_detections(graph, DetectorConfig(mode="fast"), range(40))
+    assert_same_detections(graph, FAST, range(40))
     half = ListGraph.from_pairs(graph.nodes, *graph.edge_pairs()[:2],
                                 np.where(graph.edge_pairs()[0] % 2, 0.5, 1.0))
-    assert_same_detections(half, DetectorConfig(mode="fast", overlap_threshold=0.2),
+    assert_same_detections(half, DetectorConfig(FAST.iterations, 0.2),
                            range(40))
 
 
@@ -95,14 +95,14 @@ def test_detect_matches_reference_on_order_sensitive_sums():
     # such as np.add.reduceat, changes winners on this graph.
     graph = hub_graph()
     assert np.diff(graph.indptr).max() > 16
-    assert_same_detections(graph, DetectorConfig(mode="thorough", iterations=15),
+    assert_same_detections(graph, DetectorConfig(15, THOROUGH.overlap_threshold),
                            range(10))
 
 
 def test_detect_matches_reference_on_all_zero_weights(tmp_path):
     # Every vote is 0.0: the winner is the lowest collected label id.
     graph = tied_graph(weight=0.0)
-    assert_same_detections(graph, DetectorConfig(mode="fast"), range(40))
+    assert_same_detections(graph, FAST, range(40))
     # rho = 0 keeps the zero weight of two 15-user lists out of 20 users
     # that share only the 10 users any two such lists must share.
     rng = np.random.Generator(np.random.PCG64(6))
@@ -111,16 +111,16 @@ def test_detect_matches_reference_on_all_zero_weights(tmp_path):
                    for j in range(30)}
     corpus = MembershipCorpus.build(
         [ListRecord(lid, "", "") for lid in memberships], memberships)
-    save_graph(build_list_graph(corpus, GraphBuildConfig(rho=0.0)),
+    save_graph(build_list_graph(corpus, 0.0),
                tmp_path / "g.tsv", tmp_path / "g.nodes")
     loaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
     assert (loaded.weights == 0.0).any()
-    assert_same_detections(loaded, DetectorConfig(mode="fast"), range(10))
+    assert_same_detections(loaded, FAST, range(10))
     # tau = 0 keeps every consensus entry as an edge.
-    matrix = run_ensemble(loaded, EnsembleConfig.from_master(1, runs=4))
+    matrix = run_ensemble(loaded, PipelineConfig(master_seed=1, runs=4))
     consensus = consensus_graph(matrix, 0.0)
     assert consensus.edge_count() == len(matrix.keys)
-    assert_same_detections(consensus, DetectorConfig(mode="thorough"), range(5))
+    assert_same_detections(consensus, THOROUGH, range(5))
 
 
 def test_detect_matches_reference_on_workers(tmp_path, workers):
@@ -189,8 +189,8 @@ def test_accumulate_matches_dict_fold(monkeypatch, block):
 
 def test_run_ensemble_matches_dict_fold():
     graph = planted_graph()
-    config = EnsembleConfig.from_master(7, runs=6)
-    covers = [detect(graph, config.fast_config.with_seed(derive_seed(7, i)))
+    config = PipelineConfig(master_seed=7, runs=6)
+    covers = [detect(graph, FAST.with_seed(derive_seed(7, i)))
               for i in range(6)]
     want = reference.ensemble_fold(graph.nodes, covers)
     matrix = run_ensemble(graph, config)
@@ -372,9 +372,9 @@ def test_label_community_matches_full_sort():
         community = set(rng.choice(lids, size=int(rng.integers(1, len(lids) + 1)),
                                    replace=False).tolist())
         # top_k from 1 to above the vocabulary size.
-        config = LabelingConfig(top_k=int(rng.integers(1, len(vocab) + 4)))
-        want = reference.label_community(community, vectors, config)
-        assert label_community(community, vectors, config) == want, trial
+        top_k = int(rng.integers(1, len(vocab) + 4))
+        want = reference.label_community(community, vectors, top_k)
+        assert label_community(community, vectors, top_k) == want, trial
         weights = background_vector(vectors)
-        assert label_community(community, vectors, config,
+        assert label_community(community, vectors, top_k,
                                background=Background(weights)) == want, trial
