@@ -1,20 +1,15 @@
-/* SLPA over a CSR graph, node by node, and the cover of one run's memories
- * (see listcom/detect.py).  detect_runs calls slpa and then cover for each
- * run, on the thread that runs it, with that thread's own memory and cover
- * buffer.
+/* The package's compiled kernel (loaded by listcom/kernel.py): SLPA over a
+ * CSR graph one connected component at a time, the cover of one run's
+ * memories, the one co-occurrence counter, the consensus fold of one run,
+ * and the rows of a pair file.  detect_runs labels the components once,
+ * then calls slpa and cover for each run, on the thread that runs it, with
+ * that thread's own memory and cover buffer.
  *
- * slpa: the caller checks the arrays: n >= 1, indptr holds n + 1
- * non-decreasing offsets from 0, indices are in [0, n), weights are finite
- * and >= 0, and mem holds n rows of iterations + 1 labels.  Returns 0, or -1
- * if scratch memory cannot be allocated.
- *
- * cover: the communities of the active nodes (those with a neighbour) from
- * mem's rows of m labels in [0, n), in the canonical order: size
- * descending, then members lexicographic, without duplicates or groups of
- * one.  members holds room for capacity (node, label) pairs and groups for
- * capacity / 2 + 1 offsets.  Returns the number of communities, -1 if
- * scratch memory cannot be allocated, or -2 if the nodes keep more than
- * capacity labels. */
+ * Every entry that allocates scratch returns -1 if it cannot.  Every entry
+ * that writes into an output of a given capacity returns -2, having written
+ * nothing past it, if the output would not fit.  components returns -3 for
+ * a graph that is not simple and undirected.  The scratch bound of each
+ * entry is stated above it; the caller's outputs come on top. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -36,6 +31,11 @@ static int by_key_then_node(const void *a, const void *b) {
     return (x->node > y->node) - (x->node < y->node);
 }
 
+static int ascending(const void *a, const void *b) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
 /* Size descending, then members lexicographic. */
 static int canonical(const void *a, const void *b) {
     const group_t *x = a, *y = b;
@@ -45,12 +45,90 @@ static int canonical(const void *a, const void *b) {
     return 0;
 }
 
+/* components: the connected components of the nodes with a neighbour, for
+ * n >= 1 nodes of a CSR whose indptr holds n + 1 non-decreasing offsets
+ * from 0 and whose indices are in [0, n).  Fills starts with parts + 1
+ * offsets into nodes, which lists each component's nodes in ascending
+ * order, components ordered by their lowest node.  starts needs room for
+ * n + 1 offsets and nodes for n.  Returns the number of components, -1,
+ * or -3, having written nothing, if the graph is not simple and
+ * undirected: each row's neighbours strictly ascending, never the node
+ * itself, and every edge stored in both rows.  slpa needs that, and only
+ * then do the components divide the walk without changing it.  Scratch:
+ * 8 n bytes, plus 8 bytes per component and 8. */
+int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
+                   int64_t *starts, int32_t *nodes) {
+    int32_t *part = malloc(n * sizeof *part), *queue = malloc(n * sizeof *queue);
+    int64_t parts = 0, *fill = NULL;
+    int64_t status = part && queue ? 0 : -1;
+    /* The rows go in ascending order, so the edges (u, v) reach row v in
+     * ascending u: each must meet the next unmatched entry of row v, of
+     * which part[v] have been matched.  Then every entry is matched once,
+     * and the graph is undirected. */
+    for (int64_t u = 0; u < n && !status; u++) part[u] = 0;
+    for (int64_t u = 0; u < n && !status; u++)
+        for (int64_t p = indptr[u]; p < indptr[u + 1]; p++) {
+            int64_t v = indices[p], next = indptr[v] + part[v];
+            if (v == u || (p > indptr[u] && indices[p - 1] >= v)
+                    || next == indptr[v + 1] || indices[next] != u) {
+                status = -3;
+                break;
+            }
+            part[v]++;
+        }
+    for (int64_t u = 0; u < n && !status; u++) part[u] = -1;
+    /* Breadth first from each unlabelled node with a neighbour. */
+    for (int64_t u = 0; u < n && !status; u++) {
+        if (part[u] >= 0 || indptr[u + 1] == indptr[u]) continue;
+        int64_t head = 0, tail = 0;
+        part[u] = (int32_t)parts;
+        queue[tail++] = (int32_t)u;
+        while (head < tail) {
+            int64_t v = queue[head++];
+            for (int64_t p = indptr[v]; p < indptr[v + 1]; p++)
+                if (part[indices[p]] < 0) {
+                    part[indices[p]] = (int32_t)parts;
+                    queue[tail++] = (int32_t)indices[p];
+                }
+        }
+        starts[++parts] = tail;
+    }
+    /* Nodes grouped by component, ascending within it, by a counting sort. */
+    if (!status) starts[0] = 0;
+    for (int64_t c = 0; c < parts && !status; c++) starts[c + 1] += starts[c];
+    if (!status) {
+        fill = malloc((parts + 1) * sizeof *fill);
+        status = fill ? 0 : -1;
+    }
+    if (!status) {
+        memcpy(fill, starts, (parts + 1) * sizeof *fill);
+        for (int64_t u = 0; u < n; u++)
+            if (part[u] >= 0) nodes[fill[part[u]]++] = (int32_t)u;
+    }
+    free(part);
+    free(queue);
+    free(fill);
+    return status ? status : parts;
+}
+
+/* slpa: one run over the components that components() made, each through
+ * all its iterations before the next, for a graph that components()
+ * accepted.  The caller checks the other arrays: weights are finite and
+ * >= 0, and mem holds n rows of iterations + 1 labels.  Two components
+ * never exchange labels, and the visit keys and slot draws depend on node
+ * and CSR positions only, so the rows equal those of one walk over the
+ * whole graph per iteration.
+ * Returns 0 or -1.  Scratch: 16 n bytes, plus 20 bytes per node of the
+ * largest component. */
 int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
-         const double *weights, uint64_t seed, int64_t iterations, int32_t *mem) {
-    int64_t m = iterations + 1;
-    visit_t *order = malloc(n * sizeof *order);
+         const double *weights, uint64_t seed, int64_t iterations,
+         int64_t parts, const int64_t *starts, const int32_t *nodes, int32_t *mem) {
+    int64_t m = iterations + 1, largest = 1;
+    for (int64_t c = 0; c < parts; c++)
+        if (starts[c + 1] - starts[c] > largest) largest = starts[c + 1] - starts[c];
+    visit_t *order = malloc(largest * sizeof *order);
+    int32_t *touched = malloc(largest * sizeof *touched);
     int64_t *length = malloc(n * sizeof *length);
-    int32_t *touched = malloc(n * sizeof *touched);
     double *votes = malloc(n * sizeof *votes);  /* -1.0: not collected */
     int status = order && length && touched && votes ? 0 : -1;
     for (int64_t u = 0; u < n && !status; u++) {
@@ -58,38 +136,40 @@ int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
         length[u] = 1;
         votes[u] = -1.0;
     }
-    for (int64_t it = 1; it <= iterations && !status; it++) {
-        uint64_t visit = mix(seed, 2 * (uint64_t)it), draw = mix(seed, 2 * (uint64_t)it + 1);
-        int64_t active = 0;
-        for (int64_t u = 0; u < n; u++)
-            if (indptr[u + 1] > indptr[u])
-                order[active++] = (visit_t){mix(visit, (uint64_t)u), u};
-        qsort(order, (size_t)active, sizeof *order, by_key_then_node);
-        for (int64_t k = 0; k < active; k++) {
-            int64_t u = order[k].node, count = 0;
-            /* Votes per label, each summed from 0.0 in CSR order. */
-            for (int64_t p = indptr[u]; p < indptr[u + 1]; p++) {
-                int64_t v = indices[p];
-                int32_t label = mem[v * m + (int64_t)(mix(draw, (uint64_t)p) % (uint64_t)length[v])];
-                if (votes[label] < 0.0) {
-                    votes[label] = 0.0;
-                    touched[count++] = label;
+    for (int64_t c = 0; c < parts && !status; c++) {
+        const int32_t *part = nodes + starts[c];
+        int64_t size = starts[c + 1] - starts[c];
+        for (int64_t it = 1; it <= iterations; it++) {
+            uint64_t visit = mix(seed, 2 * (uint64_t)it), draw = mix(seed, 2 * (uint64_t)it + 1);
+            for (int64_t k = 0; k < size; k++)
+                order[k] = (visit_t){mix(visit, (uint64_t)part[k]), part[k]};
+            qsort(order, (size_t)size, sizeof *order, by_key_then_node);
+            for (int64_t k = 0; k < size; k++) {
+                int64_t u = order[k].node, count = 0;
+                /* Votes per label, each summed from 0.0 in CSR order. */
+                for (int64_t p = indptr[u]; p < indptr[u + 1]; p++) {
+                    int64_t v = indices[p];
+                    int32_t label = mem[v * m + (int64_t)(mix(draw, (uint64_t)p) % (uint64_t)length[v])];
+                    if (votes[label] < 0.0) {
+                        votes[label] = 0.0;
+                        touched[count++] = label;
+                    }
+                    votes[label] += weights[p];
                 }
-                votes[label] += weights[p];
-            }
-            /* The highest vote wins; ties, all-zero votes included, go to
-             * the lowest label. */
-            int32_t best = touched[0];
-            double top = votes[best];
-            for (int64_t j = 0; j < count; j++) {
-                int32_t label = touched[j];
-                if (votes[label] > top || (votes[label] == top && label < best)) {
-                    best = label;
-                    top = votes[label];
+                /* The highest vote wins; ties, all-zero votes included, go
+                 * to the lowest label. */
+                int32_t best = touched[0];
+                double top = votes[best];
+                for (int64_t j = 0; j < count; j++) {
+                    int32_t label = touched[j];
+                    if (votes[label] > top || (votes[label] == top && label < best)) {
+                        best = label;
+                        top = votes[label];
+                    }
+                    votes[label] = -1.0;
                 }
-                votes[label] = -1.0;
+                mem[u * m + length[u]++] = best;
             }
-            mem[u * m + length[u]++] = best;
         }
     }
     free(order);
@@ -99,6 +179,13 @@ int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
     return status;
 }
 
+/* cover: the communities of the active nodes (those with a neighbour) from
+ * mem's rows of m labels in [0, n), in the canonical order: size
+ * descending, then members lexicographic, without duplicates or groups of
+ * one.  members holds room for capacity (node, label) pairs and groups for
+ * capacity / 2 + 1 offsets.  Returns the number of communities, -1, or -2
+ * if the nodes keep more than capacity labels.  Scratch: 12 n + 4 m + 24
+ * bytes, plus 20 bytes per unit of capacity. */
 int64_t cover(int64_t n, const int64_t *indptr, const int32_t *mem, int64_t m,
               double threshold, int64_t capacity, int64_t *groups, int32_t *members) {
     int32_t *count = calloc(n, sizeof *count), *touched = malloc(m * sizeof *touched);
@@ -158,4 +245,154 @@ int64_t cover(int64_t n, const int64_t *indptr, const int32_t *mem, int64_t m,
     free(grouped);
     free(group);
     return status ? status : written;
+}
+
+/* The one co-occurrence counter, for row i of the CSR (indptr, cols) and
+ * its transpose (t_indptr, t_cols), each row ascending: the rows j > i
+ * that share a column with i go to touched[0 .. returned), in ascending
+ * order if sort is set, and count[j] to the number of columns they share.  count is zero
+ * on entry, and the caller zeroes it again for each touched j.  Each
+ * column's rows j > i are found by a binary search of the column. */
+static int64_t row_pairs(int64_t i, const int32_t *indptr, const int32_t *cols,
+                         const int32_t *t_indptr, const int32_t *t_cols,
+                         int32_t *count, int32_t *touched, int sort) {
+    int64_t k = 0;
+    for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
+        int64_t lo = t_indptr[cols[p]], hi = t_indptr[cols[p] + 1], end = hi;
+        while (lo < hi) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (t_cols[mid] <= i) lo = mid + 1;
+            else hi = mid;
+        }
+        for (int64_t q = lo; q < end; q++)
+            if (count[t_cols[q]]++ == 0) touched[k++] = t_cols[q];
+    }
+    if (sort) qsort(touched, (size_t)k, sizeof *touched, ascending);
+    return k;
+}
+
+/* pair_counts: the pair keys i * l + j (i < j) of the l rows of the CSR
+ * (indptr, cols) that share a column, ascending, and the number of columns
+ * each pair shares; (t_indptr, t_cols) is the transpose, and both list each
+ * row's entries in ascending order.  With keys NULL, only counts the pairs;
+ * otherwise writes them to keys and counts, which hold capacity entries.
+ * Returns the number of pairs, -1, or -2.  Scratch: 8 l + 8 bytes. */
+int64_t pair_counts(int64_t l, const int32_t *indptr, const int32_t *cols,
+                    const int32_t *t_indptr, const int32_t *t_cols,
+                    int64_t capacity, int64_t *keys, int64_t *counts) {
+    int32_t *count = calloc(l + 1, sizeof *count), *touched = malloc((l + 1) * sizeof *touched);
+    int64_t total = count && touched ? 0 : -1;
+    for (int64_t i = 0; i < l && total >= 0; i++) {
+        int64_t k = row_pairs(i, indptr, cols, t_indptr, t_cols, count, touched, keys != NULL);
+        if (keys && total + k > capacity) {
+            total = -2;
+            break;
+        }
+        for (int64_t t = 0; t < k; t++) {
+            if (keys) {
+                keys[total + t] = i * l + touched[t];
+                counts[total + t] = count[touched[t]];
+            }
+            count[touched[t]] = 0;
+        }
+        total += k;
+    }
+    free(count);
+    free(touched);
+    return total;
+}
+
+/* fold: one run's cover, k communities of the nodes groups[c] ..
+ * groups[c + 1] in members (each ascending, in [0, l)), folded into the
+ * consensus matrix of the given ascending keys and values.  Communities of
+ * fewer than two nodes are ignored.  Each node's row lists its communities
+ * in ascending order; row_pairs counts the communities inter a pair (i, j)
+ * shares, and the pair scores inter / (|X| + |Y| - inter) with
+ * |X| and |Y| the lengths of the two rows.  Merges in one pass into
+ * out_keys and out_values, which hold capacity entries: a key already in
+ * the matrix gets its value + score, a new key the score.  Returns the
+ * number of merged entries, -1, or -2.  Scratch: 16 l + 4 k + 24 bytes,
+ * plus 4 bytes per member. */
+int64_t fold(int64_t l, int64_t k, const int64_t *groups, const int32_t *members,
+             int64_t entries, const int64_t *keys, const double *values,
+             int64_t capacity, int64_t *out_keys, double *out_values) {
+    int32_t *indptr = calloc(l + 1, sizeof *indptr), *fill = malloc((l + 1) * sizeof *fill);
+    int32_t *t_indptr = malloc((k + 1) * sizeof *t_indptr);
+    int32_t *cols = malloc((groups[k] + 1) * sizeof *cols);
+    int32_t *count = calloc(l + 1, sizeof *count), *touched = malloc((l + 1) * sizeof *touched);
+    int64_t written = indptr && fill && t_indptr && cols && count && touched ? 0 : -1;
+    /* The node rows, by a counting sort of the members of each community of
+     * two or more. */
+    for (int64_t c = 0; c <= k && written >= 0; c++) t_indptr[c] = (int32_t)groups[c];
+    for (int64_t c = 0; c < k && written >= 0; c++)
+        if (groups[c + 1] - groups[c] >= 2)
+            for (int64_t p = groups[c]; p < groups[c + 1]; p++) indptr[members[p] + 1]++;
+    for (int64_t u = 0; u < l && written >= 0; u++) indptr[u + 1] += indptr[u];
+    if (written >= 0) memcpy(fill, indptr, (l + 1) * sizeof *fill);
+    for (int64_t c = 0; c < k && written >= 0; c++)
+        if (groups[c + 1] - groups[c] >= 2)
+            for (int64_t p = groups[c]; p < groups[c + 1]; p++)
+                cols[fill[members[p]]++] = (int32_t)c;
+    int64_t e = 0;
+    for (int64_t i = 0; i < l && written >= 0; i++) {
+        if (indptr[i + 1] == indptr[i]) continue;
+        int64_t pairs = row_pairs(i, indptr, cols, t_indptr, members, count, touched, 1);
+        int64_t size = indptr[i + 1] - indptr[i];
+        for (int64_t t = 0; t < pairs; t++) {
+            int64_t j = touched[t], key = i * l + j, inter = count[j];
+            double score = (double)inter / (double)(size + indptr[j + 1] - indptr[j] - inter);
+            count[j] = 0;
+            while (e < entries && keys[e] < key && written < capacity) {
+                out_keys[written] = keys[e];
+                out_values[written++] = values[e++];
+            }
+            if (written == capacity) {
+                written = -2;
+                break;
+            }
+            out_keys[written] = key;
+            out_values[written++] = e < entries && keys[e] == key ? values[e++] + score : score;
+        }
+    }
+    if (written >= 0 && written + entries - e > capacity) written = -2;
+    if (written >= 0) {
+        memcpy(out_keys + written, keys + e, (entries - e) * sizeof *out_keys);
+        memcpy(out_values + written, values + e, (entries - e) * sizeof *out_values);
+        written += entries - e;
+    }
+    free(indptr);
+    free(fill);
+    free(t_indptr);
+    free(cols);
+    free(count);
+    free(touched);
+    return written;
+}
+
+/* pair_rows: the pair-file rows a<TAB>b<TAB>text of row r in 0 .. rows,
+ * with a the bytes ids[id_ends[i[r]] .. id_ends[i[r] + 1]) (id_ends[0] is
+ * 0), b likewise for j[r], and text the bytes texts[text_ends[which[r]] ..
+ * text_ends[which[r] + 1]).  The caller checks that the indices are in
+ * range.  Writes to out, which holds capacity bytes.  Returns the bytes
+ * written, or -2.  No scratch. */
+int64_t pair_rows(int64_t rows, const int64_t *i, const int64_t *j, const int64_t *which,
+                  const char *ids, const int64_t *id_ends, const char *texts,
+                  const int64_t *text_ends, int64_t capacity, char *out) {
+    int64_t written = 0;
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t a = id_ends[i[r]], la = id_ends[i[r] + 1] - a;
+        int64_t b = id_ends[j[r]], lb = id_ends[j[r] + 1] - b;
+        int64_t t = text_ends[which[r]], lt = text_ends[which[r] + 1] - t;
+        if (written + la + lb + lt + 3 > capacity) return -2;
+        memcpy(out + written, ids + a, la);
+        written += la;
+        out[written++] = '\t';
+        memcpy(out + written, ids + b, lb);
+        written += lb;
+        out[written++] = '\t';
+        memcpy(out + written, texts + t, lt);
+        written += lt;
+        out[written++] = '\n';
+    }
+    return written;
 }

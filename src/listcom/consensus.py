@@ -6,15 +6,19 @@ community-label sets the run assigned to the two nodes.  The matrix is a
 pair of arrays: sorted ``int64`` pair keys ``i * l + j`` (i < j, positions in
 the sorted node order) and their ``float64`` scores.  Each run is a
 :class:`~listcom.detect.Cover` over that same order, so its member positions
-are the matrix positions.  A run's co-assigned pairs are counted like the
-list graph's shared users, by :func:`~listcom.listgraph.pair_counts`: the
-node-major rows (each node's communities of two or more, ascending) with the
-cover as their transpose, so ``inter`` is the number of communities a pair
-shares, ``|X|`` the length of a node's row, and the score
-inter / (|X| + |Y| - inter).  Runs are folded into the matrix one at a time
-in ascending run order, so the floating-point result is a pure function of
-the runs' covers.  A detector at the ``detector=`` seam returns a cover
-over the graph's node order.  The normalised matrix is thresholded
+are the matrix positions.  :func:`accumulate` folds one run with one call
+of the kernel's ``fold`` (``_slpa.c``, loaded by :mod:`listcom.kernel`).
+It builds the node-major rows (each node's communities of two or more,
+ascending) and counts a run's co-assigned pairs with the same C counter as
+:func:`~listcom.listgraph.pair_counts`, with the cover as the rows'
+transpose: ``inter`` is the number of communities a pair shares, ``|X|``
+the length of a node's row, and the score inter / (|X| + |Y| - inter), in
+doubles.  The counter yields the pairs in ascending key order, so they
+merge into the sorted matrix in one pass: a key already there gets
+``old + score``, a new key ``score``.  Runs are folded into the matrix one
+at a time in ascending run order, so the floating-point result is a pure
+function of the runs' covers.  A detector at the ``detector=`` seam returns
+a cover over the graph's node order.  The normalised matrix is thresholded
 into a consensus graph (a mask over the keys) on which a thorough detection
 pass produces the final cover.
 """
@@ -25,12 +29,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import kernel
 from .atomic import atomic_write
 from .detect import (Cover, DetectorConfig, detect, detect_runs,
                      filter_singletons, node_positions)
 from .errors import ParseError, ValidationError
-from .listgraph import (ListGraph, pair_counts, pair_text, read_pair_rows,
-                        write_pair_rows)
+from .listgraph import ListGraph, pair_text, read_pair_rows, write_pair_rows
 from .seeds import STREAM_CONSENSUS, derive_seed
 
 if TYPE_CHECKING:  # pipeline imports this module
@@ -89,42 +93,39 @@ def label_jaccard(labels_x, labels_y) -> float:
     return len(x & y) / union
 
 
-def _pair_scores(cover: Cover, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """One run's pair keys (ascending) and Jaccard scores of the two nodes'
-    community-label sets, for a cover over an ``l``-node order.
-
-    With ``inter`` the number of communities holding both nodes and ``|X|``
-    the number holding one, the score is inter / (|X| + |Y| - inter); only
-    co-assigned pairs have ``inter > 0``.  Singleton communities are
-    ignored.
-    """
-    cover = filter_singletons(cover)
-    by_node = np.argsort(cover.members, kind="stable")
-    labels = np.repeat(np.arange(len(cover)), cover.sizes())[by_node]
-    indptr = np.zeros(l + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cover.members, minlength=l), out=indptr[1:])
-    keys, inter = pair_counts(indptr, labels, cover.indptr, cover.members)
-    sizes = np.diff(indptr)
-    i, j = np.divmod(keys, l)
-    return keys, inter / (sizes[i] + sizes[j] - inter)
-
-
 def accumulate(matrix: ConsensusMatrix, base: Cover) -> ConsensusMatrix:
     """Add one cover's pairwise Jaccard scores into the matrix (in place).
 
     The cover must be over the matrix order.  Each score is added to the
     key's running value, so folding runs in run order gives the same
-    doubles as summing them one run at a time."""
+    doubles as summing them one run at a time.  The kernel merges into
+    arrays with room for every pair the cover's communities of two or more
+    could hold, at most C(l, 2), which are then cut to the merged size."""
     if base.nodes is not matrix.order and base.nodes != matrix.order:
         raise ValidationError("cover and matrix node orders differ")
-    keys, scores = _pair_scores(base, len(matrix.order))
-    pos = np.searchsorted(matrix.keys, keys)
-    found = pos < len(matrix.keys)
-    found[found] = matrix.keys[pos[found]] == keys[found]
-    matrix.values[pos[found]] += scores[found]
-    new = ~found
-    matrix.keys = np.insert(matrix.keys, pos[new], keys[new])
-    matrix.values = np.insert(matrix.values, pos[new], scores[new])
+    l = len(matrix.order)
+    groups = np.ascontiguousarray(base.indptr, dtype=np.int64)
+    members = np.ascontiguousarray(base.members, dtype=np.int32)
+    if (len(groups) < 1 or groups[0] != 0 or groups[-1] != len(members)
+            or np.any(np.diff(groups) < 0)
+            or (len(members) and not (members.min() >= 0 and members.max() < l))):
+        raise ValidationError("a cover must hold node positions in its order")
+    sizes = np.diff(groups)
+    # Below 2**31 members, the sum of C(size, 2) stays below 2**61.
+    room = min(int(np.sum(sizes * (sizes - 1) // 2)), l * (l - 1) // 2)
+    keys = np.ascontiguousarray(matrix.keys, dtype=np.int64)
+    values = np.ascontiguousarray(matrix.values, dtype=np.float64)
+    capacity = len(keys) + room
+    merged_keys = np.empty(capacity, dtype=np.int64)
+    merged_values = np.empty(capacity, dtype=np.float64)
+    merged = kernel.checked(kernel.load().fold(
+        l, len(groups) - 1, groups.ctypes.data, members.ctypes.data, len(keys),
+        keys.ctypes.data, values.ctypes.data, capacity, merged_keys.ctypes.data,
+        merged_values.ctypes.data), "the fold")
+    # Shrinks in place: neither array is referenced elsewhere yet.
+    merged_keys.resize(merged, refcheck=False)
+    merged_values.resize(merged, refcheck=False)
+    matrix.keys, matrix.values = merged_keys, merged_values
     return matrix
 
 

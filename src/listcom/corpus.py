@@ -8,6 +8,8 @@ File formats (all UTF-8, no headers unless noted):
 * ``groundtruth.tsv`` -- ``category<TAB>user_id`` per line.
 
 Identifiers are opaque case-sensitive strings; no normalisation is applied.
+An id holds no tab, line feed or carriage return: the pair files and the
+node list write ids as fields of tab-separated lines.
 A loaded corpus is the list x user incidence in compressed sparse row form
 over sorted ids, with its transpose; strings remain only in the id tuples
 and the list metadata.  It is immutable and safe to share across threads.
@@ -56,7 +58,9 @@ class MembershipCorpus:
         records: Iterable[ListRecord],
         memberships: Mapping[str, Collection[str]],
     ) -> "MembershipCorpus":
-        """Assemble a corpus, synthesising empty metadata for unknown list ids."""
+        """Assemble a corpus, synthesising empty metadata for unknown list ids.
+        An empty id, a repeated metadata id, or an id with a tab or line
+        break raises :class:`ValidationError`."""
         lists: dict[str, ListRecord] = {}
         for rec in records:
             if not rec.id:
@@ -68,6 +72,10 @@ class MembershipCorpus:
             lists.setdefault(lid, ListRecord(lid, "", ""))
         list_ids = tuple(sorted(lists))
         user_ids = tuple(sorted(set().union(*memberships.values())))
+        for kind, ids in (("list", list_ids), ("user", user_ids)):
+            if _has_separator("".join(ids)):
+                bad = next(i for i in ids if _has_separator(i))
+                raise ValidationError(f"{kind} id {bad!r} holds a tab or line break")
         position = {uid: u for u, uid in enumerate(user_ids)}
         n = len(user_ids)
         keys = np.sort(np.fromiter(
@@ -92,6 +100,11 @@ class GroundTruth:
     """External categories: category name -> set of user ids."""
 
     categories: dict[str, frozenset[str]]
+
+
+def _has_separator(text: str) -> bool:
+    """Whether ``text`` holds a tab, line feed or carriage return."""
+    return "\t" in text or "\n" in text or "\r" in text
 
 
 def _read_lines(path) -> list[str]:
@@ -141,6 +154,9 @@ def load_corpus(memberships_path, lists_path) -> MembershipCorpus:
             )
         if not all(isinstance(obj[k], str) for k in _LIST_KEYS):
             raise ParseError(f"{lists_path}:{lineno}: all values must be strings")
+        if _has_separator(obj["id"]):
+            raise ValidationError(
+                f"{lists_path}:{lineno}: list id {obj['id']!r} holds a tab or line break")
         records.append(ListRecord(obj["id"], obj["name"], obj["description"]))
 
     memberships: dict[str, list[str]] = {}

@@ -24,19 +24,29 @@ sequential stream.  In iteration ``it`` of the run with seed ``s``:
   current memory length: ``it + 1`` if it was visited earlier in this
   iteration, ``it`` otherwise.
 
-A run is one call of the C function ``slpa`` (``_slpa.c``): the
-asynchronous SLPA of Xie, Szymanski and Liu (2011), one node at a time in
-visit order.  Each label's vote is its edge weights summed from 0.0 in CSR
-order in a dense per-label accumulator; the highest vote wins, and a tie,
-all-zero votes included, goes to the lowest label.  Labels are node
-positions and memories ``int32`` rows of ``iterations + 1`` labels.  A
-malformed array would crash the kernel, so :func:`detect_runs` checks the
-CSR arrays first and raises :class:`ValidationError`.  The kernel takes the
-arrays as their data addresses, ``array.ctypes.data``, rather than as
-``ndpointer`` arguments, each of which goes through ``ctypes.cast`` and
-leaves a reference cycle for the cyclic garbage collector.  The dtype,
-ndim and C order that ``ndpointer`` checked are checked for the graph's
-arrays by the same check and hold for the buffers by their allocation.
+A run is one call of the C function ``slpa`` (``_slpa.c``, loaded by
+:mod:`listcom.kernel`): the asynchronous SLPA of Xie, Szymanski and Liu
+(2011), one node at a time in visit order.  Each label's vote is its edge
+weights summed from 0.0 in CSR order in a dense per-label accumulator; the
+highest vote wins, and a tie, all-zero votes included, goes to the lowest
+label.  Labels are node positions and memories ``int32`` rows of
+``iterations + 1`` labels.  A malformed array would crash the kernel, so
+:func:`detect_runs` checks the CSR arrays' dtypes, shapes and ranges first,
+and the kernel's ``components`` checks, in one pass over the edges, that
+the graph is simple and undirected as a :class:`ListGraph` promises: each
+row strictly ascending, without the node itself, and every edge in both
+rows.  Either raises :class:`ValidationError`; the buffers hold their dtype
+and C order by their allocation.
+
+A run walks one connected component at a time, through all its
+iterations, before the next.  :func:`detect_runs` labels the components
+with edges once per call, with the kernel's ``components``, and every run
+reuses them.  The walk cannot change a result: two components never
+exchange labels, and every draw is keyed by global positions, the visit
+key by the node and the slot by the CSR position.  So within a component
+the nodes go in the same (key, node) order as in a walk over the whole
+graph, each reads the same memory slots, and every memory row is the same,
+bit for bit.  The walk's sorts are smaller and its rows stay in cache.
 
 A detection has three settings, a :class:`DetectorConfig`: its iterations,
 its overlap threshold and its seed.  There are no detector modes: the
@@ -44,30 +54,20 @@ ensemble's fast runs and the thorough pass differ only in the iterations
 that :class:`~listcom.pipeline.PipelineConfig` gives each.
 
 :func:`detect_runs` gives each run whole to one thread, which then makes
-the run's cover with the kernel's second function, ``cover``, so the calling
-thread receives finished covers.  ``ctypes`` releases the interpreter lock
-during both calls.  It uses ``min(WORKERS, runs, runs * positions //
+the run's cover with the kernel's ``cover``, so the calling thread receives
+finished covers.  ``ctypes`` releases the interpreter lock during both
+calls.  It uses ``min(WORKERS, runs, runs * positions //
 THREAD_POSITIONS)`` threads, one at least, where ``WORKERS`` is the number
 of usable cores (the affinity mask) and ``positions`` the graph's CSR
 positions, so small graphs and the single thorough run keep to one, which
 runs inline on the calling thread without a pool.  Each thread owns one
 memory and one cover buffer, allocated on the calling thread and reused for
 all its runs, so memory does not grow with the number of runs.  Threads
-share only the CSR arrays, which the kernel only reads, so no result depends
-on the number of threads or their schedule.  If a run raises, the other
-threads stop before their next run, the caller re-raises it, and no thread
-outlives the call.
-
-The kernel is compiled on first use, never at import, with ``cc -O2 -shared
--fPIC`` into ``$XDG_CACHE_HOME/listcom``, else ``~/.cache/listcom``,
-created with mode 0700: never a shared temporary directory, where another
-user could plant the library.  The file name holds the sha256 of the source
-and ``sysconfig.get_platform()``, so an edited source or another platform
-builds anew, and the library is renamed into place from a temporary
-directory beside it, so no process loads a partial file.  A build then
-removes the libraries of earlier sources for the same platform.  There is no
-fallback: a missing compiler or a failed build raises a ``RuntimeError``
-naming the command, and ``listcom`` exits 4.
+share only the CSR arrays and the components, which the kernel only reads,
+so no result depends on the number of threads or their schedule.  Threads
+take whole runs, so the single run of the thorough pass has one.  If a run
+raises, the other threads stop before their next run, the caller re-raises
+it, and no thread outlives the call.
 
 A run's result is a :class:`Cover`: the sorted node order plus ``indptr``
 and ``int32`` ``members`` arrays holding each community's node positions in
@@ -93,19 +93,17 @@ slotted in without touching the aggregation machinery.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
 import os
-import sys
 import threading
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from . import kernel
 from .atomic import atomic_write
 from .errors import ValidationError
 from .listgraph import ListGraph
@@ -114,8 +112,6 @@ from .listgraph import ListGraph
 # about 2.8e3 positions) two threads took 0.031-0.037 s against 0.029-0.031 s
 # for one, on a 2-core host.
 THREAD_POSITIONS = 1 << 18
-KERNEL_SOURCE = Path(__file__).with_name("_slpa.c")
-COMPILER = ("cc", "-O2", "-shared", "-fPIC")
 _MASK64 = (1 << 64) - 1
 
 
@@ -258,7 +254,9 @@ def detect_runs(graph: ListGraph, config: DetectorConfig,
     seeds = [int(s) & _MASK64 for s in seeds]
     if not np.any(np.diff(graph.indptr) > 0):
         return [Cover.from_groups(graph.nodes, [], [])] * len(seeds)
-    run = functools.partial(_run, _kernel(), csr, graph.nodes, config.overlap_threshold)
+    lib = kernel.load()
+    run = functools.partial(_run, lib, csr, _components(lib, csr), graph.nodes,
+                            config.overlap_threshold)
     threads = max(1, min(WORKERS, len(seeds),
                          len(seeds) * len(graph.indices) // THREAD_POSITIONS))
     # Each thread's buffers are allocated on the calling thread: memory that
@@ -329,96 +327,48 @@ def _buffers(n: int, m: int, overlap_threshold: float):
             np.empty(pairs, dtype=np.int32))
 
 
-def _run(kernel, csr, nodes, overlap_threshold, buffers, seed: int) -> Cover:
-    """The cover of the run with ``seed``: its memories fill the memory of
-    ``buffers``, and :func:`_cover` makes the cover from them."""
+def _components(lib, csr):
+    """``(starts, nodes)``: the connected components of the nodes with a
+    neighbour, component ``c`` being ``nodes[starts[c]:starts[c + 1]]``,
+    ascending, from the kernel's ``components``; raises
+    :class:`ValidationError` for a graph that is not simple and undirected."""
+    indptr, indices, _ = csr
+    n = len(indptr) - 1
+    starts = np.empty(n + 1, dtype=np.int64)
+    nodes = np.empty(n, dtype=np.int32)
+    parts = lib.components(n, indptr.ctypes.data, indices.ctypes.data,
+                           starts.ctypes.data, nodes.ctypes.data)
+    if parts == -3:
+        raise ValidationError("graph indices must list each row's neighbours once, "
+                              "ascending, without the node itself, and every edge "
+                              "in both rows")
+    kernel.checked(parts, "the components")
+    return starts[:parts + 1], nodes
+
+
+def _run(lib, csr, parts, nodes, overlap_threshold, buffers, seed: int) -> Cover:
+    """The cover of the run with ``seed`` over the components ``parts``:
+    its memories fill the memory of ``buffers``, and :func:`_cover` makes
+    the cover from them."""
     mem = buffers[0]
-    if kernel.slpa(mem.shape[0], *(a.ctypes.data for a in csr), seed,
-                   mem.shape[1] - 1, mem.ctypes.data):
-        raise MemoryError("the detection kernel could not allocate its scratch arrays")
-    return _cover(kernel, nodes, csr[0], overlap_threshold, *buffers)
+    starts, members = parts
+    kernel.checked(lib.slpa(mem.shape[0], *(a.ctypes.data for a in csr), seed,
+                            mem.shape[1] - 1, len(starts) - 1, starts.ctypes.data,
+                            members.ctypes.data, mem.ctypes.data), "a detection")
+    return _cover(lib, nodes, csr[0], overlap_threshold, *buffers)
 
 
-def _cover(kernel, nodes, indptr, overlap_threshold, mem, groups, members) -> Cover:
+def _cover(lib, nodes, indptr, overlap_threshold, mem, groups, members) -> Cover:
     """The kernel's cover of the memory rows ``mem`` of the nodes with a
     neighbour in ``indptr``, made in ``groups`` and ``members`` and copied
     out."""
     # k kept (node, label) pairs fill k members and at most k // 2 + 1 offsets.
     capacity = min(len(members), 2 * len(groups) - 1)
-    k = kernel.cover(len(nodes), indptr.ctypes.data, mem.ctypes.data, mem.shape[1],
-                     overlap_threshold, capacity, groups.ctypes.data, members.ctypes.data)
-    if k == -2:
-        raise RuntimeError(f"the memories keep more than {capacity} labels")
-    if k < 0:
-        raise MemoryError("the detection kernel could not allocate its scratch arrays")
+    k = kernel.checked(lib.cover(len(nodes), indptr.ctypes.data, mem.ctypes.data,
+                                 mem.shape[1], overlap_threshold, capacity,
+                                 groups.ctypes.data, members.ctypes.data),
+                       f"a cover of {capacity} kept labels")
     return Cover(nodes, groups[:k + 1].copy(), members[:groups[k]].copy())
-
-
-@functools.cache
-def _kernel():
-    """The kernel library, with its ``slpa`` and ``cover`` functions typed;
-    the first use on a machine compiles it into the cache."""
-    # Imported here: they would add to the import time of every command.
-    import ctypes
-    import sysconfig
-    try:  # CPython's own sha256: hashlib loads OpenSSL, 4 MB more resident
-        if sys.version_info >= (3, 12):
-            from _sha2 import sha256
-        else:
-            from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-
-    cache = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(cache):
-        cache = os.path.join(os.path.expanduser("~"), ".cache")
-    folder = os.path.join(cache, "listcom")
-    name = (f"_slpa-{sha256(KERNEL_SOURCE.read_bytes()).hexdigest()}"
-            f"-{sysconfig.get_platform()}.so")
-    path = os.path.join(folder, name)
-    try:
-        if not os.path.exists(path):
-            _build(folder, name)
-        kernel = ctypes.CDLL(path)
-    except OSError as exc:
-        raise RuntimeError(f"cannot build or load the detection kernel "
-                           f"`{' '.join(COMPILER)} -o {path} {KERNEL_SOURCE}`: "
-                           f"{exc}") from exc
-    # Arrays are passed as their addresses; see the module docstring.
-    array = ctypes.c_void_p
-    kernel.slpa.argtypes = [ctypes.c_int64, array, array, array,
-                            ctypes.c_uint64, ctypes.c_int64, array]
-    kernel.slpa.restype = ctypes.c_int
-    kernel.cover.argtypes = [ctypes.c_int64, array, array, ctypes.c_int64,
-                             ctypes.c_double, ctypes.c_int64, array, array]
-    kernel.cover.restype = ctypes.c_int64
-    return kernel
-
-
-def _build(folder: str, name: str) -> None:
-    """Compile the kernel into ``folder`` as ``name`` through a temporary
-    directory beside it, then remove the other libraries of its platform
-    there, built from earlier sources.  A failed build raises ``OSError``."""
-    import subprocess
-    import tempfile
-
-    path = os.path.join(folder, name)
-    os.makedirs(folder, mode=0o700, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=folder) as tmp:
-        built = os.path.join(tmp, "_slpa.so")
-        try:
-            subprocess.run([*COMPILER, "-o", built, str(KERNEL_SOURCE)], check=True,
-                           capture_output=True, text=True)
-        except subprocess.CalledProcessError as exc:
-            raise OSError(exc.stderr.strip()) from exc
-        os.replace(built, path)
-    # Same length, prefix and suffix: another hash of this platform.
-    platform = name[name.index("-", len("_slpa-")):]
-    for other in os.listdir(folder):
-        if (other != name and len(other) == len(name) and other.startswith("_slpa-")
-                and other.endswith(platform)):
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(folder, other))
 
 
 def filter_singletons(cover: Cover) -> Cover:

@@ -9,12 +9,14 @@ tail), so weights stay finite and accurate far past the point where the
 probability itself underflows a double.
 
 Candidate pairs are enumerated through shared users, never over all l^2
-list pairs: :func:`pair_counts` takes list i to its users in the corpus
-rows, then to their lists j > i in the transpose, counted in blocks of about
-``PAIR_BLOCK`` pair instances.  It is the package's one co-occurrence
-counter: the consensus fold counts the communities two nodes share with it.
-Stability walks the consensus matrix's rows in blocks of the same size.
-Each distinct (size, size, overlap) triple is weighted once.
+list pairs: :func:`pair_counts` calls the kernel's counter (``_slpa.c``,
+loaded by :mod:`listcom.kernel`), which takes list i to its users in the
+corpus rows, then to their lists j > i in the transpose, and counts them in
+a dense per-row counter, one row at a time (Gustavson's method).  It counts
+the pairs first, then fills exact-size outputs, with O(l) scratch.  It is
+the package's one co-occurrence counter: the consensus fold counts the
+communities two nodes share with the same C function.  Each distinct
+(size, size, overlap) triple is weighted once.
 Lists whose every edge falls below the ``rho`` cutoff remain in the graph as
 isolated nodes.
 
@@ -26,7 +28,11 @@ ascending order and every edge stored in both rows.  It is built once, by
 one stable sort by row.  List ids reappear only in the pair files of the
 graph and the consensus matrix, ``a<TAB>b<TAB>value`` rows (6 decimals,
 lexicographic pairs) with one codec: :func:`pair_text` formats each distinct
-value once, and :func:`read_pair_rows` reads with ``path:line`` errors.
+value once, :func:`write_pair_rows` joins the rows in the kernel, a block of
+``TEXT_BLOCK`` rows at a time, and :func:`read_pair_rows` reads with
+``path:line`` errors.  Ids hold no tab or line break
+(:class:`~listcom.corpus.MembershipCorpus` refuses them), so a row's
+fields are its ids.
 """
 from __future__ import annotations
 
@@ -35,13 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .atomic import atomic_write
 from .corpus import MembershipCorpus
 from .errors import ParseError, ValidationError
 
 _LN10 = math.log(10.0)
 TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
-PAIR_BLOCK = 1 << 18  # pair instances in one block of pair_counts or the stability walk
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,26 +204,38 @@ def pair_counts(indptr, cols, t_indptr, t_cols) -> tuple[np.ndarray, np.ndarray]
     """Ascending pair keys ``i*l+j`` with i<j of the ``l`` rows of the CSR
     (``indptr``, ``cols``) that share a column, and the number they share.
     (``t_indptr``, ``t_cols``) is its transpose; both list each row's
-    entries in ascending order.  Row i reaches its columns, then their
-    rows j > i in the transpose, in blocks of about ``PAIR_BLOCK`` pair
-    instances.  A block of rows holds every instance of its keys, so the
-    blocks join in order and memory follows the block."""
+    entries in ascending order.  The kernel counts the pairs, then fills
+    ``int64`` arrays of that size.  ``int32`` arrays, such as the corpus's,
+    go to it as they are.  Arrays that do not index each other raise
+    :class:`ValidationError`: the kernel does not check them."""
     l = len(indptr) - 1
-    start = np.empty(len(cols), dtype=np.int64)
-    start[np.argsort(cols, kind="stable")] = np.arange(1, len(start) + 1)
-    later = t_indptr[cols + 1] - start
-    done = np.concatenate(([0], np.cumsum(later)))[indptr]
-    blocks = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
-    a = 0
-    while a < l:
-        b = max(a + 1, int(np.searchsorted(done, done[a] + PAIR_BLOCK, "right")) - 1)
-        take = later[indptr[a]:indptr[b]]
-        first = start[indptr[a]:indptr[b]] - np.cumsum(take) + take
-        pair = np.repeat(np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1])), take) * l
-        pair += t_cols[np.repeat(first, take) + np.arange(len(pair))]
-        blocks.append(np.unique(pair, return_counts=True))
-        a = b
-    return tuple(np.concatenate(part) for part in zip(*blocks))
+    arrays = [*_int32_rows(indptr, cols, len(t_indptr) - 1),
+              *_int32_rows(t_indptr, t_cols, l)]
+    lib = kernel.load()
+    addresses = [a.ctypes.data for a in arrays]
+    total = kernel.checked(lib.pair_counts(l, *addresses, 0, None, None), "pair counts")
+    keys = np.empty(total, dtype=np.int64)
+    counts = np.empty(total, dtype=np.int64)
+    kernel.checked(lib.pair_counts(l, *addresses, total, keys.ctypes.data,
+                                   counts.ctypes.data), "pair counts")
+    return keys, counts
+
+
+def _int32_rows(indptr, cols, width) -> list[np.ndarray]:
+    """``indptr`` and ``cols`` as C-contiguous ``int32`` arrays once they
+    are integer arrays of row offsets from 0 to ``len(cols)`` and columns in
+    ``[0, width)``; raises :class:`ValidationError` otherwise."""
+    indptr, cols = np.asarray(indptr), np.asarray(cols)
+    if not (indptr.ndim == cols.ndim == 1 and len(indptr) and len(cols) < 2**31
+            and width < 2**31 and np.issubdtype(indptr.dtype, np.integer)
+            and np.issubdtype(cols.dtype, np.integer)):
+        raise ValidationError("pair counts need 1-d integer rows of fewer than "
+                              "2**31 entries")
+    if (indptr[0] != 0 or indptr[-1] != len(cols) or np.any(indptr[1:] < indptr[:-1])
+            or len(cols) and not (cols.min() >= 0 and cols.max() < width)):
+        raise ValidationError("pair counts need row offsets from 0 to the number "
+                              "of columns, each column indexing the other side")
+    return [np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, cols)]
 
 
 def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
@@ -259,12 +277,30 @@ def pair_text(values) -> tuple[list[str], np.ndarray]:
 
 def write_pair_rows(fh, nodes, i, j, text, which) -> np.ndarray:
     """Write one ``a<TAB>b<TAB>text[which[k]]`` row per node pair
-    ``(nodes[i[k]], nodes[j[k]])``, ``TEXT_BLOCK`` rows at a time; returns
-    each string of ``text`` as a reader parses it back."""
-    for start in range(0, len(which), TEXT_BLOCK):
-        block = slice(start, start + TEXT_BLOCK)
-        fh.writelines(f"{nodes[a]}\t{nodes[b]}\t{text[t]}\n" for a, b, t in
-                      zip(i[block].tolist(), j[block].tolist(), which[block].tolist()))
+    ``(nodes[i[k]], nodes[j[k]])`` to the text file ``fh``; returns each
+    string of ``text`` as a reader parses it back.  The ids are encoded to
+    UTF-8 once, and the kernel joins ``TEXT_BLOCK`` rows at a time into a
+    buffer sized for the longest id and the longest string, which is
+    decoded and written as one string."""
+    ids = [node.encode() for node in nodes]
+    values = [t.encode() for t in text]
+    rows = [np.ascontiguousarray(a, dtype=np.int64) for a in (i, j, which)]
+    for part, bound in zip(rows, (len(ids), len(ids), len(values))):
+        if len(part) != len(rows[0]) or (
+                len(part) and not (part.min() >= 0 and part.max() < bound)):
+            raise ValidationError("pair rows must index the given nodes and text")
+    blobs = [np.frombuffer(b"".join(parts), dtype=np.uint8) for parts in (ids, values)]
+    ends = [np.cumsum([0, *map(len, parts)], dtype=np.int64) for parts in (ids, values)]
+    width = 2 * max(map(len, ids), default=0) + max(map(len, values), default=0) + 3
+    buffer = np.empty(min(TEXT_BLOCK, len(rows[0])) * width, dtype=np.uint8)
+    lib = kernel.load()
+    for start in range(0, len(rows[0]), TEXT_BLOCK):
+        block = [part[start:start + TEXT_BLOCK] for part in rows]
+        size = kernel.checked(lib.pair_rows(
+            len(block[0]), *(part.ctypes.data for part in block), blobs[0].ctypes.data,
+            ends[0].ctypes.data, blobs[1].ctypes.data, ends[1].ctypes.data,
+            len(buffer), buffer.ctypes.data), "pair rows")
+        fh.write(str(buffer[:size], "utf-8"))
     return np.array(text, dtype=np.float64)
 
 

@@ -23,7 +23,7 @@ walks the matrix rows, not the C(size, 2) member pairs: for each member
 those whose other end is also in ``k`` (one ``np.searchsorted`` of
 ``k l + b`` into the ascending ``k l + member`` codes) and adds their
 scores into ``k``'s total with ``np.add.at``, in blocks of about
-``listgraph.PAIR_BLOCK`` entries.  The work follows a community's matrix
+``PAIR_BLOCK`` entries.  The work follows a community's matrix
 entries.  Entries come in key order, which is ``itertools.combinations``
 order, ``np.add.at`` adds in input order, and an absent pair would add 0.0,
 so each total is the sequential sum over all member pairs, bit for bit.
@@ -37,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import listgraph
 from .atomic import atomic_write
 from .consensus import ConsensusMatrix
 from .detect import Cover
 from .errors import ValidationError
 
 _SATURATION_EPS = 1e-9
+PAIR_BLOCK = 1 << 18  # matrix entries in one block of the row walk
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:
     pairs, absent entries counting 0; NaN for a community of fewer than two.
 
     The cover must be over the matrix order.  Each member's matrix row is
-    walked in blocks of about ``listgraph.PAIR_BLOCK`` entries, and the
+    walked in blocks of about ``PAIR_BLOCK`` entries, and the
     entries whose other end is in the same community are added in key
     order.
     """
@@ -77,7 +77,7 @@ def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:
     totals = np.zeros(len(cover))
     a = 0
     while a < len(members):
-        b = max(a + 1, int(np.searchsorted(done, done[a] + listgraph.PAIR_BLOCK,
+        b = max(a + 1, int(np.searchsorted(done, done[a] + PAIR_BLOCK,
                                            "right")) - 1)
         take = lengths[a:b]
         pos = np.repeat(starts[a:b] - done[a:b], take) + np.arange(done[a], done[b])

@@ -23,12 +23,12 @@ def workers(request, monkeypatch):
 
 @pytest.fixture
 def kernel_cache(tmp_path, monkeypatch):
-    """An empty detection-kernel cache under ``tmp_path``, with no kernel
-    loaded, so the next detection builds one there."""
-    detect_module = importlib.import_module("listcom.detect")
+    """An empty kernel cache under ``tmp_path``, with no kernel loaded, so
+    the next use builds one there."""
+    kernel = importlib.import_module("listcom.kernel")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    detect_module._kernel.cache_clear()
+    kernel.load.cache_clear()
     try:
         yield tmp_path / "cache" / "listcom"
     finally:
-        detect_module._kernel.cache_clear()
+        kernel.load.cache_clear()

@@ -2,18 +2,22 @@
 
 Plain dict-based loops that compute what the arrays compute: the corpus as
 id sets rebuilt from its arrays, list intersections counted pair by pair
-per user and each edge weighted by its own call of the tail kernel, user
+per user, or in numpy blocks of pair instances as the package counted them
+before its kernel did, each edge weighted by its own call of the tail
+kernel, user
 weights counted in a dict per list, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
 index-pair tuples, updates one node at a time in visit order with scalar
 counter-based draws and tallies votes with ``np.unique``, the cover of
 memory rows in whole-array numpy calls, covers as frozensets of ids sorted
-by the strings themselves, the per-run Jaccard table over distinct label
-sets folded into a ``{key: score}`` dict, the
+by the strings themselves, one run's pair scores from the numpy block
+counter, the per-run Jaccard table over distinct label sets folded into a
+``{key: score}`` dict, the
 per-community pair keys of those frozenset covers folded into a matrix, the
 stability sums over that dict with the expected term enumerated over every
 subset, term labels from a full sort of every scored term, and pair files
-read one line at a time into a dict and written one value at a time.  Tests
+read one line at a time into a dict and written one value, or one row, at a
+time.  Tests
 compare the package against them with ``==``, except the expected term,
 which sums in another order and must agree within 1e-12.  Helpers build
 corpora, graphs and matrices from small dicts.
@@ -25,7 +29,7 @@ import numpy as np
 
 from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.corpus import ListRecord, MembershipCorpus
-from listcom.detect import Cover, DetectorConfig
+from listcom.detect import Cover, DetectorConfig, filter_singletons
 from listcom.labeling import background_vector
 from listcom.listgraph import _LN10, ListGraph, _log_tail_batch
 from listcom.errors import ValidationError
@@ -85,6 +89,47 @@ def intersection_counts(user_index) -> dict[tuple[str, str], int]:
         for pair in combinations(sorted(lids), 2):
             counts[pair] = counts.get(pair, 0) + 1
     return counts
+
+
+def numpy_pair_counts(indptr, cols, t_indptr, t_cols, block=1 << 18):
+    """``listgraph.pair_counts`` as numpy arrays: row i reaches its columns,
+    then their rows j > i in the transpose, in blocks of about ``block``
+    pair instances, each block counted by ``np.unique``.  A block of rows
+    holds every instance of its keys, so the blocks join in order."""
+    indptr, cols, t_indptr, t_cols = (np.asarray(a, dtype=np.int64)
+                                      for a in (indptr, cols, t_indptr, t_cols))
+    l = len(indptr) - 1
+    start = np.empty(len(cols), dtype=np.int64)
+    start[np.argsort(cols, kind="stable")] = np.arange(1, len(start) + 1)
+    later = t_indptr[cols + 1] - start
+    done = np.concatenate(([0], np.cumsum(later)))[indptr]
+    blocks = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+    a = 0
+    while a < l:
+        b = max(a + 1, int(np.searchsorted(done, done[a] + block, "right")) - 1)
+        take = later[indptr[a]:indptr[b]]
+        first = start[indptr[a]:indptr[b]] - np.cumsum(take) + take
+        pair = np.repeat(np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1])), take) * l
+        pair += t_cols[np.repeat(first, take) + np.arange(len(pair))]
+        blocks.append(np.unique(pair, return_counts=True))
+        a = b
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def numpy_pair_scores(cover, l):
+    """One run's pair keys (ascending) and Jaccard scores, as the package
+    scored them before its kernel did: the node-major rows of the cover's
+    communities of two or more, built with numpy, counted by
+    :func:`numpy_pair_counts` and scored inter / (|X| + |Y| - inter)."""
+    cover = filter_singletons(cover)
+    by_node = np.argsort(cover.members, kind="stable")
+    labels = np.repeat(np.arange(len(cover)), cover.sizes())[by_node]
+    indptr = np.zeros(l + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cover.members, minlength=l), out=indptr[1:])
+    keys, inter = numpy_pair_counts(indptr, labels, cover.indptr, cover.members)
+    sizes = np.diff(indptr)
+    i, j = np.divmod(keys, l)
+    return keys, inter / (sizes[i] + sizes[j] - inter)
 
 
 def graph_edges(memberships, user_index, rho) -> dict[tuple[str, str], float]:
@@ -166,6 +211,13 @@ def pair_rows_text(rows) -> str:
     return "".join(f"{a}\t{b}\t{v:.6f}\n" for (a, b), v in sorted(rows.items()))
 
 
+def pair_rows(nodes, i, j, text, which) -> str:
+    """The rows ``listgraph.write_pair_rows`` writes, joined one f-string
+    at a time, as the package joined them before its kernel did."""
+    return "".join(f"{nodes[a]}\t{nodes[b]}\t{text[t]}\n"
+                   for a, b, t in zip(list(i), list(j), list(which)))
+
+
 def entry_map(matrix) -> dict[tuple[str, str], float]:
     """``{(a, b): score}`` with a < b for every stored matrix entry."""
     return {(a, b): v for a, b, v in matrix.items()}
@@ -184,6 +236,29 @@ def same_graph(x, y) -> bool:
             and np.array_equal(x.indptr, y.indptr)
             and np.array_equal(x.indices, y.indices)
             and x.weights.tobytes() == y.weights.tobytes())
+
+
+def component_graphs():
+    """Graphs whose components the kernel walks in turn: many small
+    components, interleaved in node order with isolated nodes; one
+    component with isolated nodes beside it; and one component alone."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    nodes = [f"c{i:03d}" for i in range(120)]
+    order = rng.permutation(len(nodes))
+    edges, at = {}, 0
+    for size in rng.integers(2, 9, size=14).tolist():
+        part = sorted(order[at:at + size].tolist())
+        at += size
+        for a, b in zip(part, part[1:]):  # a path keeps the part connected
+            edges[(nodes[a], nodes[b])] = float(rng.choice([0.5, 1.0, 2.0]))
+        for a, b in rng.choice(part, size=(size, 2)).tolist():
+            if a != b:
+                edges[(nodes[min(a, b)], nodes[max(a, b)])] = float(rng.random())
+    many = graph_from_edges(nodes, edges)
+    single = {(nodes[a], nodes[a + 1]): 1.0 for a in range(39)}
+    single.update({(nodes[min(a, b)], nodes[max(a, b)]): float(rng.random())
+                   for a, b in rng.choice(40, size=(60, 2)).tolist() if a != b})
+    return [many, graph_from_edges(nodes[:50], single), graph_from_edges(nodes[:40], single)]
 
 
 def csr_fill(nodes, edges):

@@ -16,8 +16,10 @@ from listcom.listgraph import build_list_graph
 from listcom.pipeline import PipelineConfig
 from listcom.synth import PlantedSpec, synth
 from listcom.seeds import STREAM_CONSENSUS, derive_seed
+import reference
 from reference import (FAST, community_pair_scores, edge_map, entry_map,
-                       graph_from_edges, matrix_from_pairs, same_matrix)
+                       graph_from_edges, matrix_from_pairs, numpy_pair_scores,
+                       same_matrix)
 
 
 def empty_matrix(order, r=1):
@@ -83,26 +85,92 @@ def test_accumulate_rejects_unknown_node():
         accumulate(m, Cover.from_sets(("a", "b", "c"), [{"a", "b"}]))
 
 
-def test_pair_scoring_memory_follows_the_block(monkeypatch):
+def test_pair_scoring_memory_follows_the_block():
     # 21 windows of 100 consecutive nodes out of 120: 21 * C(100, 2) =
-    # 103,950 pair instances, 25 blocks' worth, over 6,930 pairs.
-    consensus = importlib.import_module("listcom.consensus")
-    listgraph = importlib.import_module("listcom.listgraph")
-    monkeypatch.setattr(listgraph, "PAIR_BLOCK", 1 << 12)
+    # 103,950 pair instances over 6,930 pairs.  The fold's output arrays
+    # have room for at most C(120, 2) = 7,140 pairs, and its scratch (16 l
+    # + 4 k + 24 bytes plus 4 per member) is malloc'd, which tracemalloc
+    # does not see.  The bound is that of the numpy block counter at blocks
+    # of 4,096 instances.
     nodes = tuple(f"n{i:03d}" for i in range(120))
     windows = [list(range(k, k + 100)) for k in range(21)]
     cover = Cover.from_groups(nodes, [100] * 21, np.concatenate(windows))
+    matrix = ConsensusMatrix.empty(nodes, 1)
     tracemalloc.start()
     try:
-        keys, scores = consensus._pair_scores(cover, len(nodes))
+        accumulate(matrix, cover)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    keys, scores = matrix.keys, matrix.values
     want_keys, want_scores = community_pair_scores(
         [frozenset(nodes[i] for i in w) for w in windows], nodes)
     assert len(keys) == 6_930 and keys.tolist() == want_keys.tolist()
     assert scores.tolist() == want_scores.tolist()
-    assert peak <= 16 * 8 * listgraph.PAIR_BLOCK + 2 * (keys.nbytes + scores.nbytes)
+    assert peak <= 16 * 8 * (1 << 12) + 2 * (keys.nbytes + scores.nbytes)
+
+
+def random_cover(rng, nodes):
+    """A cover over ``nodes`` with singletons, empty sets, nested and
+    overlapping communities, or none at all."""
+    sets = [set(rng.choice(nodes, size=int(rng.integers(0, min(len(nodes), 9) + 1)),
+                           replace=False).tolist())
+            for _ in range(int(rng.integers(0, 7)))]
+    if sets and rng.random() < 0.5:
+        sets.append(set(list(sets[0])[:2]))  # nested in the first
+    return Cover.from_sets(nodes, sets)
+
+
+def test_accumulate_equals_the_reference_fold():
+    # Matrices whose keys lie before, between and after a run's keys, or
+    # that hold none; each fold equals the key-by-key dict fold and the
+    # numpy pair scores, keys and value bits.
+    rng = np.random.Generator(np.random.PCG64(43))
+    for trial in range(150):
+        nodes = tuple(f"n{i:02d}" for i in range(int(rng.integers(1, 30))))
+        l = len(nodes)
+        matrix = ConsensusMatrix.empty(nodes, 1)
+        if l > 1 and rng.random() < 0.8:
+            drawn = rng.choice(l, size=(int(rng.integers(1, 40)), 2)).tolist()
+            pairs = sorted({(min(p), max(p)) for p in drawn if p[0] != p[1]})
+            matrix.keys = np.array([a * l + b for a, b in pairs], dtype=np.int64)
+            matrix.values = rng.random(len(pairs))
+        folded = ConsensusMatrix(nodes, matrix.keys.copy(), matrix.values.copy(), 1)
+        for _ in range(int(rng.integers(1, 4))):
+            cover = random_cover(rng, nodes)
+            keys, scores = numpy_pair_scores(cover, l)
+            accumulate(matrix, cover)
+            reference.accumulate(folded, [frozenset(c) for c in cover])
+            assert same_matrix(matrix, folded), trial
+            assert set(keys.tolist()) <= set(matrix.keys.tolist()), trial
+        assert matrix.keys.dtype == np.int64 and matrix.values.dtype == np.float64
+
+
+def test_accumulate_refuses_a_cover_outside_its_order():
+    m = empty_matrix(["a", "b", "c"])
+    for indptr, members in (([0, 2], [0, 3]), ([0, 2], [-1, 1]), ([0, 3], [0, 1]),
+                            ([1, 2], [0, 1])):
+        bad = Cover(m.order, np.array(indptr), np.array(members, dtype=np.int32))
+        with pytest.raises(ValidationError, match="node positions"):
+            accumulate(m, bad)
+    assert len(m.keys) == 0
+
+
+def test_the_kernel_fold_refuses_a_short_output():
+    # One community of three folded into a matrix of one later key makes
+    # four entries; with room for three the kernel writes nothing past them.
+    kernel = importlib.import_module("listcom.kernel")
+    groups, members = np.array([0, 3]), np.array([0, 1, 2], dtype=np.int32)
+    keys, values = np.array([3 * 4 + 3]), np.array([0.5])
+    lib = kernel.load()
+    args = [4, 1, groups.ctypes.data, members.ctypes.data, 1, keys.ctypes.data,
+            values.ctypes.data]
+    for room in (3, 2):
+        out_keys, out_values = np.full(4, -7), np.full(4, -7.0)
+        assert lib.fold(*args, room, out_keys.ctypes.data, out_values.ctypes.data) == -2
+        assert out_keys[room] == -7 and out_values[room] == -7.0
+    assert lib.fold(*args, 4, out_keys.ctypes.data, out_values.ctypes.data) == 4
+    assert out_keys.tolist() == [1, 2, 6, 15] and out_values.tolist() == [1, 1, 1, 0.5]
 
 
 def planted_graph(noise=0.1, seed=3):

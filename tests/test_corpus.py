@@ -157,3 +157,28 @@ def test_ground_truth_duplicates_counted_once(tmp_path):
     path.write_text("judo\tu1\njudo\tu1\n", encoding="utf-8")
     truth = load_ground_truth(path)
     assert len(truth.categories["judo"]) == 1
+
+
+@pytest.mark.parametrize("bad", ["lonely\nlist", "tab\tlist", "cr\rlist"])
+def test_a_list_id_with_a_tab_or_line_break_is_refused(tmp_path, bad):
+    # graph.nodes and the pair files hold one id per tab-separated field
+    # and one row per line: such an id would split into fake nodes.
+    mpath, lpath = write_corpus_files(
+        tmp_path, [("a", "u1"), ("b", "u1")],
+        [{"id": "a", "name": "", "description": ""},
+         {"id": bad, "name": "", "description": ""}])
+    with pytest.raises(ValidationError, match=r"lists\.jsonl:2: list id .* tab or line break"):
+        load_corpus(mpath, lpath)
+
+
+@pytest.mark.parametrize("kind", ["list", "user"])
+@pytest.mark.parametrize("bad", ["x\ny", "x\ty", "x\ry"])
+def test_build_refuses_an_id_with_a_tab_or_line_break(kind, bad):
+    records = [ListRecord("a", "", "")]
+    memberships = {"a": {"u1"}, "b": {"u1", "u2"}}
+    if kind == "list":
+        records.append(ListRecord(bad, "", ""))
+    else:
+        memberships["b"].add(bad)
+    with pytest.raises(ValidationError, match=f"{kind} id .* tab or line break"):
+        MembershipCorpus.build(records, memberships)

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import json
@@ -18,8 +19,8 @@ from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
 from listcom.listgraph import ListGraph, build_list_graph
-from reference import (FAST, THOROUGH, cover_sets, edge_map, graph_from_edges,
-                       memory_cover)
+from reference import (FAST, THOROUGH, component_graphs, cover_sets, edge_map,
+                       graph_from_edges, memory_cover)
 
 
 def clique_pair_graph(bridge=0.01):
@@ -148,24 +149,49 @@ def test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits):
     for name, value in limits.items():
         # The package exports the function ``detect``, which hides the module.
         monkeypatch.setattr(importlib.import_module("listcom.detect"), name, value)
-    graph = noisy_planted_graph()
-    graph = graph_from_edges(graph.nodes + ("zz-isolated",), edge_map(graph))
+    planted = noisy_planted_graph()
+    planted = graph_from_edges(planted.nodes + ("zz-isolated",), edge_map(planted))
     seeds = [derive_seed(8, i) for i in range(6)] + [0, 2**64 - 1]
-    for cfg in (FAST, DetectorConfig(12, THOROUGH.overlap_threshold)):
-        single = [detect_runs(graph, cfg, [s])[0] for s in seeds]
-        assert single == [detect(graph, cfg.with_seed(s)) for s in seeds]
-        assert detect_runs(graph, cfg, seeds) == single
-        assert (detect_runs(graph, cfg, seeds[:3]) + detect_runs(graph, cfg, seeds[3:])
-                == single)
-        assert detect_runs(graph, cfg, seeds[::-1]) == single[::-1]
-        assert detect_runs(graph, cfg, [seeds[2]] * 3) == [single[2]] * 3
-    assert detect_runs(graph, cfg, []) == []
+    for graph in (planted, *component_graphs()):
+        for cfg in (FAST, DetectorConfig(12, THOROUGH.overlap_threshold)):
+            single = [detect_runs(graph, cfg, [s])[0] for s in seeds]
+            assert single == [detect(graph, cfg.with_seed(s)) for s in seeds]
+            assert detect_runs(graph, cfg, seeds) == single
+            assert (detect_runs(graph, cfg, seeds[:3])
+                    + detect_runs(graph, cfg, seeds[3:]) == single)
+            assert detect_runs(graph, cfg, seeds[::-1]) == single[::-1]
+            assert detect_runs(graph, cfg, [seeds[2]] * 3) == [single[2]] * 3
+        assert detect_runs(graph, cfg, []) == []
 
 
 @pytest.mark.parametrize("limits", LIMITS)
 def test_detect_runs_equals_one_run_at_a_time_on_workers(monkeypatch, limits,
                                                         workers):
     test_detect_runs_equals_one_run_at_a_time(monkeypatch, limits)
+
+
+def test_the_kernel_components_equal_a_breadth_first_search():
+    # Each component with an edge, ascending, in the order of its lowest
+    # node; isolated nodes belong to none.
+    module = importlib.import_module("listcom.detect")
+    lib = importlib.import_module("listcom.kernel").load()
+    for graph in (*component_graphs(), noisy_planted_graph(), clique_pair_graph()):
+        indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+        seen, want = set(), []
+        for u in range(len(graph.nodes)):
+            if u in seen or indptr[u] == indptr[u + 1]:
+                continue
+            part, todo = {u}, [u]
+            while todo:
+                v = todo.pop()
+                fresh = set(indices[indptr[v]:indptr[v + 1]]) - part
+                part |= fresh
+                todo.extend(fresh)
+            seen |= part
+            want.append(sorted(part))
+        starts, nodes = module._components(lib, (graph.indptr, graph.indices, graph.weights))
+        starts = starts.tolist()
+        assert [nodes[a:b].tolist() for a, b in zip(starts, starts[1:])] == want
 
 
 def test_detect_raises_no_runtime_warning():
@@ -180,25 +206,65 @@ def test_detect_raises_no_runtime_warning():
 def test_a_failing_step_stops_every_worker(monkeypatch, workers):
     # The kernel's cover of the third run to finish reports a failed
     # allocation: detect_runs raises it, every other thread stops after the
-    # run it holds, and none outlives the call.
-    module = importlib.import_module("listcom.detect")
+    # run it holds, and none outlives the call.  The other entries pass
+    # through.
+    module = importlib.import_module("listcom.kernel")
     calls = itertools.count(1)  # next() hands each thread its own number
-    kernel = module._kernel()
+    kernel = module.load()
 
     class FailingKernel:
+        components = kernel.components
         slpa = kernel.slpa
+        pair_counts = kernel.pair_counts
+        fold = kernel.fold
+        pair_rows = kernel.pair_rows
 
         @staticmethod
         def cover(*args):
             return -1 if next(calls) == 3 else kernel.cover(*args)
 
-    monkeypatch.setattr(module, "_kernel", lambda: FailingKernel)
+    monkeypatch.setattr(module, "load", lambda: FailingKernel)
     graph = noisy_planted_graph()
     before = threading.active_count()
     with pytest.raises(MemoryError, match="could not allocate"):
         detect_runs(graph, THOROUGH, range(6))
     assert threading.active_count() == before
     assert next(calls) <= 3 + workers  # at most one more run per other thread
+
+
+def kernel_calls(tmp_path):
+    """A call of the package that reaches each kernel entry."""
+    from listcom.consensus import ConsensusMatrix, accumulate
+    from listcom.listgraph import save_graph
+
+    graph = clique_pair_graph()
+    cover = Cover.from_sets(graph.nodes, [{"a0", "a1", "b0"}, {"a1", "b0"}])
+    run = functools.partial(detect_runs, graph, FAST, [1, 2])
+    return {
+        "components": run, "slpa": run, "cover": run,
+        "pair_counts": noisy_planted_graph,
+        "fold": lambda: accumulate(ConsensusMatrix.empty(graph.nodes, 1), cover),
+        "pair_rows": lambda: save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes"),
+    }
+
+
+@pytest.mark.parametrize("entry, status, error, message", [
+    *[(entry, -1, MemoryError, "could not allocate")
+      for entry in ("components", "slpa", "cover", "pair_counts", "fold")],
+    *[(entry, -2, RuntimeError, "too short")
+      for entry in ("cover", "pair_counts", "fold", "pair_rows")],
+])
+def test_a_kernel_failure_raises(monkeypatch, tmp_path, entry, status, error, message):
+    # Each entry's failed allocation becomes MemoryError, and a report of
+    # a short output buffer a RuntimeError; the other entries pass through.
+    module = importlib.import_module("listcom.kernel")
+    lib = module.load()
+    failing = type("FailingKernel", (), {
+        name: staticmethod(getattr(lib, name)) for name in kernel_calls(tmp_path)})
+    setattr(failing, entry, staticmethod(lambda *args: status))
+    monkeypatch.setattr(module, "load", lambda: failing)
+    with pytest.raises(error, match=message):
+        kernel_calls(tmp_path)[entry]()
 
 
 def test_detect_runs_holds_one_memory_per_thread(workers):
@@ -257,7 +323,7 @@ def random_memories(rng):
 
 def test_the_kernel_cover_equals_the_reference():
     module = importlib.import_module("listcom.detect")
-    kernel = module._kernel()
+    kernel = importlib.import_module("listcom.kernel").load()
     for indptr, mem, threshold in random_memories(np.random.default_rng(5)):
         n, m = mem.shape
         nodes = tuple(f"n{u:02d}" for u in range(n))
@@ -279,9 +345,10 @@ def test_the_kernel_cover_refuses_a_short_buffer():
     memory[:] = 0
     for short in ({"members": members[:4]}, {"groups": groups[:2]}):
         buffers = {"groups": groups, "members": members, **short}
-        with pytest.raises(RuntimeError, match="more than [34] labels"):
-            module._cover(module._kernel(), tuple("abcde"), np.arange(6, dtype=np.int64),
-                          0.5, memory, **buffers)
+        with pytest.raises(RuntimeError, match="cover of [34] kept labels is too short"):
+            module._cover(importlib.import_module("listcom.kernel").load(),
+                          tuple("abcde"), np.arange(6, dtype=np.int64), 0.5, memory,
+                          **buffers)
 
 
 def bad_graphs():
@@ -314,6 +381,15 @@ def bad_graphs():
         "indices negative": {"indices": with_value(indices, 4, -1)},
         "indices n": {"indices": with_value(indices, 4, n)},
         "indices strided": {"indices": np.repeat(indices, 2)[::2]},
+        # Row 0 is 1, 2, 3, 4, 5: the same neighbours out of order.
+        "indices unsorted": {"indices": with_value(indices, [0, 1], [2, 1])},
+        "indices self-loop": {"nodes": ("a",), "indptr": np.array([0, 1]),
+                              "indices": np.array([0]), "weights": np.array([1.0])},
+        "indices one-way": {"nodes": ("a", "b"), "indptr": np.array([0, 1, 1]),
+                            "indices": np.array([1]), "weights": np.array([1.0])},
+        "indices repeated": {"nodes": ("a", "b"), "indptr": np.array([0, 2, 4]),
+                             "indices": np.array([1, 1, 0, 0]),
+                             "weights": np.array([1.0, 1.0, 1.0, 1.0])},
         "weights float32": {"weights": weights.astype(np.float32)},
         "weights short": {"weights": weights[:-1]},
         "weights nan": {"weights": with_value(weights, 4, np.nan)},
@@ -339,7 +415,7 @@ def test_detect_runs_rejects_a_malformed_graph(request, graph):
 
 
 def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
-    module = importlib.import_module("listcom.detect")
+    module = importlib.import_module("listcom.kernel")
     graph = clique_pair_graph()
     cfg = THOROUGH.with_seed(4)
     assert not kernel_cache.exists()
@@ -352,13 +428,13 @@ def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
         raise subprocess.CalledProcessError(1, command, stderr="compiler broken")
 
     monkeypatch.setattr(subprocess, "run", failing_compiler)
-    module._kernel.cache_clear()
+    module.load.cache_clear()
     assert detect(graph, cfg) == built
     assert list(kernel_cache.iterdir()) == [library]
     # In an empty cache the failed build raises, naming the command, and
     # leaves nothing behind.
     monkeypatch.setenv("XDG_CACHE_HOME", str(kernel_cache / "elsewhere"))
-    module._kernel.cache_clear()
+    module.load.cache_clear()
     with pytest.raises(RuntimeError, match="cc -O2 -shared -fPIC.*compiler broken"):
         detect(graph, cfg)
     assert list((kernel_cache / "elsewhere" / "listcom").iterdir()) == []
@@ -366,7 +442,7 @@ def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
 
 def test_a_build_removes_the_libraries_of_earlier_sources(kernel_cache, monkeypatch,
                                                           tmp_path):
-    module = importlib.import_module("listcom.detect")
+    module = importlib.import_module("listcom.kernel")
     graph = clique_pair_graph()
     cfg = THOROUGH.with_seed(4)
     built = detect(graph, cfg)
@@ -380,7 +456,7 @@ def test_a_build_removes_the_libraries_of_earlier_sources(kernel_cache, monkeypa
     edited = tmp_path / "_slpa.c"
     edited.write_text(module.KERNEL_SOURCE.read_text("utf-8") + "/* edited */\n", "utf-8")
     monkeypatch.setattr(module, "KERNEL_SOURCE", edited)
-    module._kernel.cache_clear()
+    module.load.cache_clear()
     assert detect(graph, cfg) == built
     # The second source's library replaced the first; the other platforms'
     # files stay.

@@ -14,7 +14,8 @@ from listcom.listgraph import (ListGraph, build_list_graph,
                                load_graph, overlap_lpv, overlap_pvalue,
                                save_graph)
 from reference import (edge_map, graph_edges, graph_from_edges, id_sets,
-                       intersection_counts, random_corpus, same_graph)
+                       intersection_counts, numpy_pair_counts, pair_rows,
+                       pair_rows_text, random_corpus, same_graph)
 
 
 def exact_pvalue(size_x, size_y, k, n):
@@ -180,30 +181,69 @@ def test_edge_weights_match_scalar_op():
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 18])
 @pytest.mark.parametrize("seed", range(10))
-def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch):
-    # Blocks of one list, of a few pair instances and of the whole corpus.
+def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch, tmp_path):
+    # The kernel's counts equal the numpy block counter's at blocks of one
+    # list, of a few pair instances and of the whole corpus, and graph.tsv,
+    # written TEXT_BLOCK rows at a time with the same sizes, equals the
+    # reference's rows.
     listgraph = importlib.import_module("listcom.listgraph")
-    monkeypatch.setattr(listgraph, "PAIR_BLOCK", block)
+    monkeypatch.setattr(listgraph, "TEXT_BLOCK", block)
     corpus = random_corpus(np.random.Generator(np.random.PCG64(seed)))
     memberships, user_index = id_sets(corpus)
-    keys, counts = listgraph.pair_counts(corpus.indptr, corpus.users,
-                                         corpus.user_indptr, corpus.user_lists)
+    arrays = (corpus.indptr, corpus.users, corpus.user_indptr, corpus.user_lists)
+    keys, counts = listgraph.pair_counts(*arrays)
     assert np.all(np.diff(keys) > 0)
     ids, l = corpus.list_ids, len(corpus.list_ids)
     assert {(ids[k // l], ids[k % l]): c for k, c in zip(keys.tolist(), counts.tolist())
             } == intersection_counts(user_index)
+    want_keys, want_counts = numpy_pair_counts(*arrays, block=block)
+    assert keys.tolist() == want_keys.tolist() and counts.tolist() == want_counts.tolist()
     for rho in (0.0, 1.5):
         graph = build_list_graph(corpus, rho)
         expected = graph_edges(memberships, user_index, rho)
         assert {e: w.hex() for e, w in edge_map(graph).items()} == {
             e: w.hex() for e, w in expected.items()}
+        save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
+        assert (tmp_path / "g.tsv").read_text("utf-8") == pair_rows_text(expected)
 
 
-def test_intersection_count_memory_follows_the_block(monkeypatch):
-    # 60 lists that all hold the same 100 users: 100 * C(60, 2) = 177,000
-    # pair instances, 43 blocks' worth, over 1,770 pairs.
+def csr_of(cells):
+    """The CSR of a boolean row x column table, each row ascending, and its
+    transpose, as ``int32`` arrays."""
+    rows, cols = np.nonzero(cells)
+    t_cols, t_rows = np.nonzero(cells.T)
+    return [a.astype(np.int32) for a in (
+        np.searchsorted(rows, np.arange(cells.shape[0] + 1)), cols,
+        np.searchsorted(t_cols, np.arange(cells.shape[1] + 1)), t_rows)]
+
+
+def test_pair_counts_equals_the_numpy_counter():
+    # Empty rows and empty columns, a single row, no columns at all, and a
+    # column that every row shares.
+    rng = np.random.Generator(np.random.PCG64(41))
+    tables = [rng.random((int(rng.integers(1, 40)), int(rng.integers(0, 30))))
+              < float(rng.choice([0.0, 0.05, 0.2, 0.6])) for _ in range(80)]
+    shared = rng.random((25, 7)) < 0.3
+    shared[:, 6] = True
+    tables += [rng.random((1, 5)) < 0.8, shared]
     listgraph = importlib.import_module("listcom.listgraph")
-    monkeypatch.setattr(listgraph, "PAIR_BLOCK", 1 << 12)
+    for cells in tables:
+        arrays = csr_of(cells)
+        keys, counts = listgraph.pair_counts(*arrays)
+        want_keys, want_counts = numpy_pair_counts(*arrays)
+        assert keys.dtype == counts.dtype == np.int64
+        assert keys.tolist() == want_keys.tolist()
+        assert counts.tolist() == want_counts.tolist()
+    assert len(keys) == 25 * 24 // 2 and counts.min() >= 1
+
+
+def test_intersection_count_memory_follows_the_block():
+    # 60 lists that all hold the same 100 users: 100 * C(60, 2) = 177,000
+    # pair instances over 1,770 pairs.  The kernel counts them with 8 l
+    # bytes of malloc'd scratch, which tracemalloc does not see, and fills
+    # arrays of the exact size; the bound is that of the numpy block
+    # counter at blocks of 4,096 instances.
+    listgraph = importlib.import_module("listcom.listgraph")
     corpus = corpus_from({f"l{j:02d}": {f"u{k:03d}" for k in range(100)}
                           for j in range(60)})
     tracemalloc.start()
@@ -214,7 +254,38 @@ def test_intersection_count_memory_follows_the_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(keys) == 1_770 and np.all(counts == 100)
-    assert peak <= 16 * 8 * listgraph.PAIR_BLOCK + 2 * (keys.nbytes + counts.nbytes)
+    assert peak <= 16 * 8 * (1 << 12) + 2 * (keys.nbytes + counts.nbytes)
+
+
+def test_the_kernel_counter_refuses_a_short_output():
+    # Three rows that share a column make three pairs; with room for two,
+    # the kernel stops and writes nothing past them.
+    kernel = importlib.import_module("listcom.kernel")
+    arrays = [np.array(a, dtype=np.int32) for a in ([0, 1, 2, 3], [0, 0, 0], [0, 3],
+                                                    [0, 1, 2])]
+    keys = np.full(3, -7, dtype=np.int64)
+    counts = np.full(3, -7, dtype=np.int64)
+    lib = kernel.load()
+    status = lib.pair_counts(3, *(a.ctypes.data for a in arrays), 2,
+                             keys.ctypes.data, counts.ctypes.data)
+    assert status == -2 and keys[2] == counts[2] == -7
+    assert lib.pair_counts(3, *(a.ctypes.data for a in arrays), 0, None, None) == 3
+
+
+def test_pair_counts_refuses_rows_that_do_not_index_each_other():
+    # Three lists of one user each, and each defect the kernel would index
+    # past an array for; int64 values that an int32 cast would wrap too.
+    listgraph = importlib.import_module("listcom.listgraph")
+    good = [[0, 1, 2, 3], [0, 0, 0], [0, 3], [0, 1, 2]]
+    listgraph.pair_counts(*good)
+    for at, bad in ((1, [0, 0, 1]), (1, [0, -1, 0]), (3, [0, 1, 3]),
+                    (3, np.array([0, 1, 2**32], dtype=np.int64)), (0, [0, 1, 2, 4]),
+                    (0, [1, 1, 2, 3]), (2, [0, 2]), (2, [0, 3, 1]), (1, [0.0, 0.0, 0.0]),
+                    (0, [[0, 1, 2, 3]])):
+        arrays = list(good)
+        arrays[at] = bad
+        with pytest.raises(ValidationError, match="pair counts need"):
+            listgraph.pair_counts(*arrays)
 
 
 @given(st.integers(min_value=0, max_value=200))
@@ -311,3 +382,57 @@ def test_load_graph_rejects_bad_edges(tmp_path, edges, message):
     (tmp_path / "g.nodes").write_text("a\nb\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=message):
         load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
+    # Multi-byte ids of different lengths, a -0.0 beside a 0.0, and an
+    # empty graph, written a few rows at a time.
+    listgraph = importlib.import_module("listcom.listgraph")
+    monkeypatch.setattr(listgraph, "TEXT_BLOCK", block)
+    rng = np.random.Generator(np.random.PCG64(block))
+    nodes = sorted(["a", "b b", "ä", "日本語のリスト", "z" * 40, "Ω-list", "𝄞", "0"])
+    weights = {(a, b): float(rng.random() * 10) for a, b in
+               zip(rng.choice(nodes, 12).tolist(), rng.choice(nodes, 12).tolist())
+               if a < b}
+    weights.update({("a", "b b"): -0.0, ("a", "ä"): 0.0, ("0", "a"): 1e6 + 5e-7,
+                    ("ä", "日本語のリスト"): 1 / 3, ("Ω-list", "𝄞"): 2.5e-7})
+    for edges in (weights, {}):
+        graph = graph_from_edges(nodes, edges)
+        text, which = listgraph.pair_text(graph.weights)
+        i, j, upper = graph.edge_pairs(which)
+        with open(tmp_path / "rows.tsv", "w", encoding="utf-8", newline="\n") as fh:
+            parsed = listgraph.write_pair_rows(fh, graph.nodes, i, j, text, upper)
+        written = (tmp_path / "rows.tsv").read_text("utf-8")
+        assert written == pair_rows(graph.nodes, i, j, text, upper)
+        assert written == pair_rows_text(edges)
+        assert parsed.tolist() == [float(t) for t in text]
+    assert "a\tb b\t-0.000000\n" in pair_rows_text(weights)
+
+
+def test_write_pair_rows_refuses_rows_outside_its_nodes(tmp_path):
+    listgraph = importlib.import_module("listcom.listgraph")
+    with open(tmp_path / "rows.tsv", "w", encoding="utf-8") as fh:
+        for i, j, which in (([0], [2], [0]), ([-1], [1], [0]), ([0], [1], [1]),
+                            ([0, 0], [1], [0, 0])):
+            with pytest.raises(ValidationError, match="must index"):
+                listgraph.write_pair_rows(fh, ("a", "b"), np.array(i), np.array(j),
+                                          ["1.000000"], np.array(which))
+
+
+def test_the_kernel_row_writer_refuses_a_short_buffer():
+    # Each row "a\tbb\t0.5\n" takes 9 bytes: with room for 12 the kernel
+    # writes nothing past it and reports the short buffer.
+    kernel = importlib.import_module("listcom.kernel")
+    ids, id_ends = np.frombuffer(b"abb", dtype=np.uint8), np.array([0, 1, 3])
+    texts, text_ends = np.frombuffer(b"0.5", dtype=np.uint8), np.array([0, 3])
+    rows = [np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64),
+            np.zeros(2, dtype=np.int64)]
+    out = np.full(13, 7, dtype=np.uint8)
+    lib = kernel.load()
+    args = [*(a.ctypes.data for a in rows), ids.ctypes.data, id_ends.ctypes.data,
+            texts.ctypes.data, text_ends.ctypes.data]
+    assert lib.pair_rows(2, *args, 12, out.ctypes.data) == -2
+    assert out[12] == 7
+    assert lib.pair_rows(1, *args, 12, out.ctypes.data) == 9
+    assert out[:9].tobytes() == b"a\tbb\t0.5\n"

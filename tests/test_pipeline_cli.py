@@ -220,6 +220,20 @@ def test_cli_exit_codes(tmp_path):
     assert main(["consensus", "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_cli_refuses_a_list_id_with_a_line_break(corpus_files, tmp_path, capsys):
+    # The id would split into two fake nodes in graph.nodes, and a stage run
+    # alone would then see one list more than the one-shot run.
+    lists = tmp_path / "lists.jsonl"
+    lists.write_text(Path(corpus_files["lists"]).read_text("utf-8")
+                     + '{"id": "lonely\\nlist", "name": "", "description": ""}\n',
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--memberships", str(corpus_files["memberships"]),
+                 "--lists", str(lists), "--out", str(out), "--runs", "2"]) == 2
+    assert "lists.jsonl:" in capsys.readouterr().err
+    assert not (out / "graph.nodes").exists()
+
+
 def test_cli_exits_4_without_a_compiler(corpus_files, kernel_cache, tmp_path,
                                         monkeypatch, capsys):
     # No kernel is built yet and no cc is on the PATH.
@@ -671,7 +685,7 @@ def test_a_one_shot_run_imports_only_what_it_uses(corpus_files, tmp_path):
     import subprocess
     import sys
 
-    importlib.import_module("listcom.detect")._kernel()
+    importlib.import_module("listcom.kernel").load()
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import json, os, sys\n"

@@ -19,8 +19,8 @@ from listcom.stability import (expected_stability, rank_communities,
                                raw_stabilities, raw_stability)
 from listcom.synth import PlantedSpec, synth
 import reference
-from reference import (FAST, THOROUGH, cover_sets, graph_from_edges, matrix_from_pairs,
-                       same_matrix)
+from reference import (FAST, THOROUGH, component_graphs, cover_sets, graph_from_edges,
+                       matrix_from_pairs, same_matrix)
 
 
 def planted_graph():
@@ -123,6 +123,15 @@ def test_detect_matches_reference_on_all_zero_weights(tmp_path):
     assert_same_detections(consensus, THOROUGH, range(5))
 
 
+def test_detect_matches_reference_on_components():
+    # The kernel walks one component at a time; the reference walks the
+    # whole graph in each iteration.
+    for graph in component_graphs():
+        assert_same_detections(graph, FAST, range(8))
+        assert_same_detections(graph, DetectorConfig(20, THOROUGH.overlap_threshold),
+                               range(3))
+
+
 def test_detect_matches_reference_on_workers(tmp_path, workers):
     # The cases above, their runs on 1, 2 or 3 threads.
     for mode in ("fast", "thorough"):
@@ -130,6 +139,7 @@ def test_detect_matches_reference_on_workers(tmp_path, workers):
     test_detect_matches_reference_on_weighted_ties()
     test_detect_matches_reference_on_order_sensitive_sums()
     test_detect_matches_reference_on_all_zero_weights(tmp_path)
+    test_detect_matches_reference_on_components()
 
 
 def random_nodes(rng, low=2, high=40):
@@ -165,10 +175,12 @@ def test_cover_matches_frozenset_path():
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])
-def test_accumulate_matches_dict_fold(monkeypatch, block):
+def test_accumulate_matches_dict_fold(monkeypatch, tmp_path, block):
+    # The folded matrix is then written TEXT_BLOCK rows at a time: one, a
+    # few, or the default.
     if block is not None:
         monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
-                            "PAIR_BLOCK", block)
+                            "TEXT_BLOCK", block)
     rng = np.random.Generator(np.random.PCG64(12))
     for trial in range(60):
         nodes = random_nodes(rng)
@@ -185,6 +197,11 @@ def test_accumulate_matches_dict_fold(monkeypatch, block):
                                                for sets in runs])
         assert matrix.keys.tolist() == sorted(want), trial
         assert matrix.values.tolist() == [want[k] for k in sorted(want)], trial
+        save_matrix(matrix, tmp_path / "m.tsv")
+        l = len(matrix.order)
+        rows = {(matrix.order[k // l], matrix.order[k % l]): v for k, v in want.items()}
+        assert ((tmp_path / "m.tsv").read_text("utf-8")
+                == f"#r={len(runs)}\n" + reference.pair_rows_text(rows)), trial
 
 
 def test_run_ensemble_matches_dict_fold():
@@ -315,7 +332,7 @@ def test_stability_matches_dict_loops():
 @pytest.mark.parametrize("block", [None, 1, 7, 64])
 def test_rank_matches_frozenset_ranking(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
+        monkeypatch.setattr(importlib.import_module("listcom.stability"),
                             "PAIR_BLOCK", block)
     rng = np.random.Generator(np.random.PCG64(24))
     for trial in range(40):

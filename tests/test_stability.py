@@ -211,8 +211,8 @@ def test_stability_memory_follows_the_block(monkeypatch):
     # 21 windows of 100 consecutive nodes out of 120, over a matrix that
     # holds every pair: member a's row has 119 - a entries, so the walk
     # covers 124,950 entries, 30 blocks' worth.
-    listgraph = importlib.import_module("listcom.listgraph")
-    monkeypatch.setattr(listgraph, "PAIR_BLOCK", 1 << 12)
+    stability = importlib.import_module("listcom.stability")
+    monkeypatch.setattr(stability, "PAIR_BLOCK", 1 << 12)
     nodes = tuple(f"n{i:03d}" for i in range(120))
     rng = np.random.Generator(np.random.PCG64(31))
     m = matrix_from_pairs(nodes, {pair: float(rng.random())
@@ -227,4 +227,4 @@ def test_stability_memory_follows_the_block(monkeypatch):
         tracemalloc.stop()
     entries = dict(zip(m.keys.tolist(), m.values.tolist()))
     assert raws.tolist() == [mean_pair_score(w, entries, len(nodes)) for w in windows]
-    assert peak <= 16 * 8 * listgraph.PAIR_BLOCK + 2 * (m.keys.nbytes + m.values.nbytes)
+    assert peak <= 16 * 8 * stability.PAIR_BLOCK + 2 * (m.keys.nbytes + m.values.nbytes)
