@@ -15,7 +15,7 @@ from .consensus import (ConsensusMatrix, accumulate, consensus_communities,
 from .errors import ParseError, StageError, ValidationError
 from .labeling import build_vectors, label_community, tokenize
 from .listgraph import ListGraph, build_list_graph, overlap_lpv, overlap_pvalue
-from .members import EvalRow, UserCommunity, derive_members, evaluate, f1_score
+from .members import EvalRow, UserCommunities, derive_members, evaluate, f1_score
 from .pipeline import PipelineConfig, resolve_config, run_pipeline
 from .stability import (StabilityScore, corrected_stability, expected_stability,
                         rank_communities, raw_stabilities, raw_stability)
@@ -25,7 +25,7 @@ __all__ = [
     "ConsensusMatrix", "Cover", "DetectorConfig", "EvalRow", "GroundTruth",
     "ListGraph", "ListRecord", "MembershipCorpus",
     "ParseError", "PipelineConfig", "PlantedSpec", "StabilityScore",
-    "StageError", "UserCommunity", "ValidationError", "accumulate",
+    "StageError", "UserCommunities", "ValidationError", "accumulate",
     "build_list_graph", "build_vectors", "consensus_communities",
     "consensus_graph", "corrected_stability", "cover_agreement",
     "derive_members", "detect", "evaluate", "expected_stability", "f1_score",

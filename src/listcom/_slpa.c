@@ -31,6 +31,27 @@ static int by_key_then_node(const void *a, const void *b) {
     return (x->node > y->node) - (x->node < y->node);
 }
 
+/* Components of up to this many nodes sort their visit order by insertion,
+ * without qsort's call through the comparator per comparison. */
+#define INSERTION_SORT_MAX 48
+
+/* The visit order ascending by (key, node), the order by_key_then_node
+ * gives; no two entries are equal, as nodes are distinct. */
+static void sort_visits(visit_t *order, int64_t size) {
+    if (size > INSERTION_SORT_MAX) {
+        qsort(order, (size_t)size, sizeof *order, by_key_then_node);
+        return;
+    }
+    for (int64_t k = 1; k < size; k++) {
+        visit_t v = order[k];
+        int64_t h = k;
+        for (; h > 0 && (order[h - 1].key > v.key
+                         || (order[h - 1].key == v.key && order[h - 1].node > v.node)); h--)
+            order[h] = order[h - 1];
+        order[h] = v;
+    }
+}
+
 static int ascending(const void *a, const void *b) {
     int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
     return (x > y) - (x < y);
@@ -143,7 +164,7 @@ int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
             uint64_t visit = mix(seed, 2 * (uint64_t)it), draw = mix(seed, 2 * (uint64_t)it + 1);
             for (int64_t k = 0; k < size; k++)
                 order[k] = (visit_t){mix(visit, (uint64_t)part[k]), part[k]};
-            qsort(order, (size_t)size, sizeof *order, by_key_then_node);
+            sort_visits(order, size);
             for (int64_t k = 0; k < size; k++) {
                 int64_t u = order[k].node, count = 0;
                 /* Votes per label, each summed from 0.0 in CSR order. */

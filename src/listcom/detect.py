@@ -382,7 +382,7 @@ def filter_singletons(cover: Cover) -> Cover:
 def save_communities(cover: Cover, path) -> None:
     """JSON array of arrays of node ids, in the canonical community order."""
     with atomic_write(path) as fh:
-        json.dump(cover.id_lists(), fh, ensure_ascii=False)
+        fh.write(json.dumps(cover.id_lists(), ensure_ascii=False))
         fh.write("\n")
 
 

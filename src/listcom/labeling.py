@@ -18,9 +18,9 @@ import re
 from collections import Counter
 from functools import lru_cache
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 
-from .atomic import atomic_write
+from .atomic import atomic_write, json_array, json_numbers
 from .corpus import MembershipCorpus
 from .errors import ValidationError
 
@@ -46,26 +46,22 @@ def tokenize(name: str, description: str, stopwords: frozenset[str]) -> list[str
     terms: list[str] = []
     for text in (name, description):
         tokens = _TOKEN.findall(text.lower())
-        terms.extend(t for t in tokens if t not in stopwords)
-        terms.extend(
-            f"{a} {b}"
-            for a, b in zip(tokens, tokens[1:])
-            if not (a in stopwords and b in stopwords)
-        )
+        terms += [t for t in tokens if t not in stopwords]
+        terms += [f"{a} {b}" for a, b in zip(tokens, tokens[1:])
+                  if not (a in stopwords and b in stopwords)]
     return terms
 
 
 def build_vectors(corpus: MembershipCorpus,
                   stopwords: frozenset[str]) -> dict[str, ListVector]:
-    """Log TF-IDF vectors: (1 + log10 tf) * log10(l / df), df = l terms dropped."""
+    """Log TF-IDF vectors: (1 + log10 tf) * log10(l / df), df = l terms
+    dropped.  Each distinct (tf, df) weight is computed once."""
     l = len(corpus.lists)
-    tf_by_list: dict[str, Counter] = {}
-    df: Counter = Counter()
-    for lid in sorted(corpus.lists):
-        rec = corpus.lists[lid]
-        tf = Counter(tokenize(rec.name, rec.description, stopwords))
-        tf_by_list[lid] = tf
-        df.update(tf.keys())
+    lists = corpus.lists
+    tf_by_list = {lid: Counter(tokenize(lists[lid].name, lists[lid].description, stopwords))
+                  for lid in sorted(lists)}
+    df = Counter(chain.from_iterable(tf_by_list.values()))
+    weights: dict[tuple[int, int], float] = {}
     vectors: dict[str, ListVector] = {}
     for lid, tf in tf_by_list.items():
         vec: ListVector = {}
@@ -73,7 +69,10 @@ def build_vectors(corpus: MembershipCorpus,
             d = df[term]
             if d == l:
                 continue
-            vec[term] = (1.0 + math.log10(count)) * math.log10(l / d)
+            w = weights.get((count, d))
+            if w is None:
+                w = weights[count, d] = (1.0 + math.log10(count)) * math.log10(l / d)
+            vec[term] = w
         vectors[lid] = vec
     return vectors
 
@@ -140,17 +139,22 @@ def label_community(
 
 
 def write_labels(labels_by_id: dict[int, list[tuple[str, float]]], path) -> None:
-    """JSON array: {"community_id", "labels", "scores"} per community."""
-    payload = [
-        {
-            "community_id": cid,
-            "labels": [term for term, _ in pairs],
-            "scores": [round(score, 6) for _, score in pairs],
-        }
-        for cid, pairs in sorted(labels_by_id.items())
+    """JSON array: {"community_id", "labels", "scores"} per community, as
+    ``json.dump(..., ensure_ascii=False, indent=1)`` writes it.  Terms go
+    through json's C string encoder, and each distinct score is rounded to
+    6 decimals and formatted once."""
+    string = json.encoder.encode_basestring
+    ordered = sorted(labels_by_id.items())
+    text, which = json_numbers([score for _, pairs in ordered for _, score in pairs])
+    scores = iter(which.tolist())
+    entries = [
+        f'{{\n  "community_id": {cid!r},\n'
+        f'  "labels": {json_array((string(term) for term, _ in pairs), 2)},\n'
+        f'  "scores": {json_array((text[next(scores)] for _ in pairs), 2)}\n }}'
+        for cid, pairs in ordered
     ]
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=1)
+        fh.write(json_array(entries, 0))
         fh.write("\n")
 
 

@@ -28,7 +28,8 @@ ascending order and every edge stored in both rows.  It is built once, by
 one stable sort by row.  List ids reappear only in the pair files of the
 graph and the consensus matrix, ``a<TAB>b<TAB>value`` rows (6 decimals,
 lexicographic pairs) with one codec: :func:`pair_text` formats each distinct
-value once, :func:`write_pair_rows` joins the rows in the kernel, a block of
+value once (for the graph, each distinct weight of its upper edges),
+:func:`write_pair_rows` joins the rows in the kernel, a block of
 ``TEXT_BLOCK`` rows at a time, and :func:`read_pair_rows` reads with
 ``path:line`` errors.  Ids hold no tab or line break
 (:class:`~listcom.corpus.MembershipCorpus` refuses them), so a row's
@@ -308,14 +309,20 @@ def save_graph(graph: ListGraph, edges_path, nodes_path) -> ListGraph:
     """Write edges (lexicographic pair order, weights to 6 decimals) and the
     sidecar node list that preserves isolated nodes.  Returns the graph that
     :func:`load_graph` reads back from them: the same CSR with each weight
-    replaced by the value of its written string."""
-    text, which = pair_text(graph.weights)
-    i, j, upper = graph.edge_pairs(which)
+    replaced by the value of its written string.  Only the upper copy of
+    each edge is formatted."""
+    i, j, w = graph.edge_pairs()
+    text, which = pair_text(w)
     with atomic_write(edges_path) as fh:
-        parsed = write_pair_rows(fh, graph.nodes, i, j, text, upper)
+        parsed = write_pair_rows(fh, graph.nodes, i, j, text, which)[which]
     with atomic_write(nodes_path) as fh:
         fh.writelines(node + "\n" for node in graph.nodes)
-    weights = parsed[which]
+    # In CSR order the lower copies, (row a, column b < a), are the edges
+    # (b, a) ordered by (a, b): the upper edges stably sorted by j.
+    upper = graph.indices > np.repeat(np.arange(len(graph.nodes)), np.diff(graph.indptr))
+    weights = np.empty(len(graph.indices))
+    weights[upper] = parsed
+    weights[~upper] = parsed[np.argsort(j, kind="stable")]
     weights.flags.writeable = False
     return ListGraph(graph.nodes, graph.indptr, graph.indices, weights)
 

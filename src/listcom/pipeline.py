@@ -3,13 +3,15 @@
 Stages communicate through artifacts in the output directory, so any prefix
 of the pipeline can be resumed from disk with an identical final result,
 and a one-shot run equals running the stages one by one.  A one-shot run
-parses neither the graph nor the consensus matrix it writes: both are handed
-to the next stages as their writers return them, which is exactly what the
-files hold (the weights and scores converted from the very strings
-written).  The later, smaller artifacts are read back from disk:
-communities.json by the stability, label and members stages, stability.tsv
-and labels.json by the members stage, and users.json by the evaluate
-stage.  Artifact filenames are fixed:
+reads back no artifact it writes: each stage returns what its artifact
+holds, and :func:`run_pipeline` hands that to the stages that read the
+artifact.  The graph and the matrix carry the weights and scores converted
+from the very strings written; the cover goes to the stability, label and
+members stages; the corrected stability scores at full precision (the last
+column of stability.tsv) and the label terms go to the members stage; and
+the user communities with their weights as written go to the evaluate
+stage.  A stage run alone reads the same objects from the files.  Artifact
+filenames are fixed:
 
     graph.tsv, graph.nodes, consensus.tsv, communities.json,
     stability.tsv, labels.json, users.json, eval.tsv
@@ -38,7 +40,7 @@ from . import labeling as lab
 from . import listgraph as lg
 from . import members as memb
 from . import stability as stab
-from .detect import load_communities, save_communities
+from .detect import Cover, load_communities, save_communities
 from .errors import ParseError, StageError, ValidationError
 
 ARTIFACTS = {
@@ -174,13 +176,15 @@ def stage_ensemble(out_dir, config: PipelineConfig,
     return cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
 
 
-def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> None:
+def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> Cover:
     """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`; it is
-    parsed here when not given, which requires graph.nodes."""
+    parsed here when not given, which requires graph.nodes.  Returns the
+    cover that communities.json holds, over the matrix order."""
     if matrix is None:
         matrix = _load_matrix(out_dir)
     cover = cons.consensus_communities(matrix, config)
     save_communities(cover, _artifact(out_dir, "communities"))
+    return cover
 
 
 def _load_matrix(out_dir) -> cons.ConsensusMatrix:
@@ -190,21 +194,32 @@ def _load_matrix(out_dir) -> cons.ConsensusMatrix:
     return cons.load_matrix(_require(out_dir, "consensus"), order)
 
 
-def stage_stability(out_dir, config: PipelineConfig, matrix=None) -> None:
-    """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`; it is
-    parsed here when not given, which requires graph.nodes."""
+def stage_stability(out_dir, config: PipelineConfig, matrix=None,
+                    cover=None) -> dict[int, float]:
+    """``matrix`` is consensus.tsv as parsed by :func:`_load_matrix`, and
+    ``cover`` communities.json over its order; each is read here when not
+    given.  Returns the corrected stability by community id, as the last
+    column of stability.tsv holds it."""
     if matrix is None:
         matrix = _load_matrix(out_dir)
-    cover = load_communities(_require(out_dir, "communities"), matrix.order)
+    if cover is None:
+        cover = load_communities(_require(out_dir, "communities"), matrix.order)
     ranked = stab.rank_communities(cover, matrix)
     stab.write_ranking(ranked, cover, _artifact(out_dir, "stability"))
+    return {k: score.corrected for k, score in ranked}
+
+
+def _cover(out_dir, cover) -> Cover:
+    """``cover``, or communities.json when it is not given."""
+    return load_communities(_require(out_dir, "communities")) if cover is None else cover
 
 
 def stage_label(memberships_path, lists_path, out_dir,
-                config: PipelineConfig, corpus=None) -> None:
+                config: PipelineConfig, corpus=None, cover=None) -> dict[int, list[str]]:
+    """Returns each community's label terms, as labels.json holds them."""
     if corpus is None:
         corpus = corp.load_corpus(memberships_path, lists_path)
-    cover = load_communities(_require(out_dir, "communities"))
+    cover = _cover(out_dir, cover)
     stopwords = (lab.load_stopwords(config.stopwords) if config.stopwords
                  else lab.default_stopwords())
     vectors = lab.build_vectors(corpus, stopwords)
@@ -215,6 +230,7 @@ def stage_label(memberships_path, lists_path, out_dir,
         for cid, community in enumerate(cover.id_lists())
     }
     lab.write_labels(labels, _artifact(out_dir, "labels"))
+    return {cid: [term for term, _ in pairs] for cid, pairs in labels.items()}
 
 
 def _read_stability(out_dir) -> dict[int, float]:
@@ -233,25 +249,31 @@ def _read_stability(out_dir) -> dict[int, float]:
 
 
 def stage_members(memberships_path, lists_path, out_dir,
-                  config: PipelineConfig, corpus=None) -> None:
+                  config: PipelineConfig, corpus=None, cover=None,
+                  stability=None, labels=None) -> memb.UserCommunities:
+    """``stability`` and ``labels`` are what :func:`stage_stability` and
+    :func:`stage_label` return; each is read here when not given, and is
+    empty when its artifact is missing.  Returns the user communities as
+    users.json holds them."""
     if corpus is None:
         corpus = corp.load_corpus(memberships_path, lists_path)
-    cover = load_communities(_require(out_dir, "communities"))
-    user_communities = [
-        memb.derive_members(community, corpus, config.mu, community_id=cid)
-        for cid, community in enumerate(cover.id_lists())
-    ]
-    labels_path = _artifact(out_dir, "labels")
-    labels_by_id = lab.load_labels(labels_path) if labels_path.exists() else {}
-    memb.write_users(user_communities, _artifact(out_dir, "users"),
-                     stability_by_id=_read_stability(out_dir),
-                     labels_by_id=labels_by_id)
+    communities = memb.derive_members(_cover(out_dir, cover), corpus, config.mu)
+    if labels is None:
+        labels_path = _artifact(out_dir, "labels")
+        labels = lab.load_labels(labels_path) if labels_path.exists() else {}
+    if stability is None:
+        stability = _read_stability(out_dir)
+    return memb.write_users(communities, _artifact(out_dir, "users"),
+                            stability_by_id=stability, labels_by_id=labels)
 
 
 def stage_evaluate(groundtruth_path, out_dir, config: PipelineConfig,
-                   core_path=None) -> None:
+                   core_path=None, users=None) -> None:
+    """``users`` is what :func:`stage_members` returns; users.json is read
+    when it is not given."""
     truth = corp.load_ground_truth(groundtruth_path)
-    user_communities = memb.load_users(_require(out_dir, "users"))
+    if users is None:
+        users = memb.load_users(_require(out_dir, "users"))
     if core_path is not None:
         core = frozenset(
             line.strip()
@@ -260,7 +282,7 @@ def stage_evaluate(groundtruth_path, out_dir, config: PipelineConfig,
         )
     else:
         core = frozenset().union(*truth.categories.values()) if truth.categories else frozenset()
-    rows = memb.evaluate(user_communities, truth, core)
+    rows = memb.evaluate(users, truth, core)
     memb.write_eval(rows, truth, _artifact(out_dir, "eval"))
 
 
@@ -284,8 +306,8 @@ def run_pipeline(
 ) -> dict[str, Path]:
     """Run every stage in order; artifacts from completed stages survive a
     failure, which is reported with the failing stage's name.  The corpus
-    is parsed once, inside build-graph; the graph and the matrix are handed
-    on as their writers return them."""
+    is parsed once, inside build-graph; each stage's result is handed on
+    as its writer returns it, and no artifact is read back."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("build-graph"):
@@ -296,16 +318,20 @@ def run_pipeline(
         matrix = stage_ensemble(out, config, graph=graph)
     del graph  # read by no later stage; freed before the thorough pass
     with _stage("consensus"):
-        stage_consensus(out, config, matrix=matrix)
+        cover = stage_consensus(out, config, matrix=matrix)
     with _stage("stability"):
-        stage_stability(out, config, matrix=matrix)
+        stability = stage_stability(out, config, matrix=matrix, cover=cover)
+    del matrix  # read by no later stage
     with _stage("label"):
-        stage_label(memberships_path, lists_path, out, config, corpus=corpus)
+        labels = stage_label(memberships_path, lists_path, out, config,
+                             corpus=corpus, cover=cover)
     with _stage("members"):
-        stage_members(memberships_path, lists_path, out, config, corpus=corpus)
+        users = stage_members(memberships_path, lists_path, out, config,
+                              corpus=corpus, cover=cover, stability=stability,
+                              labels=labels)
     if groundtruth_path is not None:
         with _stage("evaluate"):
-            stage_evaluate(groundtruth_path, out, config, core_path)
+            stage_evaluate(groundtruth_path, out, config, core_path, users=users)
     produced = {name: _artifact(out, name) for name in ARTIFACTS}
     if groundtruth_path is None:
         produced.pop("eval")

@@ -5,7 +5,8 @@ id sets rebuilt from its arrays, list intersections counted pair by pair
 per user, or in numpy blocks of pair instances as the package counted them
 before its kernel did, each edge weighted by its own call of the tail
 kernel, user
-weights counted in a dict per list, label
+weights counted in a dict per list, evaluation rows from every category
+against every community as frozensets, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
 index-pair tuples, updates one node at a time in visit order with scalar
 counter-based draws and tallies votes with ``np.unique``, the cover of
@@ -20,9 +21,11 @@ read one line at a time into a dict and written one value, or one row, at a
 time.  Tests
 compare the package against them with ``==``, except the expected term,
 which sums in another order and must agree within 1e-12.  Helpers build
-corpora, graphs and matrices from small dicts.
+corpora, graphs and matrices from small dicts, and ``tsv_pairs`` parses
+an ``a<TAB>b`` file one line at a time.
 """
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +35,8 @@ from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import Cover, DetectorConfig, filter_singletons
 from listcom.labeling import background_vector
 from listcom.listgraph import _LN10, ListGraph, _log_tail_batch
-from listcom.errors import ValidationError
+from listcom.members import EvalRow, f1_score
+from listcom.errors import ParseError, ValidationError
 from listcom.pipeline import PipelineConfig
 from listcom.seeds import derive_seed
 
@@ -57,6 +61,26 @@ def id_sets(corpus):
                        corpus.user_lists[user_indptr[u]:user_indptr[u + 1]].tolist())
         for u, uid in enumerate(users)}
     return memberships, user_index
+
+
+def tsv_pairs(path) -> list[tuple[str, str]]:
+    """The ``(a, b)`` fields of an ``a<TAB>b`` file, each line decoded and
+    split on its own; raises :class:`ParseError` at the first bad line,
+    the first undecodable one before any with bad fields."""
+    lines = []
+    with open(path, "rb") as fh:
+        for lineno, chunk in enumerate(fh.read().splitlines(), start=1):
+            try:
+                lines.append(chunk.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid UTF-8 ({exc})") from exc
+    pairs = []
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise ParseError(f"{path}:{lineno}: expected two nonempty tab-separated fields")
+        pairs.append((fields[0], fields[1]))
+    return pairs
 
 
 def same_corpus(x, y) -> bool:
@@ -161,6 +185,39 @@ def derive_members(community, memberships, mu) -> dict[str, float]:
             if count / len(lists) >= mu}
 
 
+def evaluate(communities, truth, core) -> list[EvalRow]:
+    """Eval rows from ``(community id, user ids)`` pairs: every category
+    against every community, each member set intersected with the core
+    as a frozenset, the best kept in a loop by strictly greater
+    (precision, recall)."""
+    core = frozenset(core)
+    restricted = sorted(((cid, frozenset(members) & core)
+                         for cid, members in communities), key=lambda pair: pair[0])
+    rows = []
+    for category in sorted(truth.categories):
+        members = truth.categories[category]
+        if not members:
+            warnings.warn(f"skipping empty ground-truth category {category!r}")
+            continue
+        best = None
+        for cid, community in restricted:
+            if not community:
+                continue
+            hits = len(community & members)
+            precision = hits / len(community)
+            recall = hits / len(members)
+            if best is None or (precision, recall) > (best[0], best[1]):
+                best = (precision, recall, cid)
+        if best is None:
+            rows.append(EvalRow(category, None, 0.0, 0.0, 0.0))
+            continue
+        precision, recall, cid = best
+        rows.append(EvalRow(category, cid, precision, recall,
+                            f1_score(precision, recall)))
+    rows.sort(key=lambda r: (-r.precision, -r.recall, r.category))
+    return rows
+
+
 def edge_map(graph) -> dict[tuple[str, str], float]:
     """``{(a, b): weight}`` with a < b for every edge of a ListGraph."""
     return {(a, b): w for a, b, w in graph.edge_list()}
@@ -241,7 +298,9 @@ def same_graph(x, y) -> bool:
 def component_graphs():
     """Graphs whose components the kernel walks in turn: many small
     components, interleaved in node order with isolated nodes; one
-    component with isolated nodes beside it; and one component alone."""
+    component with isolated nodes beside it; one component alone; and
+    components of 48 and 49 nodes, on either side of the kernel's switch
+    from an insertion sort to qsort."""
     rng = np.random.Generator(np.random.PCG64(12))
     nodes = [f"c{i:03d}" for i in range(120)]
     order = rng.permutation(len(nodes))
@@ -258,7 +317,13 @@ def component_graphs():
     single = {(nodes[a], nodes[a + 1]): 1.0 for a in range(39)}
     single.update({(nodes[min(a, b)], nodes[max(a, b)]): float(rng.random())
                    for a, b in rng.choice(40, size=(60, 2)).tolist() if a != b})
-    return [many, graph_from_edges(nodes[:50], single), graph_from_edges(nodes[:40], single)]
+    sides = {}
+    for part in (order[:48], order[48:97]):
+        part = sorted(part.tolist())
+        sides.update({(nodes[a], nodes[b]): float(rng.random())
+                      for a, b in zip(part, part[1:] + part[:1])})
+    return [many, graph_from_edges(nodes[:50], single), graph_from_edges(nodes[:40], single),
+            graph_from_edges(nodes, sides)]
 
 
 def csr_fill(nodes, edges):

@@ -316,11 +316,11 @@ def test_criterion_10_threshold_monotonicity():
 
     for _ in range(200):
         corpus = _random_corpus(rng, lists=6, users=20)
-        community = set(id_sets(corpus)[0])
+        cover = Cover.from_sets(corpus.list_ids, [set(id_sets(corpus)[0])])
         m1 = float(rng.random() * 0.5)
         m2 = min(1.0, m1 + float(rng.random() * 0.5))
-        lo = derive_members(community, corpus, m1)
-        hi = derive_members(community, corpus, m2)
-        assert set(hi.members) <= set(lo.members)
+        lo = derive_members(cover, corpus, m1).members(0)
+        hi = derive_members(cover, corpus, m2).members(0)
+        assert set(hi) <= set(lo)
 
     report("10 threshold monotonicity", "rho, tau, mu: 200 cases each")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from listcom.corpus import (ListRecord, MembershipCorpus, load_corpus,
                             load_ground_truth, save_corpus)
 from listcom.errors import ParseError, ValidationError
+import reference
 from reference import id_sets, same_corpus
 
 IDS = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)
@@ -182,3 +183,94 @@ def test_build_refuses_an_id_with_a_tab_or_line_break(kind, bad):
         memberships["b"].add(bad)
     with pytest.raises(ValidationError, match=f"{kind} id .* tab or line break"):
         MembershipCorpus.build(records, memberships)
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_crlf_and_lone_cr_files_load_as_lf(tmp_path, end):
+    mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.jsonl"
+    mpath.write_bytes(end.join([b"a\tu1", b"a\tu2", b"b\tu1"]) + end)
+    lpath.write_bytes(end.join([json.dumps({"id": lid, "name": "N", "description": ""})
+                                .encode() for lid in ("a", "b")]) + end)
+    corpus = load_corpus(mpath, lpath)
+    assert id_sets(corpus)[0] == {"a": frozenset({"u1", "u2"}), "b": frozenset({"u1"})}
+    assert corpus.lists["b"] == ListRecord("b", "N", "")
+    path = tmp_path / "gt.tsv"
+    path.write_bytes(b"judo\tu1" + end + b"judo\tu2")
+    assert load_ground_truth(path).categories == {"judo": frozenset({"u1", "u2"})}
+
+
+@pytest.mark.parametrize("mark", ["\x85", "\u2028", "\x0b", "\x0c", "\x1c"])
+def test_only_lf_and_cr_end_a_line(tmp_path, mark):
+    # As with bytes.splitlines, other line breaks of Unicode stay inside
+    # a user id or a JSON string.
+    mpath, lpath = write_corpus_files(
+        tmp_path, [("a", f"u{mark}1"), ("a", "u2")],
+        [{"id": f"a{mark}", "name": f"x{mark}y", "description": ""}])
+    corpus = load_corpus(mpath, lpath)
+    assert corpus.user_ids == tuple(sorted((f"u{mark}1", "u2")))
+    assert corpus.lists[f"a{mark}"].name == f"x{mark}y"
+    assert corpus.list_ids == ("a", f"a{mark}")
+
+
+@pytest.mark.parametrize("lines, line", [
+    ([b"a\tu1", b"b\tu2", b"", b"c\tu3"], 3),
+    ([b"a\tu1", b"b\tu2", b"c\tu3\xff"], 3),
+    ([b"a\tu1", b"b\xe6\x9d", b"c\tu3"], 2),
+    ([b"a\tu1", b"b\tu2", b"c\tu3\t"], 3),
+    ([b"a\tu1", b"b\tu2\tx", b"c", b"d\tu4"], 2),
+    ([b"a\tu1", b"b", b"c\tu2\tx", b"d\tu4"], 2),
+    ([b"a\tu1", b"\tu2"], 2),
+    ([b"a\tu1\tb\tu2"], 1),
+    ([b"a\tu1", b"b\tu2\tc\tu3", b"d\tu4"], 2),
+    ([b"a\tu1", b"b\t"], 2),
+])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_bad_line_reports_its_own_line(tmp_path, lines, line, end):
+    mpath = tmp_path / "m.tsv"
+    mpath.write_bytes(end.join(lines) + end)
+    _, lpath = write_corpus_files(tmp_path, [], [])
+    with pytest.raises(ParseError, match=rf"m\.tsv:{line}: "):
+        load_corpus(mpath, lpath)
+
+
+def test_a_blank_or_undecodable_metadata_line_reports_its_line(tmp_path):
+    write_corpus_files(tmp_path, [], [])
+    good = json.dumps({"id": "a", "name": "", "description": ""}).encode()
+    mpath = tmp_path / "memberships.tsv"
+    for body, message in ((good + b"\n\n" + good + b"\n", ":2: invalid JSON"),
+                          (good + b"\n" + good[:-2] + b"\xff\"}\n", ":2: invalid UTF-8")):
+        lpath = tmp_path / "l.jsonl"
+        lpath.write_bytes(body)
+        with pytest.raises(ParseError, match=message):
+            load_corpus(mpath, lpath)
+
+
+def test_a_list_id_with_a_tab_in_memberships_is_refused(tmp_path):
+    # A tab inside a list id would make three fields.
+    mpath = tmp_path / "m.tsv"
+    mpath.write_text("a\tu1\ntab\tlist\tu2\n", encoding="utf-8")
+    _, lpath = write_corpus_files(tmp_path, [], [])
+    with pytest.raises(ParseError, match=r"m\.tsv:2: expected two nonempty"):
+        load_corpus(mpath, lpath)
+
+
+@given(parts=st.lists(st.sampled_from([b"a", "bé".encode(), b"\t", b"\n", b"\r", b"\r\n",
+                                        "\x85".encode(), b"\xff", b"\xe6\x9d", b""]),
+                      max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_the_split_once_parse_equals_a_parse_line_by_line(tmp_path_factory, parts):
+    # The same pairs, or the same error at the same line, as decoding and
+    # splitting each line on its own.
+    path = tmp_path_factory.mktemp("tsv") / "gt.tsv"
+    path.write_bytes(b"".join(parts))
+    try:
+        expected = reference.tsv_pairs(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_ground_truth(path)
+        assert str(got.value) == str(exc)
+        return
+    categories: dict = {}
+    for cat, uid in expected:
+        categories.setdefault(cat, set()).add(uid)
+    assert load_ground_truth(path).categories == {c: frozenset(u) for c, u in categories.items()}

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.errors import ValidationError
 from listcom.labeling import (background_vector, build_vectors,
                               default_stopwords, label_community,
-                              load_stopwords, tokenize)
+                              load_stopwords, tokenize, write_labels)
 
 STOP = frozenset({"the", "a", "of"})
 
@@ -165,3 +167,27 @@ def test_tokenize_language_agnostic(name, description):
     for tok in __import__("re").findall(r"[^\W_]+", name.lower()):
         if tok not in STOP:
             assert tok in terms
+
+
+def test_write_labels_equals_json_dump(tmp_path):
+    # Terms with non-ASCII characters, quotes, backslashes and control
+    # characters; scores that are or round to -0.0 beside 0.0, repeat, need
+    # all 6 decimals, or are not finite; empty label lists and an empty
+    # payload.
+    rng = random.Random(11)
+    chars = ["a", "é", "東", "😀", '"', "\\", "\n", "\x00", "\u2028", " "]
+    pool = [0.5, -1e-9, 1e-9, 1 / 3, -2 / 3, 12.3456789, 0.0, -0.0, float("nan"),
+            float("-inf")]
+    path = tmp_path / "labels.json"
+    for _ in range(200):
+        labels = {
+            rng.randrange(10**6): [("".join(rng.choice(chars) for _ in range(rng.randrange(5))),
+                                    rng.choice(pool + [rng.uniform(-3, 3)]))
+                                   for _ in range(rng.randrange(4))]
+            for _ in range(rng.randrange(4))}
+        write_labels(labels, path)
+        payload = [{"community_id": cid, "labels": [t for t, _ in pairs],
+                    "scores": [round(s, 6) for _, s in pairs]}
+                   for cid, pairs in sorted(labels.items())]
+        assert path.read_text("utf-8") == json.dumps(payload, ensure_ascii=False,
+                                                     indent=1) + "\n"

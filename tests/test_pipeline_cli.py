@@ -407,12 +407,17 @@ def test_run_pipeline_parses_corpus_once(corpus_files, tmp_path, monkeypatch):
 
 
 def test_run_pipeline_parses_no_artifact(corpus_files, tmp_path, monkeypatch):
-    # The graph and the matrix go from their writers to the next stages.
+    # Every stage's result goes from its writer to the stages that read it.
     from listcom import consensus as cons
+    from listcom import labeling as lab
     from listcom import listgraph as lg
+    from listcom import members as memb
+    from listcom import pipeline as pipe
 
     calls = []
-    for module, name in ((lg, "load_graph"), (cons, "load_matrix")):
+    for module, name in ((lg, "load_graph"), (lg, "load_nodes"), (cons, "load_matrix"),
+                         (pipe, "load_communities"), (lab, "load_labels"),
+                         (memb, "load_users"), (pipe, "_read_stability")):
         load = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, _load=load, _name=name, **kwargs:
@@ -421,10 +426,21 @@ def test_run_pipeline_parses_no_artifact(corpus_files, tmp_path, monkeypatch):
                  tmp_path / "run", fast_config(),
                  groundtruth_path=corpus_files["groundtruth"])
     assert calls == []
+    # Run alone, the stages read them.
+    for stage in ("stability", "members", "evaluate"):
+        extra = {"members": ["--memberships", str(corpus_files["memberships"]),
+                             "--lists", str(corpus_files["lists"])],
+                 "evaluate": ["--groundtruth", str(corpus_files["groundtruth"])]}
+        assert main([stage, "--out", str(tmp_path / "run"), "--runs", "6",
+                     "--master-seed", "3", *extra.get(stage, [])]) == 0
+    assert calls == ["load_nodes", "load_matrix", "load_communities",
+                     "load_communities", "load_labels", "_read_stability", "load_users"]
 
 
 def test_stage_hand_offs_equal_a_reload(corpus_files, tmp_path):
+    from listcom import labeling as lab
     from listcom import listgraph as lg
+    from listcom import members as memb
     from listcom import pipeline as pipe
     from reference import same_graph, same_matrix
 
@@ -437,6 +453,20 @@ def test_stage_hand_offs_equal_a_reload(corpus_files, tmp_path):
     assert same_matrix(matrix, pipe._load_matrix(tmp_path))
     # Run alone, the stage parses graph.tsv and hands over the same matrix.
     assert same_matrix(pipe.stage_ensemble(tmp_path, cfg), matrix)
+    cover = pipe.stage_consensus(tmp_path, cfg, matrix=matrix)
+    assert cover == pipe.load_communities(tmp_path / ARTIFACTS["communities"],
+                                          matrix.order)
+    stability = pipe.stage_stability(tmp_path, cfg, matrix=matrix, cover=cover)
+    assert stability == pipe._read_stability(tmp_path)
+    labels = pipe.stage_label(corpus_files["memberships"], corpus_files["lists"],
+                              tmp_path, cfg, cover=cover)
+    assert labels == lab.load_labels(tmp_path / ARTIFACTS["labels"])
+    users = pipe.stage_members(corpus_files["memberships"], corpus_files["lists"],
+                               tmp_path, cfg, cover=cover, stability=stability,
+                               labels=labels)
+    reloaded = memb.load_users(tmp_path / ARTIFACTS["users"])
+    assert users.ids.tolist() == reloaded.ids.tolist() == list(range(len(cover)))
+    assert all(users.members(k) == reloaded.members(k) for k in range(len(cover)))
 
 
 def test_users_json_carries_full_precision_stability(corpus_files, tmp_path):
