@@ -3,7 +3,9 @@
  * memories, the one co-occurrence counter, the consensus fold of one run,
  * and the rows of a pair file.  detect_runs labels the components once,
  * then calls slpa and cover for each run, on the thread that runs it, with
- * that thread's own memory and cover buffer.
+ * that thread's own memory and cover buffer.  slpa's vote stops drawing at
+ * a node of degree DECIDE_DEGREE or more once its leading label provably
+ * wins, and returns the number of labels it drew.
  *
  * Every entry that allocates scratch returns -1 if it cannot.  Every entry
  * that writes into an output of a given capacity returns -2, having written
@@ -132,6 +134,29 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
     return status ? status : parts;
 }
 
+/* Collects the label that the neighbour at CSR position p hands out, with
+ * the iteration's slot key draw: adds the weight at p to its vote, and
+ * lists it in touched when it is new (a vote of -1.0).  Returns the label. */
+static inline int32_t collect(int64_t p, uint64_t draw, const int64_t *indices,
+                              const double *weights, const int32_t *mem, int64_t m,
+                              const int64_t *length, double *votes, int32_t *touched,
+                              int64_t *count) {
+    int64_t v = indices[p];
+    int32_t label = mem[v * m + (int64_t)(mix(draw, (uint64_t)p) % (uint64_t)length[v])];
+    if (votes[label] < 0.0) {
+        votes[label] = 0.0;
+        touched[(*count)++] = label;
+    }
+    votes[label] += weights[p];
+    return label;
+}
+
+/* A node of at least this degree may stop drawing early (see slpa); a
+ * shorter row is drawn whole, without the backward pass the decision needs. */
+#define DECIDE_DEGREE 64
+/* Draws between two checks of the early decision. */
+#define DECIDE_PERIOD 4
+
 /* slpa: one run over the components that components() made, each through
  * all its iterations before the next, for a graph that components()
  * accepted.  The caller checks the other arrays: weights are finite and
@@ -139,22 +164,66 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
  * never exchange labels, and the visit keys and slot draws depend on node
  * and CSR positions only, so the rows equal those of one walk over the
  * whole graph per iteration.
- * Returns 0 or -1.  Scratch: 16 n bytes, plus 20 bytes per node of the
- * largest component. */
-int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
-         const double *weights, uint64_t seed, int64_t iterations,
-         int64_t parts, const int64_t *starts, const int32_t *nodes, int32_t *mem) {
-    int64_t m = iterations + 1, largest = 1;
+ *
+ * The early decision.  The vote needs only its winner, so a node u of
+ * degree d >= DECIDE_DEGREE stops drawing once one label provably wins.
+ * The guess G is the last label of u's memory.  tail[v] describes v's
+ * memory after its own slot 0: -1 while the memory is just [v], the label
+ * of slots 1 and after while they all agree, -2 once two differ.  A
+ * neighbour v is settled when tail[v] is -1 or G: it can hand out only v
+ * or G.  For a label X != G the neighbours of u fall into three classes:
+ *   - unsettled: v may hand out X;
+ *   - settled, with v == X: the one settled neighbour that may hand out X;
+ *   - settled, with v != X: v hands out v or G, never X.
+ * A neighbour whose own id is G is settled by its tail like any other:
+ * with a tail of another label it may hand out that label.
+ * A backward pass over u's row gives open[q], the summed weights of the
+ * unsettled neighbours at row offsets q and after plus the largest weight
+ * of a settled one there, and the row's total weight.  Every
+ * DECIDE_PERIOD draws, with q the next offset, the node stops when
+ *     votes[G] > other + open[q] + 4 (d + 1) 2^-53 total,
+ * other being the largest partial vote of a label other than G, and the
+ * partial votes, already with G strictly highest, go to the scan below.
+ * That is the winner a full vote gives:
+ *   - weights are >= 0, so a vote only grows, in floating point too, and
+ *     G's final vote is at least votes[G];
+ *   - a label X != G can still gain every unsettled weight after q, but
+ *     only one settled weight, that of the neighbour whose id is X, so its
+ *     final vote is at most its partial vote (<= other) plus open[q];
+ *   - that holds up to rounding: a vote, open[q] and total each add up to
+ *     d + 1 terms >= 0 whose sum is at most about total, so each errs by
+ *     at most about (d + 1) 2^-53 total, and the comparison's own two
+ *     additions by about 4 2^-53 total; the slack exceeds all of these
+ *     together (below 2^-1022 the sums are exact, and the slack's own
+ *     underflow does not matter).
+ * So G's final vote is strictly the highest, and no tie can arise.  A
+ * total that overflows makes the slack infinite, and the node draws every
+ * label.  Each draw is keyed by its CSR position, so a skipped draw moves
+ * no other, and every memory row is the one a full vote gives, bit for
+ * bit.  Nodes below DECIDE_DEGREE draw every label.
+ *
+ * Returns the number of labels drawn, or -1.  Scratch: 20 n bytes, plus
+ * 20 bytes per node of the largest component, plus 8 bytes per position of
+ * the longest row and 8. */
+int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
+             const double *weights, uint64_t seed, int64_t iterations,
+             int64_t parts, const int64_t *starts, const int32_t *nodes, int32_t *mem) {
+    int64_t m = iterations + 1, largest = 1, widest = 0, drawn = 0;
     for (int64_t c = 0; c < parts; c++)
         if (starts[c + 1] - starts[c] > largest) largest = starts[c + 1] - starts[c];
+    for (int64_t u = 0; u < n; u++)
+        if (indptr[u + 1] - indptr[u] > widest) widest = indptr[u + 1] - indptr[u];
     visit_t *order = malloc(largest * sizeof *order);
     int32_t *touched = malloc(largest * sizeof *touched);
     int64_t *length = malloc(n * sizeof *length);
+    int32_t *tail = malloc(n * sizeof *tail);
     double *votes = malloc(n * sizeof *votes);  /* -1.0: not collected */
-    int status = order && length && touched && votes ? 0 : -1;
+    double *open = malloc((widest + 1) * sizeof *open);
+    int64_t status = order && length && touched && tail && votes && open ? 0 : -1;
     for (int64_t u = 0; u < n && !status; u++) {
         mem[u * m] = (int32_t)u;
         length[u] = 1;
+        tail[u] = -1;
         votes[u] = -1.0;
     }
     for (int64_t c = 0; c < parts && !status; c++) {
@@ -166,17 +235,32 @@ int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
                 order[k] = (visit_t){mix(visit, (uint64_t)part[k]), part[k]};
             sort_visits(order, size);
             for (int64_t k = 0; k < size; k++) {
-                int64_t u = order[k].node, count = 0;
+                int64_t u = order[k].node, count = 0, lo = indptr[u], hi = indptr[u + 1], p = lo;
                 /* Votes per label, each summed from 0.0 in CSR order. */
-                for (int64_t p = indptr[u]; p < indptr[u + 1]; p++) {
-                    int64_t v = indices[p];
-                    int32_t label = mem[v * m + (int64_t)(mix(draw, (uint64_t)p) % (uint64_t)length[v])];
-                    if (votes[label] < 0.0) {
-                        votes[label] = 0.0;
-                        touched[count++] = label;
+                if (hi - lo < DECIDE_DEGREE) {
+                    for (; p < hi; p++)
+                        collect(p, draw, indices, weights, mem, m, length, votes, touched, &count);
+                } else {
+                    int32_t guess = mem[u * m + length[u] - 1];
+                    double unsettled = 0.0, settled = 0.0, total = 0.0, other = 0.0;
+                    open[hi - lo] = 0.0;
+                    for (p = hi - 1; p >= lo; p--) {
+                        int32_t t = tail[indices[p]];
+                        if (t != -1 && t != guess) unsettled += weights[p];
+                        else if (weights[p] > settled) settled = weights[p];
+                        total += weights[p];
+                        open[p - lo] = unsettled + settled;
                     }
-                    votes[label] += weights[p];
+                    double slack = 4.0 * (double)(hi - lo + 1) * 0x1p-53 * total;
+                    for (p = lo; p < hi;) {
+                        int32_t label = collect(p++, draw, indices, weights, mem, m, length,
+                                                votes, touched, &count);
+                        if (label != guess && votes[label] > other) other = votes[label];
+                        if ((p - lo) % DECIDE_PERIOD == 0
+                                && votes[guess] > other + open[p - lo] + slack) break;
+                    }
                 }
+                drawn += p - lo;
                 /* The highest vote wins; ties, all-zero votes included, go
                  * to the lowest label. */
                 int32_t best = touched[0];
@@ -189,6 +273,7 @@ int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
                     }
                     votes[label] = -1.0;
                 }
+                tail[u] = length[u] == 1 || tail[u] == best ? best : -2;
                 mem[u * m + length[u]++] = best;
             }
         }
@@ -196,8 +281,10 @@ int slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
     free(order);
     free(length);
     free(touched);
+    free(tail);
     free(votes);
-    return status;
+    free(open);
+    return status ? status : drawn;
 }
 
 /* cover: the communities of the active nodes (those with a neighbour) from
@@ -271,13 +358,19 @@ int64_t cover(int64_t n, const int64_t *indptr, const int32_t *mem, int64_t m,
 /* The one co-occurrence counter, for row i of the CSR (indptr, cols) and
  * its transpose (t_indptr, t_cols), each row ascending: the rows j > i
  * that share a column with i go to touched[0 .. returned), in ascending
- * order if sort is set, and count[j] to the number of columns they share.  count is zero
- * on entry, and the caller zeroes it again for each touched j.  Each
- * column's rows j > i are found by a binary search of the column. */
+ * order if sort is set, and count[j] to the number of columns they share.
+ * count is zero on entry, and the caller zeroes it again for each touched
+ * j.  Each column's rows j > i are found by a binary search of the column.
+ * Rows found in ascending order need no sort, as for a node in one
+ * community of a run; rows within a span of under SCAN_SPAN times their
+ * number are collected by a scan of count over the span; others are
+ * sorted. */
+#define SCAN_SPAN 8
 static int64_t row_pairs(int64_t i, const int32_t *indptr, const int32_t *cols,
                          const int32_t *t_indptr, const int32_t *t_cols,
                          int32_t *count, int32_t *touched, int sort) {
     int64_t k = 0;
+    int in_order = 1;
     for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
         int64_t lo = t_indptr[cols[p]], hi = t_indptr[cols[p] + 1], end = hi;
         while (lo < hi) {
@@ -286,9 +379,24 @@ static int64_t row_pairs(int64_t i, const int32_t *indptr, const int32_t *cols,
             else hi = mid;
         }
         for (int64_t q = lo; q < end; q++)
-            if (count[t_cols[q]]++ == 0) touched[k++] = t_cols[q];
+            if (count[t_cols[q]]++ == 0) {
+                if (k && t_cols[q] < touched[k - 1]) in_order = 0;
+                touched[k++] = t_cols[q];
+            }
     }
-    if (sort) qsort(touched, (size_t)k, sizeof *touched, ascending);
+    if (!sort || in_order) return k;
+    int32_t low = touched[0], high = touched[0];
+    for (int64_t t = 1; t < k; t++) {
+        if (touched[t] < low) low = touched[t];
+        if (touched[t] > high) high = touched[t];
+    }
+    if ((int64_t)high - low + 1 < SCAN_SPAN * k) {
+        int64_t w = 0;
+        for (int64_t j = low; j <= high; j++)
+            if (count[j]) touched[w++] = (int32_t)j;
+    } else {
+        qsort(touched, (size_t)k, sizeof *touched, ascending);
+    }
     return k;
 }
 

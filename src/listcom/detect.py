@@ -29,14 +29,29 @@ A run is one call of the C function ``slpa`` (``_slpa.c``, loaded by
 (2011), one node at a time in visit order.  Each label's vote is its edge
 weights summed from 0.0 in CSR order in a dense per-label accumulator; the
 highest vote wins, and a tie, all-zero votes included, goes to the lowest
-label.  Labels are node positions and memories ``int32`` rows of
-``iterations + 1`` labels.  A malformed array would crash the kernel, so
-:func:`detect_runs` checks the CSR arrays' dtypes, shapes and ranges first,
-and the kernel's ``components`` checks, in one pass over the edges, that
-the graph is simple and undirected as a :class:`ListGraph` promises: each
-row strictly ascending, without the node itself, and every edge in both
-rows.  Either raises :class:`ValidationError`; the buffers hold their dtype
-and C order by their allocation.
+label.  The vote needs only its winner.  So a node of degree
+``DECIDE_DEGREE`` (64) or more takes the last label of its memory as its
+guess, and every ``DECIDE_PERIOD`` (4) draws checks whether the guess has
+won: whether its vote exceeds every other label's partial vote plus all
+that label could still gain, with a slack for rounding.  A neighbour is
+settled while its memory after its first slot holds only the guess, or
+nothing: it can hand out only its own id or the guess.  So a label X other
+than the guess can still gain the weight of every unsettled neighbour, but
+of the settled ones only that of the neighbour whose id is X.  Once the
+guess has won, its final vote would be strictly the highest, and the node
+stops drawing.  Each draw is keyed by its own CSR position, so a skipped
+draw moves no other, and every memory row is the one that full votes give,
+bit for bit.  ``slpa``'s comment in ``_slpa.c`` carries the proof, and
+``slpa`` returns the number of labels it drew.  Nodes below
+``DECIDE_DEGREE`` draw every label.  Labels are node positions and
+memories ``int32`` rows of ``iterations + 1`` labels.  A malformed array
+would crash the kernel, so :func:`detect_runs` checks the CSR arrays'
+dtypes, shapes and ranges first, and the kernel's ``components`` checks, in
+one pass over the edges, that the graph is simple and undirected as a
+:class:`ListGraph` promises: each row strictly ascending, without the node
+itself, and every edge in both rows.  Either raises
+:class:`ValidationError`; the buffers hold their dtype and C order by their
+allocation.
 
 A run walks one connected component at a time, through all its
 iterations, before the next.  :func:`detect_runs` labels the components

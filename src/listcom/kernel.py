@@ -21,10 +21,11 @@ user could plant the library.  The file name, which :func:`library_path`
 gives, holds the sha256 of the source and ``sysconfig.get_platform()``, so
 an edited source or another platform builds anew, and the library is
 renamed into place from a temporary directory beside it, so no process
-loads a partial file.  A build then removes the libraries of earlier
-sources for the same platform.  There is no fallback: a missing compiler or
-a failed build raises a ``RuntimeError`` naming the command, and
-``listcom`` exits 4.
+loads a partial file.  A build then removes the libraries of other sources
+for the same platform, but for the most recently modified one, which another
+checkout sharing the cache may still load: at most two remain per platform.
+There is no fallback: a missing compiler or a failed build raises a
+``RuntimeError`` naming the command, and ``listcom`` exits 4.
 """
 from __future__ import annotations
 
@@ -87,8 +88,8 @@ def load():
     array, i64 = ctypes.c_void_p, ctypes.c_int64
     for entry, restype, argtypes in (
             ("components", i64, [i64, array, array, array, array]),
-            ("slpa", ctypes.c_int, [i64, array, array, array, ctypes.c_uint64, i64,
-                                    i64, array, array, array]),
+            ("slpa", i64, [i64, array, array, array, ctypes.c_uint64, i64,
+                           i64, array, array, array]),
             ("cover", i64, [i64, array, array, i64, ctypes.c_double, i64, array, array]),
             ("pair_counts", i64, [i64, array, array, array, array, i64, array, array]),
             ("fold", i64, [i64, i64, array, array, i64, array, array, i64, array, array]),
@@ -102,7 +103,8 @@ def load():
 def _build(folder: str, name: str) -> None:
     """Compile the kernel into ``folder`` as ``name`` through a temporary
     directory beside it, then remove the other libraries of its platform
-    there, built from earlier sources.  A failed build raises ``OSError``."""
+    there, built from other sources, but for the most recently modified one.
+    A failed build raises ``OSError``."""
     import subprocess
     import tempfile
 
@@ -118,8 +120,10 @@ def _build(folder: str, name: str) -> None:
         os.replace(built, path)
     # Same length, prefix and suffix: another hash of this platform.
     platform = name[name.index("-", len("_slpa-")):]
-    for other in os.listdir(folder):
-        if (other != name and len(other) == len(name) and other.startswith("_slpa-")
-                and other.endswith(platform)):
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(folder, other))
+    others = [os.path.join(folder, other) for other in os.listdir(folder)
+              if other != name and len(other) == len(name)
+              and other.startswith("_slpa-") and other.endswith(platform)]
+    # Another process may remove one of them first.
+    with contextlib.suppress(OSError):
+        for other in sorted(others, key=os.path.getmtime)[:-1]:
+            os.remove(other)

@@ -2,15 +2,19 @@ import functools
 import importlib
 import itertools
 import json
+import os
 import stat
 import subprocess
 import sysconfig
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listcom.detect import (Cover, DetectorConfig, detect,
                             detect_runs, filter_singletons, load_communities,
@@ -19,6 +23,7 @@ from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
 from listcom.listgraph import ListGraph, build_list_graph
+import reference
 from reference import (FAST, THOROUGH, component_graphs, cover_sets, edge_map,
                        graph_from_edges, memory_cover)
 
@@ -440,8 +445,10 @@ def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
     assert list((kernel_cache / "elsewhere" / "listcom").iterdir()) == []
 
 
-def test_a_build_removes_the_libraries_of_earlier_sources(kernel_cache, monkeypatch,
-                                                          tmp_path):
+def test_a_build_keeps_the_newest_library_of_another_source(kernel_cache, monkeypatch,
+                                                             tmp_path):
+    # Two checkouts that share the cache keep their libraries; a third
+    # source's build removes the older of the two others.
     module = importlib.import_module("listcom.kernel")
     graph = clique_pair_graph()
     cfg = THOROUGH.with_seed(4)
@@ -453,12 +460,136 @@ def test_a_build_removes_the_libraries_of_earlier_sources(kernel_cache, monkeypa
                kernel_cache / f"_slpa-{'0' * 64}-other-{sysconfig.get_platform()}.so"}
     for path in planted:
         path.write_bytes(b"")
-    edited = tmp_path / "_slpa.c"
-    edited.write_text(module.KERNEL_SOURCE.read_text("utf-8") + "/* edited */\n", "utf-8")
-    monkeypatch.setattr(module, "KERNEL_SOURCE", edited)
-    module.load.cache_clear()
-    assert detect(graph, cfg) == built
-    # The second source's library replaced the first; the other platforms'
-    # files stay.
-    [second] = set(kernel_cache.iterdir()) - planted
-    assert second.name != first.name and all(path.exists() for path in planted)
+    source = module.KERNEL_SOURCE.read_text("utf-8")
+
+    def build(edit):
+        edited = tmp_path / edit / "_slpa.c"
+        edited.parent.mkdir()
+        edited.write_text(source + f"/* {edit} */\n", "utf-8")
+        monkeypatch.setattr(module, "KERNEL_SOURCE", edited)
+        module.load.cache_clear()
+        assert detect(graph, cfg) == built
+        return set(kernel_cache.iterdir()) - planted
+
+    [second] = build("second") - {first}
+    assert second.name != first.name
+    # Fixed times in the past, the second the newer.
+    os.utime(first, (1e9, 1e9))
+    os.utime(second, (1.5e9, 1.5e9))
+    [third] = build("third") - {second}
+    assert third.name not in (first.name, second.name)
+    assert not first.exists() and all(path.exists() for path in planted)
+
+
+# The kernel's DECIDE_DEGREE: nodes of this degree or more may stop drawing.
+DECIDE_DEGREE = 64
+
+
+def drawn_labels(graph, iterations, seed):
+    """The number of labels that the kernel's ``slpa`` draws in the run of
+    ``seed``."""
+    module = importlib.import_module("listcom.detect")
+    lib = importlib.import_module("listcom.kernel").load()
+    csr = module._checked_csr(graph)
+    starts, nodes = module._components(lib, csr)
+    mem = np.empty((len(graph.nodes), iterations + 1), dtype=np.int32)
+    return lib.slpa(len(graph.nodes), *(a.ctypes.data for a in csr), seed, iterations,
+                    len(starts) - 1, starts.ctypes.data, nodes.ctypes.data,
+                    mem.ctypes.data)
+
+
+def test_the_early_decision_skips_most_draws_in_dense_components():
+    # Two 100-node cliques: after the first iterations a node's last label
+    # leads its vote long before its 99th neighbour is heard.
+    nodes = [f"n{i:03d}" for i in range(200)]
+    edges = {(nodes[b + i], nodes[b + j]): 1.0
+             for b in (0, 100) for i in range(100) for j in range(i + 1, 100)}
+    graph = graph_from_edges(nodes, edges)
+    for seed in (1, 2**64 - 1):
+        assert drawn_labels(graph, 30, seed) < 30 * len(graph.indices) / 5
+
+
+def test_nodes_below_the_decision_degree_draw_every_label():
+    for graph in component_graphs():
+        assert np.diff(graph.indptr).max() < DECIDE_DEGREE
+        for iterations in (1, 20):
+            assert drawn_labels(graph, iterations, 3) == iterations * len(graph.indices)
+
+
+# Edge weights for dense_graph: equal, zero (every vote ties), a few
+# fractions whose sums tie and round, uniform, and so large that a row's
+# total overflows.
+WEIGHTS = {
+    "equal": lambda rng, k: np.ones(k),
+    "zero": lambda rng, k: np.zeros(k),
+    "fractions": lambda rng, k: rng.choice([0.2, 0.25, 1 / 3, 0.5, 1.0], size=k),
+    "uniform": lambda rng, k: rng.random(k),
+    "overflowing": lambda rng, k: np.full(k, 1e308),
+}
+
+
+def dense_graph(rng, weights):
+    """One or two blocks of 65 to 110 nodes, each pair linked with a
+    probability of 0.9 to 1, so that most of their nodes have a degree of
+    64 or more; sparse noise edges between the blocks and to 20 other
+    nodes; and 3 isolated nodes."""
+    sizes = rng.integers(DECIDE_DEGREE + 1, 111, size=rng.integers(1, 3))
+    n = int(sizes.sum()) + 23
+    pairs = set()
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes.tolist()):
+        density = rng.uniform(0.9, 1.0)
+        pairs |= {(start + i, start + j) for i in range(size) for j in range(i + 1, size)
+                  if rng.random() < density}
+    for a, b in rng.integers(0, n - 3, size=(60, 2)).tolist():
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    nodes = [f"n{u:03d}" for u in rng.permutation(n)]  # blocks spread over the order
+    pairs = sorted(pairs)
+    return graph_from_edges(nodes, {(nodes[a], nodes[b]): float(w) for (a, b), w
+                                    in zip(pairs, WEIGHTS[weights](rng, len(pairs)))})
+
+
+def late_heavy_graph(seed):
+    """A block of 65 to 79 nodes, each pair linked with a probability of
+    0.97: edges to the three highest nodes weigh 5 to 30, the others 1.  So
+    the heavy neighbours come last in each row, where a node may already
+    have stopped drawing."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(65, 80))
+    nodes = [f"n{u:03d}" for u in range(size)]
+    edges = {}
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.97:
+                edges[(nodes[i], nodes[j])] = float(rng.uniform(5, 30)) if j >= size - 3 else 1.0
+    return graph_from_edges(nodes, edges)
+
+
+def test_the_early_decision_counts_the_neighbours_not_yet_heard():
+    # Runs, found by a search, whose covers change when the bound leaves out
+    # the weight of a settled neighbour whose id is another label, or counts
+    # the neighbour whose id is the guess as settled although its later
+    # slots hold another label.  Random graphs seldom show either.
+    for graph_seed, iterations, seed in [(0, 2, 3), (1, 2, 7), (1, 5, 16), (22, 2, 19)]:
+        graph = late_heavy_graph(graph_seed)
+        cfg = DetectorConfig(iterations, THOROUGH.overlap_threshold, seed)
+        want = reference.detect(graph.nodes, edge_map(graph), cfg)
+        assert cover_sets(detect(graph, cfg)) == want
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(WEIGHTS)), st.integers(1, 30),
+       st.integers(1, 3))
+@settings(max_examples=10, deadline=None)
+def test_the_early_decision_matches_the_reference(seed, weights, iterations, threads):
+    # Blocks above the decision degree, where the kernel stops drawing
+    # early, give the covers of the reference's full votes, on 1 to 3
+    # threads.
+    graph = dense_graph(np.random.default_rng(seed), weights)
+    assert np.diff(graph.indptr).max() >= DECIDE_DEGREE
+    cfg = DetectorConfig(iterations, THOROUGH.overlap_threshold)
+    seeds = [derive_seed(seed, run) for run in range(threads)]
+    edges = edge_map(graph)
+    want = [reference.detect(graph.nodes, edges, cfg.with_seed(s)) for s in seeds]
+    module = importlib.import_module("listcom.detect")
+    with mock.patch.multiple(module, WORKERS=threads, THREAD_POSITIONS=1):
+        assert [cover_sets(cover) for cover in detect_runs(graph, cfg, seeds)] == want
