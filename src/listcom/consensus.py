@@ -18,7 +18,10 @@ merge into the sorted matrix in one pass: a key already there gets
 ``old + score``, a new key ``score``.  Runs are folded into the matrix one
 at a time in ascending run order, so the floating-point result is a pure
 function of the runs' covers.  A detector at the ``detector=`` seam returns
-a cover over the graph's node order.  The normalised matrix is thresholded
+a cover over the graph's node order.  :func:`run_ensemble` ends with the
+scores that consensus.tsv holds, each the double of its 6-decimal string,
+so a library caller and the pipeline threshold the same numbers, and
+:func:`save_matrix` only writes.  The normalised matrix is thresholded
 into a consensus graph (a mask over the keys) on which a thorough detection
 pass produces the final cover.
 """
@@ -34,7 +37,8 @@ from .atomic import atomic_write
 from .detect import (Cover, DetectorConfig, detect, detect_runs,
                      filter_singletons, node_positions)
 from .errors import ParseError, ValidationError
-from .listgraph import ListGraph, pair_text, read_pair_rows, write_pair_rows
+from .listgraph import (ListGraph, pair_text, read_pair_rows, write_pair_rows,
+                        written_values)
 from .seeds import STREAM_CONSENSUS, derive_seed
 
 if TYPE_CHECKING:  # pipeline imports this module
@@ -158,6 +162,9 @@ def run_ensemble(
 
     Run i has ``fast_iterations``, the ``overlap_threshold`` and the seed
     ``derive_seed(master_seed, i)``, and runs are folded in run order.
+    Each mean score is then replaced by the double of its 6-decimal
+    string, as consensus.tsv holds and :func:`load_matrix` reads it, and
+    the scores that print as 0.000000 are dropped.
     """
     matrix = ConsensusMatrix.empty(graph.nodes, config.runs)
     fast = DetectorConfig(config.fast_iterations, config.overlap_threshold)
@@ -165,6 +172,9 @@ def run_ensemble(
     for cover in _covers(graph, fast, seeds, detector):
         accumulate(matrix, cover)
     matrix.values *= 1.0 / config.runs
+    values = written_values(matrix.values)
+    kept = values > 0.0
+    matrix.keys, matrix.values = matrix.keys[kept], values[kept]
     return matrix
 
 
@@ -208,18 +218,13 @@ def cover_agreement(a: Cover, b: Cover) -> float:
     return 0.5 * (directed(a, b) + directed(b, a))
 
 
-def save_matrix(matrix: ConsensusMatrix, path) -> ConsensusMatrix:
+def save_matrix(matrix: ConsensusMatrix, path) -> None:
     """TSV rows ``a<TAB>b<TAB>score`` (6 decimals, lexicographic pairs) under
-    a ``#r=<runs>`` header.  Returns the matrix that :func:`load_matrix`
-    reads back over the same order: the value of each written string,
-    without the scores written as 0.000000."""
+    a ``#r=<runs>`` header."""
     i, j = np.divmod(matrix.keys, len(matrix.order))
-    text, which = pair_text(matrix.values)
     with atomic_write(path) as fh:
         fh.write(f"#r={matrix.r}\n")
-        values = write_pair_rows(fh, matrix.order, i, j, text, which)[which]
-    kept = values > 0.0
-    return ConsensusMatrix(matrix.order, matrix.keys[kept], values[kept], matrix.r)
+        write_pair_rows(fh, matrix.order, i, j, *pair_text(matrix.values))
 
 
 def load_matrix(path, order) -> ConsensusMatrix:

@@ -23,7 +23,10 @@ then become the CSR through one id-to-position dict per side and one sort
 of (list, user) codes.  Its lines are walked one by one only after that
 check fails, and a bad byte's line is found only after the decode fails,
 so each error names the first bad line, ``path:line``, as a parse line by
-line would.  lists.jsonl is parsed one JSON object per line.
+line would.  lists.jsonl is parsed one JSON object per line.  The pipeline's
+text and JSON artifacts are read through the same decoder
+(:func:`read_lines`, :func:`read_json`), so a bad byte or bad JSON in them
+is a :class:`ParseError` at ``path:line`` too.
 """
 from __future__ import annotations
 
@@ -167,6 +170,21 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a text file decoded by :func:`_read`; bad UTF-8 raises
+    :class:`ParseError` with ``path:line``."""
+    return _lines(_read(path)[1])
+
+
+def read_json(path):
+    """The JSON value of a text file decoded by :func:`_read`; bad UTF-8 or
+    bad JSON raises :class:`ParseError` with ``path:line``."""
+    try:
+        return json.loads(_read(path)[1])
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+
+
 def _tsv_columns(path) -> tuple[list[str], list[str]]:
     """The first and the second field of every ``a<TAB>b`` line of a file.
 
@@ -206,7 +224,7 @@ def load_corpus(memberships_path, lists_path) -> MembershipCorpus:
     split into its two columns at once.
     """
     records = []
-    for lineno, line in enumerate(_lines(_read(lists_path)[1]), start=1):
+    for lineno, line in enumerate(read_lines(lists_path), start=1):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -120,6 +120,7 @@ import numpy as np
 
 from . import kernel
 from .atomic import atomic_write
+from .corpus import read_json
 from .errors import ValidationError
 from .listgraph import ListGraph
 
@@ -404,8 +405,7 @@ def save_communities(cover: Cover, path) -> None:
 def load_communities(path, order=None) -> Cover:
     """Reload a cover over the sorted node ``order``; without one, over the
     ids the file names."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, list) or not all(
             isinstance(c, list) and all(isinstance(node, str) for node in c)
             for c in payload):

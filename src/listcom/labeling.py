@@ -21,7 +21,7 @@ from importlib import resources
 from itertools import chain, islice
 
 from .atomic import atomic_write, json_array, json_numbers
-from .corpus import MembershipCorpus
+from .corpus import MembershipCorpus, read_json
 from .errors import ValidationError
 
 ListVector = dict[str, float]
@@ -159,8 +159,7 @@ def write_labels(labels_by_id: dict[int, list[tuple[str, float]]], path) -> None
 
 
 def load_labels(path) -> dict[int, list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, list) or not all(
             isinstance(entry, dict) and type(entry.get("community_id")) is int
             and isinstance(entry.get("labels"), list)

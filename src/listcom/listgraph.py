@@ -31,7 +31,9 @@ lexicographic pairs) with one codec: :func:`pair_text` formats each distinct
 value once (for the graph, each distinct weight of its upper edges),
 :func:`write_pair_rows` joins the rows in the kernel, a block of
 ``TEXT_BLOCK`` rows at a time, and :func:`read_pair_rows` reads with
-``path:line`` errors.  Ids hold no tab or line break
+``path:line`` errors.  The graph and the matrix are built with the values
+their files hold (:func:`written_values`), so the writers only write, and
+a built object equals its reload.  Ids hold no tab or line break
 (:class:`~listcom.corpus.MembershipCorpus` refuses them), so a row's
 fields are its ids.
 """
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import kernel
 from .atomic import atomic_write
-from .corpus import MembershipCorpus
+from .corpus import MembershipCorpus, read_lines
 from .errors import ParseError, ValidationError
 
 _LN10 = math.log(10.0)
@@ -241,7 +243,9 @@ def _int32_rows(indptr, cols, width) -> list[np.ndarray]:
 
 def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     """One node per list; edges for every member-sharing pair whose weight
-    clears ``rho``.  ``rho`` must be a number >= 0:
+    clears ``rho``.  Each kept weight is held as graph.tsv holds it, the
+    double of its 6-decimal string; ``rho`` is tested on the weight before
+    that rounding.  ``rho`` must be a number >= 0:
     :class:`~listcom.pipeline.PipelineConfig` checks it, and this function
     does not."""
     nodes = corpus.list_ids
@@ -261,10 +265,10 @@ def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     size_pair, k = np.divmod(codes, top)
     lg = np.zeros(n + 2)  # index 0 is never touched (log_comb args are >= 1)
     lg[1:] = [math.lgamma(x) for x in range(1, n + 2)]
-    lpv = (0.0 - _log_tail_batch(distinct[size_pair // d], distinct[size_pair % d],
-                                 k, n, lg) / _LN10)[which]
-    keep = lpv >= rho
-    return ListGraph.from_pairs(nodes, i[keep], j[keep], lpv[keep])
+    lpv = 0.0 - _log_tail_batch(distinct[size_pair // d], distinct[size_pair % d],
+                                k, n, lg) / _LN10
+    keep = lpv[which] >= rho
+    return ListGraph.from_pairs(nodes, i[keep], j[keep], written_values(lpv)[which][keep])
 
 
 def pair_text(values) -> tuple[list[str], np.ndarray]:
@@ -276,13 +280,21 @@ def pair_text(values) -> tuple[list[str], np.ndarray]:
     return [f"{v:.6f}" for v in bits.view(np.float64).tolist()], which
 
 
-def write_pair_rows(fh, nodes, i, j, text, which) -> np.ndarray:
+def written_values(values) -> np.ndarray:
+    """Each value replaced by the double its :func:`pair_text` string
+    parses to, as a reader of the pair files gets it.  A double
+    round-trips every decimal of 15 or fewer significant digits, so
+    formatting the result gives the same strings for values below 10**9."""
+    text, which = pair_text(values)
+    return np.array([float(t) for t in text], dtype=np.float64)[which]
+
+
+def write_pair_rows(fh, nodes, i, j, text, which) -> None:
     """Write one ``a<TAB>b<TAB>text[which[k]]`` row per node pair
-    ``(nodes[i[k]], nodes[j[k]])`` to the text file ``fh``; returns each
-    string of ``text`` as a reader parses it back.  The ids are encoded to
-    UTF-8 once, and the kernel joins ``TEXT_BLOCK`` rows at a time into a
-    buffer sized for the longest id and the longest string, which is
-    decoded and written as one string."""
+    ``(nodes[i[k]], nodes[j[k]])`` to the text file ``fh``.  The ids are
+    encoded to UTF-8 once, and the kernel joins ``TEXT_BLOCK`` rows at a
+    time into a buffer sized for the longest id and the longest string,
+    which is decoded and written as one string."""
     ids = [node.encode() for node in nodes]
     values = [t.encode() for t in text]
     rows = [np.ascontiguousarray(a, dtype=np.int64) for a in (i, j, which)]
@@ -302,45 +314,32 @@ def write_pair_rows(fh, nodes, i, j, text, which) -> np.ndarray:
             ends[0].ctypes.data, blobs[1].ctypes.data, ends[1].ctypes.data,
             len(buffer), buffer.ctypes.data), "pair rows")
         fh.write(str(buffer[:size], "utf-8"))
-    return np.array(text, dtype=np.float64)
 
 
-def save_graph(graph: ListGraph, edges_path, nodes_path) -> ListGraph:
+def save_graph(graph: ListGraph, edges_path, nodes_path) -> None:
     """Write edges (lexicographic pair order, weights to 6 decimals) and the
-    sidecar node list that preserves isolated nodes.  Returns the graph that
-    :func:`load_graph` reads back from them: the same CSR with each weight
-    replaced by the value of its written string.  Only the upper copy of
-    each edge is formatted."""
+    sidecar node list that preserves isolated nodes.  Only the upper copy
+    of each edge is formatted."""
     i, j, w = graph.edge_pairs()
-    text, which = pair_text(w)
     with atomic_write(edges_path) as fh:
-        parsed = write_pair_rows(fh, graph.nodes, i, j, text, which)[which]
+        write_pair_rows(fh, graph.nodes, i, j, *pair_text(w))
     with atomic_write(nodes_path) as fh:
         fh.writelines(node + "\n" for node in graph.nodes)
-    # In CSR order the lower copies, (row a, column b < a), are the edges
-    # (b, a) ordered by (a, b): the upper edges stably sorted by j.
-    upper = graph.indices > np.repeat(np.arange(len(graph.nodes)), np.diff(graph.indptr))
-    weights = np.empty(len(graph.indices))
-    weights[upper] = parsed
-    weights[~upper] = parsed[np.argsort(j, kind="stable")]
-    weights.flags.writeable = False
-    return ListGraph(graph.nodes, graph.indptr, graph.indices, weights)
 
 
 def load_nodes(nodes_path) -> list[str]:
     """The sorted ids of a node list, one per line; blank lines are
-    skipped and a repeated id raises."""
+    skipped, a repeated id raises, and bad UTF-8 raises
+    :class:`ParseError` with its line."""
     nodes: list[str] = []
     seen = set()
-    with open(nodes_path, encoding="utf-8") as fh:
-        for line in fh:
-            node = line.rstrip("\n")
-            if not node:
-                continue
-            if node in seen:
-                raise ValidationError(f"{nodes_path}: duplicate node {node!r}")
-            seen.add(node)
-            nodes.append(node)
+    for node in read_lines(nodes_path):
+        if not node:
+            continue
+        if node in seen:
+            raise ValidationError(f"{nodes_path}: duplicate node {node!r}")
+        seen.add(node)
+        nodes.append(node)
     nodes.sort()
     return nodes
 
@@ -350,34 +349,32 @@ def read_pair_rows(path, nodes, header=0):
     then ``a<TAB>b<TAB>value`` rows in any row and endpoint order.  Returns
     the header lines and arrays ``(i, j, values, lines)`` in ascending
     ``(i, j)`` order with i < j, ``lines`` being each row's line in the file.
-    Each error names ``path:line``: a wrong field count, a value ``float``
-    cannot parse, an endpoint outside ``nodes``, a self-pair, or the second
-    copy of a pair."""
+    Each error names ``path:line``: bad UTF-8, a wrong field count, a value
+    ``float`` cannot parse, an endpoint outside ``nodes``, a self-pair, or
+    the second copy of a pair."""
     index = {node: k for k, node in enumerate(nodes)}
     head, first, second, values = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno <= header:
-                head.append(line)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected three fields")
-            a, b, text = fields
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad value {text!r}") from exc
-            ia = index.get(a)
-            ib = index.get(b)
-            if ia is None or ib is None:
-                raise ValidationError(f"{path}:{lineno}: node "
-                                      f"{a if ia is None else b!r} not in the node list")
-            if ia == ib:
-                raise ValidationError(f"{path}:{lineno}: self-pair on {a!r}")
-            first.append(ia)
-            second.append(ib)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if lineno <= header:
+            head.append(line)
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{lineno}: expected three fields")
+        a, b, text = fields
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad value {text!r}") from exc
+        ia = index.get(a)
+        ib = index.get(b)
+        if ia is None or ib is None:
+            raise ValidationError(f"{path}:{lineno}: node "
+                                  f"{a if ia is None else b!r} not in the node list")
+        if ia == ib:
+            raise ValidationError(f"{path}:{lineno}: self-pair on {a!r}")
+        first.append(ia)
+        second.append(ib)
     i, j = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
     i, j = np.minimum(i, j), np.maximum(i, j)
     keys = i * len(nodes) + j

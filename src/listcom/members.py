@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .atomic import atomic_write, json_array, json_numbers
-from .corpus import GroundTruth, MembershipCorpus
+from .corpus import GroundTruth, MembershipCorpus, read_json
 from .detect import Cover
 from .errors import ValidationError
 
@@ -261,8 +261,7 @@ def _report(community_id: int, stability, labels, users: list[str]) -> str:
 
 
 def load_users(path) -> UserCommunities:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, list) or not all(
             isinstance(entry, dict) and type(entry.get("community_id")) is int
             and isinstance(entry.get("users"), list)

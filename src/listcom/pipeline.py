@@ -3,10 +3,11 @@
 Stages communicate through artifacts in the output directory, so any prefix
 of the pipeline can be resumed from disk with an identical final result,
 and a one-shot run equals running the stages one by one.  A one-shot run
-reads back no artifact it writes: each stage returns what its artifact
-holds, and :func:`run_pipeline` hands that to the stages that read the
-artifact.  The graph and the matrix carry the weights and scores converted
-from the very strings written; the cover goes to the stability, label and
+reads back no artifact it writes: each stage returns what it built, which
+equals a reload of its artifact, and :func:`run_pipeline` hands that to
+the stages that read the artifact.  The graph and the matrix are built
+with the weights and scores their files hold, so each is made once and
+its writer only writes; the cover goes to the stability, label and
 members stages; the corrected stability scores at full precision (the last
 column of stability.tsv) and the label terms go to the members stage; and
 the user communities with their weights as written go to the evaluate
@@ -161,8 +162,8 @@ def stage_build_graph(memberships_path, lists_path, out_dir,
     if corpus is None:
         corpus = corp.load_corpus(memberships_path, lists_path)
     graph = lg.build_list_graph(corpus, config.rho)
-    return lg.save_graph(graph, _artifact(out_dir, "graph"),
-                         _artifact(out_dir, "nodes"))
+    lg.save_graph(graph, _artifact(out_dir, "graph"), _artifact(out_dir, "nodes"))
+    return graph
 
 
 def stage_ensemble(out_dir, config: PipelineConfig,
@@ -173,7 +174,8 @@ def stage_ensemble(out_dir, config: PipelineConfig,
     if graph is None:
         graph = lg.load_graph(_require(out_dir, "graph"), _require(out_dir, "nodes"))
     matrix = cons.run_ensemble(graph, config)
-    return cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
+    cons.save_matrix(matrix, _artifact(out_dir, "consensus"))
+    return matrix
 
 
 def stage_consensus(out_dir, config: PipelineConfig, matrix=None) -> Cover:
@@ -239,7 +241,7 @@ def _read_stability(out_dir) -> dict[int, float]:
     path = _artifact(out_dir, "stability")
     scores: dict[int, float] = {}
     if path.exists():
-        for line in path.read_text("utf-8").splitlines():
+        for line in corp.read_lines(path):
             fields_ = line.split("\t")
             if len(fields_) < 7:
                 raise ValidationError(f"{path}: no full-precision stability "
@@ -307,7 +309,7 @@ def run_pipeline(
     """Run every stage in order; artifacts from completed stages survive a
     failure, which is reported with the failing stage's name.  The corpus
     is parsed once, inside build-graph; each stage's result is handed on
-    as its writer returns it, and no artifact is read back."""
+    as the stage returns it, and no artifact is read back."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("build-graph"):

@@ -262,6 +262,12 @@ def read_pairs(path, header=0) -> tuple[list[str], dict[tuple[str, str], float]]
     return lines[:header], rows
 
 
+def as_written(value: float) -> float:
+    """The double of ``value``'s 6-decimal string, formatted on its own, as
+    a reader of a pair file gets it."""
+    return float(f"{value:.6f}")
+
+
 def pair_rows_text(rows) -> str:
     """The ``a<TAB>b<TAB>value`` lines of ``{(a, b): value}`` (a < b) in
     sorted pair order, each value formatted on its own to 6 decimals."""

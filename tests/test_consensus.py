@@ -17,7 +17,7 @@ from listcom.pipeline import PipelineConfig
 from listcom.synth import PlantedSpec, synth
 from listcom.seeds import STREAM_CONSENSUS, derive_seed
 import reference
-from reference import (FAST, community_pair_scores, edge_map, entry_map,
+from reference import (FAST, as_written, community_pair_scores, edge_map, entry_map,
                        graph_from_edges, matrix_from_pairs, numpy_pair_scores,
                        same_matrix)
 
@@ -275,9 +275,11 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
     graph = graph_from_edges(("a", "b", "c", "d", "e"), {})
     cfg = PipelineConfig(master_seed=1, runs=6, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=partition_detector)
-    # every per-run contribution is 0 or 1, so entries are multiples of 1/r
-    for v in matrix.values:
-        assert (v * 6) == pytest.approx(round(v * 6))
+    # every per-run contribution is 0 or 1, so entries are multiples of 1/r,
+    # as their 6-decimal strings read
+    assert len(matrix.values)
+    for v in matrix.values.tolist():
+        assert v == as_written(round(v * 6) / 6)
 
 
 @pytest.mark.parametrize("returned", [
@@ -367,7 +369,7 @@ def test_matrix_round_trip_with_header(tmp_path):
     assert same_matrix(reloaded, m)
 
 
-def test_save_matrix_returns_what_load_matrix_reads(tmp_path):
+def test_load_matrix_reads_the_scores_as_written(tmp_path):
     # Scores below 5e-7 print as 0.000000 and are dropped, the others keep
     # the value of their written string; nodes without entries stay in the
     # order.
@@ -375,12 +377,15 @@ def test_save_matrix_returns_what_load_matrix_reads(tmp_path):
               ("b", "c"): 1.0, ("b", "d"): 1 / 3, ("c", "d"): 0.7500005}
     m = matrix_from_pairs("abcde", scores, 7)
     path = tmp_path / "m.tsv"
-    returned = save_matrix(m, path)
-    assert same_matrix(returned, load_matrix(path, order=m.order))
-    assert not same_matrix(returned, m)
-    assert set(entry_map(returned)) == set(scores) - {("a", "c"), ("a", "d")}
-    assert returned.order == ("a", "b", "c", "d", "e")
-    assert returned.r == 7
+    assert save_matrix(m, path) is None
+    assert "a\tc\t0.000000\n" in path.read_text("utf-8")
+    reloaded = load_matrix(path, order=m.order)
+    written = {pair: as_written(v) for pair, v in scores.items() if as_written(v) > 0.0}
+    assert same_matrix(reloaded, matrix_from_pairs("abcde", written, 7))
+    assert not same_matrix(reloaded, m)
+    assert set(entry_map(reloaded)) == set(scores) - {("a", "c"), ("a", "d")}
+    assert reloaded.order == ("a", "b", "c", "d", "e")
+    assert reloaded.r == 7
 
 
 def test_cover_agreement_bounds():

@@ -12,8 +12,8 @@ from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.errors import ValidationError
 from listcom.listgraph import (ListGraph, build_list_graph,
                                load_graph, overlap_lpv, overlap_pvalue,
-                               save_graph)
-from reference import (edge_map, graph_edges, graph_from_edges, id_sets,
+                               read_pair_rows, save_graph)
+from reference import (as_written, edge_map, graph_edges, graph_from_edges, id_sets,
                        intersection_counts, numpy_pair_counts, pair_rows,
                        pair_rows_text, random_corpus, same_graph)
 
@@ -176,16 +176,17 @@ def test_edge_weights_match_scalar_op():
         k = len(memberships[a] & memberships[b])
         expected = overlap_lpv(len(memberships[a]),
                                len(memberships[b]), k, corpus.n)
-        assert w == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert w == as_written(expected)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 18])
 @pytest.mark.parametrize("seed", range(10))
 def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch, tmp_path):
     # The kernel's counts equal the numpy block counter's at blocks of one
-    # list, of a few pair instances and of the whole corpus, and graph.tsv,
-    # written TEXT_BLOCK rows at a time with the same sizes, equals the
-    # reference's rows.
+    # list, of a few pair instances and of the whole corpus, each weight is
+    # the reference's as its 6-decimal string reads, and graph.tsv, written
+    # TEXT_BLOCK rows at a time with the same sizes, equals the reference's
+    # rows.
     listgraph = importlib.import_module("listcom.listgraph")
     monkeypatch.setattr(listgraph, "TEXT_BLOCK", block)
     corpus = random_corpus(np.random.Generator(np.random.PCG64(seed)))
@@ -202,7 +203,7 @@ def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch, tm
         graph = build_list_graph(corpus, rho)
         expected = graph_edges(memberships, user_index, rho)
         assert {e: w.hex() for e, w in edge_map(graph).items()} == {
-            e: w.hex() for e, w in expected.items()}
+            e: as_written(w).hex() for e, w in expected.items()}
         save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
         assert (tmp_path / "g.tsv").read_text("utf-8") == pair_rows_text(expected)
 
@@ -316,32 +317,33 @@ def test_graph_round_trip_preserves_isolated_nodes(tmp_path):
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
     assert reloaded.nodes == graph.nodes
     assert set(edge_map(reloaded)) == set(edge_map(graph))
-    for key, w in edge_map(graph).items():
-        assert edge_map(reloaded)[key] == pytest.approx(w, abs=5e-7)
+    # The built graph holds its weights as written, so it equals its reload.
+    assert same_graph(reloaded, graph)
 
 
 @pytest.mark.parametrize("block", [1 << 16, 2])
-def test_save_graph_returns_what_load_graph_reads(tmp_path, monkeypatch, block):
-    # The returned weights are the written 6-decimal strings converted, so
-    # they equal a reload bit for bit; a weight that prints as 0.000000
-    # stays an edge, as load_graph keeps it.  Values are told apart by
-    # their bits, so -0.0 is written as -0.000000 beside a 0.000000.
+def test_load_graph_reads_the_weights_as_written(tmp_path, monkeypatch, block):
+    # The reload holds each weight as its 6-decimal string reads, bit for
+    # bit; a weight that prints as 0.000000 stays an edge, as load_graph
+    # keeps it.  Values are told apart by their bits, so -0.0 is written
+    # as -0.000000 beside a 0.000000.
     monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
                         "TEXT_BLOCK", block)
     weights = {("a", "b"): 6.1234565, ("a", "c"): 2.5e-7, ("a", "e"): -0.0,
                ("b", "c"): 1 / 3, ("b", "d"): 0.0, ("c", "d"): 1e6 + 5e-7,
                ("d", "e"): 7.0000005}
     graph = graph_from_edges("abcdef", weights)
-    returned = save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
+    assert save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes") is None
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
-    assert same_graph(returned, reloaded)
-    assert not same_graph(returned, graph)
-    assert not returned.weights.flags.writeable
-    assert returned.nodes == ("a", "b", "c", "d", "e", "f")
-    assert edge_map(returned)[("a", "c")] == 0.0
+    written = graph_from_edges("abcdef", {e: as_written(w) for e, w in weights.items()})
+    assert same_graph(reloaded, written)
+    assert not same_graph(reloaded, graph)
+    assert not reloaded.weights.flags.writeable
+    assert reloaded.nodes == ("a", "b", "c", "d", "e", "f")
+    assert edge_map(reloaded)[("a", "c")] == 0.0
     text = (tmp_path / "g.tsv").read_text("utf-8")
     assert "a\te\t-0.000000\n" in text and "b\td\t0.000000\n" in text
-    assert math.copysign(1.0, edge_map(returned)[("a", "e")]) == -1.0
+    assert math.copysign(1.0, edge_map(reloaded)[("a", "e")]) == -1.0
 
 
 def test_graph_arrays_sorted_per_row_and_symmetric():
@@ -387,7 +389,8 @@ def test_load_graph_rejects_bad_edges(tmp_path, edges, message):
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
     # Multi-byte ids of different lengths, a -0.0 beside a 0.0, and an
-    # empty graph, written a few rows at a time.
+    # empty graph, written a few rows at a time; a reader gets each weight
+    # as written_values gives it, bit for bit.
     listgraph = importlib.import_module("listcom.listgraph")
     monkeypatch.setattr(listgraph, "TEXT_BLOCK", block)
     rng = np.random.Generator(np.random.PCG64(block))
@@ -402,11 +405,13 @@ def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
         text, which = listgraph.pair_text(graph.weights)
         i, j, upper = graph.edge_pairs(which)
         with open(tmp_path / "rows.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            parsed = listgraph.write_pair_rows(fh, graph.nodes, i, j, text, upper)
+            assert listgraph.write_pair_rows(fh, graph.nodes, i, j, text, upper) is None
         written = (tmp_path / "rows.tsv").read_text("utf-8")
         assert written == pair_rows(graph.nodes, i, j, text, upper)
         assert written == pair_rows_text(edges)
-        assert parsed.tolist() == [float(t) for t in text]
+        parsed = read_pair_rows(tmp_path / "rows.tsv", graph.nodes)[3]
+        assert parsed.tobytes() == listgraph.written_values(graph.edge_pairs()[2]).tobytes()
+        assert parsed.tolist() == [as_written(w) for _, w in sorted(edges.items())]
     assert "a\tb b\t-0.000000\n" in pair_rows_text(weights)
 
 

@@ -1,6 +1,7 @@
 import filecmp
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,38 @@ def test_stage_hand_offs_equal_a_reload(corpus_files, tmp_path):
     assert all(users.members(k) == reloaded.members(k) for k in range(len(cover)))
 
 
+# The benchmark's desk spec; its seed-3 corpus has pairs that 20 of 100
+# runs co-assign, whose mean score sits at tau = 0.2.
+DESK = PlantedSpec(groups=8, users_per_group=25, lists_per_group=40,
+                   size_min=5, size_max=15, noise=0.1, overlap=0.1)
+
+
+@pytest.fixture(scope="module")
+def desk_files(tmp_path_factory):
+    return synth_files(DESK, 3, tmp_path_factory.mktemp("desk"))
+
+
+@pytest.mark.parametrize("master_seed", [1, 3])
+def test_the_library_path_equals_the_pipeline(desk_files, tmp_path, master_seed):
+    # A caller of the layer functions thresholds the scores that
+    # consensus.tsv holds, so it gets the pipeline's communities.
+    from listcom.consensus import consensus_communities, load_matrix, run_ensemble
+    from listcom.corpus import load_corpus
+    from listcom.listgraph import build_list_graph, load_graph
+    from reference import same_graph, same_matrix
+
+    cfg = PipelineConfig(rho=6.0, runs=100, tau=0.2, master_seed=master_seed)
+    out = tmp_path / "run"
+    run_pipeline(desk_files["memberships"], desk_files["lists"], out, cfg)
+    graph = build_list_graph(load_corpus(desk_files["memberships"], desk_files["lists"]),
+                             cfg.rho)
+    assert same_graph(graph, load_graph(out / ARTIFACTS["graph"], out / ARTIFACTS["nodes"]))
+    matrix = run_ensemble(graph, cfg)
+    assert same_matrix(matrix, load_matrix(out / ARTIFACTS["consensus"], graph.nodes))
+    assert (consensus_communities(matrix, cfg).id_lists()
+            == json.loads((out / ARTIFACTS["communities"]).read_text("utf-8")))
+
+
 def test_users_json_carries_full_precision_stability(corpus_files, tmp_path):
     from listcom import pipeline as pipe
     from listcom.detect import load_communities
@@ -563,6 +596,37 @@ def test_resumed_stages_exit_2_on_a_repeated_node(corpus_files, tmp_path,
         assert main([stage, "--out", str(out), "--runs", "6",
                      "--master-seed", "3"]) == 2, stage
         assert f"duplicate node {first!r}" in capsys.readouterr().err, stage
+
+
+# Each artifact that a later stage reads, with a stage that reads it.
+READERS = [("graph", "ensemble"), ("nodes", "ensemble"), ("consensus", "consensus"),
+           ("communities", "stability"), ("stability", "members"),
+           ("labels", "members"), ("users", "evaluate")]
+
+
+@pytest.mark.parametrize("name, stage, damage", [
+    *((name, stage, "bad byte") for name, stage in READERS),
+    *((name, stage, "cut") for name, stage in READERS
+      if ARTIFACTS[name].endswith(".json"))])
+def test_a_malformed_artifact_exits_3_naming_its_file(corpus_files, tmp_path, capsys,
+                                                      name, stage, damage):
+    # A byte 0xff in the middle, or a JSON file cut in half, is a parse
+    # error at a line of that file.
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out,
+                 fast_config())
+    path = out / ARTIFACTS[name]
+    raw = path.read_bytes()
+    half = len(raw) // 2
+    path.write_bytes(raw[:half] + b"\xff" + raw[half:] if damage == "bad byte"
+                     else raw[:half])
+    extra = {"members": ["--memberships", str(corpus_files["memberships"]),
+                         "--lists", str(corpus_files["lists"])],
+             "evaluate": ["--groundtruth", str(corpus_files["groundtruth"])]}
+    assert main([stage, "--out", str(out), "--runs", "6", "--master-seed", "3",
+                 *extra.get(stage, [])]) == 3
+    err = capsys.readouterr().err
+    assert re.search(re.escape(f"error: {path}:") + r"\d+: invalid (UTF-8|JSON) ", err), err
 
 
 def test_consensus_exits_2_without_graph_nodes(corpus_files, tmp_path, capsys):

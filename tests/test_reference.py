@@ -19,8 +19,8 @@ from listcom.stability import (expected_stability, rank_communities,
                                raw_stabilities, raw_stability)
 from listcom.synth import PlantedSpec, synth
 import reference
-from reference import (FAST, THOROUGH, component_graphs, cover_sets, graph_from_edges,
-                       matrix_from_pairs, same_matrix)
+from reference import (FAST, THOROUGH, as_written, component_graphs, cover_sets,
+                       graph_from_edges, matrix_from_pairs, same_matrix)
 
 
 def planted_graph():
@@ -209,14 +209,19 @@ def test_run_ensemble_matches_dict_fold():
     config = PipelineConfig(master_seed=7, runs=6)
     covers = [detect(graph, FAST.with_seed(derive_seed(7, i)))
               for i in range(6)]
-    want = reference.ensemble_fold(graph.nodes, covers)
+    # The fold's scores, each as its 6-decimal string reads, without those
+    # that print as 0.000000.
+    want = {k: as_written(v) for k, v in
+            reference.ensemble_fold(graph.nodes, covers).items() if as_written(v) > 0.0}
     matrix = run_ensemble(graph, config)
     assert matrix.keys.tolist() == sorted(want)
-    assert matrix.values.tolist() == [want[k] for k in sorted(want)]
+    assert [v.hex() for v in matrix.values.tolist()] == [want[k].hex() for k in sorted(want)]
     folded = ConsensusMatrix.empty(graph.nodes, 6)
     for cover in covers:
         reference.accumulate(folded, cover)
     folded.values *= 1.0 / 6
+    values = np.array([as_written(v) for v in folded.values.tolist()])
+    folded.keys, folded.values = folded.keys[values > 0.0], values[values > 0.0]
     assert same_matrix(matrix, folded)
 
 
@@ -288,11 +293,12 @@ def test_graph_codec_matches_the_dict_loop_reader(tmp_path):
         assert graph.indptr.tolist() == offsets.tolist(), trial
         assert graph.indices.tolist() == nbr.tolist(), trial
         assert graph.weights.tolist() == wgt.tolist(), trial
-        returned = save_graph(graph, tmp_path / "h.tsv", tmp_path / "h.nodes")
+        assert save_graph(graph, tmp_path / "h.tsv", tmp_path / "h.nodes") is None
         assert ((tmp_path / "h.tsv").read_text("utf-8")
                 == reference.pair_rows_text(want)), trial
+        written = graph_from_edges(nodes, {e: as_written(w) for e, w in want.items()})
         assert reference.same_graph(
-            returned, load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes")), trial
+            written, load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes")), trial
 
 
 def test_matrix_codec_matches_the_dict_loop_reader(tmp_path):
@@ -306,10 +312,12 @@ def test_matrix_codec_matches_the_dict_loop_reader(tmp_path):
         want = {pair: v for pair, v in want.items() if v > 0.0}
         assert head == [f"#r={runs}"], trial
         assert same_matrix(matrix, matrix_from_pairs(nodes, want, runs)), trial
-        returned = save_matrix(matrix, tmp_path / "s.tsv")
+        assert save_matrix(matrix, tmp_path / "s.tsv") is None
         assert ((tmp_path / "s.tsv").read_text("utf-8")
                 == f"#r={runs}\n" + reference.pair_rows_text(want)), trial
-        assert same_matrix(returned, load_matrix(tmp_path / "s.tsv", nodes)), trial
+        written = {pair: as_written(v) for pair, v in want.items() if as_written(v) > 0.0}
+        assert same_matrix(matrix_from_pairs(nodes, written, runs),
+                           load_matrix(tmp_path / "s.tsv", nodes)), trial
 
 
 def test_stability_matches_dict_loops():
