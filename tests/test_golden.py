@@ -1,4 +1,4 @@
-"""Golden bundles: two committed ``listcom synth`` corpora, the sha256 of the
+"""Golden bundles: three committed ``listcom synth`` corpora, the sha256 of the
 corpus ``synth`` writes for each spec, and the sha256 of all 8 artifacts of
 a one-shot run and of the stages run one by one, all pinned in
 ``data/golden.json``.  A drift in ``synth`` then shows apart from a drift in
@@ -24,7 +24,8 @@ DATA = Path(__file__).resolve().parent / "data"
 TABLE = DATA / "golden.json"
 INPUTS = ("memberships.tsv", "lists.jsonl", "groundtruth.tsv")
 # The synth spec and pipeline flags of each corpus: desk's bench workload,
-# and a small one with overlapping groups.
+# a small one with overlapping groups, and one whose every node has a degree
+# of 69 to 71, so that the kernel's early decision runs in the thorough pass.
 CORPORA = {
     "desk": {
         "synth": {"groups": 8, "users-per-group": 25, "lists-per-group": 40,
@@ -37,6 +38,12 @@ CORPORA = {
                   "size-min": 5, "size-max": 12, "noise": 0.3, "overlap": 0.4,
                   "seed": 1},
         "config": {"rho": 3.0, "runs": 20, "tau": 0.2, "mu": 0.1, "master-seed": 1},
+    },
+    "dense": {
+        "synth": {"groups": 3, "users-per-group": 30, "lists-per-group": 72,
+                  "size-min": 22, "size-max": 28, "noise": 0.05, "overlap": 0.0,
+                  "seed": 1},
+        "config": {"rho": 6.0, "runs": 4, "tau": 0.2, "mu": 0.1, "master-seed": 1},
     },
 }
 
