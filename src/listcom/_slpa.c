@@ -1,11 +1,13 @@
 /* The package's compiled kernel (loaded by listcom/kernel.py): SLPA over a
  * CSR graph one connected component at a time, the cover of one run's
  * memories, the one co-occurrence counter, the consensus fold of one run,
+ * the symmetric CSR of a graph's pairs, the distinct values of an array,
  * and the rows of a pair file.  detect_runs labels the components once,
  * then calls slpa and cover for each run, on the thread that runs it, with
  * that thread's own memory and cover buffer.  slpa's vote stops drawing at
  * a node of degree DECIDE_DEGREE or more once its leading label provably
- * wins, and returns the number of labels it drew.
+ * wins, from counts of settled neighbours that each change of a
+ * neighbour's memory pushes, and returns the number of labels it drew.
  *
  * Every entry that allocates scratch returns -1 if it cannot.  Every entry
  * that writes into an output of a given capacity returns -2, having written
@@ -152,10 +154,31 @@ static inline int32_t collect(int64_t p, uint64_t draw, const int64_t *indices,
 }
 
 /* A node of at least this degree may stop drawing early (see slpa); a
- * shorter row is drawn whole, without the backward pass the decision needs. */
+ * shorter row is drawn whole. */
 #define DECIDE_DEGREE 64
 /* Draws between two checks of the early decision. */
 #define DECIDE_PERIOD 4
+
+/* What the early decision keeps per node x: the exact counts known, of
+ * x's neighbours whose tail is not -1, and agree, of those whose tail is
+ * tracked; and the largest weight and the total of x's row, cached by the
+ * pass that sets tracked. */
+typedef struct { int32_t tracked, known, agree; double wmax, total; } decide_t;
+
+/* Tells each neighbour x of v that v's tail went from old to now: from -1
+ * to a label, or from a label to -2. */
+static void push(int64_t v, int32_t old, int32_t now, const int64_t *indptr,
+                 const int64_t *indices, decide_t *decide) {
+    for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
+        decide_t *x = &decide[indices[p]];
+        if (old == -1) {
+            x->known++;
+            x->agree += x->tracked == now;
+        } else {
+            x->agree -= x->tracked == old;
+        }
+    }
+}
 
 /* slpa: one run over the components that components() made, each through
  * all its iterations before the next, for a graph that components()
@@ -177,34 +200,54 @@ static inline int32_t collect(int64_t p, uint64_t draw, const int64_t *indices,
  *   - settled, with v != X: v hands out v or G, never X.
  * A neighbour whose own id is G is settled by its tail like any other:
  * with a tail of another label it may hand out that label.
- * A backward pass over u's row gives open[q], the summed weights of the
- * unsettled neighbours at row offsets q and after plus the largest weight
- * of a settled one there, and the row's total weight.  Every
- * DECIDE_PERIOD draws, with q the next offset, the node stops when
- *     votes[G] > other + open[q] + 4 (d + 1) 2^-53 total,
+ *
+ * A tail changes at most twice per run, from -1 to a label and from that
+ * label to -2, and each change is pushed to every neighbour x (push), so
+ * decide[x] knows how many of x's neighbours have a tail other than -1 and
+ * how many have the tail tracked[x], in at most two passes over the edges
+ * per run.  Graphs without a row of DECIDE_DEGREE push nothing.  At a visit
+ * with a guess G other than tracked[u], one pass over u's row counts the
+ * neighbours whose tail is G, and caches the row's largest weight wmax
+ * and its total; then tracked[u] = G.  So known - agree neighbours are
+ * unsettled, and the draw loop counts down the unsettled ones it draws.
+ * Every DECIDE_PERIOD draws, with k unsettled neighbours not yet drawn,
+ * the node stops when
+ *     votes[G] > other + (k + 1) wmax + 4 (d + 1) 2^-53 total,
  * other being the largest partial vote of a label other than G, and the
  * partial votes, already with G strictly highest, go to the scan below.
- * That is the winner a full vote gives:
- *   - weights are >= 0, so a vote only grows, in floating point too, and
- *     G's final vote is at least votes[G];
- *   - a label X != G can still gain every unsettled weight after q, but
- *     only one settled weight, that of the neighbour whose id is X, so its
- *     final vote is at most its partial vote (<= other) plus open[q];
- *   - that holds up to rounding: a vote, open[q] and total each add up to
- *     d + 1 terms >= 0 whose sum is at most about total, so each errs by
- *     at most about (d + 1) 2^-53 total, and the comparison's own two
- *     additions by about 4 2^-53 total; the slack exceeds all of these
- *     together (below 2^-1022 the sums are exact, and the slack's own
- *     underflow does not matter).
+ * That is the winner a full vote gives.  Weights are >= 0, so a vote only
+ * grows, in floating point too, and G's final vote is at least votes[G].
+ * A label X != G can still gain the weights of the k unsettled neighbours
+ * not yet drawn and that of the neighbour whose id is X, if it is settled
+ * and not yet drawn: in exact arithmetic some R <= B = (k + 1) wmax, and
+ * R <= T, T being the row's exact total.  With u = 2^-53, every sum and
+ * every integer multiple errs by at most u of its result: a result below
+ * 2^-1022 is exact, a multiple of 2^-1074.  So
+ *   - X's final vote is at most other + R + e, where the e of the
+ *     additions still to come is below d u T (1 + 2^-21), as every partial
+ *     sum of the row is below T (1 + 2^-21) for d < 2^31;
+ *   - the right side, three roundings of other + B + slack, is at least
+ *     (1 - 3u)(other + B + slack);
+ *   - and (1 - 3u)(other + B) - (other + R) >= (B - R) - 3u B - 3u other
+ *     >= -3u T - 3u T (1 + 2^-21): for B <= T, 3u B <= 3u T, and for
+ *     B > T, B - R >= B - T.
+ * So the check implies that G's final vote exceeds X's once the slack
+ * exceeds (d + 6) u T (1 + 2^-20), and 4 (d + 1) u total does, with a
+ * margin of over 2 d u T, as total >= T (1 - 2^-21).  The slack's own
+ * product is the one rounding that may err by 2^-1075 below 2^-1022,
+ * which that margin covers for T >= 2^-1029, as d >= 64.  For a smaller
+ * T, every vote and the total are exact, sums below 2^-1021 of multiples
+ * of 2^-1074, and e = 0; then either other + B + slack is below 2^-1021,
+ * where the right side is exact too, or B > 2T, where (1 - 3u)(other + B)
+ * alone is at least other + T.
  * So G's final vote is strictly the highest, and no tie can arise.  A
- * total that overflows makes the slack infinite, and the node draws every
- * label.  Each draw is keyed by its CSR position, so a skipped draw moves
- * no other, and every memory row is the one a full vote gives, bit for
- * bit.  Nodes below DECIDE_DEGREE draw every label.
+ * total or a product that overflows makes the right side infinite, and the
+ * node draws every label.  Each draw is keyed by its CSR position, so a
+ * skipped draw moves no other, and every memory row is the one a full vote
+ * gives, bit for bit.  Nodes below DECIDE_DEGREE draw every label.
  *
- * Returns the number of labels drawn, or -1.  Scratch: 20 n bytes, plus
- * 20 bytes per node of the largest component, plus 8 bytes per position of
- * the longest row and 8. */
+ * Returns the number of labels drawn, or -1.  Scratch: 52 n bytes, plus
+ * 20 bytes per node of the largest component. */
 int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
              const double *weights, uint64_t seed, int64_t iterations,
              int64_t parts, const int64_t *starts, const int32_t *nodes, int32_t *mem) {
@@ -213,18 +256,20 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
         if (starts[c + 1] - starts[c] > largest) largest = starts[c + 1] - starts[c];
     for (int64_t u = 0; u < n; u++)
         if (indptr[u + 1] - indptr[u] > widest) widest = indptr[u + 1] - indptr[u];
+    int pushes = widest >= DECIDE_DEGREE;
     visit_t *order = malloc(largest * sizeof *order);
     int32_t *touched = malloc(largest * sizeof *touched);
     int64_t *length = malloc(n * sizeof *length);
     int32_t *tail = malloc(n * sizeof *tail);
     double *votes = malloc(n * sizeof *votes);  /* -1.0: not collected */
-    double *open = malloc((widest + 1) * sizeof *open);
-    int64_t status = order && length && touched && tail && votes && open ? 0 : -1;
+    decide_t *decide = malloc(n * sizeof *decide);
+    int64_t status = order && length && touched && tail && votes && decide ? 0 : -1;
     for (int64_t u = 0; u < n && !status; u++) {
         mem[u * m] = (int32_t)u;
         length[u] = 1;
         tail[u] = -1;
         votes[u] = -1.0;
+        decide[u] = (decide_t){-1, 0, 0, 0.0, 0.0};
     }
     for (int64_t c = 0; c < parts && !status; c++) {
         const int32_t *part = nodes + starts[c];
@@ -242,22 +287,28 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
                         collect(p, draw, indices, weights, mem, m, length, votes, touched, &count);
                 } else {
                     int32_t guess = mem[u * m + length[u] - 1];
-                    double unsettled = 0.0, settled = 0.0, total = 0.0, other = 0.0;
-                    open[hi - lo] = 0.0;
-                    for (p = hi - 1; p >= lo; p--) {
-                        int32_t t = tail[indices[p]];
-                        if (t != -1 && t != guess) unsettled += weights[p];
-                        else if (weights[p] > settled) settled = weights[p];
-                        total += weights[p];
-                        open[p - lo] = unsettled + settled;
+                    decide_t *own = &decide[u];
+                    if (own->tracked != guess) {
+                        own->tracked = guess;
+                        own->agree = 0;
+                        own->wmax = own->total = 0.0;
+                        for (p = lo; p < hi; p++) {
+                            own->agree += tail[indices[p]] == guess;
+                            if (weights[p] > own->wmax) own->wmax = weights[p];
+                            own->total += weights[p];
+                        }
                     }
-                    double slack = 4.0 * (double)(hi - lo + 1) * 0x1p-53 * total;
+                    int64_t unsettled = own->known - own->agree;
+                    double other = 0.0, slack = 4.0 * (double)(hi - lo + 1) * 0x1p-53 * own->total;
                     for (p = lo; p < hi;) {
+                        int32_t t = tail[indices[p]];
+                        unsettled -= t != -1 && t != guess;
                         int32_t label = collect(p++, draw, indices, weights, mem, m, length,
                                                 votes, touched, &count);
                         if (label != guess && votes[label] > other) other = votes[label];
                         if ((p - lo) % DECIDE_PERIOD == 0
-                                && votes[guess] > other + open[p - lo] + slack) break;
+                                && votes[guess] > other + (double)(unsettled + 1) * own->wmax
+                                                  + slack) break;
                     }
                 }
                 drawn += p - lo;
@@ -273,7 +324,9 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
                     }
                     votes[label] = -1.0;
                 }
-                tail[u] = length[u] == 1 || tail[u] == best ? best : -2;
+                int32_t old = tail[u];
+                tail[u] = length[u] == 1 || old == best ? best : -2;
+                if (pushes && tail[u] != old) push(u, old, tail[u], indptr, indices, decide);
                 mem[u * m + length[u]++] = best;
             }
         }
@@ -283,7 +336,7 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
     free(touched);
     free(tail);
     free(votes);
-    free(open);
+    free(decide);
     return status ? status : drawn;
 }
 
@@ -431,6 +484,31 @@ int64_t pair_counts(int64_t l, const int32_t *indptr, const int32_t *cols,
     return total;
 }
 
+/* csr: the symmetric CSR of n nodes from the given pairs (i[k], j[k]),
+ * each i < j in [0, n), distinct and in ascending (i, j) order, with
+ * values w[k].  Writes n + 1 offsets to indptr, and 2 pairs entries to
+ * indices and weights.  One pass counts the degrees, shifted so that
+ * indptr[a + 1] starts as row a's offset; one pass fills the rows, with
+ * indptr[a + 1] as row a's cursor, and leaves it at row a's end.  Row a
+ * takes its pairs (b, a), which come in ascending b, before its pairs
+ * (a, c), as every b < a: so each row is ascending.  No scratch. */
+void csr(int64_t n, int64_t pairs, const int64_t *i, const int64_t *j, const double *w,
+         int64_t *indptr, int64_t *indices, double *weights) {
+    memset(indptr, 0, (n + 1) * sizeof *indptr);
+    for (int64_t k = 0; k < pairs; k++) {
+        if (i[k] + 2 <= n) indptr[i[k] + 2]++;
+        if (j[k] + 2 <= n) indptr[j[k] + 2]++;
+    }
+    for (int64_t a = 2; a <= n; a++) indptr[a] += indptr[a - 1];
+    for (int64_t k = 0; k < pairs; k++) {
+        int64_t a = indptr[i[k] + 1]++, b = indptr[j[k] + 1]++;
+        indices[a] = j[k];
+        weights[a] = w[k];
+        indices[b] = i[k];
+        weights[b] = w[k];
+    }
+}
+
 /* fold: one run's cover, k communities of the nodes groups[c] ..
  * groups[c + 1] in members (each ascending, in [0, l)), folded into the
  * consensus matrix of the given ascending keys and values.  Communities of
@@ -524,4 +602,40 @@ int64_t pair_rows(int64_t rows, const int64_t *i, const int64_t *j, const int64_
         out[written++] = '\n';
     }
     return written;
+}
+
+/* distinct: the distinct values of bits[0 .. count), in the order of their
+ * first occurrence: first[d] is the position where the d-th first occurs,
+ * and which[k] is the d of bits[k].  first holds room for count positions.
+ * An open-addressing table of the distinct values seen so far, at most
+ * half full, doubles as they grow.  Returns the number of distinct values,
+ * or -1.  Scratch: 32 bytes per distinct value, and 128. */
+int64_t distinct(int64_t count, const int64_t *bits, int64_t *which, int64_t *first) {
+    int64_t size = 16, found = 0;
+    int64_t *table = NULL;
+    for (int64_t k = 0; k < count; k++) {
+        if (!table || 2 * (found + 1) > size) {
+            /* Grown from first[], so the old table goes first. */
+            size = table ? 2 * size : size;
+            free(table);
+            table = malloc(size * sizeof *table);
+            if (!table) return -1;
+            memset(table, 0xff, size * sizeof *table);
+            for (int64_t d = 0; d < found; d++) {
+                uint64_t h = mix(0, (uint64_t)bits[first[d]]) & (uint64_t)(size - 1);
+                while (table[h] >= 0) h = (h + 1) & (uint64_t)(size - 1);
+                table[h] = d;
+            }
+        }
+        uint64_t h = mix(0, (uint64_t)bits[k]) & (uint64_t)(size - 1);
+        while (table[h] >= 0 && bits[first[table[h]]] != bits[k])
+            h = (h + 1) & (uint64_t)(size - 1);
+        if (table[h] < 0) {
+            first[found] = k;
+            table[h] = found++;
+        }
+        which[k] = table[h];
+    }
+    free(table);
+    return found;
 }

@@ -36,13 +36,19 @@ won: whether its vote exceeds every other label's partial vote plus all
 that label could still gain, with a slack for rounding.  A neighbour is
 settled while its memory after its first slot holds only the guess, or
 nothing: it can hand out only its own id or the guess.  So a label X other
-than the guess can still gain the weight of every unsettled neighbour, but
-of the settled ones only that of the neighbour whose id is X.  Once the
-guess has won, its final vote would be strictly the highest, and the node
-stops drawing.  Each draw is keyed by its own CSR position, so a skipped
-draw moves no other, and every memory row is the one that full votes give,
-bit for bit.  ``slpa``'s comment in ``_slpa.c`` carries the proof, and
-``slpa`` returns the number of labels it drew.  Nodes below
+than the guess can still gain the weight of every unsettled neighbour not
+yet drawn, but of the settled ones only that of the neighbour whose id is
+X, and each at most the row's largest weight.  The kernel knows how many
+neighbours are unsettled without reading the row: a memory changes class
+at most twice per run, at its first label after its own id and at the
+first label that differs from that one, and each change is pushed to the
+node's neighbours as exact integer counts.  A node reads its row again only
+when its guess changes, to count the neighbours that hold the new guess.
+Once the guess has won, its final vote would be strictly the highest, and
+the node stops drawing.  Each draw is keyed by its own CSR position, so a
+skipped draw moves no other, and every memory row is the one that full
+votes give, bit for bit.  ``slpa``'s comment in ``_slpa.c`` carries the
+proof, and ``slpa`` returns the number of labels it drew.  Nodes below
 ``DECIDE_DEGREE`` draw every label.  Labels are node positions and
 memories ``int32`` rows of ``iterations + 1`` labels.  A malformed array
 would crash the kernel, so :func:`detect_runs` checks the CSR arrays'

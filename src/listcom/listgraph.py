@@ -16,7 +16,8 @@ a dense per-row counter, one row at a time (Gustavson's method).  It counts
 the pairs first, then fills exact-size outputs, with O(l) scratch.  It is
 the package's one co-occurrence counter: the consensus fold counts the
 communities two nodes share with the same C function.  Each distinct
-(size, size, overlap) triple is weighted once.
+(size, size, overlap) triple is weighted once; the kernel's ``distinct``
+finds them (:func:`distinct_values`).
 Lists whose every edge falls below the ``rho`` cutoff remain in the graph as
 isolated nodes.
 
@@ -24,11 +25,14 @@ The graph is held as integer arrays: node ``i`` is the i-th list id in
 sorted order, and the edges form a compressed sparse row structure
 (``indptr``, ``indices``, ``weights``) with each row's neighbours in
 ascending order and every edge stored in both rows.  It is built once, by
-:func:`build_list_graph`, :func:`load_graph` or the consensus graph, with
-one stable sort by row.  List ids reappear only in the pair files of the
-graph and the consensus matrix, ``a<TAB>b<TAB>value`` rows (6 decimals,
-lexicographic pairs) with one codec: :func:`pair_text` formats each distinct
-value once (for the graph, each distinct weight of its upper edges),
+:func:`build_list_graph`, :func:`load_graph` or the consensus graph, all
+through :meth:`ListGraph.from_pairs`, whose kernel entry ``csr`` counts the
+degrees in one pass over the pairs and fills the rows in another.  List ids
+reappear only in the pair files of the graph and the consensus matrix,
+``a<TAB>b<TAB>value`` rows (6 decimals, lexicographic pairs) with one
+codec: :func:`pair_text` formats each distinct value once (for the graph,
+each distinct weight of its upper edges), found by their bits in one pass
+over a hash table in the kernel, not by a sort;
 :func:`write_pair_rows` joins the rows in the kernel, a block of
 ``TEXT_BLOCK`` rows at a time, and :func:`read_pair_rows` reads with
 ``path:line`` errors.  The graph and the matrix are built with the values
@@ -73,13 +77,18 @@ class ListGraph:
         """Build from sorted ``nodes`` and parallel arrays of node indices
         ``i < j`` with weights ``w``, distinct and in ascending ``(i, j)``
         order.  Row ``a`` is then its pairs ``(b, a)`` followed by its pairs
-        ``(a, c)``, so one stable sort by row lays out the CSR."""
+        ``(a, c)``, so the kernel's ``csr`` lays out the CSR in one pass that
+        counts the degrees and one that fills the rows."""
         nodes = tuple(nodes)
         if any(a >= b for a, b in zip(nodes, nodes[1:])):
             raise ValidationError("graph nodes must be sorted and unique")
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+        i = np.ascontiguousarray(i, dtype=np.int64)
+        j = np.ascontiguousarray(j, dtype=np.int64)
+        w = np.ascontiguousarray(w, dtype=np.float64)
+        if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
+            raise ValidationError("edge pairs must be 1-d arrays of one length")
+        if len(i) and not (i.min() >= 0 and j.max() < len(nodes)):
+            raise ValidationError("edge pairs must index the graph nodes")
         if np.any(i >= j):
             raise ValidationError("edge pairs must satisfy i < j")
         if np.any(np.diff(i * len(nodes) + j) <= 0):
@@ -87,11 +96,9 @@ class ListGraph:
                                   "ascending (i, j) order")
         if not np.all(np.isfinite(w) & (w >= 0.0)):
             raise ValidationError("edge weights must be finite and >= 0")
-        perm = np.argsort(np.concatenate([j, i]), kind="stable")
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i, minlength=len(nodes))
-                  + np.bincount(j, minlength=len(nodes)), out=indptr[1:])
-        arrays = (indptr, np.concatenate([i, j])[perm], np.concatenate([w, w])[perm])
+        arrays = (np.empty(len(nodes) + 1, dtype=np.int64),
+                  np.empty(2 * len(i), dtype=np.int64), np.empty(2 * len(i)))
+        kernel.load().csr(len(nodes), len(i), *(a.ctypes.data for a in (i, j, w, *arrays)))
         for arr in arrays:
             arr.flags.writeable = False
         return cls(nodes, *arrays)
@@ -260,8 +267,9 @@ def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     distinct, rank = np.unique(np.diff(corpus.indptr).astype(np.int64),
                                return_inverse=True)
     d, top = len(distinct), int(distinct[-1]) + 1
-    codes, which = np.unique((rank[i] * d + rank[j]) * top + counts,
-                             return_inverse=True)
+    codes = (rank[i] * d + rank[j]) * top + counts
+    first, which = distinct_values(codes)
+    codes = codes[first]
     size_pair, k = np.divmod(codes, top)
     lg = np.zeros(n + 2)  # index 0 is never touched (log_comb args are >= 1)
     lg[1:] = [math.lgamma(x) for x in range(1, n + 2)]
@@ -271,13 +279,29 @@ def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     return ListGraph.from_pairs(nodes, i[keep], j[keep], written_values(lpv)[which][keep])
 
 
+def distinct_values(codes) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, which)`` for an ``int64`` array: ``first[d]`` is the
+    position where its d-th distinct value first occurs, in the order of
+    those positions, and ``which[k]`` is the d of ``codes[k]``.  The
+    kernel's ``distinct`` finds them in one pass, with a hash table of the
+    values seen."""
+    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    first = np.empty(len(codes), dtype=np.int64)
+    which = np.empty(len(codes), dtype=np.int64)
+    found = kernel.checked(kernel.load().distinct(
+        len(codes), codes.ctypes.data, which.ctypes.data, first.ctypes.data),
+        "distinct values")
+    return first[:found], which
+
+
 def pair_text(values) -> tuple[list[str], np.ndarray]:
-    """Each distinct value formatted once to 6 decimals, and each value's
-    index into those strings.  Values are told apart by their bits, so the
-    text depends only on a value's bits and ``-0.0`` keeps its sign."""
-    bits, which = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
-                            return_inverse=True)
-    return [f"{v:.6f}" for v in bits.view(np.float64).tolist()], which
+    """Each distinct value formatted once to 6 decimals, in the order of
+    its first occurrence, and each value's index into those strings.
+    Values are told apart by their bits, so the text depends only on a
+    value's bits and ``-0.0`` keeps its sign."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    first, which = distinct_values(bits)
+    return [f"{v:.6f}" for v in bits[first].view(np.float64).tolist()], which
 
 
 def written_values(values) -> np.ndarray:

@@ -8,7 +8,7 @@ kernel, user
 weights counted in a dict per list, evaluation rows from every category
 against every community as frozensets, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
-index-pair tuples, updates one node at a time in visit order with scalar
+index-pair tuples, the same CSR laid out by one stable numpy sort, updates one node at a time in visit order with scalar
 counter-based draws and tallies votes with ``np.unique``, the cover of
 memory rows in whole-array numpy calls, covers as frozensets of ids sorted
 by the strings themselves, one run's pair scores from the numpy block
@@ -357,6 +357,20 @@ def csr_fill(nodes, edges):
         wgt[fill[j]] = w
         fill[j] += 1
     return offsets, nbr, wgt
+
+
+def numpy_csr(n, i, j, w):
+    """CSR (offsets, neighbours, weights) of ``n`` nodes from distinct pairs
+    ``i < j`` in ascending (i, j) order, laid out in numpy as
+    ``ListGraph.from_pairs`` did before the kernel's ``csr``: row ``a`` is
+    its pairs ``(b, a)`` followed by its pairs ``(a, c)``, so one stable
+    sort by row of both directions orders it."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    perm = np.argsort(np.concatenate([j, i]), kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=offsets[1:])
+    return offsets, np.concatenate([i, j])[perm], np.concatenate([w, w])[perm]
 
 
 def detect(nodes, edges, config) -> tuple[frozenset[str], ...]:

@@ -223,6 +223,8 @@ def test_a_failing_step_stops_every_worker(monkeypatch, workers):
         pair_counts = kernel.pair_counts
         fold = kernel.fold
         pair_rows = kernel.pair_rows
+        csr = kernel.csr
+        distinct = kernel.distinct
 
         @staticmethod
         def cover(*args):
@@ -250,18 +252,21 @@ def kernel_calls(tmp_path):
         "pair_counts": noisy_planted_graph,
         "fold": lambda: accumulate(ConsensusMatrix.empty(graph.nodes, 1), cover),
         "pair_rows": lambda: save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes"),
+        "csr": clique_pair_graph, "distinct": noisy_planted_graph,
     }
 
 
 @pytest.mark.parametrize("entry, status, error, message", [
     *[(entry, -1, MemoryError, "could not allocate")
-      for entry in ("components", "slpa", "cover", "pair_counts", "fold")],
+      for entry in ("components", "slpa", "cover", "pair_counts", "fold", "distinct")],
     *[(entry, -2, RuntimeError, "too short")
       for entry in ("cover", "pair_counts", "fold", "pair_rows")],
 ])
 def test_a_kernel_failure_raises(monkeypatch, tmp_path, entry, status, error, message):
     # Each entry's failed allocation becomes MemoryError, and a report of
     # a short output buffer a RuntimeError; the other entries pass through.
+    # csr allocates nothing and writes into outputs of its exact size, so it
+    # reports neither.
     module = importlib.import_module("listcom.kernel")
     lib = module.load()
     failing = type("FailingKernel", (), {
@@ -421,9 +426,9 @@ def test_detect_runs_rejects_a_malformed_graph(request, graph):
 
 def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
     module = importlib.import_module("listcom.kernel")
-    graph = clique_pair_graph()
-    cfg = THOROUGH.with_seed(4)
     assert not kernel_cache.exists()
+    graph = clique_pair_graph()  # the kernel lays out its CSR
+    cfg = THOROUGH.with_seed(4)
     built = detect(graph, cfg)
     [library] = kernel_cache.iterdir()  # one file, no temporary left over
     assert library.suffix == ".so"
@@ -571,6 +576,19 @@ def test_the_early_decision_counts_the_neighbours_not_yet_heard():
     # the neighbour whose id is the guess as settled although its later
     # slots hold another label.  Random graphs seldom show either.
     for graph_seed, iterations, seed in [(0, 2, 3), (1, 2, 7), (1, 5, 16), (22, 2, 19)]:
+        graph = late_heavy_graph(graph_seed)
+        cfg = DetectorConfig(iterations, THOROUGH.overlap_threshold, seed)
+        want = reference.detect(graph.nodes, edge_map(graph), cfg)
+        assert cover_sets(detect(graph, cfg)) == want
+
+
+def test_the_early_decision_follows_each_change_of_a_tail():
+    # Runs, found by a search, whose covers change when a neighbour's tail
+    # going from the guess to -2 is not counted, or when a node whose guess
+    # changed keeps the count of neighbours that agreed with the old one.
+    # Random graphs seldom show either.
+    for graph_seed, iterations, seed in [(0, 8, 1), (1, 3, 12), (2, 8, 9), (2, 3, 20),
+                                         (29, 2, 0), (29, 8, 22)]:
         graph = late_heavy_graph(graph_seed)
         cfg = DetectorConfig(iterations, THOROUGH.overlap_threshold, seed)
         want = reference.detect(graph.nodes, edge_map(graph), cfg)

@@ -364,10 +364,23 @@ def test_graph_arrays_sorted_per_row_and_symmetric():
 @pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([1, 0], [2, 1]), ([0, 0], [2, 1])],
                          ids=["repeated", "descending i", "descending j"])
 def test_from_pairs_requires_distinct_ascending_pairs(i, j):
-    # One stable sort by row lays out the CSR only from distinct pairs in
+    # The kernel's csr lays out the CSR only from distinct pairs in
     # ascending (i, j) order.
     with pytest.raises(ValidationError, match="distinct and in ascending"):
         ListGraph.from_pairs(("a", "b", "c"), i, j, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("i, j, w, message", [
+    ([0], [3], [1.0], "index the graph nodes"),
+    ([-1], [1], [1.0], "index the graph nodes"),
+    ([0], [1, 2], [1.0, 2.0], "one length"),
+    ([0, 1], [1, 2], [1.0], "one length"),
+    ([[0]], [[1]], [[1.0]], "one length"),
+], ids=["past the nodes", "negative", "short i", "short w", "2-d"])
+def test_from_pairs_refuses_pairs_outside_its_arrays(i, j, w, message):
+    # The kernel would write or read past its arrays.
+    with pytest.raises(ValidationError, match=message):
+        ListGraph.from_pairs(("a", "b", "c"), i, j, w)
 
 
 # Explicit ids keep each case's test name when its message changes.

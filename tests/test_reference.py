@@ -249,6 +249,50 @@ def test_list_graph_matches_sorted_tuple_fill():
     assert graph.weights.tolist() == wgt.tolist()
 
 
+def test_the_kernel_csr_equals_the_numpy_layout():
+    # Random pair sets, some nodes isolated, beside no pairs, one node and
+    # one pair; weights include -0.0, compared by their bits.
+    rng = np.random.Generator(np.random.PCG64(27))
+    cases = [(0, []), (1, []), (2, [(0, 1)]), (6, []), (6, [(1, 4)])]
+    for _ in range(40):
+        n = int(rng.integers(2, 60))
+        cases.append((n, [pair for pair in combinations(range(n), 2)
+                          if rng.random() < rng.choice([0.05, 0.3, 0.9])]))
+    for n, pairs in cases:
+        i = np.array([a for a, _ in pairs], dtype=np.int64)
+        j = np.array([b for _, b in pairs], dtype=np.int64)
+        w = rng.choice([0.0, -0.0, 0.5, 1 / 3, 7.0], size=len(pairs))
+        graph = ListGraph.from_pairs([f"n{k:02d}" for k in range(n)], i, j, w)
+        offsets, nbr, wgt = reference.numpy_csr(n, i, j, w)
+        assert np.array_equal(graph.indptr, offsets), (n, pairs)
+        assert np.array_equal(graph.indices, nbr), (n, pairs)
+        assert graph.weights.tobytes() == wgt.tobytes(), (n, pairs)
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(np.full(5, 0.25), id="all equal"),
+    pytest.param(np.array([0.0, -0.0, 0.0, 1.5, -0.0]), id="-0.0 beside 0.0"),
+    pytest.param(np.array([0x5555555555555555, -0x5555555555555556, 0,
+                           0x5555555555555555]).view(np.float64), id="no shared bits"),
+    pytest.param(np.array([]), id="none"),
+    pytest.param(np.random.Generator(np.random.PCG64(5)).integers(0, 3000, 20000) / 7,
+                 id="many, repeated"),
+])
+def test_pair_text_equals_the_sorted_unique_codec(values):
+    # The strings of each value equal those of np.unique's sorted codec;
+    # each distinct value comes once, at its first occurrence.
+    listgraph = importlib.import_module("listcom.listgraph")
+    text, which = listgraph.pair_text(values)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    want = [f"{v:.6f}" for v in bits.view(np.float64).tolist()]
+    assert [text[k] for k in which] == [want[k] for k in inverse]
+    first, which = listgraph.distinct_values(values.view(np.int64))
+    assert np.all(np.diff(first) > 0) and len(first) == len(bits)
+    assert np.array_equal(which[first], np.arange(len(first)))
+    assert np.all(first[which] <= np.arange(len(values)))
+    assert np.array_equal(values[first][which].view(np.int64), values.view(np.int64))
+
+
 # Ids whose string order is not their numeric order, several of which a
 # float parser would take for numbers.
 PAIR_IDS = ["0", "007", "1", "10", "9", "-3", "1e3", "0.5", "nan", "inf", "-0",
