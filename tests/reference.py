@@ -8,7 +8,8 @@ kernel, user
 weights counted in a dict per list, evaluation rows from every category
 against every community as frozensets, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
-index-pair tuples, the same CSR laid out by one stable numpy sort, updates one node at a time in visit order with scalar
+index-pair tuples (and the same CSR laid out by one stable numpy sort),
+updates one node at a time in visit order with scalar
 counter-based draws and tallies votes with ``np.unique``, the cover of
 memory rows in whole-array numpy calls, covers as frozensets of ids sorted
 by the strings themselves, one run's pair scores from the numpy block
