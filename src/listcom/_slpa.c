@@ -81,7 +81,7 @@ static int canonical(const void *a, const void *b) {
  * itself, and every edge stored in both rows.  slpa needs that, and only
  * then do the components divide the walk without changing it.  Scratch:
  * 8 n bytes, plus 8 bytes per component and 8. */
-int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
+int64_t components(int64_t n, const int64_t *indptr, const int32_t *indices,
                    int64_t *starts, int32_t *nodes) {
     int32_t *part = malloc(n * sizeof *part), *queue = malloc(n * sizeof *queue);
     int64_t parts = 0, *fill = NULL;
@@ -113,7 +113,7 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
             for (int64_t p = indptr[v]; p < indptr[v + 1]; p++)
                 if (part[indices[p]] < 0) {
                     part[indices[p]] = (int32_t)parts;
-                    queue[tail++] = (int32_t)indices[p];
+                    queue[tail++] = indices[p];
                 }
         }
         starts[++parts] = tail;
@@ -138,15 +138,15 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
 
 /* Collects the label that the neighbour at CSR position p hands out, with
  * the iteration's slot key draw: adds the weight at p to its vote, and
- * lists it in touched when it is new (a vote of -1.0).  Returns the label. */
-static inline int32_t collect(int64_t p, uint64_t draw, const int64_t *indices,
-                              const double *weights, const int32_t *mem, int64_t m,
-                              const int64_t *length, double *votes, int32_t *touched,
+ * lists it in touched when it is new (a vote of -1).  Returns the label. */
+static inline int32_t collect(int64_t p, uint64_t draw, const int32_t *indices,
+                              const int64_t *weights, const int32_t *mem, int64_t m,
+                              const int64_t *length, int64_t *votes, int32_t *touched,
                               int64_t *count) {
     int64_t v = indices[p];
     int32_t label = mem[v * m + (int64_t)(mix(draw, (uint64_t)p) % (uint64_t)length[v])];
-    if (votes[label] < 0.0) {
-        votes[label] = 0.0;
+    if (votes[label] < 0) {
+        votes[label] = 0;
         touched[(*count)++] = label;
     }
     votes[label] += weights[p];
@@ -161,14 +161,14 @@ static inline int32_t collect(int64_t p, uint64_t draw, const int64_t *indices,
 
 /* What the early decision keeps per node x: the exact counts known, of
  * x's neighbours whose tail is not -1, and agree, of those whose tail is
- * tracked; and the largest weight and the total of x's row, cached by the
- * pass that sets tracked. */
-typedef struct { int32_t tracked, known, agree; double wmax, total; } decide_t;
+ * tracked; and the largest weight of x's row, cached by the pass that sets
+ * tracked. */
+typedef struct { int32_t tracked, known, agree; int64_t wmax; } decide_t;
 
 /* Tells each neighbour x of v that v's tail went from old to now: from -1
  * to a label, or from a label to -2. */
 static void push(int64_t v, int32_t old, int32_t now, const int64_t *indptr,
-                 const int64_t *indices, decide_t *decide) {
+                 const int32_t *indices, decide_t *decide) {
     for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
         decide_t *x = &decide[indices[p]];
         if (old == -1) {
@@ -182,11 +182,14 @@ static void push(int64_t v, int32_t old, int32_t now, const int64_t *indptr,
 
 /* slpa: one run over the components that components() made, each through
  * all its iterations before the next, for a graph that components()
- * accepted.  The caller checks the other arrays: weights are finite and
- * >= 0, and mem holds n rows of iterations + 1 labels.  Two components
- * never exchange labels, and the visit keys and slot draws depend on node
- * and CSR positions only, so the rows equal those of one walk over the
- * whole graph per iteration.
+ * accepted.  The caller checks the other arrays: weights are >= 0, with
+ * wmax (2 d + 1) < 2^63 for the largest weight wmax and the largest degree
+ * d, and mem holds n rows of iterations + 1 labels.  Votes are integer
+ * sums, exact and independent of the order of their terms, and none
+ * overflows, as a vote is at most d wmax.  Two components never exchange
+ * labels, and the visit keys and slot draws depend on node and CSR
+ * positions only, so the rows equal those of one walk over the whole graph
+ * per iteration.
  *
  * The early decision.  The vote needs only its winner, so a node u of
  * degree d >= DECIDE_DEGREE stops drawing once one label provably wins.
@@ -207,49 +210,27 @@ static void push(int64_t v, int32_t old, int32_t now, const int64_t *indptr,
  * how many have the tail tracked[x], in at most two passes over the edges
  * per run.  Graphs without a row of DECIDE_DEGREE push nothing.  At a visit
  * with a guess G other than tracked[u], one pass over u's row counts the
- * neighbours whose tail is G, and caches the row's largest weight wmax
- * and its total; then tracked[u] = G.  So known - agree neighbours are
- * unsettled, and the draw loop counts down the unsettled ones it draws.
- * Every DECIDE_PERIOD draws, with k unsettled neighbours not yet drawn,
- * the node stops when
- *     votes[G] > other + (k + 1) wmax + 4 (d + 1) 2^-53 total,
+ * neighbours whose tail is G and caches the row's largest weight wmax;
+ * then tracked[u] = G.  So known - agree neighbours are unsettled, and the
+ * draw loop counts down the unsettled ones it draws.  Every DECIDE_PERIOD
+ * draws, with k unsettled neighbours not yet drawn, the node stops when
+ *     votes[G] > other + (k + 1) wmax,
  * other being the largest partial vote of a label other than G, and the
  * partial votes, already with G strictly highest, go to the scan below.
  * That is the winner a full vote gives.  Weights are >= 0, so a vote only
- * grows, in floating point too, and G's final vote is at least votes[G].
- * A label X != G can still gain the weights of the k unsettled neighbours
- * not yet drawn and that of the neighbour whose id is X, if it is settled
- * and not yet drawn: in exact arithmetic some R <= B = (k + 1) wmax, and
- * R <= T, T being the row's exact total.  With u = 2^-53, every sum and
- * every integer multiple errs by at most u of its result: a result below
- * 2^-1022 is exact, a multiple of 2^-1074.  So
- *   - X's final vote is at most other + R + e, where the e of the
- *     additions still to come is below d u T (1 + 2^-21), as every partial
- *     sum of the row is below T (1 + 2^-21) for d < 2^31;
- *   - the right side, three roundings of other + B + slack, is at least
- *     (1 - 3u)(other + B + slack);
- *   - and (1 - 3u)(other + B) - (other + R) >= (B - R) - 3u B - 3u other
- *     >= -3u T - 3u T (1 + 2^-21): for B <= T, 3u B <= 3u T, and for
- *     B > T, B - R >= B - T.
- * So the check implies that G's final vote exceeds X's once the slack
- * exceeds (d + 6) u T (1 + 2^-20), and 4 (d + 1) u total does, with a
- * margin of over 2 d u T, as total >= T (1 - 2^-21).  The slack's own
- * product is the one rounding that may err by 2^-1075 below 2^-1022,
- * which that margin covers for T >= 2^-1029, as d >= 64.  For a smaller
- * T, every vote and the total are exact, sums below 2^-1021 of multiples
- * of 2^-1074, and e = 0; then either other + B + slack is below 2^-1021,
- * where the right side is exact too, or B > 2T, where (1 - 3u)(other + B)
- * alone is at least other + T.
- * So G's final vote is strictly the highest, and no tie can arise.  A
- * total or a product that overflows makes the right side infinite, and the
- * node draws every label.  Each draw is keyed by its CSR position, so a
+ * grows, and G's final vote is at least votes[G].  A label X != G can
+ * still gain the weights of the k unsettled neighbours not yet drawn and
+ * that of the neighbour whose id is X, if it is settled and not yet drawn:
+ * at most (k + 1) wmax.  So X's final vote is at most the right side,
+ * below G's, and no tie can arise.  The right side is at most d wmax +
+ * (d + 1) wmax < 2^63.  Each draw is keyed by its CSR position, so a
  * skipped draw moves no other, and every memory row is the one a full vote
- * gives, bit for bit.  Nodes below DECIDE_DEGREE draw every label.
+ * gives.  Nodes below DECIDE_DEGREE draw every label.
  *
- * Returns the number of labels drawn, or -1.  Scratch: 52 n bytes, plus
+ * Returns the number of labels drawn, or -1.  Scratch: 44 n bytes, plus
  * 20 bytes per node of the largest component. */
-int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
-             const double *weights, uint64_t seed, int64_t iterations,
+int64_t slpa(int64_t n, const int64_t *indptr, const int32_t *indices,
+             const int64_t *weights, uint64_t seed, int64_t iterations,
              int64_t parts, const int64_t *starts, const int32_t *nodes, int32_t *mem) {
     int64_t m = iterations + 1, largest = 1, widest = 0, drawn = 0;
     for (int64_t c = 0; c < parts; c++)
@@ -261,15 +242,15 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
     int32_t *touched = malloc(largest * sizeof *touched);
     int64_t *length = malloc(n * sizeof *length);
     int32_t *tail = malloc(n * sizeof *tail);
-    double *votes = malloc(n * sizeof *votes);  /* -1.0: not collected */
+    int64_t *votes = malloc(n * sizeof *votes);  /* -1: not collected */
     decide_t *decide = malloc(n * sizeof *decide);
     int64_t status = order && length && touched && tail && votes && decide ? 0 : -1;
     for (int64_t u = 0; u < n && !status; u++) {
         mem[u * m] = (int32_t)u;
         length[u] = 1;
         tail[u] = -1;
-        votes[u] = -1.0;
-        decide[u] = (decide_t){-1, 0, 0, 0.0, 0.0};
+        votes[u] = -1;
+        decide[u] = (decide_t){-1, 0, 0, 0};
     }
     for (int64_t c = 0; c < parts && !status; c++) {
         const int32_t *part = nodes + starts[c];
@@ -281,7 +262,6 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
             sort_visits(order, size);
             for (int64_t k = 0; k < size; k++) {
                 int64_t u = order[k].node, count = 0, lo = indptr[u], hi = indptr[u + 1], p = lo;
-                /* Votes per label, each summed from 0.0 in CSR order. */
                 if (hi - lo < DECIDE_DEGREE) {
                     for (; p < hi; p++)
                         collect(p, draw, indices, weights, mem, m, length, votes, touched, &count);
@@ -291,15 +271,13 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
                     if (own->tracked != guess) {
                         own->tracked = guess;
                         own->agree = 0;
-                        own->wmax = own->total = 0.0;
+                        own->wmax = 0;
                         for (p = lo; p < hi; p++) {
                             own->agree += tail[indices[p]] == guess;
                             if (weights[p] > own->wmax) own->wmax = weights[p];
-                            own->total += weights[p];
                         }
                     }
-                    int64_t unsettled = own->known - own->agree;
-                    double other = 0.0, slack = 4.0 * (double)(hi - lo + 1) * 0x1p-53 * own->total;
+                    int64_t unsettled = own->known - own->agree, other = 0;
                     for (p = lo; p < hi;) {
                         int32_t t = tail[indices[p]];
                         unsettled -= t != -1 && t != guess;
@@ -307,22 +285,21 @@ int64_t slpa(int64_t n, const int64_t *indptr, const int64_t *indices,
                                                 votes, touched, &count);
                         if (label != guess && votes[label] > other) other = votes[label];
                         if ((p - lo) % DECIDE_PERIOD == 0
-                                && votes[guess] > other + (double)(unsettled + 1) * own->wmax
-                                                  + slack) break;
+                                && votes[guess] > other + (unsettled + 1) * own->wmax) break;
                     }
                 }
                 drawn += p - lo;
                 /* The highest vote wins; ties, all-zero votes included, go
                  * to the lowest label. */
                 int32_t best = touched[0];
-                double top = votes[best];
+                int64_t top = votes[best];
                 for (int64_t j = 0; j < count; j++) {
                     int32_t label = touched[j];
                     if (votes[label] > top || (votes[label] == top && label < best)) {
                         best = label;
                         top = votes[label];
                     }
-                    votes[label] = -1.0;
+                    votes[label] = -1;
                 }
                 int32_t old = tail[u];
                 tail[u] = length[u] == 1 || old == best ? best : -2;
@@ -485,15 +462,15 @@ int64_t pair_counts(int64_t l, const int32_t *indptr, const int32_t *cols,
 }
 
 /* csr: the symmetric CSR of n nodes from the given pairs (i[k], j[k]),
- * each i < j in [0, n), distinct and in ascending (i, j) order, with
- * values w[k].  Writes n + 1 offsets to indptr, and 2 pairs entries to
- * indices and weights.  One pass counts the degrees, shifted so that
+ * each i < j in [0, n) for n < 2^31, distinct and in ascending (i, j)
+ * order, with values w[k].  Writes n + 1 offsets to indptr, and 2 pairs
+ * entries to indices and weights.  One pass counts the degrees, shifted so that
  * indptr[a + 1] starts as row a's offset; one pass fills the rows, with
  * indptr[a + 1] as row a's cursor, and leaves it at row a's end.  Row a
  * takes its pairs (b, a), which come in ascending b, before its pairs
  * (a, c), as every b < a: so each row is ascending.  No scratch. */
-void csr(int64_t n, int64_t pairs, const int64_t *i, const int64_t *j, const double *w,
-         int64_t *indptr, int64_t *indices, double *weights) {
+void csr(int64_t n, int64_t pairs, const int64_t *i, const int64_t *j, const int64_t *w,
+         int64_t *indptr, int32_t *indices, int64_t *weights) {
     memset(indptr, 0, (n + 1) * sizeof *indptr);
     for (int64_t k = 0; k < pairs; k++) {
         if (i[k] + 2 <= n) indptr[i[k] + 2]++;
@@ -502,9 +479,9 @@ void csr(int64_t n, int64_t pairs, const int64_t *i, const int64_t *j, const dou
     for (int64_t a = 2; a <= n; a++) indptr[a] += indptr[a - 1];
     for (int64_t k = 0; k < pairs; k++) {
         int64_t a = indptr[i[k] + 1]++, b = indptr[j[k] + 1]++;
-        indices[a] = j[k];
+        indices[a] = (int32_t)j[k];
         weights[a] = w[k];
-        indices[b] = i[k];
+        indices[b] = (int32_t)i[k];
         weights[b] = w[k];
     }
 }

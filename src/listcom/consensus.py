@@ -4,26 +4,28 @@ A configured number of fast detector runs, each with a seed derived from the
 master seed, vote on every node pair through the Jaccard similarity of the
 community-label sets the run assigned to the two nodes.  The matrix is a
 pair of arrays: sorted ``int64`` pair keys ``i * l + j`` (i < j, positions in
-the sorted node order) and their ``float64`` scores.  Each run is a
+the sorted node order) and their scores, ``int64`` micro-units as
+consensus.tsv writes them (:mod:`listcom.listgraph`'s codec).  Each run is a
 :class:`~listcom.detect.Cover` over that same order, so its member positions
-are the matrix positions.  :func:`accumulate` folds one run with one call
-of the kernel's ``fold`` (``_slpa.c``, loaded by :mod:`listcom.kernel`).
+are the matrix positions.  :func:`accumulate` folds one run into the
+``float64`` sums of the runs so far, with one call of the kernel's ``fold``
+(``_slpa.c``, loaded by :mod:`listcom.kernel`).
 It builds the node-major rows (each node's communities of two or more,
 ascending) and counts a run's co-assigned pairs with the same C counter as
 :func:`~listcom.listgraph.pair_counts`, with the cover as the rows'
 transpose: ``inter`` is the number of communities a pair shares, ``|X|``
 the length of a node's row, and the score inter / (|X| + |Y| - inter), in
 doubles.  The counter yields the pairs in ascending key order, so they
-merge into the sorted matrix in one pass: a key already there gets
-``old + score``, a new key ``score``.  Runs are folded into the matrix one
-at a time in ascending run order, so the floating-point result is a pure
-function of the runs' covers.  A detector at the ``detector=`` seam returns
-a cover over the graph's node order.  :func:`run_ensemble` ends with the
-scores that consensus.tsv holds, each the double of its 6-decimal string,
-so a library caller and the pipeline threshold the same numbers, and
-:func:`save_matrix` only writes.  The normalised matrix is thresholded
-into a consensus graph (a mask over the keys) on which a thorough detection
-pass produces the final cover.
+merge into the sorted sums in one pass: a key already there gets
+``old + score``, a new key ``score``.  Runs are folded one at a time in
+ascending run order, so the floating-point sums are a pure function of the
+runs' covers.  A detector at the ``detector=`` seam returns a cover over the
+graph's node order.  :func:`run_ensemble` turns each mean, the sum times
+1 / r, into micro-units once, so a library caller and the pipeline
+threshold the same integers, and :func:`save_matrix` only writes.  The
+matrix is thresholded at ``tau``'s micro-unit threshold into a consensus
+graph (a mask over the keys), whose weights are the scores, and a thorough
+detection pass on it produces the final cover.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from .atomic import atomic_write
 from .detect import (Cover, DetectorConfig, detect, detect_runs,
                      filter_singletons, node_positions)
 from .errors import ParseError, ValidationError
-from .listgraph import (ListGraph, pair_text, read_pair_rows, write_pair_rows,
-                        written_values)
+from .listgraph import (MICRO, ListGraph, micro_threshold, micro_units, pair_text,
+                        read_pair_rows, write_pair_rows)
 from .seeds import STREAM_CONSENSUS, derive_seed
 
 if TYPE_CHECKING:  # pipeline imports this module
@@ -53,7 +55,7 @@ class ConsensusMatrix:
 
     ``order`` is the sorted node ids.  ``keys`` holds ``i * len(order) + j``
     (i < j, positions in ``order``) in ascending order, and ``values`` the
-    accumulated or normalised score of each key.
+    score of each key in ``int64`` micro-units.
     """
 
     order: tuple[str, ...]
@@ -66,25 +68,26 @@ class ConsensusMatrix:
         order = tuple(order)
         if any(a >= b for a, b in zip(order, order[1:])):
             raise ValidationError("matrix order must be sorted and unique")
-        return cls(order, np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=np.float64), r)
+        return cls(order, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), r)
 
     def get(self, a: str, b: str) -> float:
+        """The score of a pair as the double k / 10**6 of its string."""
         i, j = sorted(node_positions(self.order, (a, b)).tolist())
         if i == j:
             raise ValidationError(f"no diagonal entries: {a!r}")
         key = i * len(self.order) + j
         pos = int(np.searchsorted(self.keys, key))
         if pos < len(self.keys) and self.keys[pos] == key:
-            return float(self.values[pos])
+            return self.values[pos].item() / MICRO
         return 0.0
 
     def items(self) -> Iterator[tuple[str, str, float]]:
-        """``(a, b, score)`` with a < b, in ascending pair order."""
+        """``(a, b, score)`` with a < b, in ascending pair order, each score
+        as :meth:`get` gives it."""
         order = self.order
         i, j = np.divmod(self.keys, len(order))
         for a, b, v in zip(i.tolist(), j.tolist(), self.values.tolist()):
-            yield order[a], order[b], v
+            yield order[a], order[b], v / MICRO
 
 
 def label_jaccard(labels_x, labels_y) -> float:
@@ -97,17 +100,18 @@ def label_jaccard(labels_x, labels_y) -> float:
     return len(x & y) / union
 
 
-def accumulate(matrix: ConsensusMatrix, base: Cover) -> ConsensusMatrix:
-    """Add one cover's pairwise Jaccard scores into the matrix (in place).
+def accumulate(order, keys, sums, base: Cover) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending pair ``keys`` over the sorted ``order`` and their
+    ``float64`` ``sums``, with one cover's pairwise Jaccard scores added.
 
-    The cover must be over the matrix order.  Each score is added to the
-    key's running value, so folding runs in run order gives the same
-    doubles as summing them one run at a time.  The kernel merges into
-    arrays with room for every pair the cover's communities of two or more
-    could hold, at most C(l, 2), which are then cut to the merged size."""
-    if base.nodes is not matrix.order and base.nodes != matrix.order:
+    The cover must be over ``order``.  Each score is added to the key's
+    running sum, so folding runs in run order gives the same doubles as
+    summing them one run at a time.  The kernel merges into arrays with
+    room for every pair the cover's communities of two or more could hold,
+    at most C(l, 2), which are then cut to the merged size."""
+    if base.nodes is not order and base.nodes != tuple(order):
         raise ValidationError("cover and matrix node orders differ")
-    l = len(matrix.order)
+    l = len(order)
     groups = np.ascontiguousarray(base.indptr, dtype=np.int64)
     members = np.ascontiguousarray(base.members, dtype=np.int32)
     if (len(groups) < 1 or groups[0] != 0 or groups[-1] != len(members)
@@ -117,8 +121,8 @@ def accumulate(matrix: ConsensusMatrix, base: Cover) -> ConsensusMatrix:
     sizes = np.diff(groups)
     # Below 2**31 members, the sum of C(size, 2) stays below 2**61.
     room = min(int(np.sum(sizes * (sizes - 1) // 2)), l * (l - 1) // 2)
-    keys = np.ascontiguousarray(matrix.keys, dtype=np.int64)
-    values = np.ascontiguousarray(matrix.values, dtype=np.float64)
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    values = np.ascontiguousarray(sums, dtype=np.float64)
     capacity = len(keys) + room
     merged_keys = np.empty(capacity, dtype=np.int64)
     merged_values = np.empty(capacity, dtype=np.float64)
@@ -129,8 +133,7 @@ def accumulate(matrix: ConsensusMatrix, base: Cover) -> ConsensusMatrix:
     # Shrinks in place: neither array is referenced elsewhere yet.
     merged_keys.resize(merged, refcheck=False)
     merged_values.resize(merged, refcheck=False)
-    matrix.keys, matrix.values = merged_keys, merged_values
-    return matrix
+    return merged_keys, merged_values
 
 
 def _covers(graph: ListGraph, config: DetectorConfig, seeds,
@@ -162,27 +165,27 @@ def run_ensemble(
 
     Run i has ``fast_iterations``, the ``overlap_threshold`` and the seed
     ``derive_seed(master_seed, i)``, and runs are folded in run order.
-    Each mean score is then replaced by the double of its 6-decimal
-    string, as consensus.tsv holds and :func:`load_matrix` reads it, and
-    the scores that print as 0.000000 are dropped.
+    Each mean score, the sum times 1 / r, then becomes the micro-units of
+    its 6-decimal string, as consensus.tsv holds and :func:`load_matrix`
+    reads it, and the scores that print as 0.000000 are dropped.
     """
-    matrix = ConsensusMatrix.empty(graph.nodes, config.runs)
+    keys, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     fast = DetectorConfig(config.fast_iterations, config.overlap_threshold)
     seeds = [derive_seed(config.master_seed, i) for i in range(config.runs)]
     for cover in _covers(graph, fast, seeds, detector):
-        accumulate(matrix, cover)
-    matrix.values *= 1.0 / config.runs
-    values = written_values(matrix.values)
-    kept = values > 0.0
-    matrix.keys, matrix.values = matrix.keys[kept], values[kept]
-    return matrix
+        keys, sums = accumulate(graph.nodes, keys, sums, cover)
+    units = micro_units(sums * (1.0 / config.runs))
+    kept = units > 0
+    return ConsensusMatrix(graph.nodes, keys[kept], units[kept], config.runs)
 
 
 def consensus_graph(matrix: ConsensusMatrix, tau: float) -> ListGraph:
-    """Graph over the matrix order keeping entries with score >= tau.
-    ``tau`` must be in [0, 1]: :class:`~listcom.pipeline.PipelineConfig`
-    checks it, and this function does not."""
-    keep = matrix.values >= tau
+    """Graph over the matrix order keeping entries with score >= tau, each
+    score compared as the double of its string, through
+    :func:`~listcom.listgraph.micro_threshold`.  ``tau`` must be in [0, 1]:
+    :class:`~listcom.pipeline.PipelineConfig` checks it, and this function
+    does not."""
+    keep = matrix.values >= micro_threshold(tau)
     i, j = np.divmod(matrix.keys[keep], len(matrix.order))
     return ListGraph.from_pairs(matrix.order, i, j, matrix.values[keep])
 
@@ -232,8 +235,8 @@ def load_matrix(path, order) -> ConsensusMatrix:
     node list), which keeps the nodes that have no entries.  The rows are
     read by :func:`~listcom.listgraph.read_pair_rows` under a ``#r=<runs>``
     header with runs >= 1; a score outside [0, 1] raises with its line.
-    Scores that rounded to 0.000000 on disk are dropped to keep the sparse
-    absent-means-zero invariant."""
+    Each score is held in micro-units; those that round to 0.000000 are
+    dropped to keep the sparse absent-means-zero invariant."""
     order = sorted(order)
     head, i, j, values, lines = read_pair_rows(path, order, header=1)
     if not head or not head[0].startswith("#r="):
@@ -244,10 +247,11 @@ def load_matrix(path, order) -> ConsensusMatrix:
         raise ParseError(f"{path}:1: bad run count") from exc
     if r < 1:
         raise ValidationError(f"{path}:1: run count {r} is below 1")
-    bad = lines[~((values >= 0.0) & (values <= 1.0 + 1e-9))]
+    bad = lines[~((values >= 0.0) & (values <= 1.0))]
     if len(bad):
         raise ValidationError(f"{path}:{bad.min()}: score out of range")
     matrix = ConsensusMatrix.empty(order, r)
-    kept = values > 0.0
-    matrix.keys, matrix.values = (i * len(order) + j)[kept], values[kept]
+    units = micro_units(values)
+    kept = units > 0
+    matrix.keys, matrix.values = (i * len(order) + j)[kept], units[kept]
     return matrix

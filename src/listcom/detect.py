@@ -26,14 +26,15 @@ sequential stream.  In iteration ``it`` of the run with seed ``s``:
 
 A run is one call of the C function ``slpa`` (``_slpa.c``, loaded by
 :mod:`listcom.kernel`): the asynchronous SLPA of Xie, Szymanski and Liu
-(2011), one node at a time in visit order.  Each label's vote is its edge
-weights summed from 0.0 in CSR order in a dense per-label accumulator; the
-highest vote wins, and a tie, all-zero votes included, goes to the lowest
-label.  The vote needs only its winner.  So a node of degree
-``DECIDE_DEGREE`` (64) or more takes the last label of its memory as its
-guess, and every ``DECIDE_PERIOD`` (4) draws checks whether the guess has
-won: whether its vote exceeds every other label's partial vote plus all
-that label could still gain, with a slack for rounding.  A neighbour is
+(2011), one node at a time in visit order.  A graph's weights are
+``int64`` micro-units (:mod:`listcom.listgraph`'s codec), so each label's
+vote, the sum of its edge weights in a dense per-label accumulator, is
+exact in any order; the highest vote wins, and a tie, all-zero votes
+included, goes to the lowest label.  The vote needs only its winner.  So a
+node of degree ``DECIDE_DEGREE`` (64) or more takes the last label of its
+memory as its guess, and every ``DECIDE_PERIOD`` (4) draws checks whether
+the guess has won: whether its vote exceeds every other label's partial
+vote plus all that label could still gain.  A neighbour is
 settled while its memory after its first slot holds only the guess, or
 nothing: it can hand out only its own id or the guess.  So a label X other
 than the guess can still gain the weight of every unsettled neighbour not
@@ -47,12 +48,14 @@ when its guess changes, to count the neighbours that hold the new guess.
 Once the guess has won, its final vote would be strictly the highest, and
 the node stops drawing.  Each draw is keyed by its own CSR position, so a
 skipped draw moves no other, and every memory row is the one that full
-votes give, bit for bit.  ``slpa``'s comment in ``_slpa.c`` carries the
-proof, and ``slpa`` returns the number of labels it drew.  Nodes below
+votes give.  ``slpa``'s comment in ``_slpa.c`` carries the proof, and
+``slpa`` returns the number of labels it drew.  Nodes below
 ``DECIDE_DEGREE`` draw every label.  Labels are node positions and
 memories ``int32`` rows of ``iterations + 1`` labels.  A malformed array
 would crash the kernel, so :func:`detect_runs` checks the CSR arrays'
-dtypes, shapes and ranges first, and the kernel's ``components`` checks, in
+dtypes, shapes and ranges first, and that no vote or bound can overflow:
+the largest weight times twice the largest degree plus one stays below
+2**63.  The kernel's ``components`` checks, in
 one pass over the edges, that the graph is simple and undirected as a
 :class:`ListGraph` promises: each row strictly ascending, without the node
 itself, and every edge in both rows.  Either raises
@@ -66,8 +69,8 @@ reuses them.  The walk cannot change a result: two components never
 exchange labels, and every draw is keyed by global positions, the visit
 key by the node and the slot by the CSR position.  So within a component
 the nodes go in the same (key, node) order as in a walk over the whole
-graph, each reads the same memory slots, and every memory row is the same,
-bit for bit.  The walk's sorts are smaller and its rows stay in cache.
+graph, each reads the same memory slots, and every memory row is the same.
+The walk's sorts are smaller and its rows stay in cache.
 
 A detection has three settings, a :class:`DetectorConfig`: its iterations,
 its overlap threshold and its seed.  There are no detector modes: the
@@ -110,7 +113,8 @@ each community's ids.  :func:`detect` returns a :class:`Cover` over
 ``graph.nodes``, and anything callable as ``(graph, config) -> Cover`` over
 that same order can stand in for it at the ``detector=`` seam of the
 ensemble and the thorough pass, so a heavier external detector can be
-slotted in without touching the aggregation machinery.
+slotted in without touching the aggregation machinery.  It gets the graph
+as the kernel does, its weights in ``int64`` micro-units.
 """
 from __future__ import annotations
 
@@ -322,7 +326,7 @@ def _checked_csr(graph: ListGraph):
         raise ValidationError(f"graph has {n} nodes; it needs 1 to 2**31 - 1")
     csr = (graph.indptr, graph.indices, graph.weights)
     for name, array, dtype in zip(("indptr", "indices", "weights"), csr,
-                                  (np.int64, np.int64, np.float64)):
+                                  (np.int64, np.int32, np.int64)):
         if not (isinstance(array, np.ndarray) and array.dtype == dtype
                 and array.ndim == 1 and array.flags.c_contiguous):
             raise ValidationError(
@@ -334,8 +338,12 @@ def _checked_csr(graph: ListGraph):
                               "offsets from 0 to the number of indices")
     if len(indices) and not (indices.min() >= 0 and indices.max() < n):
         raise ValidationError("graph indices must be node positions in [0, n)")
-    if len(weights) != len(indices) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
-        raise ValidationError("graph weights must be one finite value >= 0 per index")
+    # A vote, and a bound of the early decision, is at most the largest
+    # weight times twice the largest degree plus one.
+    if len(weights) != len(indices) or len(weights) and (weights.min() < 0 or int(
+            weights.max()) * (2 * int(np.diff(indptr).max()) + 1) >= 2**63):
+        raise ValidationError("graph weights must be one integer >= 0 per index, and the "
+                              "largest times twice the largest degree plus one below 2**63")
     return csr
 
 

@@ -21,7 +21,7 @@ from importlib import resources
 from itertools import chain, islice
 
 from .atomic import atomic_write, json_array, json_numbers
-from .corpus import MembershipCorpus, read_json
+from .corpus import MembershipCorpus, read_json, read_lines
 from .errors import ValidationError
 
 ListVector = dict[str, float]
@@ -36,9 +36,9 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """One lowercase term per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    """One lowercase term per line, read by :func:`~listcom.corpus.read_lines`;
+    blank lines ignored."""
+    return frozenset(line.strip() for line in read_lines(path) if line.strip())
 
 
 def tokenize(name: str, description: str, stopwords: frozenset[str]) -> list[str]:

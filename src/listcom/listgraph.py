@@ -23,21 +23,29 @@ isolated nodes.
 
 The graph is held as integer arrays: node ``i`` is the i-th list id in
 sorted order, and the edges form a compressed sparse row structure
-(``indptr``, ``indices``, ``weights``) with each row's neighbours in
-ascending order and every edge stored in both rows.  It is built once, by
-:func:`build_list_graph`, :func:`load_graph` or the consensus graph, all
+(``indptr``, ``int32`` ``indices``, ``weights``) with each row's neighbours
+in ascending order and every edge stored in both rows.  It is built once,
+by :func:`build_list_graph`, :func:`load_graph` or the consensus graph, all
 through :meth:`ListGraph.from_pairs`, whose kernel entry ``csr`` counts the
 degrees in one pass over the pairs and fills the rows in another.  List ids
 reappear only in the pair files of the graph and the consensus matrix,
-``a<TAB>b<TAB>value`` rows (6 decimals, lexicographic pairs) with one
-codec: :func:`pair_text` formats each distinct value once (for the graph,
-each distinct weight of its upper edges), found by their bits in one pass
-over a hash table in the kernel, not by a sort;
+``a<TAB>b<TAB>value`` rows (6 decimals, lexicographic pairs).
+
+The codec.  A graph weight or a matrix score is held as ``int64``
+micro-units: the integer k whose value k / 10**6 its file writes to 6
+decimals.  :func:`micro_units` is the one conversion from a double: each
+distinct value's 6-decimal string read as an integer.  It makes each
+weight of :func:`build_list_graph` where it first exists, each score at
+the end of the ensemble, and each value a reader parses, so a built object
+equals its reload, and every vote, sum and threshold on these values is
+exact integer arithmetic.  :func:`micro_threshold` turns a threshold such
+as ``tau`` into the least k whose double k / 10**6 clears it, so keeping
+``units >= micro_threshold(x)`` decides as a comparison of the written
+values with ``x`` would.  :func:`pair_text` writes each distinct value
+once, found in one pass over a hash table in the kernel, not by a sort;
 :func:`write_pair_rows` joins the rows in the kernel, a block of
 ``TEXT_BLOCK`` rows at a time, and :func:`read_pair_rows` reads with
-``path:line`` errors.  The graph and the matrix are built with the values
-their files hold (:func:`written_values`), so the writers only write, and
-a built object equals its reload.  Ids hold no tab or line break
+``path:line`` errors.  Ids hold no tab or line break
 (:class:`~listcom.corpus.MembershipCorpus` refuses them), so a row's
 fields are its ids.
 """
@@ -55,6 +63,7 @@ from .errors import ParseError, ValidationError
 
 _LN10 = math.log(10.0)
 TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
+MICRO = 10**6  # micro-units per unit: the pair files write k / MICRO
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +72,8 @@ class ListGraph:
 
     ``nodes`` is sorted, so node ``i`` is the i-th id in lexicographic order.
     Row ``i`` holds its neighbours ``indices[indptr[i]:indptr[i + 1]]`` in
-    ascending order with the matching ``weights``; every edge is stored in
-    both rows.  The arrays are read-only once built.
+    ascending order with the matching ``weights``, ``int64`` micro-units;
+    every edge is stored in both rows.  The arrays are read-only once built.
     """
 
     nodes: tuple[str, ...]
@@ -74,17 +83,18 @@ class ListGraph:
 
     @classmethod
     def from_pairs(cls, nodes, i, j, w) -> "ListGraph":
-        """Build from sorted ``nodes`` and parallel arrays of node indices
-        ``i < j`` with weights ``w``, distinct and in ascending ``(i, j)``
-        order.  Row ``a`` is then its pairs ``(b, a)`` followed by its pairs
-        ``(a, c)``, so the kernel's ``csr`` lays out the CSR in one pass that
-        counts the degrees and one that fills the rows."""
+        """Build from fewer than 2**31 sorted ``nodes`` and parallel arrays
+        of node indices ``i < j`` with integer weights ``w`` >= 0, distinct
+        and in ascending ``(i, j)`` order.  Row ``a`` is then its pairs
+        ``(b, a)`` followed by its pairs ``(a, c)``, so the kernel's ``csr``
+        lays out the CSR in one pass that counts the degrees and one that
+        fills the rows."""
         nodes = tuple(nodes)
-        if any(a >= b for a, b in zip(nodes, nodes[1:])):
-            raise ValidationError("graph nodes must be sorted and unique")
+        if len(nodes) >= 2**31 or any(a >= b for a, b in zip(nodes, nodes[1:])):
+            raise ValidationError("graph nodes must be sorted, unique and fewer than 2**31")
         i = np.ascontiguousarray(i, dtype=np.int64)
         j = np.ascontiguousarray(j, dtype=np.int64)
-        w = np.ascontiguousarray(w, dtype=np.float64)
+        w = np.asarray(w)
         if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
             raise ValidationError("edge pairs must be 1-d arrays of one length")
         if len(i) and not (i.min() >= 0 and j.max() < len(nodes)):
@@ -94,10 +104,11 @@ class ListGraph:
         if np.any(np.diff(i * len(nodes) + j) <= 0):
             raise ValidationError("edge pairs must be distinct and in "
                                   "ascending (i, j) order")
-        if not np.all(np.isfinite(w) & (w >= 0.0)):
-            raise ValidationError("edge weights must be finite and >= 0")
+        if len(w) and not (w.dtype.kind in "iu" and 0 <= w.min() and w.max() < 2**63):
+            raise ValidationError("edge weights must be integer micro-units >= 0")
+        w = np.ascontiguousarray(w, dtype=np.int64)
         arrays = (np.empty(len(nodes) + 1, dtype=np.int64),
-                  np.empty(2 * len(i), dtype=np.int64), np.empty(2 * len(i)))
+                  np.empty(2 * len(i), dtype=np.int32), np.empty(2 * len(i), dtype=np.int64))
         kernel.load().csr(len(nodes), len(i), *(a.ctypes.data for a in (i, j, w, *arrays)))
         for arr in arrays:
             arr.flags.writeable = False
@@ -115,10 +126,11 @@ class ListGraph:
         return rows[upper], self.indices[upper], w[upper]
 
     def edge_list(self) -> list[tuple[str, str, float]]:
-        """Each edge once as ``(a, b, weight)`` with a < b, in sorted order."""
+        """Each edge once as ``(a, b, weight)`` with a < b, in sorted order;
+        the weight is the double k / 10**6 of its written string."""
         i, j, w = self.edge_pairs()
         nodes = self.nodes
-        return [(nodes[a], nodes[b], x)
+        return [(nodes[a], nodes[b], x / MICRO)
                 for a, b, x in zip(i.tolist(), j.tolist(), w.tolist())]
 
 
@@ -250,9 +262,9 @@ def _int32_rows(indptr, cols, width) -> list[np.ndarray]:
 
 def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     """One node per list; edges for every member-sharing pair whose weight
-    clears ``rho``.  Each kept weight is held as graph.tsv holds it, the
-    double of its 6-decimal string; ``rho`` is tested on the weight before
-    that rounding.  ``rho`` must be a number >= 0:
+    clears ``rho``.  Each kept weight is held in the micro-units of its
+    6-decimal string, as graph.tsv writes it; ``rho`` is tested on the
+    weight before that rounding.  ``rho`` must be a number >= 0:
     :class:`~listcom.pipeline.PipelineConfig` checks it, and this function
     does not."""
     nodes = corpus.list_ids
@@ -276,7 +288,7 @@ def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     lpv = 0.0 - _log_tail_batch(distinct[size_pair // d], distinct[size_pair % d],
                                 k, n, lg) / _LN10
     keep = lpv[which] >= rho
-    return ListGraph.from_pairs(nodes, i[keep], j[keep], written_values(lpv)[which][keep])
+    return ListGraph.from_pairs(nodes, i[keep], j[keep], micro_units(lpv)[which][keep])
 
 
 def distinct_values(codes) -> tuple[np.ndarray, np.ndarray]:
@@ -294,23 +306,39 @@ def distinct_values(codes) -> tuple[np.ndarray, np.ndarray]:
     return first[:found], which
 
 
-def pair_text(values) -> tuple[list[str], np.ndarray]:
-    """Each distinct value formatted once to 6 decimals, in the order of
-    its first occurrence, and each value's index into those strings.
-    Values are told apart by their bits, so the text depends only on a
-    value's bits and ``-0.0`` keeps its sign."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    first, which = distinct_values(bits)
-    return [f"{v:.6f}" for v in bits[first].view(np.float64).tolist()], which
+def micro_units(values) -> np.ndarray:
+    """Each double as the ``int64`` k whose k / 10**6 is its 6-decimal
+    string, the one conversion of a weight or a score to micro-units.  Each
+    distinct value is formatted once; ``-0.0`` gives 0.  A value that is not
+    finite, or whose k would not fit 63 bits, raises :class:`ValidationError`.
+    A double holds every decimal of 15 significant digits, so a value
+    below 10**9 that a pair file holds reads back as the k it was written
+    from."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.all(np.abs(values) < 2**63 / MICRO):
+        raise ValidationError("values must be finite and below 2**63 micro-units")
+    first, which = distinct_values(values.view(np.int64))
+    units = [int(f"{v:.6f}".replace(".", "")) for v in values[first].tolist()]
+    return np.array(units, dtype=np.int64)[which]
 
 
-def written_values(values) -> np.ndarray:
-    """Each value replaced by the double its :func:`pair_text` string
-    parses to, as a reader of the pair files gets it.  A double
-    round-trips every decimal of 15 or fewer significant digits, so
-    formatting the result gives the same strings for values below 10**9."""
-    text, which = pair_text(values)
-    return np.array([float(t) for t in text], dtype=np.float64)[which]
+def micro_threshold(x: float) -> int:
+    """The least k whose double k / 10**6 is >= ``x``, for ``|x|`` below
+    10**9: a value in micro-units clears it exactly when its written
+    string, read as a double, is >= ``x``, for ``x`` of any number of
+    decimals.  ``k / MICRO`` divides Python integers, correctly rounded."""
+    k = math.ceil(x * MICRO)  # off by at most one below 10**9
+    return k - 1 if (k - 1) / MICRO >= x else k + (k / MICRO < x)
+
+
+def pair_text(units) -> tuple[list[str], np.ndarray]:
+    """Each distinct value of an ``int64`` array of micro-units written
+    once as k / 10**6 to 6 decimals, in the order of its first occurrence,
+    and each value's index into those strings."""
+    units = np.ascontiguousarray(units, dtype=np.int64)
+    first, which = distinct_values(units)
+    return [f"{'-' * (k < 0)}{abs(k) // MICRO}.{abs(k) % MICRO:06d}"
+            for k in units[first].tolist()], which
 
 
 def write_pair_rows(fh, nodes, i, j, text, which) -> None:
@@ -343,7 +371,7 @@ def write_pair_rows(fh, nodes, i, j, text, which) -> None:
 def save_graph(graph: ListGraph, edges_path, nodes_path) -> None:
     """Write edges (lexicographic pair order, weights to 6 decimals) and the
     sidecar node list that preserves isolated nodes.  Only the upper copy
-    of each edge is formatted."""
+    of each edge is written."""
     i, j, w = graph.edge_pairs()
     with atomic_write(edges_path) as fh:
         write_pair_rows(fh, graph.nodes, i, j, *pair_text(w))
@@ -371,7 +399,8 @@ def load_nodes(nodes_path) -> list[str]:
 def read_pair_rows(path, nodes, header=0):
     """Parse a pair file over the sorted ids ``nodes``: ``header`` lines,
     then ``a<TAB>b<TAB>value`` rows in any row and endpoint order.  Returns
-    the header lines and arrays ``(i, j, values, lines)`` in ascending
+    the header lines and arrays ``(i, j, values, lines)``, the values as
+    parsed doubles, in ascending
     ``(i, j)`` order with i < j, ``lines`` being each row's line in the file.
     Each error names ``path:line``: bad UTF-8, a wrong field count, a value
     ``float`` cannot parse, an endpoint outside ``nodes``, a self-pair, or
@@ -413,6 +442,8 @@ def read_pair_rows(path, nodes, header=0):
 
 
 def load_graph(edges_path, nodes_path) -> ListGraph:
+    """The graph of a pair file and its node list, each weight in the
+    micro-units of its value."""
     nodes = load_nodes(nodes_path)
     _, i, j, w, _ = read_pair_rows(edges_path, nodes)
-    return ListGraph.from_pairs(nodes, i, j, w)
+    return ListGraph.from_pairs(nodes, i, j, micro_units(w))

@@ -104,21 +104,21 @@ def config_type(setting) -> type:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and ``#`` comments allowed.
-    A key given twice raises :class:`ParseError` at its second line."""
+    """Flat ``key = value`` lines, read by :func:`~listcom.corpus.read_lines`;
+    blank lines and ``#`` comments allowed.  A key given twice raises
+    :class:`ParseError` at its second line."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ParseError(f"{path}:{lineno}: config key {key!r} given twice")
-            values[key] = value.strip()
+    for lineno, line in enumerate(corp.read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ParseError(f"{path}:{lineno}: config key {key!r} given twice")
+        values[key] = value.strip()
     return values
 
 
@@ -272,16 +272,14 @@ def stage_members(memberships_path, lists_path, out_dir,
 def stage_evaluate(groundtruth_path, out_dir, config: PipelineConfig,
                    core_path=None, users=None) -> None:
     """``users`` is what :func:`stage_members` returns; users.json is read
-    when it is not given."""
+    when it is not given.  The core file holds one user id per line, read
+    by :func:`~listcom.corpus.read_lines`."""
     truth = corp.load_ground_truth(groundtruth_path)
     if users is None:
         users = memb.load_users(_require(out_dir, "users"))
     if core_path is not None:
-        core = frozenset(
-            line.strip()
-            for line in Path(core_path).read_text("utf-8").splitlines()
-            if line.strip()
-        )
+        core = frozenset(line.strip() for line in corp.read_lines(core_path)
+                         if line.strip())
     else:
         core = frozenset().union(*truth.categories.values()) if truth.categories else frozenset()
     rows = memb.evaluate(users, truth, core)

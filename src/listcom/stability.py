@@ -23,22 +23,22 @@ walks the matrix rows, not the C(size, 2) member pairs: for each member
 those whose other end is also in ``k`` (one ``np.searchsorted`` of
 ``k l + b`` into the ascending ``k l + member`` codes) and adds their
 scores into ``k``'s total with ``np.add.at``, in blocks of about
-``PAIR_BLOCK`` entries.  The work follows a community's matrix
-entries.  Entries come in key order, which is ``itertools.combinations``
-order, ``np.add.at`` adds in input order, and an absent pair would add 0.0,
-so each total is the sequential sum over all member pairs, bit for bit.
-Ranking ties break by the canonical cover order, which is size descending,
-then members lexicographic.
+``PAIR_BLOCK`` entries.  The work follows a community's matrix entries.
+The scores are ``int64`` micro-units, so each total, and the sum of all
+entries, is exact; each mean is then one correctly rounded division of
+Python integers, the double nearest the exact mean.  Ranking ties break by
+the canonical cover order, which is size descending, then members
+lexicographic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_write
 from .consensus import ConsensusMatrix
+from .listgraph import MICRO
 from .detect import Cover
 from .errors import ValidationError
 
@@ -58,9 +58,9 @@ def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:
     pairs, absent entries counting 0; NaN for a community of fewer than two.
 
     The cover must be over the matrix order.  Each member's matrix row is
-    walked in blocks of about ``PAIR_BLOCK`` entries, and the
-    entries whose other end is in the same community are added in key
-    order.
+    walked in blocks of about ``PAIR_BLOCK`` entries, and the entries whose
+    other end is in the same community are added as integers; a score of
+    at most 10**6 micro-units keeps every total far below 2**63.
     """
     if cover.nodes is not matrix.order and cover.nodes != matrix.order:
         raise ValidationError("cover and matrix node orders differ")
@@ -74,7 +74,7 @@ def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:
     starts = rows[members]
     lengths = rows[members + 1] - starts
     done = np.concatenate(([0], np.cumsum(lengths)))
-    totals = np.zeros(len(cover))
+    totals = np.zeros(len(cover), dtype=np.int64)
     a = 0
     while a < len(members):
         b = max(a + 1, int(np.searchsorted(done, done[a] + PAIR_BLOCK,
@@ -87,10 +87,9 @@ def raw_stabilities(cover: Cover, matrix: ConsensusMatrix) -> np.ndarray:
         inside = codes[hit] == query
         np.add.at(totals, owner[inside], matrix.values[pos[inside]])
         a = b
-    sizes = cover.sizes()
-    pairs = sizes * (sizes - 1) // 2
-    return np.divide(totals, pairs, out=np.full(len(cover), np.nan),
-                     where=pairs > 0)
+    sizes = cover.sizes().tolist()
+    return np.array([t / (s * (s - 1) // 2 * MICRO) if s >= 2 else np.nan
+                     for t, s in zip(totals.tolist(), sizes)])
 
 
 def raw_stability(community, matrix: ConsensusMatrix) -> float:
@@ -104,11 +103,12 @@ def raw_stability(community, matrix: ConsensusMatrix) -> float:
 
 def expected_stability(size: int, matrix: ConsensusMatrix) -> float:
     """Exact mean raw stability of a uniformly drawn ``size``-node subset of
-    the matrix order: the sum of all entries over C(l, 2), for every size."""
+    the matrix order: the sum of all entries over C(l, 2), for every size,
+    as the double nearest that exact mean."""
     l = len(matrix.order)
     if not (2 <= size <= l):
         raise ValidationError(f"size must be in [2, {l}]")
-    return math.fsum(matrix.values.tolist()) / math.comb(l, 2)
+    return sum(matrix.values.tolist()) / (l * (l - 1) // 2 * MICRO)
 
 
 def _score(raw: float, expected: float) -> StabilityScore:

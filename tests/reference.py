@@ -10,23 +10,27 @@ against every community as frozensets, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
 index-pair tuples (and the same CSR laid out by one stable numpy sort),
 updates one node at a time in visit order with scalar
-counter-based draws and tallies votes with ``np.unique``, the cover of
+counter-based draws and tallies integer votes over ``np.unique``'s labels,
+the cover of
 memory rows in whole-array numpy calls, covers as frozensets of ids sorted
 by the strings themselves, one run's pair scores from the numpy block
 counter, the per-run Jaccard table over distinct label sets folded into a
 ``{key: score}`` dict, the
-per-community pair keys of those frozenset covers folded into a matrix, the
-stability sums over that dict with the expected term enumerated over every
-subset, term labels from a full sort of every scored term, and pair files
-read one line at a time into a dict and written one value, or one row, at a
-time.  Tests
+per-community pair keys of those frozenset covers folded into running sums,
+the stability sums over that dict with the expected term enumerated over
+every subset, term labels from a full sort of every scored term, and pair
+files read one line at a time into a dict and written one value, or one
+row, at a time.  Tests
 compare the package against them with ``==``, except the expected term,
-which sums in another order and must agree within 1e-12.  Helpers build
-corpora, graphs and matrices from small dicts, and ``tsv_pairs`` parses
-an ``a<TAB>b`` file one line at a time.
+which averages the subset means in floats and must agree within 1e-12.
+Weights and scores are ``int64`` micro-units, as in the package, and
+:func:`micro` converts a double to them by exact rational rounding.
+Helpers build corpora, graphs and matrices from small dicts, and
+``tsv_pairs`` parses an ``a<TAB>b`` file one line at a time.
 """
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -219,14 +223,17 @@ def evaluate(communities, truth, core) -> list[EvalRow]:
     return rows
 
 
-def edge_map(graph) -> dict[tuple[str, str], float]:
-    """``{(a, b): weight}`` with a < b for every edge of a ListGraph."""
-    return {(a, b): w for a, b, w in graph.edge_list()}
+def edge_map(graph) -> dict[tuple[str, str], int]:
+    """``{(a, b): weight}`` with a < b for every edge of a ListGraph, in
+    micro-units."""
+    i, j, w = graph.edge_pairs()
+    return {(graph.nodes[a], graph.nodes[b]): x
+            for a, b, x in zip(i.tolist(), j.tolist(), w.tolist())}
 
 
 def graph_from_edges(nodes, edges) -> ListGraph:
     """ListGraph over ``nodes`` (any order) from a ``{(a, b): weight}``
-    dict whose pairs may come in either endpoint order."""
+    dict of micro-units whose pairs may come in either endpoint order."""
     nodes = sorted(nodes)
     index = {node: i for i, node in enumerate(nodes)}
     pairs = sorted((min(index[a], index[b]), max(index[a], index[b]), w)
@@ -237,14 +244,14 @@ def graph_from_edges(nodes, edges) -> ListGraph:
 
 def matrix_from_pairs(order, scores, r) -> ConsensusMatrix:
     """ConsensusMatrix over ``order`` (any order) from a ``{(a, b): score}``
-    dict whose pairs may come in either endpoint order."""
+    dict of micro-units whose pairs may come in either endpoint order."""
     matrix = ConsensusMatrix.empty(sorted(order), r)
     index = {node: i for i, node in enumerate(matrix.order)}
     l = len(matrix.order)
     entries = {min(index[a], index[b]) * l + max(index[a], index[b]): v
                for (a, b), v in scores.items()}
     matrix.keys = np.array(sorted(entries), dtype=np.int64)
-    matrix.values = np.array([entries[k] for k in sorted(entries)], dtype=np.float64)
+    matrix.values = np.array([entries[k] for k in sorted(entries)], dtype=np.int64)
     return matrix
 
 
@@ -263,16 +270,17 @@ def read_pairs(path, header=0) -> tuple[list[str], dict[tuple[str, str], float]]
     return lines[:header], rows
 
 
-def as_written(value: float) -> float:
-    """The double of ``value``'s 6-decimal string, formatted on its own, as
-    a reader of a pair file gets it."""
-    return float(f"{value:.6f}")
+def micro(value: float) -> int:
+    """The micro-units of a double: ``value`` times 10**6 rounded, half to
+    even, as an exact rational, which is what its 6-decimal string reads."""
+    return round(Fraction(value) * 10**6)
 
 
 def pair_rows_text(rows) -> str:
-    """The ``a<TAB>b<TAB>value`` lines of ``{(a, b): value}`` (a < b) in
-    sorted pair order, each value formatted on its own to 6 decimals."""
-    return "".join(f"{a}\t{b}\t{v:.6f}\n" for (a, b), v in sorted(rows.items()))
+    """The ``a<TAB>b<TAB>value`` lines of ``{(a, b): value}`` (a < b, values
+    in micro-units) in sorted pair order, each value k formatted on its own
+    as the double k / 10**6 to 6 decimals."""
+    return "".join(f"{a}\t{b}\t{v / 10**6:.6f}\n" for (a, b), v in sorted(rows.items()))
 
 
 def pair_rows(nodes, i, j, text, which) -> str:
@@ -282,24 +290,27 @@ def pair_rows(nodes, i, j, text, which) -> str:
                    for a, b, t in zip(list(i), list(j), list(which)))
 
 
-def entry_map(matrix) -> dict[tuple[str, str], float]:
-    """``{(a, b): score}`` with a < b for every stored matrix entry."""
-    return {(a, b): v for a, b, v in matrix.items()}
+def entry_map(matrix) -> dict[tuple[str, str], int]:
+    """``{(a, b): score}`` with a < b for every stored matrix entry, in
+    micro-units."""
+    i, j = np.divmod(matrix.keys, len(matrix.order))
+    return {(matrix.order[a], matrix.order[b]): v
+            for a, b, v in zip(i.tolist(), j.tolist(), matrix.values.tolist())}
 
 
 def same_matrix(x, y) -> bool:
-    """Same order, run count, keys and bit-identical values."""
+    """Same order, run count, keys and values, of the same dtypes."""
     return (x.order == y.order and x.r == y.r
-            and np.array_equal(x.keys, y.keys)
-            and x.values.tobytes() == y.values.tobytes())
+            and np.array_equal(x.keys, y.keys) and x.values.dtype == y.values.dtype
+            and np.array_equal(x.values, y.values))
 
 
 def same_graph(x, y) -> bool:
-    """Same nodes, CSR arrays and bit-identical weights."""
+    """Same nodes and CSR arrays, of the same dtypes."""
     return (x.nodes == y.nodes
-            and np.array_equal(x.indptr, y.indptr)
-            and np.array_equal(x.indices, y.indices)
-            and x.weights.tobytes() == y.weights.tobytes())
+            and all(getattr(x, name).dtype == getattr(y, name).dtype
+                    and np.array_equal(getattr(x, name), getattr(y, name))
+                    for name in ("indptr", "indices", "weights")))
 
 
 def component_graphs():
@@ -307,7 +318,7 @@ def component_graphs():
     components, interleaved in node order with isolated nodes; one
     component with isolated nodes beside it; one component alone; and
     components of 48 and 49 nodes, on either side of the kernel's switch
-    from an insertion sort to qsort."""
+    from an insertion sort to qsort.  Weights are micro-units up to 10**6."""
     rng = np.random.Generator(np.random.PCG64(12))
     nodes = [f"c{i:03d}" for i in range(120)]
     order = rng.permutation(len(nodes))
@@ -316,18 +327,18 @@ def component_graphs():
         part = sorted(order[at:at + size].tolist())
         at += size
         for a, b in zip(part, part[1:]):  # a path keeps the part connected
-            edges[(nodes[a], nodes[b])] = float(rng.choice([0.5, 1.0, 2.0]))
+            edges[(nodes[a], nodes[b])] = int(rng.choice([500_000, 10**6, 2 * 10**6]))
         for a, b in rng.choice(part, size=(size, 2)).tolist():
             if a != b:
-                edges[(nodes[min(a, b)], nodes[max(a, b)])] = float(rng.random())
+                edges[(nodes[min(a, b)], nodes[max(a, b)])] = int(rng.integers(10**6))
     many = graph_from_edges(nodes, edges)
-    single = {(nodes[a], nodes[a + 1]): 1.0 for a in range(39)}
-    single.update({(nodes[min(a, b)], nodes[max(a, b)]): float(rng.random())
+    single = {(nodes[a], nodes[a + 1]): 10**6 for a in range(39)}
+    single.update({(nodes[min(a, b)], nodes[max(a, b)]): int(rng.integers(10**6))
                    for a, b in rng.choice(40, size=(60, 2)).tolist() if a != b})
     sides = {}
     for part in (order[:48], order[48:97]):
         part = sorted(part.tolist())
-        sides.update({(nodes[a], nodes[b]): float(rng.random())
+        sides.update({(nodes[a], nodes[b]): int(rng.integers(10**6))
                       for a, b in zip(part, part[1:] + part[:1])})
     return [many, graph_from_edges(nodes[:50], single), graph_from_edges(nodes[:40], single),
             graph_from_edges(nodes, sides)]
@@ -348,7 +359,7 @@ def csr_fill(nodes, edges):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=offsets[1:])
     nbr = np.zeros(offsets[-1], dtype=np.int64)
-    wgt = np.zeros(offsets[-1], dtype=np.float64)
+    wgt = np.zeros(offsets[-1], dtype=np.int64)
     fill = offsets[:-1].copy()
     for i, j, w in edge_items:
         nbr[fill[i]] = j
@@ -367,7 +378,7 @@ def numpy_csr(n, i, j, w):
     its pairs ``(b, a)`` followed by its pairs ``(a, c)``, so one stable
     sort by row of both directions orders it."""
     i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w, dtype=np.int64)
     perm = np.argsort(np.concatenate([j, i]), kind="stable")
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=offsets[1:])
@@ -375,8 +386,9 @@ def numpy_csr(n, i, j, w):
 
 
 def detect(nodes, edges, config) -> tuple[frozenset[str], ...]:
-    """Label propagation over a dict graph, one node at a time in visit
-    order, one ``np.unique`` per update.
+    """Label propagation over a dict graph of micro-unit weights, one node
+    at a time in visit order, one ``np.unique`` per update and each label's
+    vote an exact ``int64`` sum of its weights.
 
     The draws are the scalar ``derive_seed``: in iteration ``it`` nodes go in
     ascending (derive_seed(derive_seed(seed, 2 it), node), node) order, and
@@ -404,7 +416,8 @@ def detect(nodes, edges, config) -> tuple[frozenset[str], ...]:
                      for p, v in zip(range(lo, hi), nbrs.tolist())]
             labels = mem[nbrs, slots]
             uniq, inv = np.unique(labels, return_inverse=True)
-            votes = np.bincount(inv, weights=wgt[lo:hi])
+            votes = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(votes, inv, wgt[lo:hi])
             winner = uniq[int(np.argmax(votes))]  # first max = lowest label id
             mem[u, mem_len[u]] = winner
             mem_len[u] += 1
@@ -485,16 +498,15 @@ def community_pair_scores(base, order):
     return keys, inter / (labels[i] + labels[j] - inter)
 
 
-def accumulate(matrix, base):
-    """Fold one frozenset cover into the matrix in place, key by key, with
-    :func:`community_pair_scores`."""
-    keys, scores = community_pair_scores(base, matrix.order)
-    entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
-    for k, v in zip(keys.tolist(), scores.tolist()):
+def accumulate(order, keys, sums, base):
+    """``(keys, sums)`` with one frozenset cover over ``order`` folded in,
+    key by key, with :func:`community_pair_scores`."""
+    pairs, scores = community_pair_scores(base, order)
+    entries = dict(zip(keys.tolist(), sums.tolist()))
+    for k, v in zip(pairs.tolist(), scores.tolist()):
         entries[k] = entries[k] + v if k in entries else v
-    matrix.keys = np.array(sorted(entries), dtype=np.int64)
-    matrix.values = np.array([entries[k] for k in sorted(entries)], dtype=np.float64)
-    return matrix
+    return (np.array(sorted(entries), dtype=np.int64),
+            np.array([entries[k] for k in sorted(entries)], dtype=np.float64))
 
 
 def pair_scores(base, index, l):
@@ -563,15 +575,16 @@ def ensemble_fold(order, covers) -> dict[int, float]:
 
 
 def mean_pair_score(indices, entries, l) -> float:
-    """Mean over ``combinations(indices, 2)`` of a ``{key: score}`` dict,
-    summed one pair at a time."""
-    total = 0.0
+    """Mean over ``combinations(indices, 2)`` of a ``{key: score}`` dict of
+    micro-units, summed one pair at a time: the exact mean as a
+    :class:`Fraction`, rounded once to a double."""
+    total = 0
     for i, j in combinations(indices, 2):
         if i > j:
             i, j = j, i
-        total += entries.get(i * l + j, 0.0)
+        total += entries.get(i * l + j, 0)
     count = len(indices) * (len(indices) - 1) // 2
-    return total / count
+    return float(Fraction(total, count * 10**6))
 
 
 def rank_communities(cs, matrix):
@@ -581,7 +594,7 @@ def rank_communities(cs, matrix):
     l = len(matrix.order)
     index = {node: i for i, node in enumerate(matrix.order)}
     entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
-    expected = math.fsum(entries.values()) / math.comb(l, 2)
+    expected = float(Fraction(sum(entries.values()), math.comb(l, 2) * 10**6))
     rows = []
     for community in cs:
         if len(community) < 2:

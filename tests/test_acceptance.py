@@ -23,7 +23,7 @@ from listcom.seeds import derive_seed
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stability)
 from listcom.synth import PlantedSpec, synth, synth_files
-from reference import FAST, cover_sets, edge_map, id_sets, matrix_from_pairs
+from reference import FAST, cover_sets, edge_map, id_sets, matrix_from_pairs, micro
 
 BENCH_SPEC = PlantedSpec(groups=8, users_per_group=25, lists_per_group=40,
                          size_min=5, size_max=15, noise=0.1, overlap=0.1)
@@ -180,7 +180,7 @@ def planted_consensus_matrix(blocks=16, block_size=20, r=20):
         members = order[b * block_size:(b + 1) * block_size]
         communities.append(frozenset(members))
         for a, c in itertools.combinations(members, 2):
-            scores[(a, c)] = 1.0
+            scores[(a, c)] = 10**6
     return matrix_from_pairs(order, scores, r), communities
 
 
@@ -217,7 +217,7 @@ def test_criterion_7_expected_stability_monte_carlo():
     scores = {}
     for a, b in itertools.combinations(order, 2):
         if rng.random() < 0.6:
-            scores[(a, b)] = float(rng.random())
+            scores[(a, b)] = micro(rng.random())
     matrix = matrix_from_pairs(order, scores, 10)
     size = 4
     exact = np.mean([
@@ -307,7 +307,7 @@ def test_criterion_10_threshold_monotonicity():
         scores = {}
         for a, b in itertools.combinations(order, 2):
             if rng.random() < 0.5:
-                scores[(a, b)] = float(rng.random())
+                scores[(a, b)] = micro(rng.random())
         matrix = matrix_from_pairs(order, scores, 5)
         t1 = float(rng.random())
         t2 = min(1.0, t1 + float(rng.random()))

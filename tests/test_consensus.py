@@ -17,8 +17,8 @@ from listcom.pipeline import PipelineConfig
 from listcom.synth import PlantedSpec, synth
 from listcom.seeds import STREAM_CONSENSUS, derive_seed
 import reference
-from reference import (FAST, as_written, community_pair_scores, edge_map, entry_map,
-                       graph_from_edges, matrix_from_pairs, numpy_pair_scores,
+from reference import (FAST, community_pair_scores, edge_map, entry_map,
+                       graph_from_edges, matrix_from_pairs, micro, numpy_pair_scores,
                        same_matrix)
 
 
@@ -28,6 +28,16 @@ def empty_matrix(order, r=1):
 
 def cover_of(matrix, sets):
     return Cover.from_sets(matrix.order, sets)
+
+
+def fold(order, *covers):
+    """``{(a, b): sum}`` of the covers' scores over ``order``, folded by
+    accumulate from no entries."""
+    keys, sums = np.empty(0, dtype=np.int64), np.empty(0)
+    for cover in covers:
+        keys, sums = accumulate(order, keys, sums, cover)
+    l = len(order)
+    return {(order[k // l], order[k % l]): v for k, v in zip(keys.tolist(), sums.tolist())}
 
 
 def test_label_jaccard_figure_cases():
@@ -53,36 +63,29 @@ def test_label_jaccard_bounds_and_symmetry(x, y):
 
 def test_accumulate_single_community():
     m = empty_matrix(["a", "b", "c"])
-    accumulate(m, cover_of(m, [{"a", "b"}]))
-    assert m.get("a", "b") == 1.0
-    assert m.get("a", "c") == 0.0
-    assert len(m.keys) == 1
+    assert fold(m.order, cover_of(m, [{"a", "b"}])) == {("a", "b"): 1.0}
 
 
 def test_accumulate_overlapping_communities():
     m = empty_matrix(["a", "b", "c"])
-    accumulate(m, cover_of(m, [{"a", "b"}, {"a", "c"}]))
-    assert m.get("a", "b") == pytest.approx(0.5)
-    assert m.get("a", "c") == pytest.approx(0.5)
-    assert m.get("b", "c") == 0.0
+    assert fold(m.order, cover_of(m, [{"a", "b"}, {"a", "c"}])) == {
+        ("a", "b"): pytest.approx(0.5), ("a", "c"): pytest.approx(0.5)}
 
 
 def test_accumulate_ignores_singletons():
     m = empty_matrix(["a", "b"])
-    accumulate(m, cover_of(m, [{"a"}, {"b"}]))
-    assert entry_map(m) == {}
+    assert fold(m.order, cover_of(m, [{"a"}, {"b"}])) == {}
     # A cover over no nodes at all adds nothing either.
     m = empty_matrix([])
-    accumulate(m, cover_of(m, []))
-    assert entry_map(m) == {}
+    assert fold(m.order, cover_of(m, [])) == {}
 
 
 def test_accumulate_rejects_unknown_node():
     m = empty_matrix(["a", "b"])
     with pytest.raises(ValidationError):
-        accumulate(m, cover_of(m, [{"a", "zz"}]))
+        fold(m.order, cover_of(m, [{"a", "zz"}]))
     with pytest.raises(ValidationError, match="orders differ"):
-        accumulate(m, Cover.from_sets(("a", "b", "c"), [{"a", "b"}]))
+        fold(m.order, Cover.from_sets(("a", "b", "c"), [{"a", "b"}]))
 
 
 def test_pair_scoring_memory_follows_the_block():
@@ -95,14 +98,12 @@ def test_pair_scoring_memory_follows_the_block():
     nodes = tuple(f"n{i:03d}" for i in range(120))
     windows = [list(range(k, k + 100)) for k in range(21)]
     cover = Cover.from_groups(nodes, [100] * 21, np.concatenate(windows))
-    matrix = ConsensusMatrix.empty(nodes, 1)
     tracemalloc.start()
     try:
-        accumulate(matrix, cover)
+        keys, scores = accumulate(nodes, np.empty(0, dtype=np.int64), np.empty(0), cover)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    keys, scores = matrix.keys, matrix.values
     want_keys, want_scores = community_pair_scores(
         [frozenset(nodes[i] for i in w) for w in windows], nodes)
     assert len(keys) == 6_930 and keys.tolist() == want_keys.tolist()
@@ -122,28 +123,29 @@ def random_cover(rng, nodes):
 
 
 def test_accumulate_equals_the_reference_fold():
-    # Matrices whose keys lie before, between and after a run's keys, or
-    # that hold none; each fold equals the key-by-key dict fold and the
-    # numpy pair scores, keys and value bits.
+    # Sums whose keys lie before, between and after a run's keys, or that
+    # hold none; each fold equals the key-by-key dict fold and the numpy
+    # pair scores, keys and value bits.
     rng = np.random.Generator(np.random.PCG64(43))
     for trial in range(150):
         nodes = tuple(f"n{i:02d}" for i in range(int(rng.integers(1, 30))))
         l = len(nodes)
-        matrix = ConsensusMatrix.empty(nodes, 1)
+        keys, sums = np.empty(0, dtype=np.int64), np.empty(0)
         if l > 1 and rng.random() < 0.8:
             drawn = rng.choice(l, size=(int(rng.integers(1, 40)), 2)).tolist()
             pairs = sorted({(min(p), max(p)) for p in drawn if p[0] != p[1]})
-            matrix.keys = np.array([a * l + b for a, b in pairs], dtype=np.int64)
-            matrix.values = rng.random(len(pairs))
-        folded = ConsensusMatrix(nodes, matrix.keys.copy(), matrix.values.copy(), 1)
+            keys = np.array([a * l + b for a, b in pairs], dtype=np.int64)
+            sums = rng.random(len(pairs))
+        folded = keys.copy(), sums.copy()
         for _ in range(int(rng.integers(1, 4))):
             cover = random_cover(rng, nodes)
-            keys, scores = numpy_pair_scores(cover, l)
-            accumulate(matrix, cover)
-            reference.accumulate(folded, [frozenset(c) for c in cover])
-            assert same_matrix(matrix, folded), trial
-            assert set(keys.tolist()) <= set(matrix.keys.tolist()), trial
-        assert matrix.keys.dtype == np.int64 and matrix.values.dtype == np.float64
+            run_keys, _ = numpy_pair_scores(cover, l)
+            keys, sums = accumulate(nodes, keys, sums, cover)
+            folded = reference.accumulate(nodes, *folded, [frozenset(c) for c in cover])
+            assert np.array_equal(keys, folded[0]), trial
+            assert sums.tobytes() == folded[1].tobytes(), trial
+            assert set(run_keys.tolist()) <= set(keys.tolist()), trial
+        assert keys.dtype == np.int64 and sums.dtype == np.float64
 
 
 def test_accumulate_refuses_a_cover_outside_its_order():
@@ -152,7 +154,7 @@ def test_accumulate_refuses_a_cover_outside_its_order():
                             ([1, 2], [0, 1])):
         bad = Cover(m.order, np.array(indptr), np.array(members, dtype=np.int32))
         with pytest.raises(ValidationError, match="node positions"):
-            accumulate(m, bad)
+            accumulate(m.order, m.keys, np.empty(0), bad)
     assert len(m.keys) == 0
 
 
@@ -185,10 +187,9 @@ def test_run_ensemble_r1_equals_single_run():
     cfg = PipelineConfig(master_seed=4, runs=1, tau=0.2)
     matrix = run_ensemble(graph, cfg)
     base = detect(graph, FAST.with_seed(derive_seed(4, 0)))
-    manual = empty_matrix(graph.nodes, r=1)
-    accumulate(manual, cover_of(manual, base))
-    assert np.array_equal(matrix.keys, manual.keys)
-    assert matrix.values.tobytes() == manual.values.tobytes()
+    keys, sums = accumulate(graph.nodes, np.empty(0, dtype=np.int64), np.empty(0), base)
+    assert np.array_equal(matrix.keys, keys)
+    assert matrix.values.tolist() == [micro(v) for v in sums.tolist()]
 
 
 def test_run_ensemble_mean_of_two_runs():
@@ -200,7 +201,7 @@ def test_run_ensemble_mean_of_two_runs():
         return Cover.from_sets(graph.nodes, covers[(fake_detector.calls - 1) % 2])
 
     fake_detector.calls = 0
-    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0})
+    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 10**6})
     cfg = PipelineConfig(master_seed=0, runs=2, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=fake_detector)
     assert matrix.get("a", "b") == pytest.approx(0.5)
@@ -217,7 +218,7 @@ def test_every_detection_gets_its_wired_seed_and_settings():
         seen.append((config.seed, config.resolved_iterations, config.overlap_threshold))
         return Cover.from_sets(graph.nodes, [set(graph.nodes[:2])])
 
-    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0})
+    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 10**6, ("b", "c"): 10**6})
     cfg = PipelineConfig(runs=4, tau=0.0, master_seed=42, fast_iterations=3,
                          thorough_iterations=7, overlap_threshold=0.25)
     matrix = run_ensemble(graph, cfg, detector=recording_detector)
@@ -243,7 +244,8 @@ def test_entries_in_unit_range_and_sparse():
     matrix = run_ensemble(graph, cfg)
     l = len(matrix.order)
     assert 0 < len(matrix.keys) < l * (l - 1) // 2
-    assert all(0.0 < v <= 1.0 + 1e-12 for v in matrix.values)
+    assert matrix.values.dtype == np.int64
+    assert all(0 < v <= 10**6 for v in matrix.values.tolist())
 
 
 def test_consensus_of_identical_base_sets_is_that_matrix():
@@ -255,11 +257,10 @@ def test_consensus_of_identical_base_sets_is_that_matrix():
     graph = graph_from_edges(("a", "b", "c", "d"), {})
     cfg = PipelineConfig(master_seed=0, runs=7, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=constant_detector)
-    single = empty_matrix(graph.nodes, r=1)
-    accumulate(single, cover_of(single, fixed))
-    assert entry_map(matrix).keys() == entry_map(single).keys()
-    for k, v in entry_map(single).items():
-        assert entry_map(matrix)[k] == pytest.approx(v)
+    single = fold(graph.nodes, Cover.from_sets(graph.nodes, fixed))
+    assert entry_map(matrix).keys() == single.keys()
+    for k, v in single.items():
+        assert matrix.get(*k) == pytest.approx(v)
     # pairs with identical nonempty label sets across runs hit exactly 1
     assert matrix.get("a", "b") == pytest.approx(1.0)
 
@@ -276,10 +277,10 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
     cfg = PipelineConfig(master_seed=1, runs=6, tau=0.0)
     matrix = run_ensemble(graph, cfg, detector=partition_detector)
     # every per-run contribution is 0 or 1, so entries are multiples of 1/r,
-    # as their 6-decimal strings read
+    # in the micro-units of their 6-decimal strings
     assert len(matrix.values)
     for v in matrix.values.tolist():
-        assert v == as_written(round(v * 6) / 6)
+        assert v == micro(round(v * 6 / 10**6) / 6)
 
 
 @pytest.mark.parametrize("returned", [
@@ -288,7 +289,7 @@ def test_non_overlapping_partitions_reduce_to_binary_scores():
     lambda graph: [frozenset({"a", "b"})],
 ])
 def test_a_detector_must_return_a_cover_over_the_graph_order(returned):
-    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0})
+    graph = graph_from_edges(("a", "b", "c"), {("a", "b"): 10**6, ("b", "c"): 10**6})
     cfg = PipelineConfig(master_seed=0, runs=2, tau=0.0)
     with pytest.raises(ValidationError, match="node order"):
         run_ensemble(graph, cfg, detector=lambda g, c: returned(g))
@@ -307,7 +308,7 @@ def test_accumulate_matches_brute_force_jaccard(seed):
         rng.choice(nodes, size=int(rng.integers(2, 6)), replace=False).tolist()
         for _ in range(int(rng.integers(1, 5)))
     ])
-    accumulate(m, cover)
+    folded = fold(m.order, cover)
     labels = {n: set() for n in nodes}
     for cid, community in enumerate(cover):
         for n in community:
@@ -315,17 +316,17 @@ def test_accumulate_matches_brute_force_jaccard(seed):
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             expected = label_jaccard(labels[a], labels[b])
-            assert m.get(a, b) == pytest.approx(expected), (a, b)
+            assert folded.get((a, b), 0.0) == pytest.approx(expected), (a, b)
 
 
 def test_consensus_graph_threshold_zero_keeps_all_entries():
-    m = matrix_from_pairs("abc", {("a", "b"): 0.05, ("b", "c"): 0.9}, 1)
+    m = matrix_from_pairs("abc", {("a", "b"): 50_000, ("b", "c"): 900_000}, 1)
     g = consensus_graph(m, 0.0)
     assert set(edge_map(g)) == {("a", "b"), ("b", "c")}
 
 
 def test_consensus_graph_tau_one_empty_when_below():
-    m = matrix_from_pairs("ab", {("a", "b"): 0.95}, 1)
+    m = matrix_from_pairs("ab", {("a", "b"): 950_000}, 1)
     g = consensus_graph(m, 1.0)
     assert g.edge_count() == 0
     cfg = PipelineConfig(master_seed=0, runs=1, tau=1.0)
@@ -339,7 +340,7 @@ def test_consensus_graph_edge_count_monotone_in_tau():
     for i in range(12):
         for j in range(i + 1, 12):
             if rng.random() < 0.5:
-                scores[(order[i], order[j])] = float(rng.random())
+                scores[(order[i], order[j])] = int(rng.integers(10**6 + 1))
     m = matrix_from_pairs(order, scores, 1)
     taus = sorted(float(t) for t in rng.random(6))
     counts = [consensus_graph(m, t).edge_count() for t in taus]
@@ -359,7 +360,7 @@ def test_consensus_count_not_above_mean_base_count():
 
 
 def test_matrix_round_trip_with_header(tmp_path):
-    m = matrix_from_pairs("abc", {("a", "b"): 0.25, ("b", "c"): 1.0}, 12)
+    m = matrix_from_pairs("abc", {("a", "b"): 250_000, ("b", "c"): 10**6}, 12)
     path = tmp_path / "m.tsv"
     save_matrix(m, path)
     text = path.read_text("utf-8")
@@ -370,19 +371,19 @@ def test_matrix_round_trip_with_header(tmp_path):
 
 
 def test_load_matrix_reads_the_scores_as_written(tmp_path):
-    # Scores below 5e-7 print as 0.000000 and are dropped, the others keep
-    # the value of their written string; nodes without entries stay in the
-    # order.
+    # Scores below 5e-7 print as 0.000000 and are dropped, the others are
+    # read in the micro-units of their written string; nodes without
+    # entries stay in the order.
     scores = {("a", "b"): 0.1234565, ("a", "c"): 4.9e-7, ("a", "d"): 2.5e-7,
               ("b", "c"): 1.0, ("b", "d"): 1 / 3, ("c", "d"): 0.7500005}
-    m = matrix_from_pairs("abcde", scores, 7)
     path = tmp_path / "m.tsv"
-    assert save_matrix(m, path) is None
-    assert "a\tc\t0.000000\n" in path.read_text("utf-8")
-    reloaded = load_matrix(path, order=m.order)
-    written = {pair: as_written(v) for pair, v in scores.items() if as_written(v) > 0.0}
+    path.write_text("#r=7\n" + "".join(f"{a}\t{b}\t{v!r}\n" for (a, b), v in scores.items()),
+                    encoding="utf-8")
+    reloaded = load_matrix(path, order="abcde")
+    written = {pair: micro(v) for pair, v in scores.items() if micro(v) > 0}
     assert same_matrix(reloaded, matrix_from_pairs("abcde", written, 7))
-    assert not same_matrix(reloaded, m)
+    assert save_matrix(reloaded, tmp_path / "s.tsv") is None
+    assert same_matrix(load_matrix(tmp_path / "s.tsv", order="abcde"), reloaded)
     assert set(entry_map(reloaded)) == set(scores) - {("a", "c"), ("a", "d")}
     assert reloaded.order == ("a", "b", "c", "d", "e")
     assert reloaded.r == 7

@@ -22,20 +22,20 @@ from listcom.detect import (Cover, DetectorConfig, detect,
 from listcom.seeds import derive_seed
 from listcom.errors import ValidationError
 from listcom.synth import PlantedSpec, synth
-from listcom.listgraph import ListGraph, build_list_graph
+from listcom.listgraph import ListGraph, build_list_graph, load_graph
 import reference
 from reference import (FAST, THOROUGH, component_graphs, cover_sets, edge_map,
-                       graph_from_edges, memory_cover)
+                       graph_from_edges, memory_cover, micro)
 
 
-def clique_pair_graph(bridge=0.01):
+def clique_pair_graph(bridge=10_000):
     nodes = tuple(f"a{i}" for i in range(5)) + tuple(f"b{i}" for i in range(5))
     edges = {}
     for prefix in ("a", "b"):
         ids = [f"{prefix}{i}" for i in range(5)]
         for i in range(5):
             for j in range(i + 1, 5):
-                edges[(ids[i], ids[j])] = 1.0
+                edges[(ids[i], ids[j])] = 10**6
     edges[("a0", "b0")] = bridge
     return graph_from_edges(nodes, edges)
 
@@ -241,7 +241,7 @@ def test_a_failing_step_stops_every_worker(monkeypatch, workers):
 
 def kernel_calls(tmp_path):
     """A call of the package that reaches each kernel entry."""
-    from listcom.consensus import ConsensusMatrix, accumulate
+    from listcom.consensus import accumulate
     from listcom.listgraph import save_graph
 
     graph = clique_pair_graph()
@@ -250,7 +250,8 @@ def kernel_calls(tmp_path):
     return {
         "components": run, "slpa": run, "cover": run,
         "pair_counts": noisy_planted_graph,
-        "fold": lambda: accumulate(ConsensusMatrix.empty(graph.nodes, 1), cover),
+        "fold": lambda: accumulate(graph.nodes, np.empty(0, dtype=np.int64), np.empty(0),
+                                   cover),
         "pair_rows": lambda: save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes"),
         "csr": clique_pair_graph, "distinct": noisy_planted_graph,
     }
@@ -387,24 +388,27 @@ def bad_graphs():
         "indptr decreasing": {"indptr": with_value(indptr, 3, indptr[2] - 1)},
         "indptr past the end": {"indptr": with_value(indptr, -1, len(indices) + 1)},
         "indptr short of the end": {"indptr": with_value(indptr, -1, len(indices) - 1)},
-        "indices int32": {"indices": indices.astype(np.int32)},
+        "indices int64": {"indices": indices.astype(np.int64)},
         "indices negative": {"indices": with_value(indices, 4, -1)},
         "indices n": {"indices": with_value(indices, 4, n)},
         "indices strided": {"indices": np.repeat(indices, 2)[::2]},
         # Row 0 is 1, 2, 3, 4, 5: the same neighbours out of order.
         "indices unsorted": {"indices": with_value(indices, [0, 1], [2, 1])},
         "indices self-loop": {"nodes": ("a",), "indptr": np.array([0, 1]),
-                              "indices": np.array([0]), "weights": np.array([1.0])},
+                              "indices": np.array([0], dtype=np.int32),
+                              "weights": np.array([1])},
         "indices one-way": {"nodes": ("a", "b"), "indptr": np.array([0, 1, 1]),
-                            "indices": np.array([1]), "weights": np.array([1.0])},
+                            "indices": np.array([1], dtype=np.int32),
+                            "weights": np.array([1])},
         "indices repeated": {"nodes": ("a", "b"), "indptr": np.array([0, 2, 4]),
-                             "indices": np.array([1, 1, 0, 0]),
-                             "weights": np.array([1.0, 1.0, 1.0, 1.0])},
+                             "indices": np.array([1, 1, 0, 0], dtype=np.int32),
+                             "weights": np.array([1, 1, 1, 1])},
         "weights float32": {"weights": weights.astype(np.float32)},
         "weights short": {"weights": weights[:-1]},
-        "weights nan": {"weights": with_value(weights, 4, np.nan)},
-        "weights inf": {"weights": with_value(weights, 4, np.inf)},
-        "weights negative": {"weights": with_value(weights, 4, -1.0)},
+        # Doubles, such as a NaN or an infinity, are not micro-units.
+        "weights nan": {"weights": with_value(weights.astype(np.float64), 4, np.nan)},
+        "weights inf": {"weights": with_value(weights.astype(np.float64), 4, np.inf)},
+        "weights negative": {"weights": with_value(weights, 4, -1)},
         "weights strided": {"weights": np.repeat(weights, 2)[::2]},
         "nodes none": {"nodes": (), "indptr": np.zeros(1, dtype=np.int64),
                      "indices": indices[:0], "weights": weights[:0]},
@@ -422,6 +426,39 @@ def test_detect_runs_rejects_a_malformed_graph(request, graph):
     field = request.node.callspec.id.split()[0]
     with pytest.raises(ValidationError, match=field):
         detect_runs(graph, FAST, [1, 2])
+
+
+def test_detect_runs_refuses_weights_whose_votes_could_overflow():
+    # No vote, and no bound of the early decision, may overflow int64: the
+    # largest weight times twice the largest degree plus one stays below
+    # 2**63.  The largest degree here is 5, so the limit is (2**63 - 1) // 11.
+    good = clique_pair_graph()
+    limit = (2**63 - 1) // 11
+    for top in (limit, limit + 1):
+        weights = np.where(good.weights == 10**6, top, good.weights)
+        graph = ListGraph(good.nodes, good.indptr, good.indices, weights)
+        if top == limit:
+            assert detect(graph, THOROUGH.with_seed(2)) == detect(good, THOROUGH.with_seed(2))
+        else:
+            with pytest.raises(ValidationError, match=r"plus one below 2\*\*63"):
+                detect_runs(graph, FAST, [1])
+
+
+def test_a_decimal_tie_goes_to_the_lowest_label(tmp_path):
+    # With seed 12, d_u's one vote collects label a_x from b_v1 and c_v2,
+    # with 0.3 + 0.35, and label e_y from e_y, with 0.65.  As doubles the
+    # first sum is 0.6499999999999999 and e_y would win; in micro-units the
+    # votes tie, and the tie goes to the lower label, a_x.
+    (tmp_path / "g.tsv").write_text(
+        "b_v1\td_u\t0.300000\nc_v2\td_u\t0.350000\nd_u\te_y\t0.650000\n"
+        "a_x\tb_v1\t10.000000\na_x\tc_v2\t10.000000\n", encoding="utf-8")
+    (tmp_path / "g.nodes").write_text("a_x\nb_v1\nc_v2\nd_u\ne_y\n", encoding="utf-8")
+    assert 0.3 + 0.35 < 0.65
+    graph = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+    cfg = DetectorConfig(1, THOROUGH.overlap_threshold, 12)
+    cover = cover_sets(detect(graph, cfg))
+    assert cover == reference.detect(graph.nodes, edge_map(graph), cfg)
+    assert frozenset({"a_x", "b_v1", "c_v2", "d_u"}) in cover
 
 
 def test_the_kernel_is_built_once_and_then_reused(kernel_cache, monkeypatch):
@@ -507,7 +544,7 @@ def test_the_early_decision_skips_most_draws_in_dense_components():
     # Two 100-node cliques: after the first iterations a node's last label
     # leads its vote long before its 99th neighbour is heard.
     nodes = [f"n{i:03d}" for i in range(200)]
-    edges = {(nodes[b + i], nodes[b + j]): 1.0
+    edges = {(nodes[b + i], nodes[b + j]): 10**6
              for b in (0, 100) for i in range(100) for j in range(i + 1, 100)}
     graph = graph_from_edges(nodes, edges)
     for seed in (1, 2**64 - 1):
@@ -521,15 +558,16 @@ def test_nodes_below_the_decision_degree_draw_every_label():
             assert drawn_labels(graph, iterations, 3) == iterations * len(graph.indices)
 
 
-# Edge weights for dense_graph: equal, zero (every vote ties), a few
-# fractions whose sums tie and round, uniform, and so large that a row's
-# total overflows.
+# Edge weights in micro-units for dense_graph: equal, zero (every vote
+# ties), a few fractions whose sums tie, uniform, and as large as a graph
+# of its at most 243 nodes allows, so that a row's total comes near 2**63.
 WEIGHTS = {
-    "equal": lambda rng, k: np.ones(k),
-    "zero": lambda rng, k: np.zeros(k),
-    "fractions": lambda rng, k: rng.choice([0.2, 0.25, 1 / 3, 0.5, 1.0], size=k),
-    "uniform": lambda rng, k: rng.random(k),
-    "overflowing": lambda rng, k: np.full(k, 1e308),
+    "equal": lambda rng, k: np.full(k, 10**6),
+    "zero": lambda rng, k: np.zeros(k, dtype=np.int64),
+    "fractions": lambda rng, k: rng.choice([200_000, 250_000, 333_333, 500_000, 10**6],
+                                           size=k),
+    "uniform": lambda rng, k: rng.integers(0, 10**6 + 1, size=k),
+    "largest": lambda rng, k: np.full(k, (2**63 - 1) // (2 * 242 + 1)),
 }
 
 
@@ -550,15 +588,15 @@ def dense_graph(rng, weights):
             pairs.add((min(a, b), max(a, b)))
     nodes = [f"n{u:03d}" for u in rng.permutation(n)]  # blocks spread over the order
     pairs = sorted(pairs)
-    return graph_from_edges(nodes, {(nodes[a], nodes[b]): float(w) for (a, b), w
+    return graph_from_edges(nodes, {(nodes[a], nodes[b]): int(w) for (a, b), w
                                     in zip(pairs, WEIGHTS[weights](rng, len(pairs)))})
 
 
 def late_heavy_graph(seed):
     """A block of 65 to 79 nodes, each pair linked with a probability of
-    0.97: edges to the three highest nodes weigh 5 to 30, the others 1.  So
-    the heavy neighbours come last in each row, where a node may already
-    have stopped drawing."""
+    0.97: edges to the three highest nodes weigh 5 to 30, the others 1, in
+    micro-units.  So the heavy neighbours come last in each row, where a
+    node may already have stopped drawing."""
     rng = np.random.default_rng(seed)
     size = int(rng.integers(65, 80))
     nodes = [f"n{u:03d}" for u in range(size)]
@@ -566,7 +604,8 @@ def late_heavy_graph(seed):
     for i in range(size):
         for j in range(i + 1, size):
             if rng.random() < 0.97:
-                edges[(nodes[i], nodes[j])] = float(rng.uniform(5, 30)) if j >= size - 3 else 1.0
+                edges[(nodes[i], nodes[j])] = (micro(rng.uniform(5, 30)) if j >= size - 3
+                                               else 10**6)
     return graph_from_edges(nodes, edges)
 
 

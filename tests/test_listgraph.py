@@ -13,8 +13,8 @@ from listcom.errors import ValidationError
 from listcom.listgraph import (ListGraph, build_list_graph,
                                load_graph, overlap_lpv, overlap_pvalue,
                                read_pair_rows, save_graph)
-from reference import (as_written, edge_map, graph_edges, graph_from_edges, id_sets,
-                       intersection_counts, numpy_pair_counts, pair_rows,
+from reference import (edge_map, graph_edges, graph_from_edges, id_sets,
+                       intersection_counts, micro, numpy_pair_counts, pair_rows,
                        pair_rows_text, random_corpus, same_graph)
 
 
@@ -36,13 +36,14 @@ def test_pvalue_zero_intersection_is_one():
 def test_certain_overlap_weighs_plus_zero(tmp_path):
     # Two lists that both hold both users of a 2-user corpus share them
     # with probability 1: the weight is 0.0, never -0.0, and rho = 0 keeps
-    # the edge, written as 0.000000.
+    # the edge, held as 0 micro-units and written as 0.000000.
     assert math.copysign(1.0, overlap_lpv(2, 2, 2, 2)) == 1.0
     corpus = MembershipCorpus.build([ListRecord("L1", "", ""), ListRecord("L2", "", "")],
                                     {"L1": ["u1", "u2"], "L2": ["u1", "u2"]})
     graph = build_list_graph(corpus, 0.0)
     assert graph.edge_list() == [("L1", "L2", 0.0)]
-    assert all(math.copysign(1.0, w) == 1.0 for w in graph.weights.tolist())
+    assert all(math.copysign(1.0, w) == 1.0 for _, _, w in graph.edge_list())
+    assert graph.weights.tolist() == [0, 0]
     save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
     assert (tmp_path / "g.tsv").read_text("utf-8") == "L1\tL2\t0.000000\n"
 
@@ -150,7 +151,7 @@ def test_identical_lists_edge_present_at_rho_6():
     corpus = corpus_from(memberships)
     assert corpus.n == 95
     graph = build_list_graph(corpus, 6.0)
-    assert edge_map(graph)[("a", "b")] > 6.0
+    assert edge_map(graph)[("a", "b")] > 6 * 10**6
 
 
 def test_isolated_nodes_retained():
@@ -176,7 +177,7 @@ def test_edge_weights_match_scalar_op():
         k = len(memberships[a] & memberships[b])
         expected = overlap_lpv(len(memberships[a]),
                                len(memberships[b]), k, corpus.n)
-        assert w == as_written(expected)
+        assert w == micro(expected) / 10**6
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 18])
@@ -202,8 +203,8 @@ def test_graph_matches_reference_counts_and_weights(seed, block, monkeypatch, tm
     for rho in (0.0, 1.5):
         graph = build_list_graph(corpus, rho)
         expected = graph_edges(memberships, user_index, rho)
-        assert {e: w.hex() for e, w in edge_map(graph).items()} == {
-            e: as_written(w).hex() for e, w in expected.items()}
+        expected = {e: micro(w) for e, w in expected.items()}
+        assert edge_map(graph) == expected
         save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes")
         assert (tmp_path / "g.tsv").read_text("utf-8") == pair_rows_text(expected)
 
@@ -317,33 +318,36 @@ def test_graph_round_trip_preserves_isolated_nodes(tmp_path):
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
     assert reloaded.nodes == graph.nodes
     assert set(edge_map(reloaded)) == set(edge_map(graph))
-    # The built graph holds its weights as written, so it equals its reload.
+    # The built graph holds the micro-units of its written weights, so it
+    # equals its reload.
     assert same_graph(reloaded, graph)
 
 
 @pytest.mark.parametrize("block", [1 << 16, 2])
 def test_load_graph_reads_the_weights_as_written(tmp_path, monkeypatch, block):
-    # The reload holds each weight as its 6-decimal string reads, bit for
-    # bit; a weight that prints as 0.000000 stays an edge, as load_graph
-    # keeps it.  Values are told apart by their bits, so -0.0 is written
-    # as -0.000000 beside a 0.000000.
+    # The reload holds each weight in the micro-units of its value, rounded
+    # to 6 decimals half to even; a weight that rounds to 0 stays an edge,
+    # as load_graph keeps it, and -0.0 reads as 0.  Written again, every
+    # weight is its 6-decimal string.
     monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
                         "TEXT_BLOCK", block)
     weights = {("a", "b"): 6.1234565, ("a", "c"): 2.5e-7, ("a", "e"): -0.0,
                ("b", "c"): 1 / 3, ("b", "d"): 0.0, ("c", "d"): 1e6 + 5e-7,
                ("d", "e"): 7.0000005}
-    graph = graph_from_edges("abcdef", weights)
-    assert save_graph(graph, tmp_path / "g.tsv", tmp_path / "g.nodes") is None
+    (tmp_path / "g.tsv").write_text("".join(f"{a}\t{b}\t{w!r}\n"
+                                            for (a, b), w in weights.items()), encoding="utf-8")
+    (tmp_path / "g.nodes").write_text("a\nb\nc\nd\ne\nf\n", encoding="utf-8")
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
-    written = graph_from_edges("abcdef", {e: as_written(w) for e, w in weights.items()})
+    written = graph_from_edges("abcdef", {e: micro(w) for e, w in weights.items()})
     assert same_graph(reloaded, written)
-    assert not same_graph(reloaded, graph)
     assert not reloaded.weights.flags.writeable
     assert reloaded.nodes == ("a", "b", "c", "d", "e", "f")
-    assert edge_map(reloaded)[("a", "c")] == 0.0
-    text = (tmp_path / "g.tsv").read_text("utf-8")
-    assert "a\te\t-0.000000\n" in text and "b\td\t0.000000\n" in text
-    assert math.copysign(1.0, edge_map(reloaded)[("a", "e")]) == -1.0
+    assert edge_map(reloaded)[("a", "c")] == 0 == edge_map(reloaded)[("a", "e")]
+    assert save_graph(reloaded, tmp_path / "h.tsv", tmp_path / "h.nodes") is None
+    text = (tmp_path / "h.tsv").read_text("utf-8")
+    assert "a\te\t0.000000\n" in text and "b\td\t0.000000\n" in text
+    assert "c\td\t1000000.000001\n" in text and "a\tb\t6.123456\n" in text
+    assert same_graph(load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes"), reloaded)
 
 
 def test_graph_arrays_sorted_per_row_and_symmetric():
@@ -356,9 +360,11 @@ def test_graph_arrays_sorted_per_row_and_symmetric():
     assert graph.weights[0] == graph.weights[2]  # a-b seen from a and from b
     assert not graph.indices.flags.writeable
     with pytest.raises(ValidationError, match="sorted"):
-        ListGraph.from_pairs(("b", "a"), [0], [1], [1.0])
-    with pytest.raises(ValidationError, match=">= 0"):
-        ListGraph.from_pairs(("a", "b"), [0], [1], [-1.0])
+        ListGraph.from_pairs(("b", "a"), [0], [1], [1])
+    # Negative, doubles, and an unsigned value that int64 would wrap.
+    for weights in ([-1], [1.0], [0.5], np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValidationError, match="integer micro-units >= 0"):
+            ListGraph.from_pairs(("a", "b"), [0], [1], weights)
 
 
 @pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([1, 0], [2, 1]), ([0, 0], [2, 1])],
@@ -367,15 +373,15 @@ def test_from_pairs_requires_distinct_ascending_pairs(i, j):
     # The kernel's csr lays out the CSR only from distinct pairs in
     # ascending (i, j) order.
     with pytest.raises(ValidationError, match="distinct and in ascending"):
-        ListGraph.from_pairs(("a", "b", "c"), i, j, [1.0, 2.0])
+        ListGraph.from_pairs(("a", "b", "c"), i, j, [1, 2])
 
 
 @pytest.mark.parametrize("i, j, w, message", [
-    ([0], [3], [1.0], "index the graph nodes"),
-    ([-1], [1], [1.0], "index the graph nodes"),
-    ([0], [1, 2], [1.0, 2.0], "one length"),
-    ([0, 1], [1, 2], [1.0], "one length"),
-    ([[0]], [[1]], [[1.0]], "one length"),
+    ([0], [3], [1], "index the graph nodes"),
+    ([-1], [1], [1], "index the graph nodes"),
+    ([0], [1, 2], [1, 2], "one length"),
+    ([0, 1], [1, 2], [1], "one length"),
+    ([[0]], [[1]], [[1]], "one length"),
 ], ids=["past the nodes", "negative", "short i", "short w", "2-d"])
 def test_from_pairs_refuses_pairs_outside_its_arrays(i, j, w, message):
     # The kernel would write or read past its arrays.
@@ -401,18 +407,18 @@ def test_load_graph_rejects_bad_edges(tmp_path, edges, message):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
-    # Multi-byte ids of different lengths, a -0.0 beside a 0.0, and an
-    # empty graph, written a few rows at a time; a reader gets each weight
-    # as written_values gives it, bit for bit.
+    # Multi-byte ids of different lengths, a zero weight, one of 15 digits
+    # and an empty graph, written a few rows at a time; a reader gets each
+    # weight back in micro-units.
     listgraph = importlib.import_module("listcom.listgraph")
     monkeypatch.setattr(listgraph, "TEXT_BLOCK", block)
     rng = np.random.Generator(np.random.PCG64(block))
     nodes = sorted(["a", "b b", "ä", "日本語のリスト", "z" * 40, "Ω-list", "𝄞", "0"])
-    weights = {(a, b): float(rng.random() * 10) for a, b in
+    weights = {(a, b): int(rng.integers(10**7)) for a, b in
                zip(rng.choice(nodes, 12).tolist(), rng.choice(nodes, 12).tolist())
                if a < b}
-    weights.update({("a", "b b"): -0.0, ("a", "ä"): 0.0, ("0", "a"): 1e6 + 5e-7,
-                    ("ä", "日本語のリスト"): 1 / 3, ("Ω-list", "𝄞"): 2.5e-7})
+    weights.update({("a", "b b"): 10**15 - 1, ("a", "ä"): 0, ("0", "a"): 10**12 + 1,
+                    ("ä", "日本語のリスト"): 333_333, ("Ω-list", "𝄞"): 1})
     for edges in (weights, {}):
         graph = graph_from_edges(nodes, edges)
         text, which = listgraph.pair_text(graph.weights)
@@ -423,9 +429,8 @@ def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
         assert written == pair_rows(graph.nodes, i, j, text, upper)
         assert written == pair_rows_text(edges)
         parsed = read_pair_rows(tmp_path / "rows.tsv", graph.nodes)[3]
-        assert parsed.tobytes() == listgraph.written_values(graph.edge_pairs()[2]).tobytes()
-        assert parsed.tolist() == [as_written(w) for _, w in sorted(edges.items())]
-    assert "a\tb b\t-0.000000\n" in pair_rows_text(weights)
+        assert listgraph.micro_units(parsed).tolist() == [w for _, w in sorted(edges.items())]
+    assert "a\tb b\t999999999.999999\n" in pair_rows_text(weights)
 
 
 def test_write_pair_rows_refuses_rows_outside_its_nodes(tmp_path):

@@ -629,6 +629,28 @@ def test_a_malformed_artifact_exits_3_naming_its_file(corpus_files, tmp_path, ca
     assert re.search(re.escape(f"error: {path}:") + r"\d+: invalid (UTF-8|JSON) ", err), err
 
 
+# Each side file a run reads besides the corpus and the artifacts: its flag,
+# and its bytes with a 0xff on line 2.
+SIDE_FILES = {"config": b"runs = 6\n# \xff\n", "stopwords": b"the\n\xff\n",
+              "core": b"u1\n\xff\n"}
+
+
+@pytest.mark.parametrize("flag", SIDE_FILES)
+def test_a_bad_byte_in_a_side_file_exits_3_naming_its_line(corpus_files, tmp_path, capsys,
+                                                           flag):
+    # The --config, --stopwords and --core files go through the corpus
+    # decoder, so a bad byte is a parse error at its line.
+    path = tmp_path / f"side.{flag}"
+    path.write_bytes(SIDE_FILES[flag])
+    assert main(["pipeline", "--memberships", str(corpus_files["memberships"]),
+                 "--lists", str(corpus_files["lists"]),
+                 "--groundtruth", str(corpus_files["groundtruth"]),
+                 "--out", str(tmp_path / "run"), "--runs", "6", "--master-seed", "3",
+                 f"--{flag}", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:2: invalid UTF-8 " in err, err
+
+
 def test_consensus_exits_2_without_graph_nodes(corpus_files, tmp_path, capsys):
     # The node order comes from graph.nodes alone: rebuilt from the matrix
     # entries' endpoints, it would leave out the lists without an entry.

@@ -1,5 +1,6 @@
 """The array code against the dict-based reference loops, compared with ==."""
 import importlib
+from decimal import Decimal
 from itertools import combinations
 
 import numpy as np
@@ -19,8 +20,8 @@ from listcom.stability import (expected_stability, rank_communities,
                                raw_stabilities, raw_stability)
 from listcom.synth import PlantedSpec, synth
 import reference
-from reference import (FAST, THOROUGH, as_written, component_graphs, cover_sets,
-                       graph_from_edges, matrix_from_pairs, same_matrix)
+from reference import (FAST, THOROUGH, component_graphs, cover_sets, graph_from_edges,
+                       matrix_from_pairs, micro, same_matrix)
 
 
 def planted_graph():
@@ -30,7 +31,7 @@ def planted_graph():
     return build_list_graph(corpus, 3.0)
 
 
-def tied_graph(weight=1.0):
+def tied_graph(weight=10**6):
     """Two dense blocks of equal-weight edges plus equal-weight bridges, so
     most votes end in ties."""
     rng = np.random.Generator(np.random.PCG64(4))
@@ -45,20 +46,20 @@ def tied_graph(weight=1.0):
 
 def hub_graph():
     """Six hubs, each linked to all 27 nodes of four strong cliques with
-    weights drawn from 0.1, 0.2, 0.3 and 0.6.  A hub's tally sums several
-    such weights per label, and those sums differ in the last bit with the
-    order of their terms: (0.1 + 0.2) + 0.3 is not 0.6, but
-    (0.3 + 0.2) + 0.1 is."""
+    weights drawn from 0.1, 0.2, 0.3 and 0.6 in micro-units.  A hub's tally
+    sums several such weights per label; as doubles, those sums would differ
+    in the last bit with the order of their terms ((0.1 + 0.2) + 0.3 is not
+    0.6, but (0.3 + 0.2) + 0.1 is), and as integers they do not."""
     rng = np.random.Generator(np.random.PCG64(16))
     hubs = [f"h{i}" for i in range(6)]
     edges = {}
     for name, size in zip("abcd", (12, 6, 5, 4)):
         members = [f"{name}{i:02d}" for i in range(size)]
         for x, y in combinations(members, 2):
-            edges[(x, y)] = 5.0
+            edges[(x, y)] = 5 * 10**6
         for member in members:
             for hub in hubs:
-                edges[(hub, member)] = float(rng.choice([0.1, 0.2, 0.3, 0.6]))
+                edges[(hub, member)] = int(rng.choice([100_000, 200_000, 300_000, 600_000]))
     return graph_from_edges({node for pair in edges for node in pair}, edges)
 
 
@@ -84,15 +85,14 @@ def test_detect_matches_reference_on_weighted_ties():
     graph = tied_graph()
     assert_same_detections(graph, FAST, range(40))
     half = ListGraph.from_pairs(graph.nodes, *graph.edge_pairs()[:2],
-                                np.where(graph.edge_pairs()[0] % 2, 0.5, 1.0))
+                                np.where(graph.edge_pairs()[0] % 2, 500_000, 10**6))
     assert_same_detections(half, DetectorConfig(FAST.iterations, 0.2),
                            range(40))
 
 
 def test_detect_matches_reference_on_order_sensitive_sums():
-    # Each vote is summed one at a time in CSR order, as the reference
-    # does.  A non-stable sort of the (cell, label) keys, or a pairwise sum
-    # such as np.add.reduceat, changes winners on this graph.
+    # Each vote is an exact integer sum, as the reference's is.  Summed as
+    # doubles, the order of the terms would change winners on this graph.
     graph = hub_graph()
     assert np.diff(graph.indptr).max() > 16
     assert_same_detections(graph, DetectorConfig(15, THOROUGH.overlap_threshold),
@@ -100,8 +100,8 @@ def test_detect_matches_reference_on_order_sensitive_sums():
 
 
 def test_detect_matches_reference_on_all_zero_weights(tmp_path):
-    # Every vote is 0.0: the winner is the lowest collected label id.
-    graph = tied_graph(weight=0.0)
+    # Every vote is 0: the winner is the lowest collected label id.
+    graph = tied_graph(weight=0)
     assert_same_detections(graph, FAST, range(40))
     # rho = 0 keeps the zero weight of two 15-user lists out of 20 users
     # that share only the 10 users any two such lists must share.
@@ -114,7 +114,7 @@ def test_detect_matches_reference_on_all_zero_weights(tmp_path):
     save_graph(build_list_graph(corpus, 0.0),
                tmp_path / "g.tsv", tmp_path / "g.nodes")
     loaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
-    assert (loaded.weights == 0.0).any()
+    assert (loaded.weights == 0).any()
     assert_same_detections(loaded, FAST, range(10))
     # tau = 0 keeps every consensus entry as an edge.
     matrix = run_ensemble(loaded, PipelineConfig(master_seed=1, runs=4))
@@ -185,21 +185,25 @@ def test_accumulate_matches_dict_fold(monkeypatch, tmp_path, block):
     for trial in range(60):
         nodes = random_nodes(rng)
         runs = [random_sets(rng, nodes) for _ in range(int(rng.integers(1, 9)))]
-        matrix = ConsensusMatrix.empty(nodes, len(runs))
-        folded = ConsensusMatrix.empty(nodes, len(runs))
+        keys, sums = np.empty(0, dtype=np.int64), np.empty(0)
+        folded = keys, sums
         for sets in runs:
-            accumulate(matrix, Cover.from_sets(matrix.order, sets))
-            reference.accumulate(folded, reference.community_set(sets))
-        # Bit for bit against the frozenset fold, run by run.
-        assert same_matrix(matrix, folded), trial
-        matrix.values *= 1.0 / len(runs)
+            keys, sums = accumulate(tuple(nodes), keys, sums, Cover.from_sets(nodes, sets))
+            folded = reference.accumulate(nodes, *folded, reference.community_set(sets))
+            # Bit for bit against the frozenset fold, run by run.
+            assert np.array_equal(keys, folded[0]), trial
+            assert sums.tobytes() == folded[1].tobytes(), trial
+        means = sums * (1.0 / len(runs))
         want = reference.ensemble_fold(nodes, [reference.community_set(sets)
                                                for sets in runs])
-        assert matrix.keys.tolist() == sorted(want), trial
-        assert matrix.values.tolist() == [want[k] for k in sorted(want)], trial
+        assert keys.tolist() == sorted(want), trial
+        assert means.tolist() == [want[k] for k in sorted(want)], trial
+        matrix = ConsensusMatrix(tuple(nodes), keys,
+                                 np.array([micro(v) for v in means.tolist()], dtype=np.int64),
+                                 len(runs))
         save_matrix(matrix, tmp_path / "m.tsv")
-        l = len(matrix.order)
-        rows = {(matrix.order[k // l], matrix.order[k % l]): v for k, v in want.items()}
+        l = len(nodes)
+        rows = {(nodes[k // l], nodes[k % l]): micro(v) for k, v in want.items()}
         assert ((tmp_path / "m.tsv").read_text("utf-8")
                 == f"#r={len(runs)}\n" + reference.pair_rows_text(rows)), trial
 
@@ -209,32 +213,31 @@ def test_run_ensemble_matches_dict_fold():
     config = PipelineConfig(master_seed=7, runs=6)
     covers = [detect(graph, FAST.with_seed(derive_seed(7, i)))
               for i in range(6)]
-    # The fold's scores, each as its 6-decimal string reads, without those
-    # that print as 0.000000.
-    want = {k: as_written(v) for k, v in
-            reference.ensemble_fold(graph.nodes, covers).items() if as_written(v) > 0.0}
+    # The fold's scores in the micro-units of their 6-decimal strings,
+    # without those that print as 0.000000.
+    want = {k: micro(v) for k, v in
+            reference.ensemble_fold(graph.nodes, covers).items() if micro(v) > 0}
     matrix = run_ensemble(graph, config)
     assert matrix.keys.tolist() == sorted(want)
-    assert [v.hex() for v in matrix.values.tolist()] == [want[k].hex() for k in sorted(want)]
-    folded = ConsensusMatrix.empty(graph.nodes, 6)
+    assert matrix.values.tolist() == [want[k] for k in sorted(want)]
+    keys, sums = np.empty(0, dtype=np.int64), np.empty(0)
     for cover in covers:
-        reference.accumulate(folded, cover)
-    folded.values *= 1.0 / 6
-    values = np.array([as_written(v) for v in folded.values.tolist()])
-    folded.keys, folded.values = folded.keys[values > 0.0], values[values > 0.0]
-    assert same_matrix(matrix, folded)
+        keys, sums = reference.accumulate(graph.nodes, keys, sums, cover)
+    values = np.array([micro(v) for v in (sums * (1.0 / 6)).tolist()], dtype=np.int64)
+    assert same_matrix(matrix, ConsensusMatrix(graph.nodes, keys[values > 0],
+                                               values[values > 0], 6))
 
 
 def test_consensus_graph_matches_sorted_tuple_fill():
     rng = np.random.Generator(np.random.PCG64(3))
     for trial in range(40):
         nodes = [f"n{i:02d}" for i in range(int(rng.integers(2, 30)))]
-        scores = {(a, b): float(rng.random())
+        scores = {(a, b): int(rng.integers(10**6 + 1))
                   for a, b in combinations(nodes, 2) if rng.random() < 0.3}
         matrix = matrix_from_pairs(nodes, scores, 1)
         tau = float(rng.choice([0.0, rng.random()]))
         graph = consensus_graph(matrix, tau)
-        kept = {pair: v for pair, v in scores.items() if v >= tau}
+        kept = {pair: v for pair, v in scores.items() if v / 10**6 >= tau}
         offsets, nbr, wgt = reference.csr_fill(nodes, kept)
         assert graph.indptr.tolist() == offsets.tolist(), trial
         assert graph.indices.tolist() == nbr.tolist(), trial
@@ -251,7 +254,7 @@ def test_list_graph_matches_sorted_tuple_fill():
 
 def test_the_kernel_csr_equals_the_numpy_layout():
     # Random pair sets, some nodes isolated, beside no pairs, one node and
-    # one pair; weights include -0.0, compared by their bits.
+    # one pair; weights include 0 and the largest int64.
     rng = np.random.Generator(np.random.PCG64(27))
     cases = [(0, []), (1, []), (2, [(0, 1)]), (6, []), (6, [(1, 4)])]
     for _ in range(40):
@@ -261,36 +264,43 @@ def test_the_kernel_csr_equals_the_numpy_layout():
     for n, pairs in cases:
         i = np.array([a for a, _ in pairs], dtype=np.int64)
         j = np.array([b for _, b in pairs], dtype=np.int64)
-        w = rng.choice([0.0, -0.0, 0.5, 1 / 3, 7.0], size=len(pairs))
+        w = rng.choice([0, 500_000, 333_333, 7 * 10**6, 2**63 - 1], size=len(pairs))
         graph = ListGraph.from_pairs([f"n{k:02d}" for k in range(n)], i, j, w)
         offsets, nbr, wgt = reference.numpy_csr(n, i, j, w)
         assert np.array_equal(graph.indptr, offsets), (n, pairs)
         assert np.array_equal(graph.indices, nbr), (n, pairs)
-        assert graph.weights.tobytes() == wgt.tobytes(), (n, pairs)
+        assert np.array_equal(graph.weights, wgt), (n, pairs)
+        assert graph.indices.dtype == np.int32 and graph.weights.dtype == np.int64
 
 
 @pytest.mark.parametrize("values", [
     pytest.param(np.full(5, 0.25), id="all equal"),
     pytest.param(np.array([0.0, -0.0, 0.0, 1.5, -0.0]), id="-0.0 beside 0.0"),
     pytest.param(np.array([0x5555555555555555, -0x5555555555555556, 0,
-                           0x5555555555555555]).view(np.float64), id="no shared bits"),
+                           0x5555555555555555]), id="no shared bits"),
     pytest.param(np.array([]), id="none"),
     pytest.param(np.random.Generator(np.random.PCG64(5)).integers(0, 3000, 20000) / 7,
                  id="many, repeated"),
 ])
 def test_pair_text_equals_the_sorted_unique_codec(values):
-    # The strings of each value equal those of np.unique's sorted codec;
-    # each distinct value comes once, at its first occurrence.
+    # Doubles go through the codec, micro_units, and integers are
+    # micro-units already.  The strings of each value equal the exact
+    # decimals of np.unique's sorted values, so -0.0 and 0.0 both write
+    # 0.000000; each distinct value comes once, at its first occurrence.
     listgraph = importlib.import_module("listcom.listgraph")
+    if values.dtype == np.float64:
+        units = listgraph.micro_units(values)
+        assert units.tolist() == [micro(v) for v in values.tolist()]
+        values = units
     text, which = listgraph.pair_text(values)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    want = [f"{v:.6f}" for v in bits.view(np.float64).tolist()]
+    unique, inverse = np.unique(values, return_inverse=True)
+    want = [f"{Decimal(k).scaleb(-6):.6f}" for k in unique.tolist()]
     assert [text[k] for k in which] == [want[k] for k in inverse]
-    first, which = listgraph.distinct_values(values.view(np.int64))
-    assert np.all(np.diff(first) > 0) and len(first) == len(bits)
+    first, which = listgraph.distinct_values(values)
+    assert np.all(np.diff(first) > 0) and len(first) == len(unique)
     assert np.array_equal(which[first], np.arange(len(first)))
     assert np.all(first[which] <= np.arange(len(values)))
-    assert np.array_equal(values[first][which].view(np.int64), values.view(np.int64))
+    assert np.array_equal(values[first][which], values)
 
 
 # Ids whose string order is not their numeric order, several of which a
@@ -331,6 +341,7 @@ def test_graph_codec_matches_the_dict_loop_reader(tmp_path):
             "".join(f"{node}\n" for node in rng.permutation(nodes)), encoding="utf-8")
         graph = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
         _, want = reference.read_pairs(tmp_path / "g.tsv")
+        want = {e: micro(w) for e, w in want.items()}
         assert graph.nodes == tuple(nodes), trial
         assert reference.edge_map(graph) == want, trial
         offsets, nbr, wgt = reference.csr_fill(nodes, want)
@@ -340,9 +351,8 @@ def test_graph_codec_matches_the_dict_loop_reader(tmp_path):
         assert save_graph(graph, tmp_path / "h.tsv", tmp_path / "h.nodes") is None
         assert ((tmp_path / "h.tsv").read_text("utf-8")
                 == reference.pair_rows_text(want)), trial
-        written = graph_from_edges(nodes, {e: as_written(w) for e, w in want.items()})
         assert reference.same_graph(
-            written, load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes")), trial
+            graph, load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes")), trial
 
 
 def test_matrix_codec_matches_the_dict_loop_reader(tmp_path):
@@ -353,15 +363,13 @@ def test_matrix_codec_matches_the_dict_loop_reader(tmp_path):
                                  header=[f"#r={runs}"])
         matrix = load_matrix(tmp_path / "m.tsv", rng.permutation(nodes).tolist())
         head, want = reference.read_pairs(tmp_path / "m.tsv", header=1)
-        want = {pair: v for pair, v in want.items() if v > 0.0}
+        want = {pair: micro(v) for pair, v in want.items() if micro(v) > 0}
         assert head == [f"#r={runs}"], trial
         assert same_matrix(matrix, matrix_from_pairs(nodes, want, runs)), trial
         assert save_matrix(matrix, tmp_path / "s.tsv") is None
         assert ((tmp_path / "s.tsv").read_text("utf-8")
                 == f"#r={runs}\n" + reference.pair_rows_text(want)), trial
-        written = {pair: as_written(v) for pair, v in want.items() if as_written(v) > 0.0}
-        assert same_matrix(matrix_from_pairs(nodes, written, runs),
-                           load_matrix(tmp_path / "s.tsv", nodes)), trial
+        assert same_matrix(matrix, load_matrix(tmp_path / "s.tsv", nodes)), trial
 
 
 def test_stability_matches_dict_loops():
@@ -369,9 +377,9 @@ def test_stability_matches_dict_loops():
     for l in (40, 4100):
         nodes = [f"n{i:04d}" for i in range(l)]
         pairs = rng.choice(l, size=(3 * l, 2))
-        scores = {(nodes[min(a, b)], nodes[max(a, b)]): float(rng.random())
+        scores = {(nodes[min(a, b)], nodes[max(a, b)]): int(rng.integers(10**6 + 1))
                   for a, b in pairs.tolist() if a != b}
-        scores.update({(nodes[a], nodes[b]): float(rng.random())
+        scores.update({(nodes[a], nodes[b]): int(rng.integers(10**6 + 1))
                        for a, b in combinations(range(30), 2)})
         matrix = matrix_from_pairs(nodes, scores, 1)
         entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
@@ -390,7 +398,7 @@ def test_rank_matches_frozenset_ranking(monkeypatch, block):
     for trial in range(40):
         nodes = random_nodes(rng, 2, 60)
         # Few distinct scores, so raw and corrected values tie.
-        scores = {pair: float(rng.choice([0.25, 0.5, 1.0]))
+        scores = {pair: int(rng.choice([250_000, 500_000, 10**6]))
                   for pair in combinations(nodes, 2) if rng.random() < 0.4}
         matrix = matrix_from_pairs(nodes, scores, 1)
         sets = random_sets(rng, nodes, largest=30)
@@ -411,7 +419,7 @@ def test_expected_matches_subset_enumeration():
         l = int(rng.integers(2, 11))
         nodes = [f"n{i}" for i in range(l)]
         fill = (0.0, 1.0, float(rng.random()))[trial % 3]
-        scores = {pair: (1.0 if fill == 1.0 else float(rng.random()))
+        scores = {pair: (10**6 if fill == 1.0 else int(rng.integers(10**6 + 1)))
                   for pair in combinations(nodes, 2) if rng.random() < fill}
         matrix = matrix_from_pairs(nodes, scores, 1)
         entries = dict(zip(matrix.keys.tolist(), matrix.values.tolist()))
@@ -422,7 +430,7 @@ def test_expected_matches_subset_enumeration():
     for fill in (0.0, 1.0):
         nodes = [f"n{i}" for i in range(7)]
         matrix = matrix_from_pairs(
-            nodes, {pair: fill for pair in combinations(nodes, 2) if fill}, 1)
+            nodes, {pair: micro(fill) for pair in combinations(nodes, 2) if fill}, 1)
         assert all(expected_stability(size, matrix) == fill for size in range(2, 8))
 
 

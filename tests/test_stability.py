@@ -1,6 +1,7 @@
 import importlib
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,11 +12,13 @@ from listcom.errors import ValidationError
 from listcom.stability import (corrected_stability, expected_stability,
                                rank_communities, raw_stabilities, raw_stability,
                                write_ranking)
-from reference import cover_sets, matrix_from_pairs, mean_pair_score
+from reference import cover_sets, matrix_from_pairs, mean_pair_score, micro
 
 
 def matrix_from(order, pairs, r=10):
-    return matrix_from_pairs(sorted(order), pairs, r)
+    """The matrix of ``{(a, b): score}``, each score in the micro-units of
+    its 6-decimal string."""
+    return matrix_from_pairs(sorted(order), {pair: micro(v) for pair, v in pairs.items()}, r)
 
 
 def test_raw_constant_one():
@@ -65,13 +68,15 @@ def test_expected_matches_enumeration_four_nodes():
     order = "abcd"
     pairs = {(a, b): float(rng.random()) for a, b in combinations(order, 2)}
     m = matrix_from(order, pairs)
-    exact = sum(pairs.values()) / 6  # mean over all C(4,2) size-2 subsets
+    # The mean over all C(4,2) size-2 subsets of the scores as held.
+    exact = sum(micro(v) for v in pairs.values()) / 6 / 10**6
     assert expected_stability(2, m) == pytest.approx(exact, abs=1e-12)
 
 
 def test_expected_deterministic():
     m = matrix_from("abcdef", {("a", "b"): 0.7, ("c", "d"): 0.2})
-    exact = math.fsum([0.7, 0.2]) / 15  # sum of entries over C(6, 2)
+    # The sum of entries over C(6, 2), exact and then rounded once.
+    exact = float(Fraction(700_000 + 200_000, 15 * 10**6))
     assert [expected_stability(size, m) for size in range(2, 7)] == [exact] * 5
     assert expected_stability(3, m) == exact
 
@@ -215,7 +220,7 @@ def test_stability_memory_follows_the_block(monkeypatch):
     monkeypatch.setattr(stability, "PAIR_BLOCK", 1 << 12)
     nodes = tuple(f"n{i:03d}" for i in range(120))
     rng = np.random.Generator(np.random.PCG64(31))
-    m = matrix_from_pairs(nodes, {pair: float(rng.random())
+    m = matrix_from_pairs(nodes, {pair: int(rng.integers(10**6 + 1))
                                   for pair in combinations(nodes, 2)}, 1)
     windows = [list(range(k, k + 100)) for k in range(21)]
     cover = Cover.from_groups(nodes, [100] * 21, np.concatenate(windows))
