@@ -233,12 +233,12 @@ def save_matrix(matrix: ConsensusMatrix, path) -> None:
 def load_matrix(path, order) -> ConsensusMatrix:
     """Reload a matrix over the full node ``order`` (the graph's sidecar
     node list), which keeps the nodes that have no entries.  The rows are
-    read by :func:`~listcom.listgraph.read_pair_rows` under a ``#r=<runs>``
-    header with runs >= 1; a score outside [0, 1] raises with its line.
+    read by :func:`~listcom.listgraph.read_pair_rows`, which refuses a
+    score outside [0, 1], under a ``#r=<runs>`` header with runs >= 1.
     Each score is held in micro-units; those that round to 0.000000 are
     dropped to keep the sparse absent-means-zero invariant."""
     order = sorted(order)
-    head, i, j, values, lines = read_pair_rows(path, order, header=1)
+    head, i, j, values = read_pair_rows(path, order, 1, header=1)
     if not head or not head[0].startswith("#r="):
         raise ParseError(f"{path}:1: missing #r= header")
     try:
@@ -247,9 +247,6 @@ def load_matrix(path, order) -> ConsensusMatrix:
         raise ParseError(f"{path}:1: bad run count") from exc
     if r < 1:
         raise ValidationError(f"{path}:1: run count {r} is below 1")
-    bad = lines[~((values >= 0.0) & (values <= 1.0))]
-    if len(bad):
-        raise ValidationError(f"{path}:{bad.min()}: score out of range")
     matrix = ConsensusMatrix.empty(order, r)
     units = micro_units(values)
     kept = units > 0

@@ -16,8 +16,8 @@ a dense per-row counter, one row at a time (Gustavson's method).  It counts
 the pairs first, then fills exact-size outputs, with O(l) scratch.  It is
 the package's one co-occurrence counter: the consensus fold counts the
 communities two nodes share with the same C function.  Each distinct
-(size, size, overlap) triple is weighted once; the kernel's ``distinct``
-finds them (:func:`distinct_values`).
+(size, size, overlap) triple is weighted once, by :func:`overlap_lpv`; the
+kernel's ``distinct`` finds them (:func:`distinct_values`).
 Lists whose every edge falls below the ``rho`` cutoff remain in the graph as
 isolated nodes.
 
@@ -117,13 +117,11 @@ class ListGraph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def edge_pairs(self, values=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each edge once as (i, j, w) arrays with i < j, in (i, j) order;
-        ``values`` parallel to ``indices`` stand in for the weights."""
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge once as (i, j, w) arrays with i < j, in (i, j) order."""
         rows = np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
         upper = self.indices > rows
-        w = self.weights if values is None else values
-        return rows[upper], self.indices[upper], w[upper]
+        return rows[upper], self.indices[upper], self.weights[upper]
 
     def edge_list(self) -> list[tuple[str, str, float]]:
         """Each edge once as ``(a, b, weight)`` with a < b, in sorted order;
@@ -193,35 +191,6 @@ def overlap_lpv(size_x: int, size_y: int, intersection: int, n: int) -> float:
     return 0.0 - _log_tail(size_x, size_y, intersection, n) / _LN10
 
 
-def _log_tail_batch(
-    sx: np.ndarray, sy: np.ndarray, k: np.ndarray, n: int, lg: np.ndarray
-) -> np.ndarray:
-    """Vectorised `_log_tail` over parallel arrays; ``lg[i] = lgamma(i)``."""
-
-    def log_comb(a, b):
-        return lg[a + 1] - lg[b + 1] - lg[a - b + 1]
-
-    lo = np.maximum(k, sx + sy - n)
-    hi = np.minimum(sx, sy)
-    base = log_comb(n, sy)
-    acc = np.full(sx.shape, -np.inf)
-    out = np.zeros(sx.shape)
-    max_terms = int(np.max(hi - lo)) + 1 if len(sx) else 0
-    for t in range(max_terms):
-        j = lo + t
-        live = j <= hi
-        if not live.any():
-            break
-        jl = j[live]
-        term = (log_comb(sx[live], jl)
-                + log_comb((n - sx)[live], sy[live] - jl)
-                - base[live])
-        acc[live] = np.logaddexp(acc[live], term)
-    nonzero = k > 0
-    out[nonzero] = np.minimum(acc[nonzero], 0.0)
-    return out
-
-
 def pair_counts(indptr, cols, t_indptr, t_cols) -> tuple[np.ndarray, np.ndarray]:
     """Ascending pair keys ``i*l+j`` with i<j of the ``l`` rows of the CSR
     (``indptr``, ``cols``) that share a column, and the number they share.
@@ -262,9 +231,10 @@ def _int32_rows(indptr, cols, width) -> list[np.ndarray]:
 
 def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     """One node per list; edges for every member-sharing pair whose weight
-    clears ``rho``.  Each kept weight is held in the micro-units of its
-    6-decimal string, as graph.tsv writes it; ``rho`` is tested on the
-    weight before that rounding.  ``rho`` must be a number >= 0:
+    clears ``rho``.  Each distinct (size, size, overlap) triple is weighed
+    once, by :func:`overlap_lpv`.  Each kept weight is held in the
+    micro-units of its 6-decimal string, as graph.tsv writes it; ``rho`` is
+    tested on the weight before that rounding.  ``rho`` must be a number >= 0:
     :class:`~listcom.pipeline.PipelineConfig` checks it, and this function
     does not."""
     nodes = corpus.list_ids
@@ -283,10 +253,9 @@ def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
     first, which = distinct_values(codes)
     codes = codes[first]
     size_pair, k = np.divmod(codes, top)
-    lg = np.zeros(n + 2)  # index 0 is never touched (log_comb args are >= 1)
-    lg[1:] = [math.lgamma(x) for x in range(1, n + 2)]
-    lpv = 0.0 - _log_tail_batch(distinct[size_pair // d], distinct[size_pair % d],
-                                k, n, lg) / _LN10
+    triples = zip(distinct[size_pair // d].tolist(), distinct[size_pair % d].tolist(),
+                  k.tolist())
+    lpv = np.array([overlap_lpv(sx, sy, c, n) for sx, sy, c in triples], dtype=np.float64)
     keep = lpv[which] >= rho
     return ListGraph.from_pairs(nodes, i[keep], j[keep], micro_units(lpv)[which][keep])
 
@@ -396,15 +365,15 @@ def load_nodes(nodes_path) -> list[str]:
     return nodes
 
 
-def read_pair_rows(path, nodes, header=0):
+def read_pair_rows(path, nodes, top, header=0):
     """Parse a pair file over the sorted ids ``nodes``: ``header`` lines,
-    then ``a<TAB>b<TAB>value`` rows in any row and endpoint order.  Returns
-    the header lines and arrays ``(i, j, values, lines)``, the values as
-    parsed doubles, in ascending
-    ``(i, j)`` order with i < j, ``lines`` being each row's line in the file.
-    Each error names ``path:line``: bad UTF-8, a wrong field count, a value
-    ``float`` cannot parse, an endpoint outside ``nodes``, a self-pair, or
-    the second copy of a pair."""
+    then ``a<TAB>b<TAB>value`` rows in any row and endpoint order, each
+    value in [0, ``top``].  Returns the header lines and arrays
+    ``(i, j, values)``, the values as parsed doubles, in ascending
+    ``(i, j)`` order with i < j.  Each error names ``path:line``: bad
+    UTF-8, a wrong field count, a value ``float`` cannot parse, the first
+    value outside [0, ``top``] (``nan`` included), an endpoint outside
+    ``nodes``, a self-pair, or the second copy of a pair."""
     index = {node: k for k, node in enumerate(nodes)}
     head, first, second, values = [], [], [], []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -428,6 +397,11 @@ def read_pair_rows(path, nodes, header=0):
             raise ValidationError(f"{path}:{lineno}: self-pair on {a!r}")
         first.append(ia)
         second.append(ib)
+    values = np.array(values, dtype=np.float64)
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= top)))
+    if len(bad):
+        raise ValidationError(f"{path}:{bad[0] + header + 1}: value out of range "
+                              f"[0, {top}]")
     i, j = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
     i, j = np.minimum(i, j), np.maximum(i, j)
     keys = i * len(nodes) + j
@@ -438,12 +412,14 @@ def read_pair_rows(path, nodes, header=0):
         at = dup[np.argmin(lines[dup])]
         raise ValidationError(f"{path}:{lines[at]}: duplicate pair "
                               f"{(nodes[i[at]], nodes[j[at]])}")
-    return head, i, j, np.array(values, dtype=np.float64)[order], lines
+    return head, i, j, values[order]
 
 
 def load_graph(edges_path, nodes_path) -> ListGraph:
     """The graph of a pair file and its node list, each weight in the
-    micro-units of its value."""
+    micro-units of its value.  A weight above 10**9 raises: below it a
+    double holds all 6 decimals, and a corpus of fewer than 2**31 users
+    weighs no pair more than log10 C(n, s) <= 0.302 n < 6.5e8."""
     nodes = load_nodes(nodes_path)
-    _, i, j, w, _ = read_pair_rows(edges_path, nodes)
+    _, i, j, w = read_pair_rows(edges_path, nodes, 10**9)
     return ListGraph.from_pairs(nodes, i, j, micro_units(w))

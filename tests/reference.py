@@ -3,8 +3,8 @@
 Plain dict-based loops that compute what the arrays compute: the corpus as
 id sets rebuilt from its arrays, list intersections counted pair by pair
 per user, or in numpy blocks of pair instances as the package counted them
-before its kernel did, each edge weighted by its own call of the tail
-kernel, user
+before its kernel did, each edge weighted by its own call of
+``overlap_lpv``, user
 weights counted in a dict per list, evaluation rows from every category
 against every community as frozensets, label
 propagation over a ``{(a, b): weight}`` dict that fills its CSR from sorted
@@ -39,7 +39,7 @@ from listcom.consensus import ConsensusMatrix, label_jaccard
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import Cover, DetectorConfig, filter_singletons
 from listcom.labeling import background_vector
-from listcom.listgraph import _LN10, ListGraph, _log_tail_batch
+from listcom.listgraph import ListGraph, overlap_lpv
 from listcom.members import EvalRow, f1_score
 from listcom.errors import ParseError, ValidationError
 from listcom.pipeline import PipelineConfig
@@ -163,16 +163,11 @@ def numpy_pair_scores(cover, l):
 
 def graph_edges(memberships, user_index, rho) -> dict[tuple[str, str], float]:
     """``{(a, b): weight}`` of the list graph: every sharing pair weighted
-    by its own one-element call of the tail kernel, kept when >= rho."""
+    by its own call of ``overlap_lpv``, kept when >= rho."""
     n = len(user_index)
-    lg = np.zeros(n + 2)
-    lg[1:] = [math.lgamma(x) for x in range(1, n + 2)]
     edges = {}
     for (a, b), k in intersection_counts(user_index).items():
-        tail = _log_tail_batch(np.array([len(memberships[a])]),
-                               np.array([len(memberships[b])]),
-                               np.array([k]), n, lg)
-        weight = float(0.0 - tail[0] / _LN10)
+        weight = overlap_lpv(len(memberships[a]), len(memberships[b]), k, n)
         if weight >= rho:
             edges[(a, b)] = weight
     return edges

@@ -407,12 +407,14 @@ def test_cover_agreement_bounds():
     pytest.param("a\ta\t0.5\n", r"m\.tsv:2: self-pair on 'a'", id="a\ta\t0.5\n-diagonal"),
     pytest.param("a\tz\t0.5\n", r"m\.tsv:2: node 'z' not in the node list",
                  id="a\tz\t0.5\n-outside the given order"),
-    ("a\tb\tnan\n", r"m\.tsv:2: score out of range"),
+    pytest.param("a\tb\tnan\n", r"m\.tsv:2: value out of range \[0, 1\]",
+                 id="a\tb\tnan\n-" r"m\.tsv:2: score out of range"),
     # Sorted, the rows are a-b, a-b, c-d, c-d: the first second copy in the
     # file is c-d on line 4, behind the header.
     ("c\td\t0.5\na\tb\t0.5\nc\td\t0.5\na\tb\t0.5\n",
      r"m\.tsv:4: duplicate pair \('c', 'd'\)"),
-    ("c\td\t0.5\na\tb\t2.0\n", r"m\.tsv:3: score out of range"),
+    pytest.param("c\td\t0.5\na\tb\t2.0\n", r"m\.tsv:3: value out of range \[0, 1\]",
+                 id="c\td\t0.5\na\tb\t2.0\n-" r"m\.tsv:3: score out of range"),
 ])
 def test_load_matrix_rejects_bad_pairs(tmp_path, rows, message):
     path = tmp_path / "m.tsv"

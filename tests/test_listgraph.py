@@ -122,6 +122,20 @@ def test_pvalue_matches_exact_enumeration(args):
         exact_pvalue(sx, sy, k, n), rel=1e-12)
 
 
+def test_lpv_matches_the_exact_tail_at_bench_sizes():
+    # The enumeration above stops at n = 30.  Here n runs from 10**2 to
+    # 10**6 with lists of up to 40 users, and the oracle is the tail as one
+    # big-integer ratio, its log10 taken of the integers.
+    rng = np.random.Generator(np.random.PCG64(17))
+    for _ in range(400):
+        n = int(10 ** rng.uniform(2, 6))
+        sx, sy = (int(s) for s in rng.integers(1, 41, size=2))
+        k = int(rng.integers(0, min(sx, sy) + 1))
+        num = sum(comb(sx, j) * comb(n - sx, sy - j) for j in range(k, min(sx, sy) + 1))
+        exact = math.log10(comb(n, sy)) - math.log10(num) if k else 0.0
+        assert abs(overlap_lpv(sx, sy, k, n) - exact) <= 1e-8, (sx, sy, k, n)
+
+
 @given(feasible)
 @settings(max_examples=200, deadline=None)
 def test_pvalue_monotone_in_intersection(args):
@@ -396,13 +410,27 @@ def test_from_pairs_refuses_pairs_outside_its_arrays(i, j, w, message):
     pytest.param("a\ta\t1.0\n", r"g\.tsv:1: self-pair on 'a'", id="a\ta\t1.0\n-self-loop"),
     pytest.param("a\tz\t1.0\n", r"g\.tsv:1: node 'z' not in the node list",
                  id="a\tz\t1.0\n-endpoint not in node list"),
-    ("a\tb\t-1.0\n", ">= 0"),
+    pytest.param("a\tb\t-1.0\n", r"g\.tsv:1: value out of range \[0, 1000000000\]",
+                 id="a\tb\t-1.0\n->= 0"),
 ])
 def test_load_graph_rejects_bad_edges(tmp_path, edges, message):
     (tmp_path / "g.tsv").write_text(edges, encoding="utf-8")
     (tmp_path / "g.nodes").write_text("a\nb\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=message):
         load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+
+
+@pytest.mark.parametrize("value", ["-1.000000", "nan", "inf", "10000000000.000001"])
+def test_load_graph_refuses_a_weight_outside_0_to_10_to_the_9(tmp_path, value):
+    # A double holds all 6 decimals of a weight only below 10**9; past it
+    # 10000000000.000001 read back as 10**16 + 2 micro-units.
+    (tmp_path / "g.tsv").write_text(f"a\tb\t1.000000\nb\tc\t{value}\n", encoding="utf-8")
+    (tmp_path / "g.nodes").write_text("a\nb\nc\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"g\.tsv:2: value out of range"):
+        load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+    (tmp_path / "g.tsv").write_text("a\tb\t1000000000.000000\n", encoding="utf-8")
+    graph = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
+    assert graph.weights.tolist() == [10**15, 10**15]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
@@ -421,14 +449,14 @@ def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
                     ("ä", "日本語のリスト"): 333_333, ("Ω-list", "𝄞"): 1})
     for edges in (weights, {}):
         graph = graph_from_edges(nodes, edges)
-        text, which = listgraph.pair_text(graph.weights)
-        i, j, upper = graph.edge_pairs(which)
+        i, j, w = graph.edge_pairs()
+        text, which = listgraph.pair_text(w)
         with open(tmp_path / "rows.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            assert listgraph.write_pair_rows(fh, graph.nodes, i, j, text, upper) is None
+            assert listgraph.write_pair_rows(fh, graph.nodes, i, j, text, which) is None
         written = (tmp_path / "rows.tsv").read_text("utf-8")
-        assert written == pair_rows(graph.nodes, i, j, text, upper)
+        assert written == pair_rows(graph.nodes, i, j, text, which)
         assert written == pair_rows_text(edges)
-        parsed = read_pair_rows(tmp_path / "rows.tsv", graph.nodes)[3]
+        parsed = read_pair_rows(tmp_path / "rows.tsv", graph.nodes, 10**9)[3]
         assert listgraph.micro_units(parsed).tolist() == [w for _, w in sorted(edges.items())]
     assert "a\tb b\t999999999.999999\n" in pair_rows_text(weights)
 
