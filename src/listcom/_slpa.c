@@ -12,8 +12,9 @@
  * Every entry that allocates scratch returns -1 if it cannot.  Every entry
  * that writes into an output of a given capacity returns -2, having written
  * nothing past it, if the output would not fit.  components returns -3 for
- * a graph that is not simple and undirected.  The scratch bound of each
- * entry is stated above it; the caller's outputs come on top. */
+ * a graph that is not simple and undirected, and csr for a pair key whose
+ * first node is not below its second.  The scratch bound of each entry is
+ * stated above it; the caller's outputs come on top. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -461,29 +462,35 @@ int64_t pair_counts(int64_t l, const int32_t *indptr, const int32_t *cols,
     return total;
 }
 
-/* csr: the symmetric CSR of n nodes from the given pairs (i[k], j[k]),
- * each i < j in [0, n) for n < 2^31, distinct and in ascending (i, j)
- * order, with values w[k].  Writes n + 1 offsets to indptr, and 2 pairs
- * entries to indices and weights.  One pass counts the degrees, shifted so that
+/* csr: the symmetric CSR of n nodes, for n < 2^31, from the given pair
+ * keys i * n + j in [0, n^2), distinct and ascending, with values w[k].
+ * Writes n + 1 offsets to indptr, and 2 pairs entries to indices and
+ * weights.  One pass splits each key and counts the degrees, shifted so that
  * indptr[a + 1] starts as row a's offset; one pass fills the rows, with
  * indptr[a + 1] as row a's cursor, and leaves it at row a's end.  Row a
  * takes its pairs (b, a), which come in ascending b, before its pairs
- * (a, c), as every b < a: so each row is ascending.  No scratch. */
-void csr(int64_t n, int64_t pairs, const int64_t *i, const int64_t *j, const int64_t *w,
-         int64_t *indptr, int32_t *indices, int64_t *weights) {
+ * (a, c), as every b < a: so each row is ascending.  Returns 0, or -3,
+ * having written nothing to indices or weights, for a key with i >= j.
+ * No scratch. */
+int64_t csr(int64_t n, int64_t pairs, const int64_t *keys, const int64_t *w,
+            int64_t *indptr, int32_t *indices, int64_t *weights) {
     memset(indptr, 0, (n + 1) * sizeof *indptr);
     for (int64_t k = 0; k < pairs; k++) {
-        if (i[k] + 2 <= n) indptr[i[k] + 2]++;
-        if (j[k] + 2 <= n) indptr[j[k] + 2]++;
+        int64_t i = keys[k] / n, j = keys[k] % n;
+        if (i >= j) return -3;
+        if (i + 2 <= n) indptr[i + 2]++;
+        if (j + 2 <= n) indptr[j + 2]++;
     }
     for (int64_t a = 2; a <= n; a++) indptr[a] += indptr[a - 1];
     for (int64_t k = 0; k < pairs; k++) {
-        int64_t a = indptr[i[k] + 1]++, b = indptr[j[k] + 1]++;
-        indices[a] = (int32_t)j[k];
+        int64_t i = keys[k] / n, j = keys[k] % n;
+        int64_t a = indptr[i + 1]++, b = indptr[j + 1]++;
+        indices[a] = (int32_t)j;
         weights[a] = w[k];
-        indices[b] = (int32_t)i[k];
+        indices[b] = (int32_t)i;
         weights[b] = w[k];
     }
+    return 0;
 }
 
 /* fold: one run's cover, k communities of the nodes groups[c] ..
@@ -554,18 +561,20 @@ int64_t fold(int64_t l, int64_t k, const int64_t *groups, const int32_t *members
 }
 
 /* pair_rows: the pair-file rows a<TAB>b<TAB>text of row r in 0 .. rows,
- * with a the bytes ids[id_ends[i[r]] .. id_ends[i[r] + 1]) (id_ends[0] is
- * 0), b likewise for j[r], and text the bytes texts[text_ends[which[r]] ..
- * text_ends[which[r] + 1]).  The caller checks that the indices are in
- * range.  Writes to out, which holds capacity bytes.  Returns the bytes
- * written, or -2.  No scratch. */
-int64_t pair_rows(int64_t rows, const int64_t *i, const int64_t *j, const int64_t *which,
+ * with a the bytes ids[id_ends[i] .. id_ends[i + 1]) (id_ends[0] is 0) of
+ * the pair key keys[r] = i * n + j, b likewise for j, and text the bytes
+ * texts[text_ends[which[r]] .. text_ends[which[r] + 1]).  The caller checks
+ * that the keys are in [0, n^2) and the indices in range.  Writes to out,
+ * which holds capacity bytes.  Returns the bytes written, or -2.  No
+ * scratch. */
+int64_t pair_rows(int64_t rows, int64_t n, const int64_t *keys, const int64_t *which,
                   const char *ids, const int64_t *id_ends, const char *texts,
                   const int64_t *text_ends, int64_t capacity, char *out) {
     int64_t written = 0;
     for (int64_t r = 0; r < rows; r++) {
-        int64_t a = id_ends[i[r]], la = id_ends[i[r] + 1] - a;
-        int64_t b = id_ends[j[r]], lb = id_ends[j[r] + 1] - b;
+        int64_t i = keys[r] / n, j = keys[r] % n;
+        int64_t a = id_ends[i], la = id_ends[i + 1] - a;
+        int64_t b = id_ends[j], lb = id_ends[j + 1] - b;
         int64_t t = text_ends[which[r]], lt = text_ends[which[r] + 1] - t;
         if (written + la + lb + lt + 3 > capacity) return -2;
         memcpy(out + written, ids + a, la);

@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pipe
-from .errors import ParseError, StageError, ValidationError
+from .errors import ParseError, StageError
 from .synth import PlantedSpec, synth_files
 
 EXIT_OK = 0
@@ -173,6 +173,17 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(exc: BaseException) -> int:
+    """The exit status of an exception, or of a failed stage's cause: a
+    malformed file exits 3, a refused value or a file that cannot be read
+    exits 2 (:class:`ValidationError` is a ``ValueError``), anything else 4."""
+    if isinstance(exc, ParseError):
+        return EXIT_PARSE
+    if isinstance(exc, (ValueError, OSError)):
+        return EXIT_VALIDATION
+    return EXIT_INTERNAL
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -180,24 +191,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ParseError):
-            return EXIT_PARSE
-        if isinstance(cause, (ValidationError, ValueError, OSError)):
-            return EXIT_VALIDATION
-        return EXIT_INTERNAL
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _exit_code(exc.cause)
+    except Exception as exc:
+        code = _exit_code(exc)
+        print(f"{'internal error' if code == EXIT_INTERNAL else 'error'}: {exc}",
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

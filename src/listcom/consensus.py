@@ -3,9 +3,11 @@
 A configured number of fast detector runs, each with a seed derived from the
 master seed, vote on every node pair through the Jaccard similarity of the
 community-label sets the run assigned to the two nodes.  The matrix is a
-pair of arrays: sorted ``int64`` pair keys ``i * l + j`` (i < j, positions in
-the sorted node order) and their scores, ``int64`` micro-units as
-consensus.tsv writes them (:mod:`listcom.listgraph`'s codec).  Each run is a
+pair of arrays, built once: sorted ``int64`` pair keys ``i * l + j`` (i < j,
+positions in the sorted node order) and their scores, ``int64`` micro-units
+as consensus.tsv writes them (:mod:`listcom.listgraph`'s pair format and
+codec).  The keys go as they are to the consensus graph, to consensus.tsv's
+writer and back from its reader.  Each run is a
 :class:`~listcom.detect.Cover` over that same order, so its member positions
 are the matrix positions.  :func:`accumulate` folds one run into the
 ``float64`` sums of the runs so far, with one call of the kernel's ``fold``
@@ -49,13 +51,14 @@ if TYPE_CHECKING:  # pipeline imports this module
 Detector = Callable[[ListGraph, DetectorConfig], Cover]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConsensusMatrix:
     """Sparse symmetric node-pair scores; an absent pair means 0.
 
-    ``order`` is the sorted node ids.  ``keys`` holds ``i * len(order) + j``
-    (i < j, positions in ``order``) in ascending order, and ``values`` the
-    score of each key in ``int64`` micro-units.
+    ``order`` is the sorted, unique node ids, which construction checks.
+    ``keys`` holds ``i * len(order) + j`` (i < j, positions in ``order``)
+    in ascending order, and ``values`` the score of each key in ``int64``
+    micro-units.
     """
 
     order: tuple[str, ...]
@@ -63,12 +66,9 @@ class ConsensusMatrix:
     values: np.ndarray
     r: int
 
-    @classmethod
-    def empty(cls, order, r: int) -> "ConsensusMatrix":
-        order = tuple(order)
-        if any(a >= b for a, b in zip(order, order[1:])):
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.order, self.order[1:])):
             raise ValidationError("matrix order must be sorted and unique")
-        return cls(order, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), r)
 
     def get(self, a: str, b: str) -> float:
         """The score of a pair as the double k / 10**6 of its string."""
@@ -186,8 +186,7 @@ def consensus_graph(matrix: ConsensusMatrix, tau: float) -> ListGraph:
     :class:`~listcom.pipeline.PipelineConfig` checks it, and this function
     does not."""
     keep = matrix.values >= micro_threshold(tau)
-    i, j = np.divmod(matrix.keys[keep], len(matrix.order))
-    return ListGraph.from_pairs(matrix.order, i, j, matrix.values[keep])
+    return ListGraph.from_pairs(matrix.order, matrix.keys[keep], matrix.values[keep])
 
 
 def consensus_communities(matrix: ConsensusMatrix, config: PipelineConfig,
@@ -224,21 +223,20 @@ def cover_agreement(a: Cover, b: Cover) -> float:
 def save_matrix(matrix: ConsensusMatrix, path) -> None:
     """TSV rows ``a<TAB>b<TAB>score`` (6 decimals, lexicographic pairs) under
     a ``#r=<runs>`` header."""
-    i, j = np.divmod(matrix.keys, len(matrix.order))
     with atomic_write(path) as fh:
         fh.write(f"#r={matrix.r}\n")
-        write_pair_rows(fh, matrix.order, i, j, *pair_text(matrix.values))
+        write_pair_rows(fh, matrix.order, matrix.keys, *pair_text(matrix.values))
 
 
 def load_matrix(path, order) -> ConsensusMatrix:
     """Reload a matrix over the full node ``order`` (the graph's sidecar
     node list), which keeps the nodes that have no entries.  The rows are
     read by :func:`~listcom.listgraph.read_pair_rows`, which refuses a
-    score outside [0, 1], under a ``#r=<runs>`` header with runs >= 1.
-    Each score is held in micro-units; those that round to 0.000000 are
-    dropped to keep the sparse absent-means-zero invariant."""
-    order = sorted(order)
-    head, i, j, values = read_pair_rows(path, order, 1, header=1)
+    score above 1.000000, under a ``#r=<runs>`` header with runs >= 1.
+    Each score is held in the micro-units of its string; those written as
+    0.000000 are dropped to keep the sparse absent-means-zero invariant."""
+    order = tuple(sorted(order))
+    head, keys, values = read_pair_rows(path, order, MICRO, header=1)
     if not head or not head[0].startswith("#r="):
         raise ParseError(f"{path}:1: missing #r= header")
     try:
@@ -247,8 +245,5 @@ def load_matrix(path, order) -> ConsensusMatrix:
         raise ParseError(f"{path}:1: bad run count") from exc
     if r < 1:
         raise ValidationError(f"{path}:1: run count {r} is below 1")
-    matrix = ConsensusMatrix.empty(order, r)
-    units = micro_units(values)
-    kept = units > 0
-    matrix.keys, matrix.values = (i * len(order) + j)[kept], units[kept]
-    return matrix
+    kept = values > 0
+    return ConsensusMatrix(order, keys[kept], values[kept], r)

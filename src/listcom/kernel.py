@@ -3,7 +3,7 @@
 The kernel holds the package's loops over nodes and pairs: SLPA one
 connected component at a time and the cover of its memories
 (:mod:`listcom.detect`), the one co-occurrence counter, the symmetric CSR
-of a graph's pairs and the distinct values of an array
+of a graph's pair keys and the distinct values of an array
 (:mod:`listcom.listgraph`), the fold of one run into the consensus matrix
 (:mod:`listcom.consensus`) and the rows of a pair file.  Its entries take
 arrays as their data addresses, ``array.ctypes.data``, rather than as
@@ -94,9 +94,9 @@ def load():
             ("cover", i64, [i64, array, array, i64, ctypes.c_double, i64, array, array]),
             ("pair_counts", i64, [i64, array, array, array, array, i64, array, array]),
             ("fold", i64, [i64, i64, array, array, i64, array, array, i64, array, array]),
-            ("pair_rows", i64, [i64, array, array, array, array, array, array, array,
+            ("pair_rows", i64, [i64, i64, array, array, array, array, array, array,
                                 i64, array]),
-            ("csr", None, [i64, i64, array, array, array, array, array, array]),
+            ("csr", i64, [i64, i64, array, array, array, array, array]),
             ("distinct", i64, [i64, array, array, array])):
         getattr(kernel, entry).restype = restype
         getattr(kernel, entry).argtypes = argtypes

@@ -26,32 +26,41 @@ sorted order, and the edges form a compressed sparse row structure
 (``indptr``, ``int32`` ``indices``, ``weights``) with each row's neighbours
 in ascending order and every edge stored in both rows.  It is built once,
 by :func:`build_list_graph`, :func:`load_graph` or the consensus graph, all
-through :meth:`ListGraph.from_pairs`, whose kernel entry ``csr`` counts the
-degrees in one pass over the pairs and fills the rows in another.  List ids
-reappear only in the pair files of the graph and the consensus matrix,
-``a<TAB>b<TAB>value`` rows (6 decimals, lexicographic pairs).
+through :meth:`ListGraph.from_pairs`, whose kernel entry ``csr`` splits the
+keys and counts the degrees in one pass and fills the rows in another.
+
+One pair format.  A node pair (i, j), i < j, of the ``l`` sorted ids is
+the ``int64`` key ``i * l + j`` from the counter that finds it to the file
+that holds it and back: the counter, the graph's edges, the consensus
+matrix, :func:`write_pair_rows` and :func:`read_pair_rows` all pass keys in
+ascending order, and only the kernel splits them.  List ids reappear only
+in the pair files of the graph and the consensus matrix,
+``a<TAB>b<TAB>value`` rows with a < b in ascending pair order.
 
 The codec.  A graph weight or a matrix score is held as ``int64``
 micro-units: the integer k whose value k / 10**6 its file writes to 6
 decimals.  :func:`micro_units` is the one conversion from a double: each
 distinct value's 6-decimal string read as an integer.  It makes each
-weight of :func:`build_list_graph` where it first exists, each score at
-the end of the ensemble, and each value a reader parses, so a built object
-equals its reload, and every vote, sum and threshold on these values is
-exact integer arithmetic.  :func:`micro_threshold` turns a threshold such
-as ``tau`` into the least k whose double k / 10**6 clears it, so keeping
+weight of :func:`build_list_graph` where it first exists, and each score
+at the end of the ensemble, so a built object equals its reload, and
+every vote, sum and threshold on these values is exact integer
+arithmetic.  :func:`micro_threshold` turns a threshold such as ``tau``
+into the least k whose double k / 10**6 clears it, so keeping
 ``units >= micro_threshold(x)`` decides as a comparison of the written
 values with ``x`` would.  :func:`pair_text` writes each distinct value
 once, found in one pass over a hash table in the kernel, not by a sort;
 :func:`write_pair_rows` joins the rows in the kernel, a block of
-``TEXT_BLOCK`` rows at a time, and :func:`read_pair_rows` reads with
-``path:line`` errors.  Ids hold no tab or line break
-(:class:`~listcom.corpus.MembershipCorpus` refuses them), so a row's
-fields are its ids.
+``TEXT_BLOCK`` rows at a time.  :func:`read_pair_rows` accepts exactly
+that text, rows in the writer's order and values of the form
+``(0|[1-9][0-9]*)\\.[0-9]{6}``, reads each distinct value string straight
+to its integer, and names ``path:line`` in every error.  Ids hold no tab
+or line break (:class:`~listcom.corpus.MembershipCorpus` refuses them), so
+a row's fields are its ids.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +73,7 @@ from .errors import ParseError, ValidationError
 _LN10 = math.log(10.0)
 TEXT_BLOCK = 1 << 16  # rows formatted at once by write_pair_rows
 MICRO = 10**6  # micro-units per unit: the pair files write k / MICRO
+_VALUE = re.compile(r"(0|[1-9][0-9]*)\.[0-9]{6}")  # the one value form they hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,34 +92,33 @@ class ListGraph:
     weights: np.ndarray
 
     @classmethod
-    def from_pairs(cls, nodes, i, j, w) -> "ListGraph":
-        """Build from fewer than 2**31 sorted ``nodes`` and parallel arrays
-        of node indices ``i < j`` with integer weights ``w`` >= 0, distinct
-        and in ascending ``(i, j)`` order.  Row ``a`` is then its pairs
-        ``(b, a)`` followed by its pairs ``(a, c)``, so the kernel's ``csr``
-        lays out the CSR in one pass that counts the degrees and one that
-        fills the rows."""
+    def from_pairs(cls, nodes, keys, w) -> "ListGraph":
+        """Build from fewer than 2**31 sorted ``nodes``, the distinct pair
+        keys ``i * len(nodes) + j`` (i < j) in ascending order, and their
+        integer weights ``w`` >= 0.  Row ``a`` is then its pairs ``(b, a)``
+        followed by its pairs ``(a, c)``, so the kernel's ``csr`` lays out
+        the CSR in one pass that splits the keys and counts the degrees and
+        one that fills the rows; it refuses a key with i >= j."""
         nodes = tuple(nodes)
-        if len(nodes) >= 2**31 or any(a >= b for a, b in zip(nodes, nodes[1:])):
+        n = len(nodes)
+        if n >= 2**31 or any(a >= b for a, b in zip(nodes, nodes[1:])):
             raise ValidationError("graph nodes must be sorted, unique and fewer than 2**31")
-        i = np.ascontiguousarray(i, dtype=np.int64)
-        j = np.ascontiguousarray(j, dtype=np.int64)
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
         w = np.asarray(w)
-        if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
-            raise ValidationError("edge pairs must be 1-d arrays of one length")
-        if len(i) and not (i.min() >= 0 and j.max() < len(nodes)):
-            raise ValidationError("edge pairs must index the graph nodes")
-        if np.any(i >= j):
-            raise ValidationError("edge pairs must satisfy i < j")
-        if np.any(np.diff(i * len(nodes) + j) <= 0):
-            raise ValidationError("edge pairs must be distinct and in "
-                                  "ascending (i, j) order")
+        if not (keys.ndim == w.ndim == 1 and len(keys) == len(w)):
+            raise ValidationError("edge keys and weights must be 1-d arrays of one length")
+        if np.any(np.diff(keys) <= 0):
+            raise ValidationError("edge keys must be distinct and in ascending order")
+        if len(keys) and not (keys[0] >= 0 and keys[-1] < n * n):
+            raise ValidationError("edge keys must index the graph nodes")
         if len(w) and not (w.dtype.kind in "iu" and 0 <= w.min() and w.max() < 2**63):
             raise ValidationError("edge weights must be integer micro-units >= 0")
         w = np.ascontiguousarray(w, dtype=np.int64)
-        arrays = (np.empty(len(nodes) + 1, dtype=np.int64),
-                  np.empty(2 * len(i), dtype=np.int32), np.empty(2 * len(i), dtype=np.int64))
-        kernel.load().csr(len(nodes), len(i), *(a.ctypes.data for a in (i, j, w, *arrays)))
+        arrays = (np.empty(n + 1, dtype=np.int64),
+                  np.empty(2 * len(keys), dtype=np.int32),
+                  np.empty(2 * len(keys), dtype=np.int64))
+        if kernel.load().csr(n, len(keys), *(a.ctypes.data for a in (keys, w, *arrays))):
+            raise ValidationError("edge keys i * len(nodes) + j must have i < j")
         for arr in arrays:
             arr.flags.writeable = False
         return cls(nodes, *arrays)
@@ -117,19 +126,20 @@ class ListGraph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each edge once as (i, j, w) arrays with i < j, in (i, j) order."""
-        rows = np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge once: the ascending pair keys ``i * len(nodes) + j``
+        (i < j) and their weights."""
+        rows = np.repeat(np.arange(len(self.nodes), dtype=np.int64), np.diff(self.indptr))
         upper = self.indices > rows
-        return rows[upper], self.indices[upper], self.weights[upper]
+        return rows[upper] * len(self.nodes) + self.indices[upper], self.weights[upper]
 
     def edge_list(self) -> list[tuple[str, str, float]]:
         """Each edge once as ``(a, b, weight)`` with a < b, in sorted order;
         the weight is the double k / 10**6 of its written string."""
-        i, j, w = self.edge_pairs()
-        nodes = self.nodes
-        return [(nodes[a], nodes[b], x / MICRO)
-                for a, b, x in zip(i.tolist(), j.tolist(), w.tolist())]
+        keys, w = self.edge_pairs()
+        nodes, n = self.nodes, len(self.nodes)
+        return [(nodes[k // n], nodes[k % n], x / MICRO)
+                for k, x in zip(keys.tolist(), w.tolist())]
 
 
 def _check_overlap_args(size_x: int, size_y: int, intersection: int, n: int) -> None:
@@ -257,7 +267,7 @@ def build_list_graph(corpus: MembershipCorpus, rho: float) -> ListGraph:
                   k.tolist())
     lpv = np.array([overlap_lpv(sx, sy, c, n) for sx, sy, c in triples], dtype=np.float64)
     keep = lpv[which] >= rho
-    return ListGraph.from_pairs(nodes, i[keep], j[keep], micro_units(lpv)[which][keep])
+    return ListGraph.from_pairs(nodes, keys[keep], micro_units(lpv)[which][keep])
 
 
 def distinct_values(codes) -> tuple[np.ndarray, np.ndarray]:
@@ -277,12 +287,11 @@ def distinct_values(codes) -> tuple[np.ndarray, np.ndarray]:
 
 def micro_units(values) -> np.ndarray:
     """Each double as the ``int64`` k whose k / 10**6 is its 6-decimal
-    string, the one conversion of a weight or a score to micro-units.  Each
-    distinct value is formatted once; ``-0.0`` gives 0.  A value that is not
-    finite, or whose k would not fit 63 bits, raises :class:`ValidationError`.
-    A double holds every decimal of 15 significant digits, so a value
-    below 10**9 that a pair file holds reads back as the k it was written
-    from."""
+    string, the one conversion of a computed weight or score to
+    micro-units: :func:`build_list_graph` and the ensemble's means call it.
+    Each distinct value is formatted once; ``-0.0`` gives 0.  A value that
+    is not finite, or whose k would not fit 63 bits, raises
+    :class:`ValidationError`."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not np.all(np.abs(values) < 2**63 / MICRO):
         raise ValidationError("values must be finite and below 2**63 micro-units")
@@ -306,34 +315,40 @@ def pair_text(units) -> tuple[list[str], np.ndarray]:
     and each value's index into those strings."""
     units = np.ascontiguousarray(units, dtype=np.int64)
     first, which = distinct_values(units)
-    return [f"{'-' * (k < 0)}{abs(k) // MICRO}.{abs(k) % MICRO:06d}"
-            for k in units[first].tolist()], which
+    return [_decimal(k) for k in units[first].tolist()], which
 
 
-def write_pair_rows(fh, nodes, i, j, text, which) -> None:
-    """Write one ``a<TAB>b<TAB>text[which[k]]`` row per node pair
-    ``(nodes[i[k]], nodes[j[k]])`` to the text file ``fh``.  The ids are
-    encoded to UTF-8 once, and the kernel joins ``TEXT_BLOCK`` rows at a
+def _decimal(k: int) -> str:
+    """The micro-units ``k`` written as k / 10**6 to 6 decimals."""
+    return f"{'-' * (k < 0)}{abs(k) // MICRO}.{abs(k) % MICRO:06d}"
+
+
+def write_pair_rows(fh, nodes, keys, text, which) -> None:
+    """Write one ``a<TAB>b<TAB>text[which[r]]`` row per pair key
+    ``keys[r] = i * len(nodes) + j``, with a ``nodes[i]`` and b
+    ``nodes[j]``, to the text file ``fh``.  The ids are encoded to UTF-8
+    once, and the kernel splits the keys and joins ``TEXT_BLOCK`` rows at a
     time into a buffer sized for the longest id and the longest string,
     which is decoded and written as one string."""
     ids = [node.encode() for node in nodes]
     values = [t.encode() for t in text]
-    rows = [np.ascontiguousarray(a, dtype=np.int64) for a in (i, j, which)]
-    for part, bound in zip(rows, (len(ids), len(ids), len(values))):
-        if len(part) != len(rows[0]) or (
-                len(part) and not (part.min() >= 0 and part.max() < bound)):
-            raise ValidationError("pair rows must index the given nodes and text")
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    which = np.ascontiguousarray(which, dtype=np.int64)
+    if len(keys) != len(which) or len(keys) and not (
+            keys.min() >= 0 and keys.max() < len(ids) ** 2
+            and which.min() >= 0 and which.max() < len(values)):
+        raise ValidationError("pair rows must index the given nodes and text")
     blobs = [np.frombuffer(b"".join(parts), dtype=np.uint8) for parts in (ids, values)]
     ends = [np.cumsum([0, *map(len, parts)], dtype=np.int64) for parts in (ids, values)]
     width = 2 * max(map(len, ids), default=0) + max(map(len, values), default=0) + 3
-    buffer = np.empty(min(TEXT_BLOCK, len(rows[0])) * width, dtype=np.uint8)
+    buffer = np.empty(min(TEXT_BLOCK, len(keys)) * width, dtype=np.uint8)
     lib = kernel.load()
-    for start in range(0, len(rows[0]), TEXT_BLOCK):
-        block = [part[start:start + TEXT_BLOCK] for part in rows]
+    for start in range(0, len(keys), TEXT_BLOCK):
+        block = [part[start:start + TEXT_BLOCK] for part in (keys, which)]
         size = kernel.checked(lib.pair_rows(
-            len(block[0]), *(part.ctypes.data for part in block), blobs[0].ctypes.data,
-            ends[0].ctypes.data, blobs[1].ctypes.data, ends[1].ctypes.data,
-            len(buffer), buffer.ctypes.data), "pair rows")
+            len(block[0]), len(ids), *(part.ctypes.data for part in block),
+            blobs[0].ctypes.data, ends[0].ctypes.data, blobs[1].ctypes.data,
+            ends[1].ctypes.data, len(buffer), buffer.ctypes.data), "pair rows")
         fh.write(str(buffer[:size], "utf-8"))
 
 
@@ -341,9 +356,9 @@ def save_graph(graph: ListGraph, edges_path, nodes_path) -> None:
     """Write edges (lexicographic pair order, weights to 6 decimals) and the
     sidecar node list that preserves isolated nodes.  Only the upper copy
     of each edge is written."""
-    i, j, w = graph.edge_pairs()
+    keys, w = graph.edge_pairs()
     with atomic_write(edges_path) as fh:
-        write_pair_rows(fh, graph.nodes, i, j, *pair_text(w))
+        write_pair_rows(fh, graph.nodes, keys, *pair_text(w))
     with atomic_write(nodes_path) as fh:
         fh.writelines(node + "\n" for node in graph.nodes)
 
@@ -366,16 +381,23 @@ def load_nodes(nodes_path) -> list[str]:
 
 
 def read_pair_rows(path, nodes, top, header=0):
-    """Parse a pair file over the sorted ids ``nodes``: ``header`` lines,
-    then ``a<TAB>b<TAB>value`` rows in any row and endpoint order, each
-    value in [0, ``top``].  Returns the header lines and arrays
-    ``(i, j, values)``, the values as parsed doubles, in ascending
-    ``(i, j)`` order with i < j.  Each error names ``path:line``: bad
-    UTF-8, a wrong field count, a value ``float`` cannot parse, the first
-    value outside [0, ``top``] (``nan`` included), an endpoint outside
-    ``nodes``, a self-pair, or the second copy of a pair."""
+    """Parse a pair file over the sorted ids ``nodes`` exactly as
+    :func:`write_pair_rows` writes it with :func:`pair_text`'s values:
+    ``header`` lines, then ``a<TAB>b<TAB>value`` rows with a < b, in
+    strictly ascending pair order, each value a 6-decimal string matching
+    ``(0|[1-9][0-9]*)\\.[0-9]{6}`` of at most ``top`` micro-units.  Returns
+    the header lines, the pair keys ``i * len(nodes) + j`` and the values
+    in ``int64`` micro-units.  Each distinct value string is parsed once,
+    straight to an integer.  Each error names ``path:line``: bad UTF-8, a
+    wrong field count, a value of another form or above ``top``, an
+    endpoint outside ``nodes``, a self-pair, the second copy of a pair, or
+    a row out of order."""
     index = {node: k for k, node in enumerate(nodes)}
-    head, first, second, values = [], [], [], []
+    l = len(nodes)
+    limit = _decimal(top)
+    units: dict[str, int] = {}
+    head, keys, values = [], [], []
+    last = -1
     for lineno, line in enumerate(read_lines(path), start=1):
         if lineno <= header:
             head.append(line)
@@ -384,42 +406,36 @@ def read_pair_rows(path, nodes, top, header=0):
         if len(fields) != 3:
             raise ParseError(f"{path}:{lineno}: expected three fields")
         a, b, text = fields
-        try:
-            values.append(float(text))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad value {text!r}") from exc
-        ia = index.get(a)
-        ib = index.get(b)
+        k = units.get(text)
+        if k is None:
+            if not _VALUE.fullmatch(text):
+                raise ParseError(f"{path}:{lineno}: bad value {text!r}")
+            # Without leading zeros, a longer string is a larger value.
+            k = int(text.replace(".", "")) if len(text) <= len(limit) else top + 1
+            if k > top:
+                raise ValidationError(f"{path}:{lineno}: value out of range [0, {limit}]")
+            units[text] = k
+        ia, ib = index.get(a), index.get(b)
         if ia is None or ib is None:
             raise ValidationError(f"{path}:{lineno}: node "
                                   f"{a if ia is None else b!r} not in the node list")
-        if ia == ib:
-            raise ValidationError(f"{path}:{lineno}: self-pair on {a!r}")
-        first.append(ia)
-        second.append(ib)
-    values = np.array(values, dtype=np.float64)
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= top)))
-    if len(bad):
-        raise ValidationError(f"{path}:{bad[0] + header + 1}: value out of range "
-                              f"[0, {top}]")
-    i, j = np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    keys = i * len(nodes) + j
-    order = np.argsort(keys, kind="stable")
-    i, j, lines = i[order], j[order], order + (header + 1)
-    dup = np.flatnonzero(np.diff(keys[order]) == 0) + 1
-    if len(dup):
-        at = dup[np.argmin(lines[dup])]
-        raise ValidationError(f"{path}:{lines[at]}: duplicate pair "
-                              f"{(nodes[i[at]], nodes[j[at]])}")
-    return head, i, j, values[order]
+        key = ia * l + ib
+        if key <= last or ia >= ib:
+            if ia == ib:
+                raise ValidationError(f"{path}:{lineno}: self-pair on {a!r}")
+            if key == last:
+                raise ValidationError(f"{path}:{lineno}: duplicate pair {(a, b)}")
+            raise ParseError(f"{path}:{lineno}: pair {(a, b)} out of order: rows "
+                             "hold a < b, in ascending pair order")
+        last = key
+        keys.append(key)
+        values.append(k)
+    return head, np.array(keys, dtype=np.int64), np.array(values, dtype=np.int64)
 
 
 def load_graph(edges_path, nodes_path) -> ListGraph:
-    """The graph of a pair file and its node list, each weight in the
-    micro-units of its value.  A weight above 10**9 raises: below it a
-    double holds all 6 decimals, and a corpus of fewer than 2**31 users
-    weighs no pair more than log10 C(n, s) <= 0.302 n < 6.5e8."""
+    """The graph of a pair file, read by :func:`read_pair_rows` with
+    weights of up to 2**63 - 1 micro-units, and its node list."""
     nodes = load_nodes(nodes_path)
-    _, i, j, w = read_pair_rows(edges_path, nodes, 10**9)
-    return ListGraph.from_pairs(nodes, i, j, micro_units(w))
+    _, keys, w = read_pair_rows(edges_path, nodes, 2**63 - 1)
+    return ListGraph.from_pairs(nodes, keys, w)

@@ -235,21 +235,6 @@ def stage_label(memberships_path, lists_path, out_dir,
     return {cid: [term for term, _ in pairs] for cid, pairs in labels.items()}
 
 
-def _read_stability(out_dir) -> dict[int, float]:
-    """Corrected stability by community id, at the full precision of the
-    last column."""
-    path = _artifact(out_dir, "stability")
-    scores: dict[int, float] = {}
-    if path.exists():
-        for line in corp.read_lines(path):
-            fields_ = line.split("\t")
-            if len(fields_) < 7:
-                raise ValidationError(f"{path}: no full-precision stability "
-                                      "column; rerun the stability stage")
-            scores[int(fields_[5])] = float(fields_[6])
-    return scores
-
-
 def stage_members(memberships_path, lists_path, out_dir,
                   config: PipelineConfig, corpus=None, cover=None,
                   stability=None, labels=None) -> memb.UserCommunities:
@@ -264,7 +249,8 @@ def stage_members(memberships_path, lists_path, out_dir,
         labels_path = _artifact(out_dir, "labels")
         labels = lab.load_labels(labels_path) if labels_path.exists() else {}
     if stability is None:
-        stability = _read_stability(out_dir)
+        stability_path = _artifact(out_dir, "stability")
+        stability = stab.read_ranking(stability_path) if stability_path.exists() else {}
     return memb.write_users(communities, _artifact(out_dir, "users"),
                             stability_by_id=stability, labels_by_id=labels)
 

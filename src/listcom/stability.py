@@ -38,9 +38,10 @@ import numpy as np
 
 from .atomic import atomic_write
 from .consensus import ConsensusMatrix
+from .corpus import read_lines
 from .listgraph import MICRO
 from .detect import Cover
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 _SATURATION_EPS = 1e-9
 PAIR_BLOCK = 1 << 18  # matrix entries in one block of the row walk
@@ -167,3 +168,22 @@ def write_ranking(
                 f"{score.expected:.6f}\t{sizes[k]}\t{k}\t"
                 f"{float(score.corrected)!r}\n"
             )
+
+
+def read_ranking(path) -> dict[int, float]:
+    """Corrected stability by community id, at the full precision of the
+    last column of a file that :func:`write_ranking` wrote.  A row of
+    fewer than seven fields, an id that is not an integer or a last column
+    that is not a float raises :class:`ParseError` naming ``path:line``."""
+    scores: dict[int, float] = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
+        fields = line.split("\t")
+        if len(fields) < 7:
+            raise ParseError(f"{path}:{lineno}: no full-precision stability "
+                             "column; rerun the stability stage")
+        try:
+            scores[int(fields[5])] = float(fields[6])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad community id or "
+                             f"stability: {exc}") from exc
+    return scores

@@ -30,6 +30,7 @@ Helpers build corpora, graphs and matrices from small dicts, and
 """
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -221,33 +222,39 @@ def evaluate(communities, truth, core) -> list[EvalRow]:
 def edge_map(graph) -> dict[tuple[str, str], int]:
     """``{(a, b): weight}`` with a < b for every edge of a ListGraph, in
     micro-units."""
-    i, j, w = graph.edge_pairs()
-    return {(graph.nodes[a], graph.nodes[b]): x
-            for a, b, x in zip(i.tolist(), j.tolist(), w.tolist())}
+    keys, w = graph.edge_pairs()
+    l = len(graph.nodes)
+    return {(graph.nodes[k // l], graph.nodes[k % l]): x
+            for k, x in zip(keys.tolist(), w.tolist())}
+
+
+def pair_entries(order, values) -> dict[int, int]:
+    """``{i * l + j: value}`` over the sorted ``order`` of ``l`` ids from a
+    ``{(a, b): value}`` dict whose pairs may come in either endpoint order."""
+    index = {node: i for i, node in enumerate(order)}
+    l = len(order)
+    return {min(index[a], index[b]) * l + max(index[a], index[b]): v
+            for (a, b), v in values.items()}
 
 
 def graph_from_edges(nodes, edges) -> ListGraph:
     """ListGraph over ``nodes`` (any order) from a ``{(a, b): weight}``
     dict of micro-units whose pairs may come in either endpoint order."""
     nodes = sorted(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    pairs = sorted((min(index[a], index[b]), max(index[a], index[b]), w)
-                   for (a, b), w in edges.items())
-    return ListGraph.from_pairs(nodes, [p[0] for p in pairs],
-                                [p[1] for p in pairs], [p[2] for p in pairs])
+    entries = pair_entries(nodes, edges)
+    keys = sorted(entries)
+    return ListGraph.from_pairs(nodes, keys, np.array([entries[k] for k in keys],
+                                                      dtype=np.int64))
 
 
 def matrix_from_pairs(order, scores, r) -> ConsensusMatrix:
     """ConsensusMatrix over ``order`` (any order) from a ``{(a, b): score}``
     dict of micro-units whose pairs may come in either endpoint order."""
-    matrix = ConsensusMatrix.empty(sorted(order), r)
-    index = {node: i for i, node in enumerate(matrix.order)}
-    l = len(matrix.order)
-    entries = {min(index[a], index[b]) * l + max(index[a], index[b]): v
-               for (a, b), v in scores.items()}
-    matrix.keys = np.array(sorted(entries), dtype=np.int64)
-    matrix.values = np.array([entries[k] for k in sorted(entries)], dtype=np.int64)
-    return matrix
+    order = tuple(sorted(order))
+    entries = pair_entries(order, scores)
+    keys = sorted(entries)
+    return ConsensusMatrix(order, np.array(keys, dtype=np.int64),
+                           np.array([entries[k] for k in keys], dtype=np.int64), r)
 
 
 def read_pairs(path, header=0) -> tuple[list[str], dict[tuple[str, str], float]]:
@@ -274,15 +281,17 @@ def micro(value: float) -> int:
 def pair_rows_text(rows) -> str:
     """The ``a<TAB>b<TAB>value`` lines of ``{(a, b): value}`` (a < b, values
     in micro-units) in sorted pair order, each value k formatted on its own
-    as the double k / 10**6 to 6 decimals."""
-    return "".join(f"{a}\t{b}\t{v / 10**6:.6f}\n" for (a, b), v in sorted(rows.items()))
+    as the exact decimal k / 10**6 to 6 decimals."""
+    return "".join(f"{a}\t{b}\t{Decimal(v).scaleb(-6):.6f}\n"
+                   for (a, b), v in sorted(rows.items()))
 
 
-def pair_rows(nodes, i, j, text, which) -> str:
+def pair_rows(nodes, keys, text, which) -> str:
     """The rows ``listgraph.write_pair_rows`` writes, joined one f-string
     at a time, as the package joined them before its kernel did."""
-    return "".join(f"{nodes[a]}\t{nodes[b]}\t{text[t]}\n"
-                   for a, b, t in zip(list(i), list(j), list(which)))
+    l = len(nodes)
+    return "".join(f"{nodes[k // l]}\t{nodes[k % l]}\t{text[t]}\n"
+                   for k, t in zip(list(keys), list(which)))
 
 
 def entry_map(matrix) -> dict[tuple[str, str], int]:

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from listcom.consensus import (ConsensusMatrix, accumulate,
-                               consensus_communities, consensus_graph,
+from listcom.consensus import (accumulate, consensus_communities, consensus_graph,
                                cover_agreement, label_jaccard, load_matrix,
                                run_ensemble, save_matrix)
 from listcom.detect import Cover, detect
-from listcom.errors import ValidationError
+from listcom.errors import ParseError, ValidationError
 from listcom.listgraph import build_list_graph
 from listcom.pipeline import PipelineConfig
 from listcom.synth import PlantedSpec, synth
@@ -23,7 +22,7 @@ from reference import (FAST, community_pair_scores, edge_map, entry_map,
 
 
 def empty_matrix(order, r=1):
-    return ConsensusMatrix.empty(sorted(order), r)
+    return matrix_from_pairs(order, {}, r)
 
 
 def cover_of(matrix, sets):
@@ -371,22 +370,30 @@ def test_matrix_round_trip_with_header(tmp_path):
 
 
 def test_load_matrix_reads_the_scores_as_written(tmp_path):
-    # Scores below 5e-7 print as 0.000000 and are dropped, the others are
-    # read in the micro-units of their written string; nodes without
-    # entries stay in the order.
-    scores = {("a", "b"): 0.1234565, ("a", "c"): 4.9e-7, ("a", "d"): 2.5e-7,
-              ("b", "c"): 1.0, ("b", "d"): 1 / 3, ("c", "d"): 0.7500005}
+    # Scores written as 0.000000 are dropped, the others are read in the
+    # micro-units of their string; nodes without entries stay in the order.
+    scores = {("a", "b"): "0.123456", ("a", "c"): "0.000000", ("a", "d"): "0.000001",
+              ("b", "c"): "1.000000", ("b", "d"): "0.333333", ("c", "d"): "0.750000"}
+    text = "#r=7\n" + "".join(f"{a}\t{b}\t{v}\n" for (a, b), v in scores.items())
     path = tmp_path / "m.tsv"
-    path.write_text("#r=7\n" + "".join(f"{a}\t{b}\t{v!r}\n" for (a, b), v in scores.items()),
-                    encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     reloaded = load_matrix(path, order="abcde")
-    written = {pair: micro(v) for pair, v in scores.items() if micro(v) > 0}
+    written = {pair: int(v.replace(".", "")) for pair, v in scores.items()}
+    written = {pair: v for pair, v in written.items() if v > 0}
     assert same_matrix(reloaded, matrix_from_pairs("abcde", written, 7))
     assert save_matrix(reloaded, tmp_path / "s.tsv") is None
+    assert (tmp_path / "s.tsv").read_text("utf-8") == text.replace("a\tc\t0.000000\n", "")
     assert same_matrix(load_matrix(tmp_path / "s.tsv", order="abcde"), reloaded)
-    assert set(entry_map(reloaded)) == set(scores) - {("a", "c"), ("a", "d")}
+    assert set(entry_map(reloaded)) == set(scores) - {("a", "c")}
     assert reloaded.order == ("a", "b", "c", "d", "e")
     assert reloaded.r == 7
+    # The forms no writer writes are refused at their line, as the doubles'
+    # repr writes them: rounded half to even, below half a micro-unit, 1/3.
+    for value in ("0.1234565", "4.9e-07", "2.5e-07", "1.0", "0.3333333333333333",
+                  "0.7500005"):
+        path.write_text(text.replace("0.750000", value), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"m\.tsv:7: bad value '{value}'"):
+            load_matrix(path, order="abcde")
 
 
 def test_cover_agreement_bounds():
@@ -400,32 +407,43 @@ def test_cover_agreement_bounds():
     assert cover_agreement(a, empty) == 0.0
 
 
-# Explicit ids keep each case's test name when its message changes.
-@pytest.mark.parametrize("rows, message", [
-    pytest.param("a\tb\t0.5\nb\ta\t0.25\n", r"m\.tsv:3: duplicate pair \('a', 'b'\)",
+# Explicit ids keep each case's test name when its rows or message change.
+@pytest.mark.parametrize("rows, error, message", [
+    pytest.param("a\tb\t0.500000\na\tb\t0.250000\n", ValidationError,
+                 r"m\.tsv:3: duplicate pair \('a', 'b'\)",
                  id="a\tb\t0.5\nb\ta\t0.25\n-listed twice"),
-    pytest.param("a\ta\t0.5\n", r"m\.tsv:2: self-pair on 'a'", id="a\ta\t0.5\n-diagonal"),
-    pytest.param("a\tz\t0.5\n", r"m\.tsv:2: node 'z' not in the node list",
+    pytest.param("a\ta\t0.500000\n", ValidationError, r"m\.tsv:2: self-pair on 'a'",
+                 id="a\ta\t0.5\n-diagonal"),
+    pytest.param("a\tz\t0.500000\n", ValidationError,
+                 r"m\.tsv:2: node 'z' not in the node list",
                  id="a\tz\t0.5\n-outside the given order"),
-    pytest.param("a\tb\tnan\n", r"m\.tsv:2: value out of range \[0, 1\]",
+    pytest.param("a\tb\tnan\n", ParseError, r"m\.tsv:2: bad value 'nan'",
                  id="a\tb\tnan\n-" r"m\.tsv:2: score out of range"),
-    # Sorted, the rows are a-b, a-b, c-d, c-d: the first second copy in the
-    # file is c-d on line 4, behind the header.
-    ("c\td\t0.5\na\tb\t0.5\nc\td\t0.5\na\tb\t0.5\n",
-     r"m\.tsv:4: duplicate pair \('c', 'd'\)"),
-    pytest.param("c\td\t0.5\na\tb\t2.0\n", r"m\.tsv:3: value out of range \[0, 1\]",
+    # The second copy of c-d is on line 4, behind the header.
+    pytest.param("a\tb\t0.500000\nc\td\t0.500000\nc\td\t0.500000\n", ValidationError,
+                 r"m\.tsv:4: duplicate pair \('c', 'd'\)",
+                 id="c\td\t0.5\na\tb\t0.5\nc\td\t0.5\na\tb\t0.5\n-"
+                    r"m\.tsv:4: duplicate pair \('c', 'd'\)"),
+    pytest.param("a\tb\t0.500000\nc\td\t1.000001\n", ValidationError,
+                 r"m\.tsv:3: value out of range \[0, 1\.000000\]",
                  id="c\td\t0.5\na\tb\t2.0\n-" r"m\.tsv:3: score out of range"),
+    pytest.param("a\tb\t0.5\n", ParseError, r"m\.tsv:2: bad value '0\.5'",
+                 id="0.5"),
+    pytest.param("c\td\t0.500000\na\tb\t0.500000\n", ParseError,
+                 r"m\.tsv:3: pair \('a', 'b'\) out of order", id="shuffled rows"),
+    pytest.param("b\ta\t0.500000\n", ParseError, r"m\.tsv:2: pair \('b', 'a'\) out of order",
+                 id="swapped endpoints"),
 ])
-def test_load_matrix_rejects_bad_pairs(tmp_path, rows, message):
+def test_load_matrix_rejects_bad_pairs(tmp_path, rows, error, message):
     path = tmp_path / "m.tsv"
     path.write_text("#r=2\n" + rows, encoding="utf-8")
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(error, match=message):
         load_matrix(path, order=("a", "b", "c", "d"))
 
 
 @pytest.mark.parametrize("runs", ["0", "-3"])
 def test_load_matrix_rejects_a_run_count_below_1(tmp_path, runs):
     path = tmp_path / "m.tsv"
-    path.write_text(f"#r={runs}\na\tb\t0.5\n", encoding="utf-8")
+    path.write_text(f"#r={runs}\na\tb\t0.500000\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=rf"m\.tsv:1: run count {runs} is below 1"):
         load_matrix(path, order=("a", "b"))

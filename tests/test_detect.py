@@ -450,8 +450,8 @@ def test_a_decimal_tie_goes_to_the_lowest_label(tmp_path):
     # first sum is 0.6499999999999999 and e_y would win; in micro-units the
     # votes tie, and the tie goes to the lower label, a_x.
     (tmp_path / "g.tsv").write_text(
-        "b_v1\td_u\t0.300000\nc_v2\td_u\t0.350000\nd_u\te_y\t0.650000\n"
-        "a_x\tb_v1\t10.000000\na_x\tc_v2\t10.000000\n", encoding="utf-8")
+        "a_x\tb_v1\t10.000000\na_x\tc_v2\t10.000000\n"
+        "b_v1\td_u\t0.300000\nc_v2\td_u\t0.350000\nd_u\te_y\t0.650000\n", encoding="utf-8")
     (tmp_path / "g.nodes").write_text("a_x\nb_v1\nc_v2\nd_u\ne_y\n", encoding="utf-8")
     assert 0.3 + 0.35 < 0.65
     graph = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")

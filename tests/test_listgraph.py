@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listcom.corpus import ListRecord, MembershipCorpus
-from listcom.errors import ValidationError
+from listcom.errors import ParseError, ValidationError
 from listcom.listgraph import (ListGraph, build_list_graph,
                                load_graph, overlap_lpv, overlap_pvalue,
                                read_pair_rows, save_graph)
@@ -339,29 +339,37 @@ def test_graph_round_trip_preserves_isolated_nodes(tmp_path):
 
 @pytest.mark.parametrize("block", [1 << 16, 2])
 def test_load_graph_reads_the_weights_as_written(tmp_path, monkeypatch, block):
-    # The reload holds each weight in the micro-units of its value, rounded
-    # to 6 decimals half to even; a weight that rounds to 0 stays an edge,
-    # as load_graph keeps it, and -0.0 reads as 0.  Written again, every
-    # weight is its 6-decimal string.
+    # The reload holds each weight in the micro-units of its 6-decimal
+    # string, from 0 up to 2**63 - 1; a weight of 0 stays an edge, as
+    # load_graph keeps it.  Written again, the file is the same text.
     monkeypatch.setattr(importlib.import_module("listcom.listgraph"),
                         "TEXT_BLOCK", block)
-    weights = {("a", "b"): 6.1234565, ("a", "c"): 2.5e-7, ("a", "e"): -0.0,
-               ("b", "c"): 1 / 3, ("b", "d"): 0.0, ("c", "d"): 1e6 + 5e-7,
-               ("d", "e"): 7.0000005}
-    (tmp_path / "g.tsv").write_text("".join(f"{a}\t{b}\t{w!r}\n"
-                                            for (a, b), w in weights.items()), encoding="utf-8")
+    weights = {("a", "b"): "6.123456", ("a", "c"): "0.000000", ("a", "e"): "0.000001",
+               ("b", "c"): "0.333333", ("b", "d"): "10000000000.000001",
+               ("c", "d"): "1000000.000001", ("d", "e"): "9223372036854.775807"}
+    text = "".join(f"{a}\t{b}\t{w}\n" for (a, b), w in weights.items())
+    (tmp_path / "g.tsv").write_text(text, encoding="utf-8")
     (tmp_path / "g.nodes").write_text("a\nb\nc\nd\ne\nf\n", encoding="utf-8")
     reloaded = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
-    written = graph_from_edges("abcdef", {e: micro(w) for e, w in weights.items()})
+    written = graph_from_edges("abcdef", {e: int(w.replace(".", ""))
+                                          for e, w in weights.items()})
     assert same_graph(reloaded, written)
     assert not reloaded.weights.flags.writeable
     assert reloaded.nodes == ("a", "b", "c", "d", "e", "f")
-    assert edge_map(reloaded)[("a", "c")] == 0 == edge_map(reloaded)[("a", "e")]
+    assert edge_map(reloaded)[("a", "c")] == 0
+    assert edge_map(reloaded)[("d", "e")] == 2**63 - 1
     assert save_graph(reloaded, tmp_path / "h.tsv", tmp_path / "h.nodes") is None
-    text = (tmp_path / "h.tsv").read_text("utf-8")
-    assert "a\te\t0.000000\n" in text and "b\td\t0.000000\n" in text
-    assert "c\td\t1000000.000001\n" in text and "a\tb\t6.123456\n" in text
+    assert (tmp_path / "h.tsv").read_text("utf-8") == text
     assert same_graph(load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes"), reloaded)
+    # The forms a writer does not write are refused at their line, as the
+    # doubles' repr writes them: rounded half to even, -0.0, 1/3.
+    for line, value in enumerate(["6.1234565", "2.5e-07", "-0.0", "0.3333333333333333",
+                                  "0.0", "1000000.0000005", "7.0000005"], start=1):
+        rows = text.splitlines(keepends=True)
+        rows[line - 1] = rows[line - 1].rsplit("\t", 1)[0] + f"\t{value}\n"
+        (tmp_path / "g.tsv").write_text("".join(rows), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"g\.tsv:{line}: bad value '{value}'"):
+            load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
 
 
 def test_graph_arrays_sorted_per_row_and_symmetric():
@@ -374,70 +382,120 @@ def test_graph_arrays_sorted_per_row_and_symmetric():
     assert graph.weights[0] == graph.weights[2]  # a-b seen from a and from b
     assert not graph.indices.flags.writeable
     with pytest.raises(ValidationError, match="sorted"):
-        ListGraph.from_pairs(("b", "a"), [0], [1], [1])
+        ListGraph.from_pairs(("b", "a"), [1], [1])
     # Negative, doubles, and an unsigned value that int64 would wrap.
     for weights in ([-1], [1.0], [0.5], np.array([2**64 - 1], dtype=np.uint64)):
         with pytest.raises(ValidationError, match="integer micro-units >= 0"):
-            ListGraph.from_pairs(("a", "b"), [0], [1], weights)
+            ListGraph.from_pairs(("a", "b"), [1], weights)
 
 
-@pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([1, 0], [2, 1]), ([0, 0], [2, 1])],
+# Keys i * 3 + j of the pairs (0, 1), (0, 1); (1, 2), (0, 1); (0, 2), (0, 1).
+@pytest.mark.parametrize("keys", [[1, 1], [5, 1], [2, 1]],
                          ids=["repeated", "descending i", "descending j"])
-def test_from_pairs_requires_distinct_ascending_pairs(i, j):
-    # The kernel's csr lays out the CSR only from distinct pairs in
-    # ascending (i, j) order.
+def test_from_pairs_requires_distinct_ascending_pairs(keys):
+    # The kernel's csr lays out the CSR only from distinct keys in
+    # ascending order.
     with pytest.raises(ValidationError, match="distinct and in ascending"):
-        ListGraph.from_pairs(("a", "b", "c"), i, j, [1, 2])
+        ListGraph.from_pairs(("a", "b", "c"), keys, [1, 2])
 
 
-@pytest.mark.parametrize("i, j, w, message", [
-    ([0], [3], [1], "index the graph nodes"),
-    ([-1], [1], [1], "index the graph nodes"),
-    ([0], [1, 2], [1, 2], "one length"),
-    ([0, 1], [1, 2], [1], "one length"),
-    ([[0]], [[1]], [[1]], "one length"),
+@pytest.mark.parametrize("keys, w, message", [
+    ([9], [1], "index the graph nodes"),
+    ([-1], [1], "index the graph nodes"),
+    ([1], [1, 2], "one length"),
+    ([1, 5], [1], "one length"),
+    ([[1]], [[1]], "one length"),
 ], ids=["past the nodes", "negative", "short i", "short w", "2-d"])
-def test_from_pairs_refuses_pairs_outside_its_arrays(i, j, w, message):
+def test_from_pairs_refuses_pairs_outside_its_arrays(keys, w, message):
     # The kernel would write or read past its arrays.
     with pytest.raises(ValidationError, match=message):
-        ListGraph.from_pairs(("a", "b", "c"), i, j, w)
+        ListGraph.from_pairs(("a", "b", "c"), keys, w)
 
 
-# Explicit ids keep each case's test name when its message changes.
-@pytest.mark.parametrize("edges, message", [
-    pytest.param("a\tb\t1.0\nb\ta\t2.0\n", r"g\.tsv:2: duplicate pair \('a', 'b'\)",
+@pytest.mark.parametrize("keys", [[0], [3], [1, 3], [2, 4, 5], [8]],
+                         ids=["(0, 0)", "(1, 0)", "(0, 1) (1, 0)", "(0, 2) (1, 1) (1, 2)",
+                              "(2, 2)"])
+def test_from_pairs_refuses_a_key_with_i_not_below_j(keys):
+    # The keys i * 3 + j of the pairs in each id, in ascending order: the
+    # kernel's csr finds the pair with i >= j and returns -3 before it fills
+    # a row.
+    with pytest.raises(ValidationError, match="must have i < j"):
+        ListGraph.from_pairs(("a", "b", "c"), keys, np.ones(len(keys), dtype=np.int64))
+
+
+# Explicit ids keep each case's test name when its rows or message change.
+@pytest.mark.parametrize("edges, error, message", [
+    pytest.param("a\tb\t1.000000\na\tb\t2.000000\n", ValidationError,
+                 r"g\.tsv:2: duplicate pair \('a', 'b'\)",
                  id="a\tb\t1.0\nb\ta\t2.0\n-" r"g\.tsv:2: duplicate edge \('a', 'b'\)"),
-    pytest.param("a\ta\t1.0\n", r"g\.tsv:1: self-pair on 'a'", id="a\ta\t1.0\n-self-loop"),
-    pytest.param("a\tz\t1.0\n", r"g\.tsv:1: node 'z' not in the node list",
+    pytest.param("a\ta\t1.000000\n", ValidationError, r"g\.tsv:1: self-pair on 'a'",
+                 id="a\ta\t1.0\n-self-loop"),
+    pytest.param("a\tz\t1.000000\n", ValidationError,
+                 r"g\.tsv:1: node 'z' not in the node list",
                  id="a\tz\t1.0\n-endpoint not in node list"),
-    pytest.param("a\tb\t-1.0\n", r"g\.tsv:1: value out of range \[0, 1000000000\]",
+    pytest.param("a\tb\t-1.0\n", ParseError, r"g\.tsv:1: bad value '-1\.0'",
                  id="a\tb\t-1.0\n->= 0"),
 ])
-def test_load_graph_rejects_bad_edges(tmp_path, edges, message):
+def test_load_graph_rejects_bad_edges(tmp_path, edges, error, message):
     (tmp_path / "g.tsv").write_text(edges, encoding="utf-8")
     (tmp_path / "g.nodes").write_text("a\nb\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(error, match=message):
         load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
 
 
-@pytest.mark.parametrize("value", ["-1.000000", "nan", "inf", "10000000000.000001"])
-def test_load_graph_refuses_a_weight_outside_0_to_10_to_the_9(tmp_path, value):
-    # A double holds all 6 decimals of a weight only below 10**9; past it
-    # 10000000000.000001 read back as 10**16 + 2 micro-units.
+@pytest.mark.parametrize("value", ["-1.000000", "nan", "inf", "9223372036854.775808"])
+def test_load_graph_refuses_a_weight_outside_0_to_2_to_the_63(tmp_path, value):
+    # A weight is read as an int64 of micro-units, so 2**63 - 1 is the
+    # largest; no sign, nan or inf is a 6-decimal string.
     (tmp_path / "g.tsv").write_text(f"a\tb\t1.000000\nb\tc\t{value}\n", encoding="utf-8")
     (tmp_path / "g.nodes").write_text("a\nb\nc\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match=r"g\.tsv:2: value out of range"):
+    with pytest.raises(ParseError if value[0] in "-ni" else ValidationError,
+                       match=r"g\.tsv:2: (bad value|value out of range "
+                             r"\[0, 9223372036854\.775807\])"):
         load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
-    (tmp_path / "g.tsv").write_text("a\tb\t1000000000.000000\n", encoding="utf-8")
+    # Past 10**9, a double would lose the last decimals; the integers do not.
+    (tmp_path / "g.tsv").write_text("a\tb\t10000000000.000001\n", encoding="utf-8")
     graph = load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
-    assert graph.weights.tolist() == [10**15, 10**15]
+    assert graph.weights.tolist() == [10**16 + 1, 10**16 + 1]
+
+
+# One row in each form that pair_text and write_pair_rows never write,
+# after a header line and a row they do write.
+@pytest.mark.parametrize("row, error, message", [
+    ("a\tc\t0.5", ParseError, r"bad value '0\.5'"),
+    ("a\tc\t1.0", ParseError, r"bad value '1\.0'"),
+    ("a\tc\t1", ParseError, r"bad value '1'"),
+    ("a\tc\t1e-3", ParseError, r"bad value '1e-3'"),
+    ("a\tc\t1.000e+00", ParseError, r"bad value '1\.000e\+00'"),
+    ("a\tc\t+1.000000", ParseError, r"bad value '\+1\.000000'"),
+    ("a\tc\t-0.000000", ParseError, r"bad value '-0\.000000'"),
+    ("a\tc\t 1.000000", ParseError, r"bad value ' 1\.000000'"),
+    ("a\tc\t1.000000 ", ParseError, r"bad value '1\.000000 '"),
+    ("a\tc\t1_0.000000", ParseError, r"bad value '1_0\.000000'"),
+    ("a\tc\t01.000000", ParseError, r"bad value '01\.000000'"),
+    ("a\tc\t1.0000005", ParseError, r"bad value '1\.0000005'"),
+    ("a\tc\t1.00000", ParseError, r"bad value '1\.00000'"),
+    ("a\tc\t.500000", ParseError, r"bad value '\.500000'"),
+    ("a\tc\t١.000000", ParseError, r"bad value '١\.000000'"),
+    ("a\tc\tnan", ParseError, r"bad value 'nan'"),
+    ("c\ta\t1.000000", ParseError, r"pair \('c', 'a'\) out of order"),
+    ("a\tb\t1.000000", ParseError, r"pair \('a', 'b'\) out of order"),
+    ("a\tb\t1.000000\ta", ParseError, "expected three fields"),
+], ids=["0.5", "1.0", "integer", "exponent", "%.3e", "plus", "minus zero", "leading space",
+        "trailing space", "underscore", "leading zero", "unrounded", "5 decimals",
+        "no integer part", "arabic digit", "nan", "swapped endpoints", "shuffled rows",
+        "four fields"])
+def test_read_pair_rows_refuses_what_no_writer_writes(tmp_path, row, error, message):
+    (tmp_path / "g.tsv").write_text(f"#\nb\tc\t2.000000\n{row}\n", encoding="utf-8")
+    with pytest.raises(error, match=rf"g\.tsv:3: {message}"):
+        read_pair_rows(tmp_path / "g.tsv", ("a", "b", "c"), 2**63 - 1, header=1)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
-    # Multi-byte ids of different lengths, a zero weight, one of 15 digits
-    # and an empty graph, written a few rows at a time; a reader gets each
-    # weight back in micro-units.
+    # Multi-byte ids of different lengths, a zero weight, one of 15 digits,
+    # the largest int64 and an empty graph, written a few rows at a time; a
+    # reader gets each key and weight back.
     listgraph = importlib.import_module("listcom.listgraph")
     monkeypatch.setattr(listgraph, "TEXT_BLOCK", block)
     rng = np.random.Generator(np.random.PCG64(block))
@@ -446,42 +504,46 @@ def test_write_pair_rows_equals_the_python_rows(tmp_path, monkeypatch, block):
                zip(rng.choice(nodes, 12).tolist(), rng.choice(nodes, 12).tolist())
                if a < b}
     weights.update({("a", "b b"): 10**15 - 1, ("a", "ä"): 0, ("0", "a"): 10**12 + 1,
-                    ("ä", "日本語のリスト"): 333_333, ("Ω-list", "𝄞"): 1})
+                    ("ä", "日本語のリスト"): 333_333, ("Ω-list", "𝄞"): 1,
+                    ("0", "ä"): 2**63 - 1})
     for edges in (weights, {}):
         graph = graph_from_edges(nodes, edges)
-        i, j, w = graph.edge_pairs()
+        keys, w = graph.edge_pairs()
         text, which = listgraph.pair_text(w)
         with open(tmp_path / "rows.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            assert listgraph.write_pair_rows(fh, graph.nodes, i, j, text, which) is None
+            assert listgraph.write_pair_rows(fh, graph.nodes, keys, text, which) is None
         written = (tmp_path / "rows.tsv").read_text("utf-8")
-        assert written == pair_rows(graph.nodes, i, j, text, which)
+        assert written == pair_rows(graph.nodes, keys, text, which)
         assert written == pair_rows_text(edges)
-        parsed = read_pair_rows(tmp_path / "rows.tsv", graph.nodes, 10**9)[3]
-        assert listgraph.micro_units(parsed).tolist() == [w for _, w in sorted(edges.items())]
+        _, parsed_keys, parsed = read_pair_rows(tmp_path / "rows.tsv", graph.nodes, 2**63 - 1)
+        assert parsed_keys.tolist() == keys.tolist()
+        assert parsed.tolist() == [w for _, w in sorted(edges.items())]
     assert "a\tb b\t999999999.999999\n" in pair_rows_text(weights)
+    assert "0\tä\t9223372036854.775807\n" in pair_rows_text(weights)
 
 
 def test_write_pair_rows_refuses_rows_outside_its_nodes(tmp_path):
     listgraph = importlib.import_module("listcom.listgraph")
     with open(tmp_path / "rows.tsv", "w", encoding="utf-8") as fh:
-        for i, j, which in (([0], [2], [0]), ([-1], [1], [0]), ([0], [1], [1]),
-                            ([0, 0], [1], [0, 0])):
+        # Keys i * 2 + j past the nodes and below 0, a string past the
+        # text, and one key for two strings.
+        for keys, which in (([4], [0]), ([-1], [0]), ([1], [1]), ([1], [0, 0])):
             with pytest.raises(ValidationError, match="must index"):
-                listgraph.write_pair_rows(fh, ("a", "b"), np.array(i), np.array(j),
+                listgraph.write_pair_rows(fh, ("a", "b"), np.array(keys),
                                           ["1.000000"], np.array(which))
 
 
 def test_the_kernel_row_writer_refuses_a_short_buffer():
-    # Each row "a\tbb\t0.5\n" takes 9 bytes: with room for 12 the kernel
-    # writes nothing past it and reports the short buffer.
+    # Each row "a\tbb\t0.5\n", of the key 0 * 2 + 1, takes 9 bytes: with
+    # room for 12 the kernel writes nothing past it and reports the short
+    # buffer.
     kernel = importlib.import_module("listcom.kernel")
     ids, id_ends = np.frombuffer(b"abb", dtype=np.uint8), np.array([0, 1, 3])
     texts, text_ends = np.frombuffer(b"0.5", dtype=np.uint8), np.array([0, 3])
-    rows = [np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64),
-            np.zeros(2, dtype=np.int64)]
+    rows = [np.ones(2, dtype=np.int64), np.zeros(2, dtype=np.int64)]
     out = np.full(13, 7, dtype=np.uint8)
     lib = kernel.load()
-    args = [*(a.ctypes.data for a in rows), ids.ctypes.data, id_ends.ctypes.data,
+    args = [2, *(a.ctypes.data for a in rows), ids.ctypes.data, id_ends.ctypes.data,
             texts.ctypes.data, text_ends.ctypes.data]
     assert lib.pair_rows(2, *args, 12, out.ctypes.data) == -2
     assert out[12] == 7

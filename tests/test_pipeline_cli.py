@@ -414,11 +414,12 @@ def test_run_pipeline_parses_no_artifact(corpus_files, tmp_path, monkeypatch):
     from listcom import listgraph as lg
     from listcom import members as memb
     from listcom import pipeline as pipe
+    from listcom import stability as stab
 
     calls = []
     for module, name in ((lg, "load_graph"), (lg, "load_nodes"), (cons, "load_matrix"),
                          (pipe, "load_communities"), (lab, "load_labels"),
-                         (memb, "load_users"), (pipe, "_read_stability")):
+                         (memb, "load_users"), (stab, "read_ranking")):
         load = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, _load=load, _name=name, **kwargs:
@@ -435,7 +436,7 @@ def test_run_pipeline_parses_no_artifact(corpus_files, tmp_path, monkeypatch):
         assert main([stage, "--out", str(tmp_path / "run"), "--runs", "6",
                      "--master-seed", "3", *extra.get(stage, [])]) == 0
     assert calls == ["load_nodes", "load_matrix", "load_communities",
-                     "load_communities", "load_labels", "_read_stability", "load_users"]
+                     "load_communities", "load_labels", "read_ranking", "load_users"]
 
 
 def test_stage_hand_offs_equal_a_reload(corpus_files, tmp_path):
@@ -443,6 +444,7 @@ def test_stage_hand_offs_equal_a_reload(corpus_files, tmp_path):
     from listcom import listgraph as lg
     from listcom import members as memb
     from listcom import pipeline as pipe
+    from listcom import stability as stab
     from reference import same_graph, same_matrix
 
     cfg = fast_config()
@@ -458,7 +460,7 @@ def test_stage_hand_offs_equal_a_reload(corpus_files, tmp_path):
     assert cover == pipe.load_communities(tmp_path / ARTIFACTS["communities"],
                                           matrix.order)
     stability = pipe.stage_stability(tmp_path, cfg, matrix=matrix, cover=cover)
-    assert stability == pipe._read_stability(tmp_path)
+    assert stability == stab.read_ranking(tmp_path / ARTIFACTS["stability"])
     labels = pipe.stage_label(corpus_files["memberships"], corpus_files["lists"],
                               tmp_path, cfg, cover=cover)
     assert labels == lab.load_labels(tmp_path / ARTIFACTS["labels"])
@@ -534,9 +536,29 @@ def test_stale_stability_without_full_precision_column(corpus_files, tmp_path):
     path = out / ARTIFACTS["stability"]
     path.write_text("".join(line.rsplit("\t", 1)[0] + "\n" for line in
                             path.read_text("utf-8").splitlines()), "utf-8")
-    with pytest.raises(ValidationError, match="full-precision"):
+    with pytest.raises(ParseError, match=rf"{re.escape(str(path))}:1: no full-precision"):
         pipe.stage_members(corpus_files["memberships"], corpus_files["lists"],
                            out, cfg)
+
+
+@pytest.mark.parametrize("damage", ["short row", "id", "stability"])
+def test_a_malformed_stability_row_exits_3_naming_its_line(corpus_files, tmp_path,
+                                                          capsys, damage):
+    # Row 2 of stability.tsv cut to six fields, or with a community id or
+    # a full-precision stability that does not parse.
+    out = tmp_path / "run"
+    run_pipeline(corpus_files["memberships"], corpus_files["lists"], out, fast_config())
+    path = out / ARTIFACTS["stability"]
+    rows = [line.split("\t") for line in path.read_text("utf-8").splitlines()]
+    assert len(rows) >= 2
+    if damage == "short row":
+        del rows[1][6]
+    else:
+        rows[1][5 if damage == "id" else 6] = "x" if damage == "id" else "abc"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), "utf-8")
+    assert main(["members", "--memberships", str(corpus_files["memberships"]),
+                 "--lists", str(corpus_files["lists"]), "--out", str(out)]) == 3
+    assert f"error: {path}:2: " in capsys.readouterr().err
 
 
 def test_members_exits_2_on_a_list_outside_the_corpus(corpus_files, tmp_path,

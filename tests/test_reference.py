@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listcom.consensus import (ConsensusMatrix, accumulate,
                                consensus_graph, load_matrix, run_ensemble,
@@ -12,6 +14,7 @@ from listcom.consensus import (ConsensusMatrix, accumulate,
 from listcom.corpus import ListRecord, MembershipCorpus
 from listcom.detect import (Cover, DetectorConfig, detect, detect_runs,
                             filter_singletons)
+from listcom.errors import ParseError
 from listcom.labeling import Background, background_vector, label_community
 from listcom.listgraph import ListGraph, build_list_graph, load_graph, save_graph
 from listcom.pipeline import PipelineConfig
@@ -84,8 +87,9 @@ def test_detect_matches_reference_on_planted_graph(mode):
 def test_detect_matches_reference_on_weighted_ties():
     graph = tied_graph()
     assert_same_detections(graph, FAST, range(40))
-    half = ListGraph.from_pairs(graph.nodes, *graph.edge_pairs()[:2],
-                                np.where(graph.edge_pairs()[0] % 2, 500_000, 10**6))
+    keys, _ = graph.edge_pairs()
+    half = ListGraph.from_pairs(graph.nodes, keys, np.where(
+        keys // len(graph.nodes) % 2, 500_000, 10**6))
     assert_same_detections(half, DetectorConfig(FAST.iterations, 0.2),
                            range(40))
 
@@ -265,7 +269,7 @@ def test_the_kernel_csr_equals_the_numpy_layout():
         i = np.array([a for a, _ in pairs], dtype=np.int64)
         j = np.array([b for _, b in pairs], dtype=np.int64)
         w = rng.choice([0, 500_000, 333_333, 7 * 10**6, 2**63 - 1], size=len(pairs))
-        graph = ListGraph.from_pairs([f"n{k:02d}" for k in range(n)], i, j, w)
+        graph = ListGraph.from_pairs([f"n{k:02d}" for k in range(n)], i * n + j, w)
         offsets, nbr, wgt = reference.numpy_csr(n, i, j, w)
         assert np.array_equal(graph.indptr, offsets), (n, pairs)
         assert np.array_equal(graph.indices, nbr), (n, pairs)
@@ -310,27 +314,47 @@ PAIR_IDS = ["0", "007", "1", "10", "9", "-3", "1e3", "0.5", "nan", "inf", "-0",
 
 
 def random_pair_file(rng, path, value, header=()):
-    """Sorted ids, one of them isolated, and a pair file over them: rows
-    with a ``value(rng)`` string each, in shuffled row order and random
-    endpoint order, under the ``header`` lines."""
+    """Sorted ids, one of them isolated, and a pair file over them as the
+    writers write it: rows with a < b in ascending pair order and a
+    ``value(rng)`` string each, under the ``header`` lines."""
     nodes = sorted(rng.choice(PAIR_IDS, size=int(rng.integers(3, len(PAIR_IDS))),
                               replace=False).tolist())
     isolated = nodes[int(rng.integers(len(nodes)))]
-    rows = [(a, b) if rng.random() < 0.5 else (b, a)
-            for a, b in combinations(nodes, 2)
+    rows = [(a, b) for a, b in combinations(nodes, 2)
             if isolated not in (a, b) and rng.random() < 0.4]
     text = "".join(f"{line}\n" for line in header)
-    text += "".join(f"{rows[k][0]}\t{rows[k][1]}\t{value(rng)}\n"
-                    for k in rng.permutation(len(rows)).tolist())
+    text += "".join(f"{a}\t{b}\t{value(rng)}\n" for a, b in rows)
     path.write_text(text, encoding="utf-8")
     return nodes
 
 
 def value_text(rng, scale):
-    """A value in [0, scale], or -0.0, in one of the forms a writer may
-    use; some round to 0.000000 and some tie at the sixth decimal."""
-    v = float(rng.choice([0.0, -0.0, 1.0, 0.1234565, rng.random(), rng.random() * 1e-6]))
-    return str(rng.choice([f"{v * scale:.6f}", repr(v * scale), f"{v * scale:.3e}"]))
+    """A value in [0, scale] to 6 decimals; some are 0.000000 and some tie
+    at the sixth decimal."""
+    v = float(rng.choice([0.0, 1.0, 0.1234565, rng.random(), rng.random() * 1e-6]))
+    return f"{v * scale:.6f}"
+
+
+def damage_pair_file(rng, path, header) -> tuple[int, str]:
+    """Rewrite one row of a pair file of at least two rows out of the
+    writers' form: two rows swapped, one row's endpoints swapped, or one
+    value in ``repr``, ``%.3e`` or 7-decimal form.  Returns the line a
+    reader refuses and the start of its message."""
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    k = int(rng.integers(header, len(lines) - 1))
+    a, b, text = lines[k].rstrip("\n").split("\t")
+    x = float(text)
+    forms = [form for form in (repr(x), f"{x:.3e}", f"{x:.7f}") if form != text]
+    kind = int(rng.integers(3))
+    if kind == 0:
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        k += 1
+    elif kind == 1:
+        lines[k] = f"{b}\t{a}\t{text}\n"
+    else:
+        lines[k] = f"{a}\t{b}\t{forms[int(rng.integers(len(forms)))]}\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return k + 1, "bad value" if kind == 2 else "pair"
 
 
 def test_graph_codec_matches_the_dict_loop_reader(tmp_path):
@@ -350,9 +374,14 @@ def test_graph_codec_matches_the_dict_loop_reader(tmp_path):
         assert graph.weights.tolist() == wgt.tolist(), trial
         assert save_graph(graph, tmp_path / "h.tsv", tmp_path / "h.nodes") is None
         assert ((tmp_path / "h.tsv").read_text("utf-8")
+                == (tmp_path / "g.tsv").read_text("utf-8")
                 == reference.pair_rows_text(want)), trial
         assert reference.same_graph(
             graph, load_graph(tmp_path / "h.tsv", tmp_path / "h.nodes")), trial
+        if len(want) >= 2:
+            line, message = damage_pair_file(rng, tmp_path / "g.tsv", 0)
+            with pytest.raises(ParseError, match=rf"g\.tsv:{line}: {message}"):
+                load_graph(tmp_path / "g.tsv", tmp_path / "g.nodes")
 
 
 def test_matrix_codec_matches_the_dict_loop_reader(tmp_path):
@@ -370,6 +399,35 @@ def test_matrix_codec_matches_the_dict_loop_reader(tmp_path):
         assert ((tmp_path / "s.tsv").read_text("utf-8")
                 == f"#r={runs}\n" + reference.pair_rows_text(want)), trial
         assert same_matrix(matrix, load_matrix(tmp_path / "s.tsv", nodes)), trial
+        if len(want) >= 2:
+            line, message = damage_pair_file(rng, tmp_path / "s.tsv", 1)
+            with pytest.raises(ParseError, match=rf"s\.tsv:{line}: {message}"):
+                load_matrix(tmp_path / "s.tsv", nodes)
+
+
+@given(ids=st.lists(st.sampled_from(PAIR_IDS), min_size=1, unique=True), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_both_pair_files_round_trip(tmp_path_factory, ids, data):
+    # Any weight an int64 of micro-units holds, and any score of a kept
+    # matrix entry, saved and loaded back, over ids a float parser could
+    # take for numbers; the files are the reference's rows.
+    nodes = sorted(ids)
+    candidates = list(combinations(nodes, 2))
+    pairs = data.draw(st.lists(st.sampled_from(candidates), unique=True)
+                      if candidates else st.just([]))
+    weights = {pair: data.draw(st.integers(0, 2**63 - 1)) for pair in pairs}
+    scores = {pair: data.draw(st.integers(1, 10**6)) for pair in pairs}
+    runs = data.draw(st.integers(1, 10**4))
+    folder = tmp_path_factory.mktemp("pairs")
+    graph = graph_from_edges(nodes, weights)
+    save_graph(graph, folder / "g.tsv", folder / "g.nodes")
+    assert (folder / "g.tsv").read_text("utf-8") == reference.pair_rows_text(weights)
+    assert reference.same_graph(load_graph(folder / "g.tsv", folder / "g.nodes"), graph)
+    matrix = matrix_from_pairs(nodes, scores, runs)
+    save_matrix(matrix, folder / "m.tsv")
+    assert ((folder / "m.tsv").read_text("utf-8")
+            == f"#r={runs}\n" + reference.pair_rows_text(scores))
+    assert same_matrix(load_matrix(folder / "m.tsv", nodes), matrix)
 
 
 def test_stability_matches_dict_loops():
